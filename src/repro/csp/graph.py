@@ -21,8 +21,10 @@ conflict edges.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -106,16 +108,15 @@ class ConstraintGraph:
         self._neuron_var = np.repeat(np.arange(len(self.variables)), sizes)
         #: Explicit (inter-variable) conflicts per neuron, as index sets.
         self._explicit: List[Set[int]] = [set() for _ in range(int(self.offsets[-1]))]
-        self._conflict_arrays: Optional[List[np.ndarray]] = None
         #: CSR view of the conflict lists (flat targets + indptr), cached
-        #: for the vectorised solution check.
+        #: for the synapse build, the solution check and the cache token.
         self._conflict_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: value -> in-domain position lookup for the homogeneous-domain
         #: fast path (built lazily; the flag caches the negative case).
         self._pos_lookup: Optional[np.ndarray] = None
         self._pos_lookup_ready = False
-        #: Cached structural cache token (see :meth:`cache_token`).
-        self._cache_token: Optional[Mapping[str, Any]] = None
+        #: Cached structural digest (see :meth:`cache_token`).
+        self._cache_token: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Lookups
@@ -190,7 +191,6 @@ class ConstraintGraph:
             )
         self._explicit[na].add(nb)
         self._explicit[nb].add(na)
-        self._conflict_arrays = None
         self._conflict_csr = None
         self._cache_token = None
 
@@ -224,22 +224,15 @@ class ConstraintGraph:
         targets |= self._explicit[index]
         return sorted(targets)
 
-    def _conflicts(self) -> List[np.ndarray]:
-        """Cached per-neuron conflict index arrays (mutex + explicit)."""
-        if self._conflict_arrays is None:
-            self._conflict_arrays = [
-                np.asarray(self.conflicting_neurons(i), dtype=np.int64)
-                for i in range(self.num_neurons)
-            ]
-        return self._conflict_arrays
-
     def _conflicts_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The conflict lists as one flat (targets, indptr) CSR pair."""
+        """Every neuron's :meth:`conflicting_neurons` as one (targets, indptr) CSR pair."""
         if self._conflict_csr is None:
-            conflicts = self._conflicts()
-            lengths = np.asarray([t.size for t in conflicts], dtype=np.int64)
+            conflicts = [self.conflicting_neurons(i) for i in range(self.num_neurons)]
+            lengths = np.asarray([len(t) for t in conflicts], dtype=np.int64)
             indptr = np.concatenate([[0], np.cumsum(lengths)])
-            targets = np.concatenate(conflicts) if indptr[-1] else np.empty(0, dtype=np.int64)
+            targets = np.fromiter(
+                itertools.chain.from_iterable(conflicts), dtype=np.int64, count=int(indptr[-1])
+            )
             self._conflict_csr = (targets, indptr)
         return self._conflict_csr
 
@@ -268,52 +261,58 @@ class ConstraintGraph:
         neuron (in index order) one inhibitory synapse per conflicting
         neuron (sorted), plus an explicit diagonal self-excitation entry —
         kept even at weight 0 so the synapse count always reflects the
-        full WTA structure.
+        full WTA structure.  The entries come straight from the cached
+        conflict CSR (column ``pre`` holds its conflicts plus the
+        diagonal), sorted by row within each column: the canonical CSC
+        a COO build of the same triplets converts to.
         """
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for pre, targets in enumerate(self._conflicts()):
-            rows.extend(int(t) for t in targets)
-            cols.extend([pre] * len(targets))
-            vals.extend([inhibition_weight] * len(targets))
-            rows.append(pre)
-            cols.append(pre)
-            vals.append(self_excitation)
-        matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(self.num_neurons, self.num_neurons))
+        targets, indptr = self._conflicts_csr()
+        n = self.num_neurons
+        neurons = np.arange(n, dtype=np.int64)
+        rows = np.concatenate([targets, neurons])
+        cols = np.concatenate([np.repeat(neurons, np.diff(indptr)), neurons])
+        # Conflict lists never contain their own neuron: rows == cols
+        # exactly on the diagonal.
+        vals = np.where(rows == cols, float(self_excitation), float(inhibition_weight))
+        order = np.lexsort((rows, cols))
+        column_ptr = indptr + np.arange(n + 1)  # one extra (diagonal) entry per column
+        matrix = sparse.csc_matrix((vals[order], rows[order], column_ptr), shape=(n, n))
         return SparseSynapses(matrix)
 
-    def cache_token(self) -> Mapping[str, Any]:
+    def cache_token(self) -> str:
         """Canonical structural identity for content-addressed caching.
 
         Consumed by :mod:`repro.runtime.cache` through the
         ``cache_token`` protocol, so a graph can key a
-        :class:`~repro.runtime.cache.RunResultCache` entry (the serve
-        tier dedupes repeat instances this way).  The token covers
+        :class:`~repro.runtime.cache.RunResultCache` entry and the serve
+        tier can derive request identities.  The token is a SHA-256 over
         exactly what the solver dynamics see — the per-variable domains
-        in declared order plus the explicit conflict edges — and
-        deliberately excludes variable *names*: solve results are
-        index-based arrays, so structurally identical graphs may share
-        cache entries regardless of naming.
+        in declared order plus the full conflict CSR — and deliberately
+        excludes variable *names*: solve results are index-based arrays,
+        so structurally identical graphs may share cache entries
+        regardless of naming.  It is computed once per graph (and again
+        only after :meth:`add_conflict`), so repeat requests on one graph
+        object cost an attribute read.
         """
         if self._cache_token is None:
-            edges = sorted(
-                (pre, post)
-                for pre, targets in enumerate(self._explicit)
-                for post in targets
-                if pre < post
+            targets, indptr = self._conflicts_csr()
+            values = np.fromiter(
+                itertools.chain.from_iterable(v.domain for v in self.variables),
+                dtype=np.int64,
+                count=self.num_neurons,
             )
-            self._cache_token = {
-                "domains": [list(map(int, v.domain)) for v in self.variables],
-                "conflicts": [[int(a), int(b)] for a, b in edges],
-            }
+            digest = hashlib.sha256(b"ConstraintGraph/1")
+            arrays = (self.domain_sizes, values, indptr, targets)
+            for array in (np.asarray([a.size for a in arrays]), *arrays):
+                digest.update(np.ascontiguousarray(array, dtype="<i8").tobytes())
+            self._cache_token = digest.hexdigest()
         return self._cache_token
 
     def statistics(self) -> CSPStatistics:
         """Structural statistics of the WTA graph."""
         mutex = int(np.sum(self.domain_sizes * (self.domain_sizes - 1)))
         explicit = sum(len(s) for s in self._explicit)
-        degrees = np.asarray([len(t) for t in self._conflicts()], dtype=np.int64)
+        degrees = np.diff(self._conflicts_csr()[1])
         return CSPStatistics(
             num_variables=self.num_variables,
             num_neurons=self.num_neurons,

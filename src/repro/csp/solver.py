@@ -494,9 +494,6 @@ def _solve_fingerprint(
     check_interval: int,
 ) -> str:
     """Content identity binding a checkpoint to one exact solve call."""
-    import hashlib
-    import pickle
-
     from ..runtime.cache import derive_cache_key
 
     payload = {
@@ -511,11 +508,8 @@ def _solve_fingerprint(
         "check_interval": int(check_interval),
     }
     key = derive_cache_key("csp-checkpoint", payload)
-    if key is not None:
-        return key
-    # No canonical token for some graph payload: fall back to a pickle
-    # digest (deterministic for the dataclass/ndarray graphs in use).
-    return hashlib.sha256(pickle.dumps(payload)).hexdigest()
+    assert key is not None  # graphs, clamps, seeds and config all tokenise
+    return key
 
 
 def _run_batch_checkpointed(

@@ -366,7 +366,12 @@ class _SynapseBatch:
             raise BatchIncompatibleError(f"unsupported synapse kind {type(first)!r}")
 
     def _build_integer(self) -> bool:
-        """Stack raw Q15.16 weights; ``False`` when quantisation would lose bits."""
+        """Stack raw Q15.16 weights; ``False`` when quantisation would lose bits.
+
+        Every retain/extend rebuilds this stack, so sparse rows rely on
+        :meth:`SparseSynapses.quantized_q15_16` memoising its lossless
+        payloads: a row is quantised once, not once per recomposition.
+        """
         first = self._synapses[0]
         if not hasattr(first, "quantized_q15_16"):
             return False
@@ -406,24 +411,22 @@ class _SynapseBatch:
         # Independent per-replica connectivity: flatten the B CSC
         # structures over one (B * N)-column grid with globally offset
         # row indices, so a single gather serves the whole batch.
-        counts = []
-        indices = []
-        data = []
-        for b, synapse in enumerate(self._synapses):
+        raws = []
+        for synapse in self._synapses:
             raw, lossless = synapse.quantized_q15_16()
             if not lossless:
                 return False
-            matrix = synapse.matrix
-            counts.append(np.diff(matrix.indptr).astype(np.int64))
-            indices.append(np.asarray(matrix.indices, dtype=np.int64) + b * self.size)
-            data.append(raw.astype(np.float64))
-        col_counts = np.concatenate(counts)
-        indptr = np.concatenate([[0], np.cumsum(col_counts)])
+            raws.append(raw)
+        matrices = [synapse.matrix for synapse in self._synapses]
+        ptrs = np.stack([matrix.indptr for matrix in matrices]).astype(np.int64)  # (B, N + 1)
+        col_counts = np.diff(ptrs, axis=1).ravel()
+        indices = np.concatenate([matrix.indices for matrix in matrices]).astype(np.int64)
+        indices += np.repeat(np.arange(len(matrices), dtype=np.int64) * self.size, ptrs[:, -1])
         self._flat_gather = (
-            indptr,
-            np.concatenate(indices),
+            np.concatenate([[0], np.cumsum(col_counts)]),
+            indices,
             col_counts,
-            np.concatenate(data),
+            np.concatenate(raws).astype(np.float64),
             self._uniform_fanout(col_counts),
         )
         self._int_kind = "flat"

@@ -5,12 +5,15 @@ Every built-in backend is deterministic given a :class:`RunRequest`
 ``(backend, request)`` pair fully determines the :class:`RunResult` — up
 to the code that computes it.  :class:`RunResultCache` exploits that:
 
-* the **cache key** is a SHA-256 over the backend name, a canonical
-  token of the request (dataclasses, mappings, sequences, NumPy arrays
-  and scalars are all reduced to a stable JSON form) and a
-  **code fingerprint** hashing every ``repro`` source file, so editing
-  the simulator invalidates all prior entries instead of serving stale
-  results;
+* the **identity** of a run (:func:`derive_identity`) is a SHA-256 over
+  the backend name and a canonical token of the request (dataclasses,
+  mappings, sequences, NumPy arrays and scalars are all reduced to a
+  stable JSON form).  It does not depend on the code, so it can seed
+  and deduplicate work across code revisions (the serve tier does);
+* the **cache key** (:func:`derive_cache_key`) is that identity bound
+  to a **code fingerprint** hashing every ``repro`` source file, so
+  editing the simulator invalidates all prior entries instead of
+  serving stale results;
 * entries are pickled ``RunResult`` objects stored under
   ``<root>/<key[:2]>/<key>.pkl`` — written atomically (temp file +
   fsync + rename) with a SHA-256 payload checksum verified on every
@@ -49,6 +52,7 @@ __all__ = [
     "code_fingerprint",
     "default_cache",
     "derive_cache_key",
+    "derive_identity",
     "resolve_cache",
 ]
 
@@ -58,8 +62,11 @@ ENV_ENABLE = "REPRO_RUN_CACHE"
 #: Environment override for the cache directory.
 ENV_DIR = "REPRO_RUN_CACHE_DIR"
 
-#: Bumped whenever the key derivation or the stored format changes.
-_FORMAT_VERSION = 1
+#: Bumped whenever the identity derivation changes (this re-seeds every
+#: served request whose seed is derived from its identity).
+_IDENTITY_VERSION = 1
+#: Bumped whenever the cache-key binding or the stored format changes.
+_FORMAT_VERSION = 2
 
 #: Leads every checksummed cache entry; followed by a 32-byte SHA-256 of
 #: the pickled payload, then the payload itself.
@@ -117,29 +124,40 @@ def _token(obj: Any) -> Any:
     )
 
 
-def derive_cache_key(backend_name: str, request: Any) -> Optional[str]:
-    """Content-addressed key of one ``(backend, request)`` pair.
+def derive_identity(namespace: str, request: Any) -> Optional[str]:
+    """Code-independent content identity of one ``(namespace, request)`` pair.
 
-    The module-level form of :meth:`RunResultCache.key_for`, usable
-    without a cache instance (the serve tier derives request identities
-    from it even when running cache-less).  Returns ``None`` when the
-    request contains an object with no stable canonical form.
+    A SHA-256 over the namespace and the canonical request token: equal
+    for equal requests in any process and under any code revision.
+    Returns ``None`` when the request contains an object with no stable
+    canonical form.
     """
     try:
         token = _token(request)
     except UncacheableRequestError:
         return None
     payload = json.dumps(
-        {
-            "version": _FORMAT_VERSION,
-            "backend": backend_name,
-            "request": token,
-            "code": code_fingerprint(),
-        },
+        {"version": _IDENTITY_VERSION, "namespace": namespace, "request": token},
         sort_keys=True,
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def derive_cache_key(backend_name: str, request: Any) -> Optional[str]:
+    """Content-addressed cache key of one ``(backend, request)`` pair.
+
+    The module-level form of :meth:`RunResultCache.key_for`: the
+    request's :func:`derive_identity` bound to :func:`code_fingerprint`,
+    so an entry is only ever served by the code revision that wrote it.
+    Returns ``None`` when the request contains an object with no stable
+    canonical form.
+    """
+    identity = derive_identity(backend_name, request)
+    if identity is None:
+        return None
+    bound = f"{_FORMAT_VERSION}:{identity}:{code_fingerprint()}"
+    return hashlib.sha256(bound.encode()).hexdigest()
 
 
 _FINGERPRINT: Optional[str] = None

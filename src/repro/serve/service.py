@@ -34,16 +34,20 @@ cancellation (``asyncio`` task cancellation while awaiting ``submit``)
 frees the request's batch slot at the next scheduler round without
 touching surviving rows' streams.
 
-**Dedup.**  Requests are content-addressed: the cache key hashes the
-graph structure (:meth:`~repro.csp.graph.ConstraintGraph.cache_token`),
-resolved clamps, solver config, backend, budget, check interval and
-seed through :func:`repro.runtime.cache.derive_cache_key`.  Identical
-in-flight requests coalesce onto one batch row; completed results are
-memoised (and, with a :class:`~repro.runtime.cache.RunResultCache`
-attached, persisted) so repeats are served without re-solving.  The
-default request seed is itself derived from the content key, so a
-repeat instance maps to the same seed — and the same answer —
-regardless of arrival order.
+**Dedup.**  Every request gets one content identity
+(:func:`repro.runtime.cache.derive_identity`): a hash of the graph's
+structural digest (:meth:`~repro.csp.graph.ConstraintGraph.cache_token`,
+memoised on the graph), the resolved clamps, the budget and the seed,
+plus the service's config, backend and check interval, tokenised once
+at construction.  The identity does not depend on the code, so it is
+stable across source edits.  It drives everything in-process: identical
+in-flight requests coalesce onto one batch row, completed results are
+memoised, admissions are journaled under it, and the default request
+seed is derived from it — so a repeat instance maps to the same seed,
+and the same answer, regardless of arrival order or code revision.
+Only an attached :class:`~repro.runtime.cache.RunResultCache` uses a
+code-bound key (:func:`~repro.runtime.cache.derive_cache_key` of the
+identity), so a result on disk is only served by the code that wrote it.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ import numpy as np
 from ..csp.config import CSPConfig
 from ..csp.graph import ClampsLike, ConstraintGraph
 from ..csp.solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _empty_result
-from ..runtime.cache import RunResultCache, derive_cache_key
+from ..runtime.cache import RunResultCache, derive_cache_key, derive_identity
 from ..runtime.slots import SlotAdmission, SlotCheckpoint, SlotDecision, SlotEngine, SlotRow
 from ..runtime.sweep import derive_task_seed
 from .metrics import MetricsRecorder, MetricsSnapshot
@@ -124,7 +128,7 @@ class ServeResult:
 
     status: ServeStatus
     client: str
-    #: Content-addressed request key (``None`` for uncacheable requests).
+    #: Code-independent request identity (``None`` for uncacheable requests).
     key: Optional[str]
     #: Noise seed the solve ran (or would run) under.
     seed: int
@@ -153,13 +157,14 @@ class ServeResult:
 
 
 def derive_request_seed(service_seed: int, key: str) -> int:
-    """Deterministic noise seed of a request, derived from its content key.
+    """Deterministic noise seed of a request, derived from its identity.
 
     Mixes the service's root seed with the first 128 bits of the request
-    key through :class:`numpy.random.SeedSequence`, so a repeat of the
-    same instance maps to the same seed (and, the solver being
-    deterministic, the same answer) regardless of arrival order — the
-    property the dedup layer and the differential suite rely on.
+    identity through :class:`numpy.random.SeedSequence`, so a repeat of
+    the same instance maps to the same seed (and, the solver being
+    deterministic, the same answer) regardless of arrival order or code
+    revision — the property the dedup layer and the differential suite
+    rely on.
     """
     sequence = np.random.SeedSequence([int(service_seed), int(key[:32], 16)])
     return int(sequence.generate_state(1, dtype=np.uint64)[0])
@@ -184,7 +189,6 @@ class _Ticket:
     """One admission unit: an instance plus everyone waiting on it."""
 
     key: Optional[str]
-    graph_digest: Optional[str]
     graph: ConstraintGraph
     clamps: list
     seed: int
@@ -239,7 +243,8 @@ class SolveService:
         Root of the derived per-request seeds (:func:`derive_request_seed`).
     cache:
         Optional :class:`~repro.runtime.cache.RunResultCache` persisting
-        results across service instances; corrupt or wrong-typed entries
+        results across service instances, keyed by the request identity
+        bound to the code fingerprint; corrupt or wrong-typed entries
         are treated as misses.
     memoize:
         Keep an in-memory result memo for repeat requests (LRU-bounded).
@@ -312,6 +317,11 @@ class SolveService:
         self._memo_limit = int(memo_limit)
         self._yield_steps = int(yield_steps) if yield_steps is not None else self._check_interval
         self._synapse_cache_size = int(synapse_cache_size)
+        #: The request-invariant part of every request identity.
+        self._service_identity = derive_identity(
+            "serve-config",
+            {"config": self._config, "backend": backend, "check_interval": self._check_interval},
+        )
         if clock == "monotonic":
             # reprolint: disable-next-line=RL002 -- injectable-clock seam (SolveService(clock=...))
             self._clock: Callable[[], float] = time.monotonic
@@ -436,7 +446,7 @@ class SolveService:
             )
         self._metrics.record_submitted()
 
-        key, graph_digest = self._request_key(graph, resolved, seed, budget)
+        key = self._request_identity(graph, resolved, seed, budget)
         if seed is not None:
             request_seed = int(seed)
         elif key is not None:
@@ -485,7 +495,6 @@ class SolveService:
                 )
             ticket = _Ticket(
                 key=key,
-                graph_digest=graph_digest,
                 graph=graph,
                 clamps=resolved,
                 seed=request_seed,
@@ -624,26 +633,37 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Request identity and caching
     # ------------------------------------------------------------------ #
-    def _request_key(
+    def _request_identity(
         self,
         graph: ConstraintGraph,
         resolved: Sequence[Tuple[int, int, int]],
         seed: Optional[int],
         budget: int,
-    ) -> Tuple[Optional[str], Optional[str]]:
-        """Content key of the request plus the graph-structure digest."""
-        graph_digest = derive_cache_key("serve-graph", graph)
-        payload = {
-            "graph": graph,
-            "clamps": [list(map(int, triple)) for triple in resolved],
-            "config": self._config,
-            "backend": self._backend,
-            "max_steps": int(budget),
-            "check_interval": self._check_interval,
-            "seed": None if seed is None else int(seed),
-            "seed_root": self._seed if seed is None else None,
-        }
-        return derive_cache_key("serve", payload), graph_digest
+    ) -> Optional[str]:
+        """Code-independent identity of one request (see the module docstring).
+
+        The payload is positional — service identity, graph, clamps,
+        budget, explicit seed, seed root — because a sequence tokenises
+        without the per-key sort a mapping costs on every submit.
+        """
+        return derive_identity(
+            "serve",
+            (
+                self._service_identity,
+                graph,
+                np.asarray(resolved, dtype=np.int64).reshape(-1, 3),
+                int(budget),
+                None if seed is None else int(seed),
+                self._seed if seed is None else None,
+            ),
+        )
+
+    @staticmethod
+    def _cache_key(key: str) -> str:
+        """The :class:`RunResultCache` key of an identity: bound to the code."""
+        cache_key = derive_cache_key("serve", key)
+        assert cache_key is not None  # a string always tokenises
+        return cache_key
 
     def _lookup_cached(self, key: Optional[str]) -> Optional[CSPSolveResult]:
         if key is None:
@@ -654,7 +674,7 @@ class SolveService:
         if self._cache is not None:
             # Wrong-typed entries are as unusable as truncated ones:
             # ``expect`` makes the cache treat both as misses.
-            entry = self._cache.get(key, expect=CSPSolveResult)
+            entry = self._cache.get(self._cache_key(key), expect=CSPSolveResult)
             if entry is not None:
                 self._remember(key, entry)
                 return entry
@@ -673,7 +693,7 @@ class SolveService:
             return
         self._remember(key, result)
         if self._cache is not None:
-            self._cache.put(key, result)
+            self._cache.put(self._cache_key(key), result)
 
     # ------------------------------------------------------------------ #
     # Admission plumbing
@@ -799,7 +819,6 @@ class SolveService:
         """The picklable identity of one live ticket (no waiters/futures)."""
         return {
             "key": ticket.key,
-            "graph_digest": ticket.graph_digest,
             "graph": ticket.graph,
             "clamps": ticket.clamps,
             "seed": ticket.seed,
@@ -849,7 +868,6 @@ class SolveService:
                 desc = row_state["payload"]
                 ticket = _Ticket(
                     key=desc["key"],
-                    graph_digest=desc["graph_digest"],
                     graph=desc["graph"],
                     clamps=desc["clamps"],
                     seed=desc["seed"],
@@ -877,7 +895,6 @@ class SolveService:
             graph = record["graph"]
             ticket = _Ticket(
                 key=key,
-                graph_digest=derive_cache_key("serve-graph", graph),
                 graph=graph,
                 clamps=record["clamps"],
                 seed=record["seed"],
@@ -908,21 +925,18 @@ class SolveService:
         service-wide config.  The admission offset (the bit-exactness
         mechanism) is stamped by :meth:`SlotEngine.recompose`.
         """
-        synapses = None
-        if ticket.graph_digest is not None:
-            synapses = self._synapses.get(ticket.graph_digest)
+        digest = ticket.graph.cache_token()
         solver = SpikingCSPSolver(
             ticket.graph,
             self._config,
             backend=self._backend,
             seed=ticket.seed,
-            synapses=synapses,
+            synapses=self._synapses.get(digest),
         )
-        if ticket.graph_digest is not None:
-            self._synapses[ticket.graph_digest] = solver.synapses
-            self._synapses.move_to_end(ticket.graph_digest)
-            while len(self._synapses) > self._synapse_cache_size:
-                self._synapses.popitem(last=False)
+        self._synapses[digest] = solver.synapses
+        self._synapses.move_to_end(digest)
+        while len(self._synapses) > self._synapse_cache_size:
+            self._synapses.popitem(last=False)
         return solver.build_network(ticket.clamps)
 
     def _take_admissions(self, count: int) -> List[SlotAdmission]:

@@ -108,6 +108,9 @@ class SparseSynapses:
 
     def __init__(self, matrix: sparse.spmatrix) -> None:
         self.matrix = sparse.csc_matrix(matrix, dtype=np.float64)
+        #: Read-only raw Q15.16 payloads, kept once a quantisation proved
+        #: lossless (see :meth:`quantized_q15_16`).
+        self._lossless_raw: Optional[np.ndarray] = None
 
     @classmethod
     def from_triplets(
@@ -137,8 +140,21 @@ class SparseSynapses:
         return int(self.matrix.nnz)
 
     def quantized_q15_16(self) -> Tuple[np.ndarray, bool]:
-        """Raw Q15.16 payloads of ``matrix.data`` plus the lossless flag."""
-        return quantize_weights_q15_16(self.matrix.data)
+        """Raw Q15.16 payloads of ``matrix.data`` plus the lossless flag.
+
+        A lossless result is memoised (read-only): the matrix is never
+        mutated after construction, and the batch engine asks again for
+        every live row at each recomposition.  Lossy payloads are never
+        kept; the batch falls back to float propagation after its first
+        ask, so they are not requested again.
+        """
+        if self._lossless_raw is not None:
+            return self._lossless_raw, True
+        raw, lossless = quantize_weights_q15_16(self.matrix.data)
+        if lossless:
+            raw.flags.writeable = False
+            self._lossless_raw = raw
+        return raw, lossless
 
     def propagate(self, fired: np.ndarray) -> np.ndarray:
         """Synaptic current delivered by the firing presynaptic neurons."""

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from repro.csp import ConstraintGraph, Variable
+from repro.csp.scenarios import make_instance
+from repro.csp.scenarios.sudoku import shared_sudoku_graph
+from repro.snn.synapse import SparseSynapses
 
 
 def _random_graph(num_vars, domain_sizes, edge_seed=0, edge_count=0):
@@ -148,6 +152,83 @@ class TestSynapses:
         out = syn.propagate(fired)
         dense = syn.matrix.toarray()
         np.testing.assert_allclose(out, dense @ fired.astype(np.float64))
+
+
+def _loop_synapses(graph, inhibition_weight, self_excitation):
+    """The per-neuron loop construction the vectorised build replaced."""
+    rows, cols, vals = [], [], []
+    for pre in range(graph.num_neurons):
+        targets = graph.conflicting_neurons(pre)
+        rows.extend(targets)
+        cols.extend([pre] * len(targets))
+        vals.extend([inhibition_weight] * len(targets))
+        rows.append(pre)
+        cols.append(pre)
+        vals.append(self_excitation)
+    shape = (graph.num_neurons, graph.num_neurons)
+    return SparseSynapses(sparse.coo_matrix((vals, (rows, cols)), shape=shape))
+
+
+def _assert_same_csc(graph):
+    for self_excitation in (0.0, 1.5):
+        built = graph.build_synapses(inhibition_weight=-30.0, self_excitation=self_excitation)
+        reference = _loop_synapses(graph, -30.0, self_excitation)
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(built.matrix, part), getattr(reference.matrix, part)
+            assert got.dtype == want.dtype, part
+            assert got.tobytes() == want.tobytes(), part
+
+
+class TestVectorisedBuild:
+    """The CSR-driven synapse build is byte-identical to the loop build."""
+
+    @given(
+        _domain_sizes,
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_random_graphs(self, sizes, edge_seed, edge_count):
+        _assert_same_csc(
+            _random_graph(len(sizes), sizes, edge_seed=edge_seed, edge_count=edge_count)
+        )
+
+    @pytest.mark.parametrize("family", ["coloring", "australia", "queens", "latin"])
+    def test_scenario_families(self, family):
+        for seed in range(3):
+            graph, _ = make_instance(family, seed=seed)
+            _assert_same_csc(graph)
+
+    def test_shared_sudoku_graph(self):
+        _assert_same_csc(shared_sudoku_graph())
+
+
+class TestCacheToken:
+    def test_token_is_a_memoised_digest(self):
+        graph = _random_graph(3, [2, 3, 2], edge_seed=1, edge_count=4)
+        token = graph.cache_token()
+        assert isinstance(token, str) and len(token) == 64
+        assert graph.cache_token() is token
+
+    def test_token_ignores_names_and_tracks_edges(self):
+        a = _random_graph(3, [2, 3, 2], edge_seed=1, edge_count=4)
+        renamed = ConstraintGraph(
+            [Variable(f"y{i}", v.domain) for i, v in enumerate(a.variables)], name="other"
+        )
+        for pre, targets in enumerate(a._explicit):
+            for post in targets:
+                renamed.add_conflict(*a.neuron_coordinates(pre), *a.neuron_coordinates(post))
+        assert renamed.cache_token() == a.cache_token()
+        bare = _random_graph(3, [2, 3, 2])
+        before = bare.cache_token()
+        bare.add_conflict("x0", 1, "x2", 2)
+        assert bare.cache_token() != before  # add_conflict resets the memo
+
+    def test_token_separates_domain_layouts(self):
+        # Same neuron count, same values, different variable partition.
+        split = ConstraintGraph([Variable("a", (1,)), Variable("b", (2,))])
+        joined = ConstraintGraph([Variable("a", (1, 2))])
+        assert split.cache_token() != joined.cache_token()
 
 
 class TestClampsAndSolutions:

@@ -217,6 +217,33 @@ class TestFallbacks:
         _, saturated = quantize_weights_q15_16(np.array([40000.0]))
         assert not saturated
 
+    def test_sparse_lossless_quantisation_is_memoised_read_only(self):
+        syn = SparseSynapses(sparse.identity(4, format="csc") * -30.0)
+        raw, lossless = syn.quantized_q15_16()
+        assert lossless
+        again, _ = syn.quantized_q15_16()
+        assert again is raw
+        assert not raw.flags.writeable
+
+    @staticmethod
+    def _int64_arrays(obj):
+        return [
+            name
+            for name, value in vars(obj).items()
+            if isinstance(value, np.ndarray) and value.dtype == np.int64
+        ]
+
+    def test_lossy_weights_keep_no_raw_copy(self):
+        rng = np.random.default_rng(0)
+        dense = DenseSynapses(rng.normal(size=(8, 8)))  # 80-20 style float weights
+        _, lossless = dense.quantized_q15_16()
+        assert not lossless
+        assert self._int64_arrays(dense) == []
+        lossy_sparse = SparseSynapses(sparse.identity(4, format="csc") * 0.1)
+        _, lossless = lossy_sparse.quantized_q15_16()
+        assert not lossless
+        assert self._int64_arrays(lossy_sparse) == []
+
 
 class TestScaledQuantizer:
     def test_matches_reference_quantisation(self):

@@ -15,7 +15,7 @@ import pytest
 from repro.csp.config import CSPConfig
 from repro.csp.scenarios import make_instance
 from repro.csp.solver import CSPSolveResult, SpikingCSPSolver
-from repro.runtime.cache import RunResultCache
+from repro.runtime.cache import RunResultCache, derive_cache_key
 from repro.serve import (
     LoadShedError,
     ServeStatus,
@@ -106,11 +106,7 @@ def test_deadline_expiry_returns_typed_timeout():
 def test_running_deadline_expires_at_checkpoint():
     # A near-threshold instance (the hard-pool parameters from
     # benchmarks/bench_csp_solver.py) needs hundreds of steps, so it
-    # cannot finish before the ~35-step deadline regardless of the
-    # code-fingerprint-derived solve seed (request keys fold in
-    # repro.runtime.cache.code_fingerprint, so *any* source change
-    # reshuffles trajectories — an easy instance here makes the test
-    # flake across unrelated commits).
+    # cannot finish before the ~35-step deadline.
     hard = make_instance(
         "coloring", seed=901, num_vertices=40, num_colors=4, edge_probability=0.45
     )
@@ -184,7 +180,8 @@ def test_corrupted_cache_entry_is_a_miss(tmp_path):
 
     cache = RunResultCache(tmp_path)
     first = serve_once(cache)
-    path = cache._path(first.key)
+    # On disk the entry sits under the identity bound to the code.
+    path = cache._path(derive_cache_key("serve", first.key))
     assert path.exists()
 
     # Truncate mid-pickle: unpicklable garbage.
