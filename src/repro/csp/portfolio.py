@@ -257,7 +257,6 @@ def solve_instances_portfolio(
         decoder=CSP_SLOT_DECODER,
         window=max(1, cfg.decode_window),
         check_interval=check_interval,
-        extendable=True,
     )
     policy = RestartPortfolioPolicy(
         states,

@@ -311,7 +311,7 @@ def solve_instances(
     reproduce old runs (explicit seeds are honoured bit-for-bit,
     including a shared value for every replica).
 
-    With ``checkpoint_dir`` set, the batch loop writes a crash-safe
+    With ``checkpoint_dir`` set, the slot engine writes a crash-safe
     snapshot (:mod:`repro.runtime.checkpoint`) every ``checkpoint_every``
     global steps (default ``10 * check_interval``) plus one at
     completion.  Re-calling with the same arguments and directory
@@ -341,36 +341,35 @@ def solve_instances(
     # the batch engine sees one shared connectivity matrix and takes its
     # shared-sparse fast path instead of stacking B identical copies.
     shared_synapses: Dict[int, object] = {}
-
-    def build_entry(index: int) -> _BatchEntry:
-        graph, clamps = instances[index]
+    entries = []
+    for (graph, clamps), instance_seed in zip(instances, seeds):
         solver = SpikingCSPSolver(
             graph,
             cfg,
             backend=backend,
-            seed=int(seeds[index]),
+            seed=int(instance_seed),
             synapses=shared_synapses.get(id(graph)),
         )
         shared_synapses[id(graph)] = solver.synapses
         resolved = graph.resolve_clamps(clamps)
         if not graph.clamps_consistent(resolved):
             raise ValueError("clamps violate a constraint edge")
-        return _BatchEntry(graph, resolved, solver.build_network(resolved))
+        entries.append(_BatchEntry(graph, resolved, solver.build_network(resolved)))
+    store = identity = None
+    if checkpoint_dir is not None:
+        from ..runtime.checkpoint import CheckpointStore
 
-    if checkpoint_dir is None:
-        entries = [build_entry(i) for i in range(len(instances))]
-        return _run_batch(entries, cfg, max_steps=max_steps, check_interval=check_interval)
-    return _run_batch_checkpointed(
-        instances,
+        store = CheckpointStore(checkpoint_dir, kind="csp-solve", fault=fault)
+        identity = _solve_fingerprint(instances, seeds, cfg, backend, max_steps, check_interval)
+    return _run_batch(
+        entries,
         cfg,
-        backend=backend,
-        seeds=[int(s) for s in seeds],
-        build_entry=build_entry,
         max_steps=max_steps,
         check_interval=check_interval,
-        checkpoint_dir=checkpoint_dir,
+        store=store,
         checkpoint_every=checkpoint_every,
         fault=fault,
+        identity=identity,
     )
 
 
@@ -412,6 +411,10 @@ def _run_batch(
     *,
     max_steps: int,
     check_interval: int,
+    store=None,
+    checkpoint_every: Optional[int] = None,
+    fault=None,
+    identity: Optional[str] = None,
 ) -> List[CSPSolveResult]:
     """Advance all entries together, shrinking the batch as replicas solve.
 
@@ -436,6 +439,11 @@ def _run_batch(
       still-unsolved instances instead of merely masking the solved
       ones out of the statistics.
 
+    Durability is the engine's too: with a checkpoint ``store`` the
+    run resumes from the newest readable snapshot whose ``identity``
+    matches, saves every ``checkpoint_every`` steps and at completion,
+    and ``fault`` injects the chaos suites' crash.
+
     Degenerate shapes never allocate a batch: an empty entry list has
     nothing to stack, and a non-positive step budget short-circuits in
     :meth:`SlotEngine.run`, leaving every entry to the canonical
@@ -449,7 +457,9 @@ def _run_batch(
         decoder=CSP_SLOT_DECODER,
         window=max(1, config.decode_window),
         check_interval=check_interval,
-        extendable=False,
+        store=store,
+        checkpoint_every=checkpoint_every,
+        fault=fault,
     )
     policy = OneShotPolicy(
         [
@@ -460,7 +470,8 @@ def _run_batch(
                 entry.network,
             )
             for index, entry in enumerate(entries)
-        ]
+        ],
+        identity=identity,
     )
     engine.run(policy, max_steps=max_steps)
 
@@ -510,123 +521,6 @@ def _solve_fingerprint(
     key = derive_cache_key("csp-checkpoint", payload)
     assert key is not None  # graphs, clamps, seeds and config all tokenise
     return key
-
-
-def _run_batch_checkpointed(
-    instances: Sequence[Tuple[ConstraintGraph, ClampsLike]],
-    config: CSPConfig,
-    *,
-    backend: str,
-    seeds: Sequence[int],
-    build_entry,
-    max_steps: int,
-    check_interval: int,
-    checkpoint_dir,
-    checkpoint_every: Optional[int],
-    fault,
-) -> List[CSPSolveResult]:
-    """The batch loop of :func:`_run_batch` with crash-safe snapshots.
-
-    Runs the same one-shot policy over the same engine, but every
-    ``checkpoint_every`` global steps (and once at completion) the full
-    engine state plus the already-retired results land in a
-    :class:`~repro.runtime.checkpoint.CheckpointStore`.  On entry the
-    newest readable snapshot is restored — networks for still-live rows
-    are rebuilt from their (graph, clamps, seed) descriptors and
-    overwritten with the snapshot state, so the continued trajectory is
-    bit-identical to the uninterrupted run's.
-    """
-    import os
-
-    from ..runtime.checkpoint import CheckpointError, CheckpointStore, FaultPlan
-    from ..runtime.slots import OneShotPolicy, SlotEngine, SlotRow
-
-    if max_steps <= 0:
-        return [_empty_result(graph, clamps) for graph, clamps in instances]
-
-    every = int(checkpoint_every) if checkpoint_every is not None else 10 * int(check_interval)
-    if every <= 0:
-        raise ValueError("checkpoint_every must be positive")
-    fingerprint = _solve_fingerprint(instances, seeds, config, backend, max_steps, check_interval)
-    store = CheckpointStore(checkpoint_dir, kind="csp-solve", fault=fault)
-
-    engine = SlotEngine(
-        decoder=CSP_SLOT_DECODER,
-        window=max(1, config.decode_window),
-        check_interval=check_interval,
-        extendable=False,
-    )
-    policy = OneShotPolicy([])
-    completed: Dict[int, CSPSolveResult] = {}
-
-    latest = store.load_latest()
-    if latest is not None:
-        _, payload = latest
-        if payload.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"checkpoint in {os.fspath(checkpoint_dir)} belongs to a different solve "
-                "(instances, seeds, config, backend or budgets changed)"
-            )
-        completed = dict(payload["completed"])
-        row_states = payload["engine"]["rows"]
-        networks = [build_entry(int(rs["payload"])).network for rs in row_states]
-        engine.restore_state(payload["engine"], networks)
-    else:
-        admissions = []
-        for index in range(len(instances)):
-            entry = build_entry(index)
-            admissions.append(
-                (
-                    SlotRow(
-                        graph=entry.graph, clamps=entry.clamps, budget=max_steps, payload=index
-                    ),
-                    entry.network,
-                )
-            )
-        engine.recompose([], admissions)
-
-    def drain_outcomes() -> None:
-        updates_per_step = engine.updates_per_step or 0
-        while policy.outcomes:
-            outcome = policy.outcomes.pop()
-            completed[int(outcome.row.payload)] = CSPSolveResult(
-                solved=outcome.decode.solved,
-                steps=outcome.local_steps,
-                values=outcome.decode.values,
-                decided=outcome.decode.decided,
-                total_spikes=outcome.spikes,
-                neuron_updates=outcome.local_steps * updates_per_step,
-                attempts=1,
-                attempt_steps=(outcome.local_steps,),
-            )
-
-    def save() -> None:
-        store.save(
-            engine.global_step,
-            {
-                "fingerprint": fingerprint,
-                "engine": engine.export_state(),
-                "completed": dict(completed),
-            },
-        )
-
-    while engine.rows and engine.global_step < max_steps:
-        checkpoint = engine.step()
-        if checkpoint is not None:
-            decision = policy.on_checkpoint(checkpoint)
-            engine.recompose(decision.keep, decision.admissions)
-            drain_outcomes()
-        if engine.global_step % every == 0:
-            save()
-        if fault is not None and fault.should_crash(engine.global_step):
-            os._exit(FaultPlan.CRASH_EXIT_CODE)
-    drain_outcomes()
-    save()
-
-    return [
-        completed[i] if i in completed else _empty_result(graph, clamps)
-        for i, (graph, clamps) in enumerate(instances)
-    ]
 
 
 def _empty_decode(graph: ConstraintGraph, clamps: ClampsLike) -> Tuple[np.ndarray, np.ndarray]:

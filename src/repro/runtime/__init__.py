@@ -21,7 +21,7 @@ This package makes *batches* of independent simulations the unit of work
     checkpoint files plus a pruning :class:`CheckpointStore` and the
     deterministic :class:`FaultPlan` used by the chaos suites; paired
     with the ``export_state``/``restore_state`` hooks on
-    :class:`BatchedNetwork`, the compiled drives and :class:`SlotEngine`
+    :class:`BatchedNetwork`, the annealed drive and :class:`SlotEngine`
     so a restored solve continues bit-identically.
 :mod:`repro.runtime.drives`
     Drive compilation: per-replica external-input closures compiled into
@@ -31,9 +31,9 @@ This package makes *batches* of independent simulations the unit of work
     :class:`SlotEngine`, the continuous-batching core shared by the
     one-shot solver batches, the restart portfolio and the solve
     service: the global step loop, per-row local step counters,
-    sliding-window decode bookkeeping and retain-before-extend batch
-    recomposition, with refill behaviour delegated to a pluggable
-    :class:`SlotPolicy`.
+    sliding-window decode bookkeeping, retain-before-extend batch
+    recomposition and periodic snapshots with resume, with refill
+    behaviour delegated to a pluggable :class:`SlotPolicy`.
 :mod:`repro.runtime.sweep`
     :class:`SweepExecutor`, the work-stealing sweep fabric: workers pull
     chunked task leases from a shared queue (leases expire and are
@@ -75,7 +75,6 @@ from .checkpoint import (
 )
 from .drives import (
     AnnealedNoiseSpec,
-    CompiledAnnealedDrive,
     CompiledDrive,
     CompiledScaledDrive,
     PortfolioAnnealedDrive,
@@ -83,6 +82,7 @@ from .drives import (
     compile_batched_external,
 )
 from .slots import (
+    DurablePolicy,
     OneShotPolicy,
     SlotCheckpoint,
     SlotDecision,
@@ -147,12 +147,12 @@ __all__ = [
     "read_checkpoint",
     "write_checkpoint",
     "AnnealedNoiseSpec",
-    "CompiledAnnealedDrive",
     "CompiledDrive",
     "CompiledScaledDrive",
     "PortfolioAnnealedDrive",
     "ScaledNoiseSpec",
     "compile_batched_external",
+    "DurablePolicy",
     "OneShotPolicy",
     "SlotCheckpoint",
     "SlotDecision",

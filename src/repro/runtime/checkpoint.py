@@ -21,13 +21,14 @@ always-hot batch of the serve tier, or a large ``solve_instances`` call
 * :class:`FaultPlan` — a deterministic fault-injection schedule (crash
   at a step, tear the Nth checkpoint write, corrupt the Nth payload,
   truncate the journal after the Nth record) threaded through the
-  checkpoint writer, the serve journal, the service and the
+  checkpoint writer, the serve journal, the slot engine and the
   supervisor, so the chaos suites are seeded and reproducible.
 
 What goes *into* a snapshot is defined by the state-export hooks of the
 batched runtime — :meth:`BatchedNetwork.export_state`,
 :meth:`PortfolioAnnealedDrive.export_state` (RNG stream cursors
-included) and :meth:`SlotEngine.export_state` — whose restore
+included) and :meth:`SlotEngine.export_state` — plus the state of the
+engine's :class:`~repro.runtime.slots.DurablePolicy`; the restore
 counterparts overwrite a freshly rebuilt engine wholesale.  The
 contract, pinned by ``tests/runtime/test_checkpoint.py``: a solve
 restored from a snapshot continues **bit-identically** to one that was
@@ -60,7 +61,7 @@ __all__ = [
 #: First bytes of every checkpoint file; anything else is not a checkpoint.
 CHECKPOINT_MAGIC = b"RPROCKPT"
 #: Bumped whenever the on-disk layout or the payload schema changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Fixed-size header following the magic: format version (u32), length of
 # the kind string (u16).  The kind string, the 32-byte payload SHA-256
@@ -98,12 +99,13 @@ class FaultPlan:
     schedule (checkpoint store, journal, service).  ``seed`` picks the
     corrupted byte position, keeping runs reproducible.
 
-    ``crash_at_step`` is honoured by the serve scheduler
-    (:meth:`repro.serve.SolveService._advance_step`): the process calls
-    ``os._exit`` — indistinguishable from ``kill -9`` — the first time
-    the global step clock reaches the value.  The supervisor hands the
-    plan only to the *first* child incarnation, so a respawned service
-    replays the journal instead of re-crashing forever.
+    ``crash_at_step`` is honoured by
+    :meth:`repro.runtime.slots.SlotEngine.advance`, the one step of
+    every solve and serve loop: the process calls ``os._exit`` —
+    indistinguishable from ``kill -9`` — the first time the global step
+    clock reaches the value.  The supervisor hands the plan only to the
+    *first* child incarnation, so a respawned service replays the
+    journal instead of re-crashing forever.
     """
 
     crash_at_step: Optional[int] = None

@@ -27,9 +27,14 @@ recognised structurally.  :func:`compile_batched_external` returns
 ``None`` when any provider cannot be compiled, in which case the batch
 engine falls back to the per-replica loop.
 
-Compiled providers support :meth:`~CompiledDrive.retain` (drop replicas)
-so the batched constraint solver can shrink the active set together with
-the network state, and declare ``batch_shape`` so
+There are two providers.  :class:`PortfolioAnnealedDrive` is the one
+annealed drive: every slot-engine batch (one-shot solves, the restart
+portfolio, the solve service) runs on it, with per-row anneal
+parameters and step offsets, :meth:`~PortfolioAnnealedDrive.extend` for
+mid-run refills and ``export_state``/``restore_state`` for checkpoints.
+:class:`CompiledScaledDrive` serves the 80-20 thalamic input.  Both
+support ``retain`` (drop replicas) so a batch can shrink its active set
+together with the network state, and declare ``batch_shape`` so
 :class:`~repro.runtime.batch.BatchedNetwork` validates the output shape
 once at construction instead of every step.
 """
@@ -50,7 +55,6 @@ __all__ = [
     "AnnealedNoiseSpec",
     "ScaledNoiseSpec",
     "CompiledDrive",
-    "CompiledAnnealedDrive",
     "CompiledScaledDrive",
     "PortfolioAnnealedDrive",
     "annealed_specs",
@@ -205,103 +209,23 @@ class CompiledDrive:
         raise NotImplementedError
 
 
-class CompiledAnnealedDrive(CompiledDrive):
-    """All replicas' annealed-noise drives as one vectorised provider."""
-
-    def __init__(
-        self, specs: Sequence[AnnealedNoiseSpec], *, chunk_steps: int = DEFAULT_CHUNK_STEPS
-    ) -> None:
-        if not specs:
-            raise ValueError("cannot compile zero drives")
-        params = {(s.noise_sigma, s.anneal_period, s.anneal_floor) for s in specs}
-        if len(params) != 1:
-            raise ValueError("all replicas must share the anneal configuration")
-        self._sigma, self._period, self._floor = next(iter(params))
-        self._drives = np.stack([np.asarray(s.drive, dtype=np.float64) for s in specs])
-        self._masks = np.stack([np.asarray(s.free_mask, dtype=bool) for s in specs])
-        num_values = self._drives.shape[1]
-        self._normals = _ChunkedNormals([s.rng for s in specs], num_values, chunk_steps)
-        self._noise = np.empty_like(self._drives)
-        self._out = np.empty_like(self._drives)
-        self.batch_shape = self._drives.shape
-
-    def __call__(self, step: int) -> np.ndarray:
-        # Identical term order to the per-replica closure: amplitude is
-        # computed in Python-float arithmetic, then scalar-multiplied
-        # into the noise, masked, and offset by the constant drive.
-        phase = (step % self._period) / max(self._period, 1)
-        amplitude = self._sigma * (1.0 - (1.0 - self._floor) * phase)
-        normals = self._normals.next_rows()
-        np.multiply(normals, amplitude, out=self._noise)
-        self._noise *= self._masks
-        np.add(self._drives, self._noise, out=self._out)
-        return self._out
-
-    def retain(self, keep: Sequence[int]) -> None:
-        keep = list(keep)
-        self._drives = np.ascontiguousarray(self._drives[keep])
-        self._masks = np.ascontiguousarray(self._masks[keep])
-        self._normals.retain(keep)
-        self._noise = np.empty_like(self._drives)
-        self._out = np.empty_like(self._drives)
-        self.batch_shape = self._drives.shape
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing (repro.runtime.checkpoint)
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> dict:
-        """A picklable snapshot of the drives, masks and noise streams."""
-        return {
-            "drives": self._drives.copy(),
-            "masks": self._masks.copy(),
-            "params": (float(self._sigma), int(self._period), float(self._floor)),
-            "normals": self._normals.export_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite the provider wholesale with an exported snapshot."""
-        sigma, period, floor = state["params"]
-        if (float(sigma), int(period), float(floor)) != (
-            self._sigma,
-            self._period,
-            self._floor,
-        ):
-            raise ValueError("checkpoint anneal configuration differs from the live batch")
-        drives = np.asarray(state["drives"], dtype=np.float64)
-        masks = np.asarray(state["masks"], dtype=bool)
-        if drives.shape != self._drives.shape or masks.shape != self._masks.shape:
-            raise ValueError(
-                f"checkpoint drive shape {drives.shape} does not match the "
-                f"live batch {self._drives.shape}"
-            )
-        self._drives = drives.copy()
-        self._masks = masks.copy()
-        self._normals.restore_state(state["normals"])
-        self._noise = np.empty_like(self._drives)
-        self._out = np.empty_like(self._drives)
-        self.batch_shape = self._drives.shape
-
-
 class PortfolioAnnealedDrive(CompiledDrive):
-    """Annealed-noise drives with per-replica anneal params and step offsets.
+    """All replicas' annealed-noise drives as one vectorised provider.
 
-    The restart-portfolio engine stacks attempts that *started at
-    different global steps* (and may run diversified anneal
-    configurations) into one live batch.  This provider generalises
-    :class:`CompiledAnnealedDrive` to per-row ``noise_sigma`` /
-    ``anneal_period`` / ``anneal_floor`` vectors plus a per-row
-    ``step_offset``: row ``b`` sees the amplitude a fresh standalone
-    solve would see at its local step ``step - offset_b``.  The per-row
-    amplitude arithmetic evaluates the exact closure expression
-    elementwise in float64, so every row stays bit-identical to its
-    sequential counterpart (and, with all offsets 0 and uniform params,
-    to :class:`CompiledAnnealedDrive`).
+    Batches stack rows that *started at different global steps* (the
+    slot engine refills freed slots mid-run) and may run different
+    anneal configurations (the restart portfolio diversifies them), so
+    every row carries its own ``noise_sigma`` / ``anneal_period`` /
+    ``anneal_floor`` and ``step_offset``: row ``b`` sees the amplitude a
+    fresh standalone solve would see at its local step
+    ``step - offset_b``.  The per-row amplitude arithmetic evaluates the
+    closure expression term for term, elementwise in float64, so every
+    row stays bit-identical to its sequential counterpart.
 
-    Unlike the compiled drives, this provider also supports
-    :meth:`extend`: freshly built replica networks (whose
-    ``external_input`` closures carry :class:`AnnealedNoiseSpec`, offset
-    included) are stacked onto the live rows, joining the pregenerated
-    noise chunk mid-flight.
+    Besides :meth:`retain`, this provider supports :meth:`extend`:
+    freshly built replica networks (whose ``external_input`` closures
+    carry :class:`AnnealedNoiseSpec`, offset included) are stacked onto
+    the live rows, joining the pregenerated noise chunk mid-flight.
     """
 
     def __init__(
@@ -457,6 +381,10 @@ class CompiledScaledDrive(CompiledDrive):
         self.batch_shape = self._scales.shape
 
 
+#: Former name of the one annealed drive, still wrapped by ``perfbench/tracing.py``.
+CompiledAnnealedDrive = PortfolioAnnealedDrive
+
+
 def _spec_of(network: SNNNetwork) -> Optional[Any]:
     """The drive spec of a network's external provider, or ``None``."""
     provider = network.external_input
@@ -511,10 +439,11 @@ def compile_batched_external(
     """Compile the networks' per-replica input closures into one provider.
 
     Returns a :class:`CompiledDrive` producing ``(B, N)`` arrays
-    bit-identical to the per-replica closure outputs, or ``None`` when
-    any closure is unrecognised (opaque callables, mixed drive families,
-    heterogeneous anneal configurations) — callers then fall back to the
-    per-replica loop, which handles every provider.
+    bit-identical to the per-replica closure outputs — a
+    :class:`PortfolioAnnealedDrive` for annealed specs, whatever their
+    anneal configurations — or ``None`` when any closure is unrecognised
+    (opaque callables, mixed drive families, differing widths); callers
+    then fall back to the per-replica loop, which handles every provider.
     """
     specs: List[object] = []
     for network in networks:
@@ -528,11 +457,9 @@ def compile_batched_external(
     if len({id(s.rng) for s in specs}) != len(specs):
         return None
     if all(isinstance(s, AnnealedNoiseSpec) for s in specs):
-        params = {(s.noise_sigma, s.anneal_period, s.anneal_floor) for s in specs}
-        widths = {s.drive.shape for s in specs}
-        if len(params) != 1 or len(widths) != 1:
+        if len({s.drive.shape for s in specs}) != 1:
             return None
-        return CompiledAnnealedDrive(specs, chunk_steps=chunk_steps)
+        return PortfolioAnnealedDrive(specs, chunk_steps=chunk_steps)
     if all(isinstance(s, ScaledNoiseSpec) for s in specs):
         if len({s.scale.shape for s in specs}) != 1:
             return None

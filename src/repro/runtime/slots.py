@@ -38,6 +38,12 @@ The engine's invariants (every consumer inherits them):
   canonical zero-step window (:meth:`SlotEngine.empty_window`) decodes
   clamps only, identically across the solver, portfolio and serve
   layers.
+* **One durable step.**  :meth:`SlotEngine.advance` is the only place a
+  step, a policy decision, a periodic snapshot
+  (:class:`~repro.runtime.checkpoint.CheckpointStore`) and an injected
+  crash (:class:`~repro.runtime.checkpoint.FaultPlan`) meet; a
+  :class:`DurablePolicy` names each live row with a picklable token, so
+  :meth:`SlotEngine.run` resumes a killed solve bit-identically.
 
 The engine is deliberately ignorant of constraint graphs: rows carry
 ``graph`` / ``clamps`` opaquely and decoding is delegated to an injected
@@ -48,15 +54,18 @@ below ``repro.csp`` in the layering.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, List, Optional, Protocol, Sequence, Tuple, cast
 
 import numpy as np
 
 from .batch import BatchedNetwork
-from .drives import PortfolioAnnealedDrive, annealed_specs, compile_batched_external
+from .checkpoint import CheckpointError, CheckpointStore, FaultPlan
+from .drives import PortfolioAnnealedDrive, annealed_specs
 
 __all__ = [
+    "DurablePolicy",
     "OneShotPolicy",
     "SlotCheckpoint",
     "SlotDecision",
@@ -159,6 +168,33 @@ class SlotPolicy(Protocol):
         ...  # pragma: no cover - interface
 
 
+class DurablePolicy(SlotPolicy, Protocol):
+    """A :class:`SlotPolicy` an engine with a checkpoint store can resume.
+
+    A snapshot holds the engine state with one :meth:`describe` token in
+    place of each live row's payload, plus :meth:`export_state`.
+    Resuming restores the policy state first (a foreign snapshot raises
+    there), then turns each token back into a payload and a freshly
+    built network through :meth:`rebuild`.
+    """
+
+    def describe(self, row: SlotRow) -> Any:
+        """A picklable token that :meth:`rebuild` turns back into the row."""
+        ...  # pragma: no cover - interface
+
+    def rebuild(self, token: Any) -> Tuple[Any, Any]:
+        """``(payload, fresh network)`` of the row a token describes."""
+        ...  # pragma: no cover - interface
+
+    def export_state(self) -> Any:
+        """The policy's picklable state, saved beside the engine's."""
+        ...  # pragma: no cover - interface
+
+    def restore_state(self, state: Any) -> None:
+        """Adopt an exported state (``CheckpointError`` when foreign)."""
+        ...  # pragma: no cover - interface
+
+
 @dataclass
 class SlotCheckpoint:
     """Engine state handed to a policy when any row hits a check point."""
@@ -194,16 +230,20 @@ class SlotEngine:
         Sliding decode window length in steps (``CSPConfig.decode_window``).
     check_interval:
         Local-step cadence of decode checkpoints.
-    extendable:
-        ``True`` (portfolio/serve) builds batches on
-        :class:`~repro.runtime.drives.PortfolioAnnealedDrive` so freed
-        slots can be refilled mid-run; ``False`` (one-shot solver
-        batches) compiles the drives with
-        :func:`~repro.runtime.drives.compile_batched_external`, keeping
-        the per-replica fallback for uncompilable providers.
-    synapse_mode:
-        Forwarded to :meth:`BatchedNetwork.from_networks`; the solve
-        engines run ``"exact"``.
+    store / checkpoint_every:
+        With a :class:`~repro.runtime.checkpoint.CheckpointStore`, the
+        engine and its :class:`DurablePolicy` are snapshotted every
+        ``checkpoint_every`` global steps (default ``10 *
+        check_interval``) and :meth:`run` resumes from the newest
+        readable snapshot.
+    fault:
+        A :class:`~repro.runtime.checkpoint.FaultPlan` whose
+        ``crash_at_step`` kills the process inside :meth:`advance`, with
+        or without a store.
+
+    Every batch runs exact-mode synapses and one
+    :class:`~repro.runtime.drives.PortfolioAnnealedDrive`, so any batch
+    can be refilled mid-run and exported.
     """
 
     def __init__(
@@ -212,18 +252,23 @@ class SlotEngine:
         decoder: SlotDecoder,
         window: int,
         check_interval: int,
-        extendable: bool = True,
-        synapse_mode: str = "exact",
+        store: Optional[CheckpointStore] = None,
+        checkpoint_every: Optional[int] = None,
+        fault: Optional[FaultPlan] = None,
     ) -> None:
         if window < 1:
             raise ValueError("window must be positive")
         if check_interval < 1:
             raise ValueError("check_interval must be positive")
+        every = 10 * int(check_interval) if checkpoint_every is None else int(checkpoint_every)
+        if every < 1:
+            raise ValueError("checkpoint_every must be positive")
         self._decoder = decoder
         self._window = int(window)
         self._check_interval = int(check_interval)
-        self._extendable = bool(extendable)
-        self._synapse_mode = synapse_mode
+        self._store = store
+        self._checkpoint_every = every
+        self._fault = fault
 
         self._rows: List[SlotRow] = []
         self._batch: Optional[BatchedNetwork] = None
@@ -384,46 +429,29 @@ class SlotEngine:
     # Checkpointing (repro.runtime.checkpoint)
     # ------------------------------------------------------------------ #
     def _config_descriptor(self) -> dict:
-        return {
-            "window": int(self._window),
-            "check_interval": int(self._check_interval),
-            "extendable": bool(self._extendable),
-            "synapse_mode": self._synapse_mode,
-        }
+        return {"window": int(self._window), "check_interval": int(self._check_interval)}
 
-    def export_state(self, *, payloads: Optional[Sequence[Any]] = None) -> dict:
+    def export_state(self, tokens: Sequence[Any]) -> dict:
         """A picklable snapshot of the engine between two steps.
 
         Captures the global step clock, every live row's descriptor
         (graph, clamps, budget, admission offset), the sliding-window /
         recency / spike bookkeeping, the batched network state and the
-        compiled drive state (noise cursors included) — everything
+        drive state (noise cursors included) — everything
         :meth:`restore_state` needs to continue bit-identically.
 
-        ``payloads`` substitutes a serialisable token per row for
-        ``row.payload`` (the serve scheduler's payloads hold asyncio
-        futures, which must never reach a pickle); by default the
-        payloads are stored as-is (the one-shot solver uses plain ints).
-
-        Engines running per-replica external providers (an uncompilable
-        drive mix) are not checkpointable: the closures' RNG state
-        cannot be exported, so this raises ``RuntimeError`` rather than
-        silently snapshotting half the state.
+        ``tokens`` stand in for the rows' payloads, one picklable token
+        per row (:meth:`DurablePolicy.describe`): a payload may hold
+        objects that must never reach a pickle, such as the serve
+        scheduler's asyncio futures.
         """
-        if payloads is not None and len(payloads) != len(self._rows):
+        if len(tokens) != len(self._rows):
             raise ValueError("payload tokens must match the live row count")
         drive_state = None
         batch_state = None
         if self._batch is not None:
-            provider = self._batch._batched_external
-            exporter = getattr(provider, "export_state", None)
-            if exporter is None:
-                raise RuntimeError(
-                    "cannot checkpoint a batch running per-replica external "
-                    "providers (the closures' RNG state is not exportable)"
-                )
             batch_state = self._batch.export_state()
-            drive_state = exporter()
+            drive_state = self._drive().export_state()
         rows = []
         for i, row in enumerate(self._rows):
             rows.append(
@@ -432,7 +460,7 @@ class SlotEngine:
                     "clamps": row.clamps,
                     "budget": int(row.budget),
                     "offset": int(row.offset),
-                    "payload": payloads[i] if payloads is not None else row.payload,
+                    "token": tokens[i],
                 }
             )
         return {
@@ -449,17 +477,18 @@ class SlotEngine:
             "drive": drive_state,
         }
 
-    def restore_state(self, state: dict, networks: Sequence[Any]) -> None:
+    def restore_state(self, state: dict, rebuilt: Sequence[Tuple[Any, Any]]) -> None:
         """Rebuild the engine from a snapshot; continues bit-identically.
 
-        ``networks`` must hold one freshly built network per snapshot
-        row, in row order, built from the same (graph, clamps, seed,
-        config) the original rows were — live networks hold unpicklable
-        closures, so the snapshot stores only their state arrays and the
-        caller re-derives the structure.  The fresh networks' state and
-        drive streams are then overwritten wholesale with the snapshot's,
-        which is what makes the restored engine's next step bit-identical
-        to the uninterrupted run's.
+        ``rebuilt`` holds one ``(payload, network)`` pair per snapshot
+        row, in row order (:meth:`DurablePolicy.rebuild` of the row's
+        token): the network freshly built from the same (graph, clamps,
+        seed, config) the original row was — live networks hold
+        unpicklable closures, so the snapshot stores only their state
+        arrays and the caller re-derives the structure.  The fresh
+        networks' state and drive streams are then overwritten wholesale
+        with the snapshot's, which is what makes the restored engine's
+        next step bit-identical to the uninterrupted run's.
 
         Restoring onto an engine with live rows, or with a mismatched
         window/check-interval configuration, raises before mutating.
@@ -473,10 +502,10 @@ class SlotEngine:
                 f"the live engine {self._config_descriptor()}"
             )
         row_states = list(state["rows"])
-        networks = list(networks)
-        if len(networks) != len(row_states):
+        rebuilt = list(rebuilt)
+        if len(rebuilt) != len(row_states):
             raise ValueError(
-                f"restore got {len(networks)} networks for {len(row_states)} snapshot rows"
+                f"restore got {len(rebuilt)} networks for {len(row_states)} snapshot rows"
             )
         self._step = int(state["step"])
         self._num_neurons = state["num_neurons"]
@@ -486,20 +515,18 @@ class SlotEngine:
                 graph=rs["graph"],
                 clamps=rs["clamps"],
                 budget=int(rs["budget"]),
-                payload=rs["payload"],
+                payload=payload,
                 offset=int(rs["offset"]),
             )
-            for rs in row_states
+            for rs, (payload, _) in zip(row_states, rebuilt)
         ]
         if not self._rows:
             self._batch = None
             self._reset_arrays()
             return
-        self._batch = self._build_batch(networks)
+        self._batch = self._build_batch([network for _, network in rebuilt])
         self._batch.restore_state(state["batch"])
-        provider = self._batch._batched_external
-        if provider is not None:
-            provider.restore_state(state["drive"])
+        self._drive().restore_state(state["drive"])
         self._history = np.array(state["history"], dtype=bool, copy=True)
         self._window_counts = np.array(state["window_counts"], dtype=np.int64, copy=True)
         self._last_spike = np.array(state["last_spike"], dtype=np.int64, copy=True)
@@ -516,14 +543,40 @@ class SlotEngine:
         self._budgets = np.asarray([r.budget for r in self._rows], dtype=np.int64)
         self._row_index = np.arange(len(self._rows), dtype=np.int64)
 
-    def _build_batch(self, networks: Sequence[Any]) -> BatchedNetwork:
-        if self._extendable:
-            provider = PortfolioAnnealedDrive(annealed_specs(networks))
-        else:
-            provider = compile_batched_external(networks)
-        return BatchedNetwork.from_networks(
-            networks, synapse_mode=self._synapse_mode, batched_external=provider
+    def _save(self, policy: SlotPolicy) -> None:
+        """Snapshot the engine and its (durable) policy at this step."""
+        assert self._store is not None
+        durable = cast(DurablePolicy, policy)
+        tokens = [durable.describe(row) for row in self._rows]
+        self._store.save(
+            self._step, {"engine": self.export_state(tokens), "policy": durable.export_state()}
         )
+
+    def resume(self, policy: DurablePolicy) -> bool:
+        """Restore the store's newest readable snapshot; ``False`` if none.
+
+        The policy state is restored first, so a snapshot of some other
+        run raises :class:`~repro.runtime.checkpoint.CheckpointError`
+        before any network is built.
+        """
+        latest = self._store.load_latest() if self._store is not None else None
+        if latest is None:
+            return False
+        _, snapshot = latest
+        policy.restore_state(snapshot["policy"])
+        engine = snapshot["engine"]
+        self.restore_state(engine, [policy.rebuild(row["token"]) for row in engine["rows"]])
+        return True
+
+    def _build_batch(self, networks: Sequence[Any]) -> BatchedNetwork:
+        return BatchedNetwork.from_networks(
+            networks, batched_external=PortfolioAnnealedDrive(annealed_specs(networks))
+        )
+
+    def _drive(self) -> PortfolioAnnealedDrive:
+        """The live batch's annealed drive (:meth:`_build_batch` installs it)."""
+        assert self._batch is not None
+        return cast(PortfolioAnnealedDrive, self._batch._batched_external)
 
     def _reset_arrays(self) -> None:
         if self._num_neurons is None:
@@ -576,29 +629,50 @@ class SlotEngine:
             engine=self, step=self._step, local=local, at_check=at_check, at_budget=at_budget
         )
 
+    def advance(self, policy: SlotPolicy) -> bool:
+        """One durable global step; ``True`` when the policy asks to stop.
+
+        Steps every live row, applies the policy's decision at a decode
+        checkpoint, snapshots on the ``checkpoint_every`` cadence (with a
+        store, ``policy`` must be a :class:`DurablePolicy`) and then
+        honours the fault plan's crash step.  :meth:`run` loops over it;
+        the serve scheduler calls it directly.
+        """
+        checkpoint = self.step()
+        stop = False
+        if checkpoint is not None:
+            decision = policy.on_checkpoint(checkpoint)
+            self.recompose(decision.keep, decision.admissions)
+            stop = decision.stop
+        if self._store is not None and self._step % self._checkpoint_every == 0:
+            self._save(policy)
+        if self._fault is not None and self._fault.should_crash(self._step):
+            os._exit(FaultPlan.CRASH_EXIT_CODE)
+        return stop
+
     def run(self, policy: SlotPolicy, *, max_steps: int) -> None:
         """Closed-loop drive: admit the policy's first wave, step to done.
 
-        The loop ends when every row has retired, the global step budget
-        is exhausted, or the policy's decision says ``stop``.  Rows
-        still live at exit are *not* decoded — callers snapshot them
-        through :meth:`decode_row` / :meth:`local_steps` (the trailing
-        decode each engine historically performed).  ``max_steps <= 0``
-        returns immediately without admitting anything — the zero-step
-        guard, centralised: no batch is ever allocated and callers
-        decode the canonical :meth:`empty_window`.
+        With a store, the run resumes from the newest readable snapshot
+        instead of admitting the first wave, and saves once more at
+        completion.  The loop ends when every row has retired, the
+        global step budget is exhausted, or the policy's decision says
+        ``stop``.  Rows still live at exit are *not* decoded — callers
+        snapshot them through :meth:`decode_row` / :meth:`local_steps`.
+        ``max_steps <= 0`` returns immediately without admitting or
+        restoring anything — the zero-step guard, centralised: no batch
+        is ever allocated and callers decode the canonical
+        :meth:`empty_window`.
         """
         if max_steps <= 0:
             return
-        self.recompose(list(range(len(self._rows))), policy.initial_admissions(self))
+        if self._store is None or not self.resume(cast(DurablePolicy, policy)):
+            self.recompose(list(range(len(self._rows))), policy.initial_admissions(self))
         while self._rows and self._step < max_steps:
-            checkpoint = self.step()
-            if checkpoint is None:
-                continue
-            decision = policy.on_checkpoint(checkpoint)
-            self.recompose(decision.keep, decision.admissions)
-            if decision.stop:
+            if self.advance(policy):
                 break
+        if self._store is not None:
+            self._save(policy)
 
 
 class OneShotPolicy:
@@ -610,15 +684,20 @@ class OneShotPolicy:
     budget, outcomes recorded in retirement order in :attr:`outcomes`.
     With every budget equal to the run's ``max_steps``, all rows retire
     inside :meth:`SlotEngine.run` and no trailing decode is needed.
+
+    It is a :class:`DurablePolicy` when every row's payload is its index
+    in ``admissions``: the index is the row's token, the admission's
+    never-stepped network is its rebuilt network, and the state is the
+    retired outcomes plus ``identity``, which a resumed run must match.
     """
 
-    def __init__(self, admissions: Sequence[SlotAdmission]) -> None:
+    def __init__(self, admissions: Sequence[SlotAdmission], *, identity: Any = None) -> None:
         self._admissions = list(admissions)
+        self._identity = identity
         self.outcomes: List[SlotOutcome] = []
 
     def initial_admissions(self, engine: SlotEngine) -> List[SlotAdmission]:
-        admissions, self._admissions = self._admissions, []
-        return admissions
+        return list(self._admissions)
 
     def on_checkpoint(self, checkpoint: SlotCheckpoint) -> SlotDecision:
         engine = checkpoint.engine
@@ -640,3 +719,28 @@ class OneShotPolicy:
             else:
                 keep.append(i)
         return SlotDecision(keep=keep)
+
+    def describe(self, row: SlotRow) -> int:
+        return row.payload
+
+    def rebuild(self, token: int) -> Tuple[Any, Any]:
+        row, network = self._admissions[token]
+        return row.payload, network
+
+    def export_state(self) -> dict:
+        return {
+            "identity": self._identity,
+            "outcomes": [
+                (self.describe(o.row), o.local_steps, o.spikes, o.decode) for o in self.outcomes
+            ],
+        }
+
+    def restore_state(self, state: dict) -> None:
+        if state["identity"] != self._identity:
+            raise CheckpointError(
+                "checkpoint belongs to a different solve: its identity does not match this run's"
+            )
+        self.outcomes = [
+            SlotOutcome(self._admissions[token][0], steps, spikes, decode)
+            for token, steps, spikes, decode in state["outcomes"]
+        ]

@@ -483,46 +483,6 @@ class SweepExecutor:
         return self._execute_fabric(spec, tasks, cache)
 
     # ------------------------------------------------------------------ #
-    # Deprecated wrappers (pre-SweepSpec API)
-    # ------------------------------------------------------------------ #
-    def run(
-        self,
-        fn: Callable[[SweepTask], Any],
-        param_sets: Sequence[Mapping[str, Any]],
-        *,
-        base_seed: int = 0,
-    ) -> List[Any]:
-        """Deprecated: use :meth:`execute` with a :class:`SweepSpec`."""
-        warnings.warn(
-            "SweepExecutor.run(fn, param_sets) is deprecated; use "
-            "SweepExecutor.execute(SweepSpec(fn=fn, param_sets=param_sets, ...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(SweepSpec(fn=fn, param_sets=param_sets, base_seed=base_seed)).results
-
-    def map_seeds(
-        self,
-        fn: Callable[[SweepTask], Any],
-        seeds: Sequence[int],
-        *,
-        extra: Optional[Mapping[str, Any]] = None,
-    ) -> List[Any]:
-        """Deprecated: use :meth:`execute` with ``SweepSpec(seeds=...)``.
-
-        Note the historical inconsistency is fixed: the seed now lives
-        only in ``task.seed``, no longer duplicated into
-        ``task.params["seed"]``.
-        """
-        warnings.warn(
-            "SweepExecutor.map_seeds(fn, seeds) is deprecated; use "
-            "SweepExecutor.execute(SweepSpec(fn=fn, seeds=seeds, extra=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(SweepSpec(fn=fn, seeds=seeds, extra=dict(extra or {}))).results
-
-    # ------------------------------------------------------------------ #
     # Serial execution (also the pickle fallback and the last-resort drain)
     # ------------------------------------------------------------------ #
     def _warn_fallback(self, fn: Callable[..., Any], exc: Exception) -> None:

@@ -123,7 +123,6 @@ class MetricsRecorder:
         self.latencies: List[float] = []
         self.step_latencies: List[int] = []
         self.started_at: float = 0.0
-        self.checkpoints = 0
         self.restores = 0
         self.restored_rows = 0
         self.replayed = 0
@@ -161,9 +160,6 @@ class MetricsRecorder:
     def record_cache_hit(self) -> None:
         self.cache_hits += 1
 
-    def record_checkpoint(self) -> None:
-        self.checkpoints += 1
-
     def record_restore(self, *, rows: int, replayed: int, failures: int) -> None:
         """Book one successful startup recovery."""
         self.restores += 1
@@ -180,7 +176,7 @@ class MetricsRecorder:
         return self.solved + self.unsolved + self.timeouts
 
     def snapshot(
-        self, *, queue_depth: int, running: int, capacity: int, now: float
+        self, *, queue_depth: int, running: int, capacity: int, now: float, checkpoints: int = 0
     ) -> MetricsSnapshot:
         admitted = self.submitted - self.shed
         elapsed = max(0.0, now - self.started_at)
@@ -210,7 +206,7 @@ class MetricsRecorder:
             latency_steps_p50=nearest_rank_percentile(self.step_latencies, 0.50),
             latency_steps_p99=nearest_rank_percentile(self.step_latencies, 0.99),
             elapsed=elapsed,
-            checkpoints=self.checkpoints,
+            checkpoints=checkpoints,
             restores=self.restores,
             restored_rows=self.restored_rows,
             replayed=self.replayed,

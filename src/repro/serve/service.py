@@ -64,16 +64,16 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Se
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from ..runtime.checkpoint import FaultPlan
-
 import numpy as np
 
 from ..csp.config import CSPConfig
 from ..csp.graph import ClampsLike, ConstraintGraph
 from ..csp.solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _empty_result
 from ..runtime.cache import RunResultCache, derive_cache_key, derive_identity
+from ..runtime.checkpoint import CheckpointStore, FaultPlan
 from ..runtime.slots import SlotAdmission, SlotCheckpoint, SlotDecision, SlotEngine, SlotRow
 from ..runtime.sweep import derive_task_seed
+from ..snn.network import SNNNetwork
 from .metrics import MetricsRecorder, MetricsSnapshot
 
 __all__ = [
@@ -212,6 +212,12 @@ class ServePolicy:
     abandoned-ticket cleanup and queue-driven refilling — all of which
     stays on the :class:`SolveService` (admission fairness, dedup and
     metrics are service concerns, not engine concerns).
+
+    It is a :class:`~repro.runtime.slots.DurablePolicy`: a row's token is
+    its ticket's identity (key, graph, clamps, seed, budget — never the
+    waiters' futures) and the policy state is the service's neuron
+    count.  A rebuilt ticket is *recovered*: it runs to completion for
+    the crashed process's clients, whom the supervisor resubmits.
     """
 
     def __init__(self, service: "SolveService") -> None:
@@ -222,6 +228,28 @@ class ServePolicy:
 
     def on_checkpoint(self, checkpoint: SlotCheckpoint) -> SlotDecision:
         return self._service._checkpoint_decision(checkpoint)
+
+    def describe(self, row: SlotRow) -> Dict[str, Any]:
+        ticket = row.payload
+        return {
+            "key": ticket.key,
+            "graph": ticket.graph,
+            "clamps": ticket.clamps,
+            "seed": ticket.seed,
+            "max_steps": ticket.max_steps,
+        }
+
+    def rebuild(self, token: Dict[str, Any]) -> Tuple[_Ticket, SNNNetwork]:
+        ticket = _Ticket(**token, state="running", recovered=True)
+        if ticket.key is not None:
+            self._service._inflight[ticket.key] = ticket
+        return ticket, self._service._build_network(ticket)
+
+    def export_state(self) -> Dict[str, Any]:
+        return {"num_neurons": self._service._num_neurons}
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        self._service._num_neurons = state["num_neurons"]
 
 
 class SolveService:
@@ -296,7 +324,7 @@ class SolveService:
         checkpoint_dir: Union[str, "Path", None] = None,
         checkpoint_every: Optional[int] = None,
         journal_path: Union[str, "Path", None] = None,
-        fault: Optional["FaultPlan"] = None,
+        fault: Optional[FaultPlan] = None,
         recover: bool = True,
     ) -> None:
         if capacity < 1:
@@ -340,13 +368,20 @@ class SolveService:
 
         # Batch state: the shared continuous-batching engine plus the
         # serve policy adapter (checkpoints route back through
-        # :meth:`_checkpoint_decision`).
+        # :meth:`_checkpoint_decision`).  The engine owns the periodic
+        # snapshots and the fault plan's crash step; the admission
+        # journal below stays a service concern.
         self._num_neurons: Optional[int] = None
+        self._ckpt_store: Optional[CheckpointStore] = None
+        if checkpoint_dir is not None:
+            self._ckpt_store = CheckpointStore(checkpoint_dir, kind="serve", fault=fault)
         self._engine = SlotEngine(
             decoder=CSP_SLOT_DECODER,
             window=max(1, self._config.decode_window),
             check_interval=self._check_interval,
-            extendable=True,
+            store=self._ckpt_store,
+            checkpoint_every=checkpoint_every,
+            fault=fault,
         )
         self._policy = ServePolicy(self)
 
@@ -365,20 +400,8 @@ class SolveService:
 
         self._metrics = MetricsRecorder()
 
-        # Durability plumbing: periodic engine checkpoints plus a
-        # write-ahead admission journal (both optional, both fed by the
-        # same deterministic FaultPlan in the chaos suites).
-        if checkpoint_every is not None and int(checkpoint_every) < 1:
-            raise ValueError("checkpoint_every must be positive")
-        self._fault = fault
-        self._ckpt_every = (
-            int(checkpoint_every) if checkpoint_every is not None else 10 * self._check_interval
-        )
-        self._ckpt_store = None
-        if checkpoint_dir is not None:
-            from ..runtime.checkpoint import CheckpointStore
-
-            self._ckpt_store = CheckpointStore(checkpoint_dir, kind="serve", fault=fault)
+        # Write-ahead admission journal (optional, fed by the same
+        # deterministic FaultPlan as the engine's snapshots).
         self._journal = None
         if journal_path is not None:
             from .journal import AdmissionJournal
@@ -579,6 +602,7 @@ class SolveService:
             running=self._engine.num_rows,
             capacity=self._capacity,
             now=self._now(),
+            checkpoints=self._ckpt_store.saves if self._ckpt_store is not None else 0,
         )
 
     @property
@@ -812,39 +836,17 @@ class SolveService:
             self._inflight.pop(ticket.key, None)
 
     # ------------------------------------------------------------------ #
-    # Durability: checkpoints, write-ahead journal, startup recovery
+    # Durability: startup recovery (snapshots are the engine's)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _ticket_descriptor(ticket: _Ticket) -> dict:
-        """The picklable identity of one live ticket (no waiters/futures)."""
-        return {
-            "key": ticket.key,
-            "graph": ticket.graph,
-            "clamps": ticket.clamps,
-            "seed": ticket.seed,
-            "max_steps": ticket.max_steps,
-        }
-
-    def _save_checkpoint(self) -> None:
-        """Snapshot the live engine plus every running ticket's identity."""
-        payloads = [self._ticket_descriptor(row.payload) for row in self._engine.rows]
-        self._ckpt_store.save(
-            self._step,
-            {
-                "num_neurons": self._num_neurons,
-                "engine": self._engine.export_state(payloads=payloads),
-            },
-        )
-        self._metrics.record_checkpoint()
-
     def _recover(self) -> None:
         """Resurrect state from the newest checkpoint plus the journal.
 
-        Corrupt or torn snapshots are skipped (typed failures collected
-        by the store and counted in the metrics) in favour of the next
-        older good one; journaled admissions that neither finished
-        (``done`` record), survived into the restored batch, nor already
-        sit in the result cache are re-enqueued as recovered tickets.
+        The engine restores its newest readable snapshot through
+        :class:`ServePolicy` (corrupt or torn snapshots are skipped,
+        their typed failures collected by the store and counted in the
+        metrics); journaled admissions that neither finished (``done``
+        record), survived into the restored batch, nor already sit in
+        the result cache are re-enqueued as recovered tickets.
         Recovered work re-runs under its original content-derived seed,
         so every result is bit-identical to the uninterrupted run's.
         """
@@ -853,36 +855,9 @@ class SolveService:
         if self._journal is not None:
             records, _torn = self._journal.replay(repair=True)
             done_keys = {r["key"] for r in records if r["kind"] == "done"}
-        restored = None
-        failures = 0
-        if self._ckpt_store is not None:
-            restored = self._ckpt_store.load_latest()
-            failures = len(self._ckpt_store.failures)
-        restored_rows = 0
-        if restored is not None:
-            _, payload = restored
-            self._num_neurons = payload["num_neurons"]
-            tickets: List[_Ticket] = []
-            networks = []
-            for row_state in payload["engine"]["rows"]:
-                desc = row_state["payload"]
-                ticket = _Ticket(
-                    key=desc["key"],
-                    graph=desc["graph"],
-                    clamps=desc["clamps"],
-                    seed=desc["seed"],
-                    max_steps=desc["max_steps"],
-                    state="running",
-                    recovered=True,
-                )
-                tickets.append(ticket)
-                networks.append(self._build_network(ticket))
-            self._engine.restore_state(payload["engine"], networks)
-            for row, ticket in zip(self._engine.rows, tickets):
-                row.payload = ticket
-                if ticket.key is not None:
-                    self._inflight[ticket.key] = ticket
-            restored_rows = len(tickets)
+        restored = self._engine.resume(self._policy)
+        failures = len(self._ckpt_store.failures) if self._ckpt_store is not None else 0
+        restored_rows = self._engine.num_rows
         replayed = 0
         for record in records:
             if record.get("kind") != "admit":
@@ -906,7 +881,7 @@ class SolveService:
             if self._num_neurons is None:
                 self._num_neurons = graph.num_neurons
             replayed += 1
-        if restored is not None or replayed:
+        if restored or replayed:
             self._metrics.record_restore(rows=restored_rows, replayed=replayed, failures=failures)
         elif failures:
             self._metrics.checkpoint_failures += failures
@@ -914,7 +889,7 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Batch-row construction (the bit-exactness-critical path)
     # ------------------------------------------------------------------ #
-    def _build_network(self, ticket: _Ticket) -> SpikingCSPSolver:
+    def _build_network(self, ticket: _Ticket) -> SNNNetwork:
         """A fresh solver network for one admission.
 
         Graphs with identical structure share one synapse build (keyed
@@ -1032,33 +1007,16 @@ class SolveService:
                 await self._wake.wait()
                 continue
             for _ in range(self._yield_steps):
-                self._advance_step()
+                # One durable step: the engine's stepping, local counters
+                # and windows keep every served row bit-identical to its
+                # standalone solve; the decision (finish, expire, refill)
+                # is ServePolicy's; snapshots and the crash hook follow.
+                self._metrics.record_step(self._engine.num_rows)
+                self._engine.advance(self._policy)
                 if not self._engine.num_rows:
                     break
             await asyncio.sleep(0)
         self._flush_step_waiters()
-
-    def _advance_step(self) -> None:
-        """One engine step plus the serve-side checkpoint dispatch.
-
-        The stepping, local counters and sliding windows are the shared
-        :class:`SlotEngine`'s — which is what makes every served row
-        bit-identical to its standalone solve; the checkpoint decision
-        (finish, expire, refill) is :class:`ServePolicy`'s.
-        """
-        checkpoint = self._engine.step()
-        self._metrics.record_step(self._engine.num_rows)
-        if checkpoint is not None:
-            decision = self._policy.on_checkpoint(checkpoint)
-            self._engine.recompose(decision.keep, decision.admissions)
-        if self._ckpt_store is not None and self._step % self._ckpt_every == 0:
-            self._save_checkpoint()
-        if self._fault is not None and self._fault.should_crash(self._step):
-            import os
-
-            from ..runtime.checkpoint import FaultPlan
-
-            os._exit(FaultPlan.CRASH_EXIT_CODE)
 
     def _checkpoint_decision(self, checkpoint: SlotCheckpoint) -> SlotDecision:
         """Decide which rows finish, expire or survive one checkpoint."""

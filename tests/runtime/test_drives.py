@@ -16,8 +16,8 @@ from repro.csp.scenarios import make_instance
 from repro.runtime import BatchedNetwork, BatchIncompatibleError
 from repro.runtime.drives import (
     AnnealedNoiseSpec,
-    CompiledAnnealedDrive,
     CompiledScaledDrive,
+    PortfolioAnnealedDrive,
     ScaledNoiseSpec,
     compile_batched_external,
 )
@@ -56,7 +56,7 @@ class TestCompiledAnnealedDrive:
         seeds = [11, 12, 13]
         reference = [net.external_input for net in _csp_networks(seeds)]
         compiled = compile_batched_external(_csp_networks(seeds), chunk_steps=chunk_steps)
-        assert isinstance(compiled, CompiledAnnealedDrive)
+        assert isinstance(compiled, PortfolioAnnealedDrive)
         assert compiled.batch_shape == (3, reference[0](1).shape[0])
         # Re-create the closures: the reference calls above consumed step 1.
         reference = [net.external_input for net in _csp_networks(seeds)]
@@ -93,13 +93,26 @@ class TestCompiledAnnealedDrive:
                 compiled(step), np.stack([c(step) for c in survivors])
             )
 
-    def test_heterogeneous_anneal_config_is_not_compiled(self):
+    def test_mixed_anneal_configs_compile(self):
         graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
-        a = SpikingCSPSolver(graph, CSPConfig(), seed=1).build_network(clamps)
-        b = SpikingCSPSolver(
-            graph, CSPConfig(anneal_period=50), seed=2
-        ).build_network(clamps)
-        assert compile_batched_external([a, b]) is None
+        configs = [
+            CSPConfig(),
+            CSPConfig(anneal_period=50),
+            CSPConfig(noise_sigma=3.0, anneal_floor=0.5),
+        ]
+
+        def networks():
+            return [
+                SpikingCSPSolver(graph, cfg, seed=seed).build_network(clamps)
+                for seed, cfg in enumerate(configs, start=1)
+            ]
+
+        compiled = compile_batched_external(networks())
+        assert isinstance(compiled, PortfolioAnnealedDrive)
+        reference = [net.external_input for net in networks()]
+        for step in range(1, 121):
+            expected = np.stack([closure(step) for closure in reference])
+            np.testing.assert_array_equal(expected, compiled(step))
 
 
 class TestCompiledScaledDrive:

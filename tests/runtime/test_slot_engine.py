@@ -12,10 +12,13 @@ count, decoded board and spike totals.
 The chaos policy randomises everything a policy controls (retirement of
 healthy rows mid-flight, admission timing, per-row budgets) from a seeded
 RNG, so the suite sweeps arbitrary recomposition interleavings while
-staying reproducible.
+staying reproducible.  The durable suite holds a resumed engine to the
+same contract: a run killed mid-way and resumed from its checkpoint
+store finishes every row exactly as the uninterrupted run does.
 """
 
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import List
@@ -25,7 +28,9 @@ import pytest
 
 from repro.csp import SpikingCSPSolver, make_instance
 from repro.csp.config import CSPConfig
-from repro.csp.solver import CSP_SLOT_DECODER, decode_assignment
+from repro.csp.solver import CSP_SLOT_DECODER, decode_assignment, solve_instances
+from repro.runtime import checkpoint as checkpoint_module
+from repro.runtime.checkpoint import CHECKPOINT_MAGIC, CheckpointStore, CheckpointVersionError
 from repro.runtime.slots import (
     OneShotPolicy,
     SlotDecision,
@@ -121,6 +126,71 @@ class _ChaosPolicy:
         return SlotDecision(keep=keep, admissions=admissions)
 
 
+class _RefillPolicy:
+    """Deterministic refilling: rows retire at their verdict, the queue refills.
+
+    A durable policy: a row's token is its job and the state is the
+    queue position plus the finished rows.
+    """
+
+    def __init__(self, jobs: List[_Job], *, config: CSPConfig, slots: int):
+        self._jobs = list(jobs)
+        self._config = config
+        self._slots = slots
+        self._next = 0
+        self.finished = {}
+        self.restored = False
+
+    def _build(self, job):
+        graph, clamps = job.make()
+        solver = SpikingCSPSolver(graph, self._config, backend="fixed", seed=job.seed)
+        row = SlotRow(graph=graph, clamps=clamps, budget=job.budget, payload=job)
+        return row, solver.build_network(clamps)
+
+    def _admit(self, count):
+        admissions = []
+        while len(admissions) < count and self._next < len(self._jobs):
+            admissions.append(self._build(self._jobs[self._next]))
+            self._next += 1
+        return admissions
+
+    def initial_admissions(self, engine):
+        return self._admit(self._slots)
+
+    def on_checkpoint(self, checkpoint):
+        engine = checkpoint.engine
+        keep = []
+        for i, row in enumerate(engine.rows):
+            if checkpoint.at_check[i]:
+                decode = engine.decode_row(i)
+                if decode.solved or checkpoint.at_budget[i]:
+                    self.finished[row.payload] = _Finished(
+                        local_steps=int(checkpoint.local[i]),
+                        spikes=int(engine.row_spikes[i]),
+                        solved=decode.solved,
+                        values=decode.values,
+                        decided=decode.decided,
+                    )
+                    continue
+            keep.append(i)
+        return SlotDecision(keep=keep, admissions=self._admit(self._slots - len(keep)))
+
+    def describe(self, row):
+        return row.payload
+
+    def rebuild(self, job):
+        _, network = self._build(job)
+        return job, network
+
+    def export_state(self):
+        return {"next": self._next, "finished": dict(self.finished)}
+
+    def restore_state(self, state):
+        self._next = state["next"]
+        self.finished = dict(state["finished"])
+        self.restored = True
+
+
 class TestChaosDifferential:
     @pytest.mark.parametrize("chaos_seed", [11, 23, 47])
     def test_survivors_bit_identical_to_standalone(self, chaos_seed):
@@ -135,7 +205,6 @@ class TestChaosDifferential:
             decoder=CSP_SLOT_DECODER,
             window=max(1, config.decode_window),
             check_interval=CHECK_INTERVAL,
-            extendable=True,
         )
         engine.run(policy, max_steps=4000)
 
@@ -166,7 +235,6 @@ class TestChaosDifferential:
             decoder=CSP_SLOT_DECODER,
             window=max(1, config.decode_window),
             check_interval=CHECK_INTERVAL,
-            extendable=True,
         )
         offsets = []
         original = policy._admit_one
@@ -181,6 +249,94 @@ class TestChaosDifferential:
         # Rows admitted at a later checkpoint carry that global step as
         # their offset (stamped by the engine, not the policy).
         assert any(row.offset > 0 for row in offsets)
+
+
+class TestDurableResume:
+    def test_resumed_refilling_run_matches_uninterrupted_and_standalone(self, tmp_path):
+        config = CSPConfig()
+        rng = random.Random(5)
+        jobs = [
+            _Job(name=f"job{i}", seed=300 + i, budget=rng.choice([60, 90, 140]))
+            for i in range(8)
+        ]
+
+        def make_engine(store=None):
+            return SlotEngine(
+                decoder=CSP_SLOT_DECODER,
+                window=max(1, config.decode_window),
+                check_interval=CHECK_INTERVAL,
+                store=store,
+                checkpoint_every=30,
+            )
+
+        uninterrupted = _RefillPolicy(jobs, config=config, slots=3)
+        make_engine().run(uninterrupted, max_steps=4000)
+
+        # Run part way, snapshotting every 30 steps, then drop everything.
+        engine = make_engine(CheckpointStore(tmp_path, kind="slots"))
+        policy = _RefillPolicy(jobs, config=config, slots=3)
+        engine.admit(policy.initial_admissions(engine))
+        for _ in range(100):
+            engine.advance(policy)
+        del engine, policy
+
+        store = CheckpointStore(tmp_path, kind="slots")
+        step, snapshot = store.load_latest()
+        assert step == 90
+        # The snapshot holds rows admitted mid-run (non-zero offsets).
+        assert any(row["offset"] > 0 for row in snapshot["engine"]["rows"])
+
+        resumed = _RefillPolicy(jobs, config=config, slots=3)
+        make_engine(store).run(resumed, max_steps=4000)
+        assert resumed.restored
+        assert set(resumed.finished) == set(uninterrupted.finished) == set(jobs)
+        for job in jobs:
+            got, ref = resumed.finished[job], uninterrupted.finished[job]
+            standalone = _standalone(job, config)
+            verdict = (got.solved, got.local_steps, got.spikes)
+            assert verdict == (ref.solved, ref.local_steps, ref.spikes), job
+            assert verdict == (standalone.solved, standalone.steps, standalone.total_spikes), job
+            for expected in (ref, standalone):
+                np.testing.assert_array_equal(got.values, expected.values)
+                np.testing.assert_array_equal(got.decided, expected.decided)
+
+    def test_snapshot_of_an_older_format_is_skipped_and_the_solve_starts_fresh(
+        self, tmp_path, monkeypatch
+    ):
+        instances = [
+            make_instance("coloring", seed=i, num_vertices=9, num_colors=3) for i in range(3)
+        ]
+        kwargs = dict(seed=5, max_steps=300, check_interval=CHECK_INTERVAL, checkpoint_every=50)
+        solve_instances(instances, **kwargs, checkpoint_dir=tmp_path)
+        *older, newest = sorted(tmp_path.glob("*.ckpt"))
+        for path in older:
+            path.unlink()
+        blob = bytearray(newest.read_bytes())
+        struct.pack_into("<I", blob, len(CHECKPOINT_MAGIC), 1)  # format version 1
+        newest.write_bytes(bytes(blob))
+
+        stores = []
+
+        class RecordingStore(CheckpointStore):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                stores.append(self)
+
+        monkeypatch.setattr(checkpoint_module, "CheckpointStore", RecordingStore)
+        results = solve_instances(instances, **kwargs, checkpoint_dir=tmp_path)
+        [store] = stores
+        assert [type(error) for _, error in store.failures] == [CheckpointVersionError]
+
+        baseline = solve_instances(instances, **kwargs)
+        for got, ref in zip(results, baseline):
+            assert (got.solved, got.steps, got.total_spikes, got.neuron_updates) == (
+                ref.solved,
+                ref.steps,
+                ref.total_spikes,
+                ref.neuron_updates,
+            )
+            np.testing.assert_array_equal(got.values, ref.values)
+            np.testing.assert_array_equal(got.decided, ref.decided)
 
 
 class TestOneShotPolicy:
@@ -198,7 +354,6 @@ class TestOneShotPolicy:
             decoder=CSP_SLOT_DECODER,
             window=max(1, config.decode_window),
             check_interval=CHECK_INTERVAL,
-            extendable=False,
         )
         engine.run(policy, max_steps=900)
         assert len(policy.outcomes) == len(jobs)
@@ -260,7 +415,6 @@ class TestRecomposeEdges:
             decoder=CSP_SLOT_DECODER,
             window=max(1, config.decode_window),
             check_interval=CHECK_INTERVAL,
-            extendable=True,
         )
         admissions = []
         for i in range(count):

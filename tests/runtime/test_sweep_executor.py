@@ -136,33 +136,6 @@ class TestExecutionModes:
         assert report.lease_retries == 0
 
 
-class TestDeprecatedWrappers:
-    """run()/map_seeds() still work but warn and delegate to execute()."""
-
-    def test_run_warns_and_matches_execute(self):
-        params = [{"x": 1}, {"x": 2}]
-        with pytest.warns(DeprecationWarning, match=r"SweepExecutor\.run"):
-            legacy = SweepExecutor().run(_echo_task, params, base_seed=3)
-        report = SweepExecutor().execute(
-            SweepSpec(fn=_echo_task, param_sets=params, base_seed=3)
-        )
-        assert legacy == report.results
-
-    def test_map_seeds_warns_and_matches_execute(self):
-        with pytest.warns(DeprecationWarning, match=r"SweepExecutor\.map_seeds"):
-            legacy = SweepExecutor().map_seeds(_echo_task, [100, 200], extra={"tag": "s"})
-        report = SweepExecutor().execute(
-            SweepSpec(fn=_echo_task, seeds=[100, 200], extra={"tag": "s"})
-        )
-        assert legacy == report.results
-
-    def test_map_seeds_no_longer_duplicates_seed_into_params(self):
-        with pytest.warns(DeprecationWarning):
-            results = SweepExecutor().map_seeds(_echo_task, [100], extra={"tag": "s"})
-        assert results[0]["seed"] == 100
-        assert "seed" not in results[0]["params"]
-
-
 class TestPicklingFallback:
     """Process mode degrades to a warned serial run for unpicklable tasks."""
 

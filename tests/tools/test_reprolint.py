@@ -751,17 +751,6 @@ class TestRealTree:
         for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
             assert rule_id in proc.stdout
 
-    def test_check_layering_shim_delegates(self):
-        proc = subprocess.run(
-            [sys.executable, "tools/check_layering.py"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "deprecated" in proc.stderr
-        assert "RL001" in proc.stdout
-
     @pytest.mark.parametrize(
         "snippet, rule",
         [

@@ -39,7 +39,7 @@ class LayeringConfig:
     #: scope), never at module scope.
     adapters: Tuple[str, ...] = ("harness", "sudoku", "codegen", "hw", "quickstart")
     #: The only subtree allowed to call the batch recomposition mutators
-    #: directly (absorbed from the retired ``tools/check_layering.py``).
+    #: directly.
     seam_owner: str = "src/repro/runtime"
     #: Mutator names owned by ``SlotEngine.recompose``.
     seam_methods: Tuple[str, ...] = ("retain", "extend")
@@ -103,8 +103,6 @@ class WorkerHygieneConfig:
 
     #: Constructors whose ``fn`` argument is a sweep task function.
     spec_names: Tuple[str, ...] = ("SweepSpec",)
-    #: Executor methods whose first argument is a task function.
-    executor_methods: Tuple[str, ...] = ("run", "map_seeds")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ time.  Two kinds of edge are special:
   one in.  Promoting one of these lazy imports to module scope is the
   classic "cleanup" regression this rule exists to catch.
 
-The rule also absorbs the retired ``tools/check_layering.py``: direct
+The rule also guards the recomposition seam: direct
 ``BatchedNetwork.retain``/``.extend`` calls outside ``repro.runtime``
-re-open the recomposition-ordering drift PR 7 closed —
+would let batch composition order drift between layers —
 ``SlotEngine.recompose`` is the single owner of that seam.
 """
 

@@ -18,7 +18,7 @@ function of its parameters and seed*:
 Detection is intentionally conservative: lambdas and locally-defined
 functions passed as ``fn`` are flagged wherever they appear; the global
 -mutation check runs on module-level functions that the same module
-passes to ``SweepSpec`` (or the deprecated ``run``/``map_seeds``).
+passes to ``SweepSpec``.
 """
 
 from __future__ import annotations
@@ -106,24 +106,12 @@ class WorkerHygieneRule:
     def _task_fn_argument(node: ast.AST, cfg) -> Optional[ast.AST]:
         if not isinstance(node, ast.Call):
             return None
-        name = terminal_name(node.func)
-        if name in cfg.spec_names:
-            for keyword in node.keywords:
-                if keyword.arg == "fn":
-                    return keyword.value
-            if node.args:
-                return node.args[0]
+        if terminal_name(node.func) not in cfg.spec_names:
             return None
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in cfg.executor_methods
-            and node.args
-            and isinstance(node.args[0], ast.Lambda)
-        ):
-            # The deprecated run()/map_seeds() surface: only the
-            # unambiguous lambda case (``.run`` is a common method name).
-            return node.args[0]
-        return None
+        for keyword in node.keywords:
+            if keyword.arg == "fn":
+                return keyword.value
+        return node.args[0] if node.args else None
 
     # ------------------------------------------------------------------ #
     def _check_task_fn(
