@@ -1,6 +1,6 @@
 """Work-stealing sweep fabric: scaling and crash-resume benchmark.
 
-Runs the registered ``pooled-csp`` workload once with the serial executor
+Runs the ``pooled_csp_sweep`` workload once with the serial executor
 and once over the process fabric (all cores by default) on the *same*
 :class:`~repro.runtime.sweep.SweepSpec`-derived task set, asserting the
 two summaries are identical (the fabric never changes results, only
@@ -31,6 +31,7 @@ Environment knobs (CI smoke lowers the workload; nightly runs it full):
 ===============================  ===========================================
 """
 
+import dataclasses
 import json
 import os
 import shutil
@@ -38,7 +39,7 @@ import tempfile
 import time
 
 from repro.harness import format_table
-from repro.runtime import SweepExecutor, run_sweep_workload
+from repro.runtime import PooledCSPSweepConfig, SweepExecutor, pooled_csp_sweep
 
 COUNT = int(os.environ.get("SWEEP_BENCH_COUNT", "12"))
 MAX_STEPS = int(os.environ.get("SWEEP_BENCH_MAX_STEPS", "1500"))
@@ -52,7 +53,7 @@ JSON_PATH = os.environ.get(
     "BENCH_SWEEP_JSON", os.path.join(os.path.dirname(__file__), "BENCH_sweep.json")
 )
 
-WORKLOAD_KWARGS = dict(
+CONFIG = PooledCSPSweepConfig(
     count=COUNT,
     max_steps=MAX_STEPS,
     scenario_params={"num_vertices": VERTICES, "num_colors": 3},
@@ -93,27 +94,19 @@ def _run_resume_check():
         partial = max(1, COUNT // 2)
         executor = SweepExecutor(mode="process", max_workers=WORKERS)
         started = time.perf_counter()
-        run_sweep_workload(
-            "pooled-csp",
-            count=partial,
-            max_steps=MAX_STEPS,
-            scenario_params=WORKLOAD_KWARGS["scenario_params"],
-            executor=executor,
-            cache=cache_dir,
+        pooled_csp_sweep(
+            dataclasses.replace(CONFIG, count=partial), executor=executor, cache=cache_dir
         )
         partial_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        resumed = run_sweep_workload(
-            "pooled-csp",
-            executor=SweepExecutor(mode="process", max_workers=WORKERS),
-            cache=cache_dir,
-            **WORKLOAD_KWARGS,
+        resumed = pooled_csp_sweep(
+            CONFIG, executor=SweepExecutor(mode="process", max_workers=WORKERS), cache=cache_dir
         )
         resumed_seconds = time.perf_counter() - started
         assert resumed.cache_hits == partial, (
             f"resume served {resumed.cache_hits} tasks from cache, expected {partial}"
         )
-        uncached = run_sweep_workload("pooled-csp", **WORKLOAD_KWARGS)
+        uncached = pooled_csp_sweep(CONFIG)
         assert resumed.summary == uncached.summary  # resume is bit-identical
         return {
             "partial_tasks": partial,
@@ -127,12 +120,10 @@ def _run_resume_check():
 
 
 def test_sweep_fabric_scaling(benchmark):
-    serial = _best_of(lambda: run_sweep_workload("pooled-csp", **WORKLOAD_KWARGS), ROUNDS)
+    serial = _best_of(lambda: pooled_csp_sweep(CONFIG), ROUNDS)
     fabric = _best_of(
-        lambda: run_sweep_workload(
-            "pooled-csp",
-            executor=SweepExecutor(mode="process", max_workers=WORKERS),
-            **WORKLOAD_KWARGS,
+        lambda: pooled_csp_sweep(
+            CONFIG, executor=SweepExecutor(mode="process", max_workers=WORKERS)
         ),
         ROUNDS,
     )

@@ -45,11 +45,9 @@ from ..snn import (
 )
 from ..runtime import (
     SweepExecutor,
-    SweepReport,
     SweepSpec,
     SweepTask,
     eighty_twenty_seed_sweep,
-    run_sweep_workload,
 )
 from ..sudoku import SNNSudokuSolver, generate_puzzle_set
 from ..sudoku.wta import connectivity_statistics
@@ -73,7 +71,6 @@ __all__ = [
     "csp_solve_rate",
     "csp_portfolio_solve_rate",
     "eighty_twenty_seed_sweep",
-    "sweep_workload",
 ]
 
 
@@ -621,22 +618,3 @@ def csp_portfolio_solve_rate(
         summary["fixed_neuron_updates"] = int(sum(r.neuron_updates for r in fixed_results))
         summary["fixed_results"] = fixed_results
     return summary
-
-
-def sweep_workload(
-    name: str,
-    config: object = None,
-    *,
-    executor: Optional[SweepExecutor] = None,
-    cache: object = False,
-    **overrides: object,
-) -> SweepReport:
-    """Run a registered sweep workload by name and return its report.
-
-    Thin harness-facing passthrough to
-    :func:`repro.runtime.registry.run_sweep_workload`, so experiment
-    scripts resolve the pooled/batched workloads through the registry
-    (``sweep_workload("pooled-csp", count=16)``) instead of importing
-    each driver function ad hoc.
-    """
-    return run_sweep_workload(name, config, executor=executor, cache=cache, **overrides)

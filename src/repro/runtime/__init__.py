@@ -44,12 +44,10 @@ This package makes *batches* of independent simulations the unit of work
     function cannot be pickled).
 :mod:`repro.runtime.workloads`
     Sweep drivers for the paper's workloads: batched 80-20 seed sweeps
-    plus pooled Sudoku and constraint-solver (``repro.csp``) solve-rate
-    sweeps.
-:mod:`repro.runtime.registry`
-    The typed workload registry: ``run_sweep_workload(name, config)``
-    resolves the four pooled/batched sweep drivers behind one
-    ``name -> typed config -> SweepReport`` entry point.
+    plus the four solve-rate workloads (pooled Sudoku and
+    constraint-solver sweeps over the fabric, the restart portfolio and
+    the serve load), each a frozen config dataclass plus one driver
+    taking it.
 """
 
 from .backends import (
@@ -103,7 +101,11 @@ from .sweep import (
     sweep_task_key,
 )
 from .workloads import (
+    CSPPortfolioSweepConfig,
+    PooledCSPSweepConfig,
+    PooledSudokuSweepConfig,
     SeedSweepResult,
+    ServeLoadSweepConfig,
     batched_thalamic_provider,
     build_eighty_twenty_replicas,
     csp_portfolio_sweep,
@@ -112,17 +114,6 @@ from .workloads import (
     pooled_sudoku_sweep,
     run_many_on_backend,
     serve_load_sweep,
-)
-from .registry import (
-    CSPPortfolioSweepConfig,
-    PooledCSPSweepConfig,
-    PooledSudokuSweepConfig,
-    ServeLoadSweepConfig,
-    WorkloadEntry,
-    register_sweep_workload,
-    run_sweep_workload,
-    sweep_workload_config,
-    sweep_workloads,
 )
 
 __all__ = [
@@ -182,9 +173,4 @@ __all__ = [
     "PooledCSPSweepConfig",
     "PooledSudokuSweepConfig",
     "ServeLoadSweepConfig",
-    "WorkloadEntry",
-    "register_sweep_workload",
-    "run_sweep_workload",
-    "sweep_workload_config",
-    "sweep_workloads",
 ]

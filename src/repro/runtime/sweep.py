@@ -50,6 +50,7 @@ single :class:`SweepTask` argument.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
@@ -65,6 +66,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .cache import RunResultCache, derive_cache_key, resolve_cache
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "SweepSpec",
@@ -228,8 +231,9 @@ class SweepReport:
     duplicates: int = 0
     pickle_fallback: bool = False
     worker_busy: Dict[int, float] = field(default_factory=dict)
-    #: Workload-level summary attached by the registry entry point
-    #: (:func:`repro.runtime.registry.run_sweep_workload`).
+    #: Workload-level summary attached by the pooled solve-rate drivers
+    #: (:func:`repro.runtime.workloads.pooled_csp_sweep` and
+    #: :func:`~repro.runtime.workloads.pooled_sudoku_sweep`).
     summary: Optional[Mapping[str, Any]] = None
 
     @property
@@ -450,16 +454,6 @@ class SweepExecutor:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def make_tasks(
-        param_sets: Sequence[Mapping[str, Any]], *, base_seed: int = 0
-    ) -> List[SweepTask]:
-        """Materialise a parameter sweep's task list (see :meth:`SweepSpec.tasks`)."""
-        return [
-            SweepTask(index=i, seed=derive_task_seed(base_seed, i), params=dict(params))
-            for i, params in enumerate(param_sets)
-        ]
-
     def execute(self, spec: SweepSpec) -> SweepReport:
         """Execute every task of ``spec``; the report's results are in task order."""
         tasks = spec.tasks()
@@ -759,8 +753,8 @@ class SweepExecutor:
                 spawn_worker()
 
             poll = max(0.02, min(0.25, spec.lease_timeout / 4.0))
-            _debug = bool(os.environ.get("REPRO_SWEEP_DEBUG"))
-            _last_dbg = 0.0
+            debug = logger.isEnabledFor(logging.DEBUG)
+            last_progress = float("-inf")
             while len(completed) < len(tasks):
                 if interrupted:
                     drain_interrupted(poll)
@@ -769,14 +763,19 @@ class SweepExecutor:
                         f"{len(completed)}/{len(tasks)} task results retained "
                         "(cached tasks resume on re-run)"
                     )
-                if _debug and time.monotonic() - _last_dbg > 1.0:
-                    _last_dbg = time.monotonic()
-                    print(
-                        f"[fabric] done={len(completed)}/{len(tasks)} "
-                        f"chunks={dict((c, sorted(t)) for c, t in chunk_tasks.items())} "
-                        f"leases={leases} worker_chunk={worker_chunk} "
-                        f"workers={list(workers)} counters={counters}",
-                        flush=True,
+                if debug and time.monotonic() - last_progress > 1.0:
+                    # At most one progress record a second.
+                    last_progress = time.monotonic()
+                    logger.debug(
+                        "sweep progress: done=%d/%d chunks=%s leases=%s "
+                        "worker_chunk=%s workers=%s counters=%s",
+                        len(completed),
+                        len(tasks),
+                        {c: sorted(t) for c, t in chunk_tasks.items()},
+                        leases,
+                        worker_chunk,
+                        list(workers),
+                        counters,
                     )
                 blob = _poll_get(result_queue, poll)
                 if blob is not None:

@@ -15,8 +15,7 @@ Client-side resilience: with a ``retry_budget``, a request shed with
 :class:`~repro.serve.service.LoadShedError` backs off exponentially with
 deterministic seeded jitter (in scheduler steps, so retried runs stay
 reproducible) and resubmits, up to the budget or the per-request retry
-deadline.  Retry counts are surfaced through the ``stats`` mapping and
-the load-sweep report.
+deadline.  Retry counts are surfaced through the ``stats`` mapping.
 """
 
 from __future__ import annotations

@@ -72,7 +72,6 @@ from ..csp.solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _em
 from ..runtime.cache import RunResultCache, derive_cache_key, derive_identity
 from ..runtime.checkpoint import CheckpointStore, FaultPlan
 from ..runtime.slots import SlotAdmission, SlotCheckpoint, SlotDecision, SlotEngine, SlotRow
-from ..runtime.sweep import derive_task_seed
 from ..snn.network import SNNNetwork
 from .metrics import MetricsRecorder, MetricsSnapshot
 
@@ -86,6 +85,13 @@ __all__ = [
     "SolveService",
     "derive_request_seed",
 ]
+
+#: LRU bound of the in-memory result memo (entries).
+_MEMO_LIMIT = 4096
+#: LRU bound of the shared synapse builds, keyed by structural digest.
+_SYNAPSE_CACHE_SIZE = 64
+#: Clock units per scheduler step under ``clock="steps"``.
+_STEP_SECONDS = 1e-3
 
 
 class ServeError(Exception):
@@ -128,7 +134,8 @@ class ServeResult:
 
     status: ServeStatus
     client: str
-    #: Code-independent request identity (``None`` for uncacheable requests).
+    #: Code-independent request identity (``None`` for zero-budget
+    #: requests, which are answered before one is derived).
     key: Optional[str]
     #: Noise seed the solve ran (or would run) under.
     seed: int
@@ -188,7 +195,7 @@ class _Waiter:
 class _Ticket:
     """One admission unit: an instance plus everyone waiting on it."""
 
-    key: Optional[str]
+    key: str
     graph: ConstraintGraph
     clamps: list
     seed: int
@@ -241,8 +248,7 @@ class ServePolicy:
 
     def rebuild(self, token: Dict[str, Any]) -> Tuple[_Ticket, SNNNetwork]:
         ticket = _Ticket(**token, state="running", recovered=True)
-        if ticket.key is not None:
-            self._service._inflight[ticket.key] = ticket
+        self._service._inflight[ticket.key] = ticket
         return ticket, self._service._build_network(ticket)
 
     def export_state(self) -> Dict[str, Any]:
@@ -264,7 +270,10 @@ class SolveService:
         are shed with :class:`LoadShedError`; ``None`` = unbounded.
     config / backend / check_interval:
         Solver parameters shared by every admitted request (a fused
-        batch needs one decode window and check cadence).
+        batch needs one decode window and check cadence).  The
+        scheduler also yields to asyncio every ``check_interval``
+        steps: the granularity at which new submissions, cancellations
+        and step-waiters are noticed.
     default_max_steps:
         Per-request step budget when ``submit`` does not give one.
     seed:
@@ -273,17 +282,12 @@ class SolveService:
         Optional :class:`~repro.runtime.cache.RunResultCache` persisting
         results across service instances, keyed by the request identity
         bound to the code fingerprint; corrupt or wrong-typed entries
-        are treated as misses.
-    memoize:
-        Keep an in-memory result memo for repeat requests (LRU-bounded).
+        are treated as misses.  Repeat requests are also served from an
+        in-memory LRU memo.
     clock:
-        ``"monotonic"`` (wall time), ``"steps"`` (deterministic:
-        ``global step * step_seconds`` — what the fault-injection and
-        metrics tests use), or any zero-argument callable.
-    yield_steps:
-        Scheduler steps advanced between asyncio yields (defaults to
-        ``check_interval``): the granularity at which new submissions,
-        cancellations and step-waiters are noticed.
+        ``"monotonic"`` (wall time) or ``"steps"`` (deterministic: one
+        millisecond per global step — what the fault-injection and
+        metrics tests use).
     checkpoint_dir / checkpoint_every:
         With a directory set, the live engine state (plus every running
         ticket's identity) is snapshotted crash-safely every
@@ -296,12 +300,13 @@ class SolveService:
     fault:
         A :class:`~repro.runtime.checkpoint.FaultPlan` injecting
         deterministic crashes / torn writes for the chaos suites.
-    recover:
-        On construction, restore the newest readable checkpoint and
-        re-enqueue unfinished journaled admissions (default).  Recovered
-        work re-runs under its content-derived seed, so results are
-        bit-identical to the uninterrupted run; the supervisor
-        (:mod:`repro.serve.supervisor`) collects them by resubmission.
+
+    With a checkpoint directory or a journal, construction recovers:
+    it restores the newest readable checkpoint and re-enqueues
+    unfinished journaled admissions.  Recovered work re-runs under its
+    content-derived seed, so results are bit-identical to the
+    uninterrupted run; the supervisor (:mod:`repro.serve.supervisor`)
+    collects them by resubmission.
     """
 
     def __init__(
@@ -315,17 +320,11 @@ class SolveService:
         default_max_steps: int = 3000,
         seed: int = 0,
         cache: Optional[RunResultCache] = None,
-        memoize: bool = True,
-        memo_limit: int = 4096,
-        clock: Union[str, Callable[[], float]] = "monotonic",
-        step_seconds: float = 1e-3,
-        yield_steps: Optional[int] = None,
-        synapse_cache_size: int = 64,
+        clock: str = "monotonic",
         checkpoint_dir: Union[str, "Path", None] = None,
         checkpoint_every: Optional[int] = None,
         journal_path: Union[str, "Path", None] = None,
         fault: Optional[FaultPlan] = None,
-        recover: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -341,10 +340,6 @@ class SolveService:
         self._default_max_steps = int(default_max_steps)
         self._seed = int(seed)
         self._cache = cache
-        self._memoize = memoize
-        self._memo_limit = int(memo_limit)
-        self._yield_steps = int(yield_steps) if yield_steps is not None else self._check_interval
-        self._synapse_cache_size = int(synapse_cache_size)
         #: The request-invariant part of every request identity.
         self._service_identity = derive_identity(
             "serve-config",
@@ -354,9 +349,7 @@ class SolveService:
             # reprolint: disable-next-line=RL002 -- injectable-clock seam (SolveService(clock=...))
             self._clock: Callable[[], float] = time.monotonic
         elif clock == "steps":
-            self._clock = lambda: self._step * float(step_seconds)
-        elif callable(clock):
-            self._clock = clock
+            self._clock = lambda: self._step * _STEP_SECONDS
         else:
             raise ValueError(f"unknown clock {clock!r}")
 
@@ -407,7 +400,7 @@ class SolveService:
             from .journal import AdmissionJournal
 
             self._journal = AdmissionJournal(journal_path, fault=fault)
-        if recover and (self._ckpt_store is not None or self._journal is not None):
+        if self._ckpt_store is not None or self._journal is not None:
             self._recover()
 
     # ------------------------------------------------------------------ #
@@ -470,12 +463,7 @@ class SolveService:
         self._metrics.record_submitted()
 
         key = self._request_identity(graph, resolved, seed, budget)
-        if seed is not None:
-            request_seed = int(seed)
-        elif key is not None:
-            request_seed = derive_request_seed(self._seed, key)
-        else:  # pragma: no cover - requests are built from tokenisable parts
-            request_seed = derive_task_seed(self._seed, self._metrics.submitted - 1)
+        request_seed = int(seed) if seed is not None else derive_request_seed(self._seed, key)
 
         cached = self._lookup_cached(key)
         if cached is not None:
@@ -504,7 +492,7 @@ class SolveService:
             submitted_at=now,
             deadline=(now + float(deadline)) if deadline is not None else None,
         )
-        ticket = self._inflight.get(key) if key is not None else None
+        ticket = self._inflight.get(key)
         if ticket is not None and ticket.state in ("queued", "running"):
             # Identical request already in flight: share its batch row.
             waiter.coalesced = True
@@ -524,19 +512,18 @@ class SolveService:
                 max_steps=budget,
                 waiters=[waiter],
             )
-            if key is not None:
-                self._inflight[key] = ticket
-                if self._journal is not None:
-                    # Write-ahead: the admission is durable before the
-                    # client can observe it as accepted.
-                    self._journal.admit(
-                        key=key,
-                        client=client,
-                        graph=graph,
-                        clamps=resolved,
-                        seed=request_seed,
-                        max_steps=budget,
-                    )
+            self._inflight[key] = ticket
+            if self._journal is not None:
+                # Write-ahead: the admission is durable before the
+                # client can observe it as accepted.
+                self._journal.admit(
+                    key=key,
+                    client=client,
+                    graph=graph,
+                    clamps=resolved,
+                    seed=request_seed,
+                    max_steps=budget,
+                )
             self._enqueue(client, ticket)
         self._wake.set()
         try:
@@ -663,14 +650,14 @@ class SolveService:
         resolved: Sequence[Tuple[int, int, int]],
         seed: Optional[int],
         budget: int,
-    ) -> Optional[str]:
+    ) -> str:
         """Code-independent identity of one request (see the module docstring).
 
         The payload is positional — service identity, graph, clamps,
         budget, explicit seed, seed root — because a sequence tokenises
         without the per-key sort a mapping costs on every submit.
         """
-        return derive_identity(
+        identity = derive_identity(
             "serve",
             (
                 self._service_identity,
@@ -681,6 +668,8 @@ class SolveService:
                 self._seed if seed is None else None,
             ),
         )
+        assert identity is not None  # graph token, int64 array and ints all tokenise
+        return identity
 
     @staticmethod
     def _cache_key(key: str) -> str:
@@ -689,10 +678,8 @@ class SolveService:
         assert cache_key is not None  # a string always tokenises
         return cache_key
 
-    def _lookup_cached(self, key: Optional[str]) -> Optional[CSPSolveResult]:
-        if key is None:
-            return None
-        if self._memoize and key in self._memo:
+    def _lookup_cached(self, key: str) -> Optional[CSPSolveResult]:
+        if key in self._memo:
             self._memo.move_to_end(key)
             return self._memo[key]
         if self._cache is not None:
@@ -705,16 +692,12 @@ class SolveService:
         return None
 
     def _remember(self, key: str, result: CSPSolveResult) -> None:
-        if not self._memoize:
-            return
         self._memo[key] = result
         self._memo.move_to_end(key)
-        while len(self._memo) > self._memo_limit:
+        while len(self._memo) > _MEMO_LIMIT:
             self._memo.popitem(last=False)
 
-    def _store(self, key: Optional[str], result: CSPSolveResult) -> None:
-        if key is None:
-            return
+    def _store(self, key: str, result: CSPSolveResult) -> None:
         self._remember(key, result)
         if self._cache is not None:
             self._cache.put(self._cache_key(key), result)
@@ -759,8 +742,7 @@ class SolveService:
             if ticket.state == "queued":
                 ticket.state = "dead"
                 self._queued -= 1
-                if ticket.key is not None:
-                    self._inflight.pop(ticket.key, None)
+                self._inflight.pop(ticket.key, None)
             elif ticket.state == "running":
                 # The scheduler frees the batch slot at its next round.
                 self._wake.set()
@@ -817,14 +799,13 @@ class SolveService:
     def _finish_ticket(self, ticket: _Ticket, result: CSPSolveResult) -> None:
         """A row completed with a result: resolve, memoise, release."""
         ticket.state = "done"
-        if ticket.key is not None:
-            self._inflight.pop(ticket.key, None)
-            # Unsolved outcomes are cached too: the solver is
-            # deterministic, so "unsolved within this budget under this
-            # seed" is the request's true answer.
-            self._store(ticket.key, result)
-            if self._journal is not None:
-                self._journal.done(ticket.key)
+        self._inflight.pop(ticket.key, None)
+        # Unsolved outcomes are cached too: the solver is deterministic,
+        # so "unsolved within this budget under this seed" is the
+        # request's true answer.
+        self._store(ticket.key, result)
+        if self._journal is not None:
+            self._journal.done(ticket.key)
         status = ServeStatus.SOLVED if result.solved else ServeStatus.UNSOLVED
         for waiter in ticket.waiters:
             self._resolve_waiter(waiter, ticket, status, result)
@@ -832,8 +813,7 @@ class SolveService:
     def _drop_ticket(self, ticket: _Ticket) -> None:
         """Release a ticket whose waiters are all gone (cancel/timeout)."""
         ticket.state = "done"
-        if ticket.key is not None:
-            self._inflight.pop(ticket.key, None)
+        self._inflight.pop(ticket.key, None)
 
     # ------------------------------------------------------------------ #
     # Durability: startup recovery (snapshots are the engine's)
@@ -910,7 +890,7 @@ class SolveService:
         )
         self._synapses[digest] = solver.synapses
         self._synapses.move_to_end(digest)
-        while len(self._synapses) > self._synapse_cache_size:
+        while len(self._synapses) > _SYNAPSE_CACHE_SIZE:
             self._synapses.popitem(last=False)
         return solver.build_network(ticket.clamps)
 
@@ -1006,7 +986,7 @@ class SolveService:
                     continue  # a submit landed between the checks
                 await self._wake.wait()
                 continue
-            for _ in range(self._yield_steps):
+            for _ in range(self._check_interval):
                 # One durable step: the engine's stepping, local counters
                 # and windows keep every served row bit-identical to its
                 # standalone solve; the decision (finish, expire, refill)

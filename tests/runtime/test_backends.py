@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    PooledSudokuSweepConfig,
     RunRequest,
     RunResult,
     SimBackend,
@@ -124,7 +125,8 @@ class TestWorkloadSweeps:
             batched_thalamic_provider(configs)
 
     def test_pooled_sudoku_sweep_shape(self):
-        result = pooled_sudoku_sweep(2, target_clues=40, max_steps=150)
+        config = PooledSudokuSweepConfig(count=2, target_clues=40, max_steps=150)
+        result = pooled_sudoku_sweep(config).summary
         assert result["num_puzzles"] == 2
         assert len(result["results"]) == 2
         assert 0.0 <= result["solve_rate"] <= 1.0

@@ -2,19 +2,27 @@
 
 from repro.csp import PortfolioConfig
 from repro.harness import csp_portfolio_solve_rate
-from repro.runtime import csp_portfolio_sweep, derive_task_seed, pooled_sudoku_sweep
+from repro.runtime import (
+    CSPPortfolioSweepConfig,
+    PooledSudokuSweepConfig,
+    csp_portfolio_sweep,
+    derive_task_seed,
+    pooled_sudoku_sweep,
+)
 
 
 class TestCSPPortfolioSweep:
     def test_summary_shape_and_determinism(self):
-        kwargs = dict(
+        config = CSPPortfolioSweepConfig(
+            scenario="coloring",
+            count=4,
             base_seed=0,
             max_steps=500,
             portfolio=PortfolioConfig(base_budget=60, seed=3),
             scenario_params={"num_vertices": 10, "num_colors": 3, "edge_probability": 0.8},
         )
-        a = csp_portfolio_sweep("coloring", 4, **kwargs)
-        b = csp_portfolio_sweep("coloring", 4, **kwargs)
+        a = csp_portfolio_sweep(config)
+        b = csp_portfolio_sweep(config)
         assert a["num_instances"] == 4
         assert 0.0 <= a["solve_rate"] <= 1.0
         assert a["total_attempts"] >= 4
@@ -58,21 +66,7 @@ class TestCSPPortfolioSolveRate:
 
 
 class TestPooledSudokuSeedMixing:
-    def test_mix_seeds_default_uses_seed_sequence(self):
-        kwargs = dict(base_seed=1000, target_clues=40, max_steps=40)
-        mixed = pooled_sudoku_sweep(2, **kwargs)
-        got = [r["puzzle_seed"] for r in mixed["results"]]
+    def test_puzzle_seeds_use_seed_sequence(self):
+        config = PooledSudokuSweepConfig(count=2, base_seed=1000, target_clues=40, max_steps=40)
+        got = [r["puzzle_seed"] for r in pooled_sudoku_sweep(config).results]
         assert got == [derive_task_seed(1000, i) for i in range(2)]
-
-    def test_legacy_linear_scheme_preserved_as_opt_out(self):
-        kwargs = dict(base_seed=1000, target_clues=40, max_steps=40)
-        legacy = pooled_sudoku_sweep(2, mix_seeds=False, **kwargs)
-        assert [r["puzzle_seed"] for r in legacy["results"]] == [1000, 1001]
-
-    def test_schemes_differ(self):
-        kwargs = dict(base_seed=1000, target_clues=40, max_steps=40)
-        mixed = pooled_sudoku_sweep(1, **kwargs)
-        legacy = pooled_sudoku_sweep(1, mix_seeds=False, **kwargs)
-        assert (
-            mixed["results"][0]["puzzle_seed"] != legacy["results"][0]["puzzle_seed"]
-        )

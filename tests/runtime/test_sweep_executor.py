@@ -41,15 +41,11 @@ class TestSeedDerivation:
         assert derive_task_seed(42, 0) != derive_task_seed(43, 0)
 
     def test_tasks_carry_derived_seeds(self):
-        tasks = SweepExecutor.make_tasks([{"x": 1}, {"x": 2}], base_seed=9)
+        tasks = SweepSpec(fn=_echo_task, param_sets=[{"x": 1}, {"x": 2}], base_seed=9).tasks()
         assert [t.index for t in tasks] == [0, 1]
         assert tasks[0].seed == derive_task_seed(9, 0)
         assert tasks[1].seed == derive_task_seed(9, 1)
         assert tasks[1].params == {"x": 2}
-
-    def test_spec_tasks_match_make_tasks(self):
-        spec = SweepSpec(fn=_echo_task, param_sets=[{"x": 1}, {"x": 2}], base_seed=9)
-        assert spec.tasks() == SweepExecutor.make_tasks([{"x": 1}, {"x": 2}], base_seed=9)
 
 
 class TestSweepSpecValidation:

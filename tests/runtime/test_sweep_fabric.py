@@ -6,6 +6,7 @@ The fault-injecting task functions only misbehave inside a fabric worker
 stay clean and every retry converges.
 """
 
+import logging
 import os
 import pickle
 import signal
@@ -241,3 +242,10 @@ class TestReportAccounting:
         view = report.bench_view(tmp_path)
         assert view["sweep"]["tasks"] == 1
         assert view["bench"]["BENCH_other.json"] == {"ok": 1}
+
+    def test_process_sweep_logs_progress_at_debug(self, caplog):
+        # The first scheduler round always logs, so one record is certain.
+        spec = SweepSpec(fn=_echo_task, param_sets=[{"x": i} for i in range(4)], chunk_size=1)
+        with caplog.at_level(logging.DEBUG, logger="repro.runtime.sweep"):
+            SweepExecutor(mode="process", max_workers=2).execute(spec)
+        assert any(record.name == "repro.runtime.sweep" for record in caplog.records)

@@ -172,7 +172,6 @@ def test_corrupted_cache_entry_is_a_miss(tmp_path):
                 seed=2,
                 clock="steps",
                 cache=cache,
-                memoize=False,
             ) as service:
                 return await service.submit(*_instance(11), max_steps=800)
 

@@ -151,7 +151,6 @@ def test_latency_percentiles_deterministic_across_runs():
             default_max_steps=800,
             seed=33,
             clock="steps",
-            step_seconds=1e-3,
         )
         return metrics
 

@@ -57,7 +57,6 @@ class DeterminismConfig:
     #: fabric lease clocks, report timing, CLI stopwatch).
     clock_allow: Tuple[str, ...] = (
         "src/repro/runtime/sweep.py",
-        "src/repro/runtime/registry.py",
         "src/repro/quickstart.py",
     )
     #: ``time.<attr>`` reads treated as wall-clock sources.
