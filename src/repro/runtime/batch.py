@@ -14,30 +14,31 @@ Two operating points are supported, selected by ``synapse_mode``:
     The batched run is **bit-exact** with ``B`` sequential
     ``SNNNetwork.run`` calls — bit-identical spike rasters for the
     fixed-point backend and bit-identical float64 trajectories for the
-    reference backend.  Whenever every synaptic weight is exactly
-    representable in Q15.16 (the WTA constraint networks, whose weights
-    are small integers), propagation runs through the **integer CSR
-    kernel**: the weights are quantised to raw ``int64`` once at stack
-    time and one batched gather + segmented integer reduction delivers
-    the synaptic current of all ``B`` replicas at once.  Integer adds
-    commute, and the float64 column sums of such weights are exact, so
-    the fused reduction is bit-identical to the sequential per-replica
-    propagation *by construction* — this path is the default for every
-    batch that qualifies.  Non-representable weights (e.g. the 80-20
-    network's random weights) fall back to the per-replica propagation
-    with the identical sequential expressions.
+    reference backend.  Whenever the connectivity is sparse and every
+    synaptic weight is exactly representable in Q15.16 (the WTA
+    constraint networks, whose weights are small integers), propagation
+    runs through the **integer CSR kernel**: the weights are quantised to
+    raw ``int64`` once at stack time and one batched gather + segmented
+    integer reduction delivers the synaptic current of all ``B``
+    replicas at once.  Integer adds commute, so the fused reduction is
+    bit-identical to the sequential per-replica propagation *by
+    construction* — this path is the default for every batch that
+    qualifies.  Everything else (e.g. the 80-20 network's dense random
+    weights) runs the per-replica propagation with the identical
+    sequential expressions.
 
 ``"fused"``
-    Synaptic propagation is vectorised across the batch even when the
-    integer path does not apply (a float gather + segmented reduction
-    over the stacked weight matrices).  Floating-point summation order
-    then differs from the sequential column reduction, so results are
-    numerically equivalent (same distribution, ULP-level differences in
-    the synaptic current) but not guaranteed bit-identical.  This is the
+    Dense connectivity (the 80-20 network) is propagated for the whole
+    batch at once: a float gather + segmented reduction over the stacked
+    weight matrices.  Floating-point summation order then differs from
+    the sequential column reduction, so results are numerically
+    equivalent (same distribution, ULP-level differences in the synaptic
+    current) but not guaranteed bit-identical.  This is the
     high-throughput mode used by the 80-20 seed-sweep benchmarks,
-    typically combined with a ``batched_external`` provider.  Batches
-    that qualify for the integer kernel use it here too (in which case
-    fused *is* bit-exact).
+    typically combined with a ``batched_external`` provider.  Sparse
+    batches propagate exactly as in ``"exact"`` mode: through the integer
+    kernel when their weights qualify (so fused *is* bit-exact there),
+    per replica otherwise.
 
 On top of the propagation kernel the fixed-point step feeds the raw
 integer synaptic sum straight into the Q15.16 accumulator: instead of
@@ -51,10 +52,12 @@ the engine additionally carries the quantised current as raw integer
 state across steps, so the per-step re-quantisation of the float current
 disappears entirely.
 
-Batches shrink: :meth:`BatchedNetwork.retain` drops replicas (e.g. solver
-instances that already converged) from the live state and connectivity
-views, so late steps only advance the survivors — the constraint-solver
-batch loop uses this to stop paying for solved instances.  Spike
+Every per-replica array is one row of a ``(B, N)`` stack, named in one
+place (``_STATE`` and ``_PARAMS``) and read from the networks in one
+place (:meth:`BatchedNetwork._rows_of`).  Batches shrink and grow along
+those rows: :meth:`BatchedNetwork.retain` drops replicas (e.g. solver
+instances that already converged) so late steps only advance the
+survivors, and :meth:`BatchedNetwork.extend` stacks fresh ones in.  Spike
 recording in :meth:`BatchedNetwork.run` goes through a preallocated
 bit-packed buffer (one bit per neuron-step) instead of a ``(T, B, N)``
 bool cube.
@@ -72,7 +75,7 @@ true division or float cast introduced inside them.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +84,8 @@ from ..sim.dcu import SHIFT_SELECTIONS
 from ..sim.npu import _COEFF_004_Q4_11, _CONST_140_ACC, _VTH_RAW
 from ..snn.analysis import SpikeRaster
 from ..snn.fixed_izhikevich import FixedPointPopulation, decay_current_raw
-from ..snn.izhikevich import IzhikevichPopulation, euler_step
-from ..snn.network import SNNNetwork
+from ..snn.izhikevich import euler_step
+from ..snn.network import SNNNetwork, Synapses
 from ..snn.synapse import DenseSynapses, SparseSynapses
 
 __all__ = ["BatchedNetwork", "BatchIncompatibleError"]
@@ -203,33 +206,13 @@ class _FixedBatchKernel:
         self.d_q78 = d_raw >> (11 - Q7_8.frac_bits)
         self.h_shift = h_shift
         self.pin_voltage = pin_voltage
-        self._alloc_scratch(a_raw.shape)
-
-    def _alloc_scratch(self, shape: tuple) -> None:
+        shape = a_raw.shape
         self._v_acc = np.empty(shape, dtype=np.int64)
         self._u_acc = np.empty(shape, dtype=np.int64)
         self._dv = np.empty(shape, dtype=np.int64)
         self._du = np.empty(shape, dtype=np.int64)
         self._u_sp = np.empty(shape, dtype=np.int64)
         self._spike = np.empty(shape, dtype=bool)
-
-    def retain(self, keep: np.ndarray) -> None:
-        """Drop all replica rows not listed in ``keep``."""
-        self.a = self.a[keep]
-        self.b = self.b[keep]
-        self.c = self.c[keep]
-        self.d_q78 = self.d_q78[keep]
-        self._alloc_scratch(self.a.shape)
-
-    def extend(
-        self, a_raw: np.ndarray, b_raw: np.ndarray, c_raw: np.ndarray, d_raw: np.ndarray
-    ) -> None:
-        """Append replica rows (raw parameter arrays, one row per replica)."""
-        self.a = np.concatenate([self.a, a_raw])
-        self.b = np.concatenate([self.b, b_raw])
-        self.c = np.concatenate([self.c, c_raw])
-        self.d_q78 = np.concatenate([self.d_q78, d_raw >> (11 - Q7_8.frac_bits)])
-        self._alloc_scratch(self.a.shape)
 
     def substep(self, v: np.ndarray, u: np.ndarray, isyn_raw: np.ndarray) -> np.ndarray:
         """Advance ``(v, u)`` in place by one NPU timestep; returns spikes."""
@@ -283,19 +266,21 @@ class _FixedBatchKernel:
 class _SynapseBatch:
     """Batched synaptic propagation over stacked connectivity.
 
-    Three engines, picked at stack time:
+    One engine per kind of workload, picked at stack time:
 
-    * **integer** (``self.integer``): every weight is exactly
-      representable in Q15.16, so the weights live as raw ``int64`` and
-      :meth:`propagate_raw` performs one batched CSR gather + segmented
-      integer reduction for the whole batch.  Exact in any summation
-      order, hence bit-identical to the sequential propagation.
-    * **per-replica float** (``mode == "exact"`` without the integer
-      path): the sequential ``Synapses.propagate`` expressions, one
-      replica at a time.
-    * **fused float** (``mode == "fused"`` without the integer path):
-      vectorised float gather over stacked weights; reassociates sums
-      (ULP-level differences, no bit guarantee).
+    * **integer sparse** (``self.integer``; the CSP/Sudoku WTA networks):
+      every weight is exactly representable in Q15.16, so the weights
+      live as raw integers and :meth:`propagate_raw` performs one batched
+      CSC gather + scatter-add for the whole batch, over either the one
+      shared matrix (``"shared"``) or the replicas' matrices flattened
+      onto one grid (``"flat"``).  Exact in any summation order, hence
+      bit-identical to the sequential propagation.
+    * **fused dense float** (``mode == "fused"`` over dense connectivity;
+      the 80-20 seed sweep): one gather over the stacked weight matrices
+      plus a segmented reduction; reassociates sums (ULP-level
+      differences, no bit guarantee).
+    * **per-replica float** (everything else): the sequential
+      ``Synapses.propagate`` expressions, one replica at a time.
     """
 
     def __init__(
@@ -306,40 +291,29 @@ class _SynapseBatch:
         integer_mode: Optional[bool] = None,
     ) -> None:
         synapses = [net.synapses for net in networks]
-        kinds = {type(s) for s in synapses}
-        if len(kinds) != 1:
+        if len({type(s) for s in synapses}) != 1:
             raise BatchIncompatibleError("all networks must use the same synapse kind")
         self.mode = mode
-        self.batch_size = len(networks)
         self.size = networks[0].size
-        self._synapses = list(synapses)
+        self._synapses: List[Any] = synapses
         self._none = synapses[0] is None
-        self.integer = False
         self._build(integer_mode)
         if integer_mode is True and not self.integer and not self._none:
             raise BatchIncompatibleError(
-                "integer propagation requires weights exactly representable in Q15.16"
+                "integer propagation requires sparse weights exactly representable in Q15.16"
             )
 
     def _build(self, integer_mode: Optional[bool]) -> None:
         """(Re)build the stacked structures for the current replica set."""
-        batch, size = self.batch_size, self.size
+        batch, size = len(self._synapses), self.size
         self._out = np.zeros((batch, size), dtype=np.float64)
         self._raw_out = np.zeros((batch, size), dtype=np.int64)
         self._weight_rows: Optional[np.ndarray] = None
-        self._int_weight_rows: Optional[np.ndarray] = None
-        self._shared_gather = None  # (indptr, indices, col_counts, data_float)
-        self._flat_gather = None  # same, flattened over the (replica, pre) grid
+        self._gather: tuple = ()  # (indptr, indices, col_counts, data, uniform)
         self._int_kind: Optional[str] = None
-        self.integer = False
-        if self._none:
-            return
-        if integer_mode is not False:
-            self.integer = self._build_integer()
-        if self.integer or self.mode == "exact":
-            return
+        self.integer = integer_mode is not False and self._build_integer()
         first = self._synapses[0]
-        if isinstance(first, DenseSynapses):
+        if not self.integer and self.mode == "fused" and isinstance(first, DenseSynapses):
             # Row (b * N + i) holds W_b[:, i]: the outgoing weights of
             # presynaptic neuron i in replica b.  One gather over the
             # firing (replica, neuron) pairs plus a segmented reduction
@@ -348,115 +322,65 @@ class _SynapseBatch:
             self._weight_rows = np.ascontiguousarray(stacked.transpose(0, 2, 1)).reshape(
                 batch * size, size
             )
-        elif isinstance(first, SparseSynapses):
-            if not all(s.matrix is first.matrix for s in self._synapses[1:]):
-                raise BatchIncompatibleError(
-                    "fused sparse propagation requires a shared connectivity matrix"
-                )
-            matrix = first.matrix
-            counts = np.diff(matrix.indptr).astype(np.int64)
-            self._shared_gather = (
-                np.asarray(matrix.indptr, dtype=np.int64),
-                np.asarray(matrix.indices, dtype=np.int64),
-                counts,
-                np.asarray(matrix.data, dtype=np.float64),
-                self._uniform_fanout(counts),
-            )
-        else:  # pragma: no cover - synapse kinds are exhaustive
-            raise BatchIncompatibleError(f"unsupported synapse kind {type(first)!r}")
 
     def _build_integer(self) -> bool:
-        """Stack raw Q15.16 weights; ``False`` when quantisation would lose bits.
+        """Stack raw Q15.16 sparse weights; ``False`` when that would lose bits.
 
-        Every retain/extend rebuilds this stack, so sparse rows rely on
+        Every retain/extend rebuilds this stack, so rows rely on
         :meth:`SparseSynapses.quantized_q15_16` memoising its lossless
         payloads: a row is quantised once, not once per recomposition.
         """
         first = self._synapses[0]
-        if not hasattr(first, "quantized_q15_16"):
-            return False
-        if isinstance(first, DenseSynapses):
-            quantized = []
-            for synapse in self._synapses:
-                raw, lossless = synapse.quantized_q15_16()
-                if not lossless:
-                    return False
-                quantized.append(raw)
-            stacked = np.stack(quantized)  # (B, post, pre)
-            self._int_weight_rows = np.ascontiguousarray(stacked.transpose(0, 2, 1)).reshape(
-                self.batch_size * self.size, self.size
-            )
-            self._int_kind = "dense"
-            return True
         if not isinstance(first, SparseSynapses):
             return False
-        if all(s.matrix is first.matrix for s in self._synapses[1:]):
-            raw, lossless = first.quantized_q15_16()
-            if not lossless:
-                return False
-            matrix = first.matrix
-            counts = np.diff(matrix.indptr).astype(np.int64)
-            self._shared_gather = (
-                np.asarray(matrix.indptr, dtype=np.int64),
-                np.asarray(matrix.indices, dtype=np.int64),
-                counts,
-                # Raw payloads kept as float64 so the bincount reduction
-                # skips a cast; every partial sum is an integer below
-                # 2^53, hence exact.
-                raw.astype(np.float64),
-                self._uniform_fanout(counts),
-            )
-            self._int_kind = "shared"
-            return True
-        # Independent per-replica connectivity: flatten the B CSC
-        # structures over one (B * N)-column grid with globally offset
-        # row indices, so a single gather serves the whole batch.
+        synapses = self._synapses
+        shared = all(s.matrix is first.matrix for s in synapses[1:])
         raws = []
-        for synapse in self._synapses:
+        for synapse in synapses[:1] if shared else synapses:
             raw, lossless = synapse.quantized_q15_16()
             if not lossless:
                 return False
             raws.append(raw)
-        matrices = [synapse.matrix for synapse in self._synapses]
-        ptrs = np.stack([matrix.indptr for matrix in matrices]).astype(np.int64)  # (B, N + 1)
-        col_counts = np.diff(ptrs, axis=1).ravel()
-        indices = np.concatenate([matrix.indices for matrix in matrices]).astype(np.int64)
-        indices += np.repeat(np.arange(len(matrices), dtype=np.int64) * self.size, ptrs[:, -1])
-        self._flat_gather = (
-            np.concatenate([[0], np.cumsum(col_counts)]),
-            indices,
-            col_counts,
-            np.concatenate(raws).astype(np.float64),
-            self._uniform_fanout(col_counts),
-        )
-        self._int_kind = "flat"
+        if shared:
+            indptr = np.asarray(first.matrix.indptr, dtype=np.int64)
+            indices = np.asarray(first.matrix.indices, dtype=np.int64)
+        else:
+            # Independent per-replica connectivity: flatten the B CSC
+            # structures over one (B * N)-column grid with globally offset
+            # row indices, so a single gather serves the whole batch.
+            matrices = [synapse.matrix for synapse in synapses]
+            ptrs = np.stack([m.indptr for m in matrices]).astype(np.int64)  # (B, N + 1)
+            indptr = np.concatenate([[0], np.cumsum(np.diff(ptrs, axis=1).ravel())])
+            indices = np.concatenate([m.indices for m in matrices]).astype(np.int64)
+            indices += np.repeat(np.arange(len(matrices), dtype=np.int64) * self.size, ptrs[:, -1])
+        counts = np.diff(indptr)
+        uniform = None
+        if counts.size and int(counts[0]) > 0 and np.all(counts == counts[0]):
+            uniform = int(counts[0])  # constant fan-out (the WTA graphs)
+        # Raw payloads kept as float64 so the bincount reduction skips a
+        # cast; every partial sum is an integer below 2^53, hence exact.
+        data = np.concatenate(raws, dtype=np.float64)
+        self._gather = (indptr, indices, counts, data, uniform)
+        self._int_kind = "shared" if shared else "flat"
         return True
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _uniform_fanout(col_counts: np.ndarray) -> Optional[int]:
-        """The constant per-column entry count, or ``None`` if it varies."""
-        if col_counts.size and int(col_counts[0]) > 0 and np.all(col_counts == col_counts[0]):
-            return int(col_counts[0])
-        return None
-
     # reprolint: exact-int -- integer scatter-add (float64 weights waived in _build_integer)
-    def _gather_sum(self, fired: np.ndarray, out_flat: np.ndarray) -> bool:
-        """Scatter-add the fired columns' entries into ``out_flat`` (B*N).
-
-        Returns ``False`` when nothing fired (``out_flat`` untouched).
-        The accumulation runs through ``np.bincount`` with integer-valued
-        float64 weights on the integer path — exact, see ``_build_integer``.
-        """
+    def propagate_raw(self, fired: np.ndarray) -> np.ndarray:
+        """Raw Q15.16 synaptic current ``(B, N)`` (integer path only)."""
+        out = self._raw_out
+        out_flat = out.reshape(-1)
+        out_flat[:] = 0
+        if self._none:
+            return out
         flat = np.flatnonzero(fired.ravel())
         if flat.size == 0:
-            return False
-        if self._flat_gather is not None:
-            indptr, indices, col_counts, data, uniform = self._flat_gather
+            return out
+        indptr, indices, col_counts, data, uniform = self._gather
+        if self._int_kind == "flat":
             cols = flat
             target_offset = None
         else:
-            indptr, indices, col_counts, data, uniform = self._shared_gather
             cols = flat % self.size
             target_offset = (flat // self.size) * self.size
         if uniform is not None:
@@ -470,7 +394,7 @@ class _SynapseBatch:
             cnt = col_counts[cols]
             total = int(cnt.sum())
             if total == 0:
-                return False
+                return out
             csum = np.cumsum(cnt)
             offsets = np.repeat(indptr[cols] - (csum - cnt), cnt)
             sel = offsets + np.arange(total)
@@ -479,28 +403,6 @@ class _SynapseBatch:
                 targets = targets + np.repeat(target_offset, cnt)
         sums = np.bincount(targets, weights=data[sel], minlength=out_flat.size)
         np.copyto(out_flat, sums, casting="unsafe")
-        return True
-
-    # reprolint: exact-int -- Q15.16 integer propagation path
-    def propagate_raw(self, fired: np.ndarray) -> np.ndarray:
-        """Raw Q15.16 synaptic current ``(B, N)`` (integer path only)."""
-        out = self._raw_out
-        if self._none:
-            out[:] = 0
-            return out
-        if self._int_kind == "dense":
-            idx = np.flatnonzero(fired.ravel())
-            out[:] = 0
-            if idx.size:
-                rows = self._int_weight_rows[idx]
-                counts = fired.sum(axis=1)
-                nonempty = counts > 0
-                starts = (np.cumsum(counts) - counts)[nonempty]
-                out[nonempty] = np.add.reduceat(rows, starts, axis=0)
-            return out
-        out_flat = out.reshape(-1)
-        out_flat[:] = 0
-        self._gather_sum(fired, out_flat)
         return out
 
     def propagate(self, fired: np.ndarray) -> np.ndarray:
@@ -513,14 +415,9 @@ class _SynapseBatch:
             raw = self.propagate_raw(fired)
             np.divide(raw, 65536.0, out=out)  # exact: |raw| < 2^53
             return out
-        if self.mode == "exact":
+        if self._weight_rows is None:
             for i, syn in enumerate(self._synapses):
                 out[i] = syn.propagate(fired[i])
-            return out
-        if self._shared_gather is not None:
-            out_flat = out.reshape(-1)
-            out_flat[:] = 0.0
-            self._gather_sum(fired, out_flat)
             return out
         idx = np.flatnonzero(fired.ravel())
         out[:] = 0.0
@@ -535,14 +432,13 @@ class _SynapseBatch:
     def retain(self, keep: np.ndarray) -> None:
         """Drop all replica rows not listed in ``keep``."""
         self._synapses = [self._synapses[i] for i in keep]
-        self.batch_size = len(self._synapses)
         # Rebuild the stacked views for the surviving replicas.  This is
         # called at solver check intervals, not per step, so the rebuild
         # cost is amortised away; shared structures are replica-agnostic
         # and rebuild for free.
-        self._build(True if self.integer else False)
+        self._build(self.integer)
 
-    def validate_extend(self, synapses: Sequence[object]) -> None:
+    def validate_extend(self, synapses: Sequence[Synapses]) -> None:
         """Raise if :meth:`extend` would refuse — without mutating anything.
 
         Checks the synapse kind and, when the integer kernel is live,
@@ -550,25 +446,65 @@ class _SynapseBatch:
         not silently fall back to float mid-run: the engine's current
         bookkeeping depends on which path is active).
         """
-        first = self._synapses[0] if self._synapses else None
+        kind = type(self._synapses[0])
         for synapse in synapses:
-            if (synapse is None) != self._none or (
-                first is not None and type(synapse) is not type(first)
-            ):
+            if type(synapse) is not kind:
                 raise BatchIncompatibleError("stacked-in synapse kind differs from the batch")
-            if self.integer:
-                raw, lossless = synapse.quantized_q15_16()
-                if not lossless:
-                    raise BatchIncompatibleError(
-                        "integer propagation requires weights exactly representable in Q15.16"
-                    )
+            if self.integer and not synapse.quantized_q15_16()[1]:
+                raise BatchIncompatibleError(
+                    "integer propagation requires weights exactly representable in Q15.16"
+                )
 
-    def extend(self, synapses: Sequence[object]) -> None:
-        """Append replica synapse sets and rebuild the stacked structures."""
-        self.validate_extend(synapses)
+    def extend(self, synapses: Sequence[Synapses]) -> None:
+        """Append replica synapse sets (checked by :meth:`validate_extend`)."""
         self._synapses.extend(synapses)
-        self.batch_size = len(self._synapses)
-        self._build(True if self.integer else False)
+        self._build(self.integer)
+
+
+#: Per-replica arrays a checkpoint carries, by backend (``is_fixed_point``):
+#: ``(snapshot key, attribute)`` pairs in snapshot order.  The keys stay
+#: literal strings: pickle memoises an interned string once per snapshot.
+_STATE = {
+    True: (("last_fired", "_last_fired"), ("current", "_current"), ("isyn_raw", "_isyn_raw"),
+           ("v_raw", "v_raw"), ("u_raw", "u_raw")),
+    False: (("last_fired", "_last_fired"), ("current", "_current"), ("isyn_raw", "_isyn_raw"),
+            ("v", "v"), ("u", "u")),
+}
+#: Per-replica neuron parameters, by backend; not exported, because a
+#: restore rebuilds them from the networks.
+_PARAMS = {True: ("a_raw", "b_raw", "c_raw", "d_raw"), False: ("a", "b", "c", "d")}
+#: What :func:`_layout` compares, in order, for the error message.
+_LAYOUT_FIELDS = ("size", "is_fixed_point", "(current_mode, tau_select)", "timestep")
+
+
+def _layout(network: SNNNetwork) -> tuple:
+    """What every replica of one batch must share.
+
+    Size, backend (fixed-point or float64), ``(current_mode,
+    tau_select)`` and the timestep: ``(h_shift, pin_voltage)`` on the
+    fixed-point backend, ``v_substeps`` on the float64 one.
+    """
+    pop = network.population
+    if isinstance(pop, FixedPointPopulation):
+        timestep: object = (pop.h_shift, pop.pin_voltage)
+    else:
+        timestep = pop.v_substeps
+    modes = (network.current_mode, network.tau_select)
+    return (network.size, network.is_fixed_point, modes, timestep)
+
+
+def _check_layout(networks: Sequence[SNNNetwork], expected: Optional[tuple] = None) -> tuple:
+    """The layout ``networks`` (and ``expected``, if given) share; raises otherwise."""
+    layouts = {_layout(net) for net in networks}
+    if expected is not None:
+        layouts.add(expected)
+    if len(layouts) > 1:
+        for what, values in zip(_LAYOUT_FIELDS, zip(*layouts)):
+            if len(set(values)) > 1:
+                raise BatchIncompatibleError(
+                    f"networks differ in {what}: {sorted(map(str, set(values)))}"
+                )
+    return layouts.pop()
 
 
 class BatchedNetwork:
@@ -586,22 +522,39 @@ class BatchedNetwork:
         The replicas to stack.
     synapse_mode:
         ``"exact"`` (bit-exact with the sequential engine) or ``"fused"``
-        (fully vectorised propagation; see the module docstring).
+        (vectorised dense propagation; see the module docstring).
     batched_external:
         Optional ``f(step) -> (B, N)`` provider replacing the per-replica
         ``external_input`` callables.  When given, the per-replica
         providers are ignored (and their RNG streams are not consumed).
         Providers exposing a ``batch_shape`` attribute (the compiled
-        drives of :mod:`repro.runtime.drives`) are shape-checked once at
-        construction; plain callables are checked on every call.
+        drives of :mod:`repro.runtime.drives`) are shape-checked once per
+        composition; plain callables are checked on every call.
     integer_csr:
         ``None`` (default) auto-enables the integer propagation kernel
-        whenever every weight is exactly representable in Q15.16;
-        ``False`` forces the pre-integer float paths (the legacy
-        behaviour, kept for benchmarking); ``True`` requires the integer
-        kernel and raises :class:`BatchIncompatibleError` if the weights
-        do not qualify.
+        whenever the connectivity is sparse and every weight is exactly
+        representable in Q15.16; ``False`` forces the float paths (the
+        legacy behaviour, kept for benchmarking); ``True`` requires the
+        integer kernel and raises :class:`BatchIncompatibleError` if the
+        weights do not qualify.
     """
+
+    # Per-replica rows, one (B, N) array each (see _STATE and _PARAMS).
+    _last_fired: np.ndarray
+    _current: np.ndarray
+    _isyn_raw: np.ndarray
+    v_raw: np.ndarray
+    u_raw: np.ndarray
+    a_raw: np.ndarray
+    b_raw: np.ndarray
+    c_raw: np.ndarray
+    d_raw: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
 
     def __init__(
         self,
@@ -615,60 +568,20 @@ class BatchedNetwork:
             raise BatchIncompatibleError("cannot batch zero networks")
         if synapse_mode not in ("exact", "fused"):
             raise ValueError(f"unknown synapse mode {synapse_mode!r}")
-        sizes = {net.size for net in networks}
-        if len(sizes) != 1:
-            raise BatchIncompatibleError(f"network sizes differ: {sorted(sizes)}")
-        kinds = {net.is_fixed_point for net in networks}
-        if len(kinds) != 1:
-            raise BatchIncompatibleError("cannot mix fixed-point and float64 populations")
-        modes = {(net.current_mode, net.tau_select) for net in networks}
-        if len(modes) != 1:
-            raise BatchIncompatibleError(f"current modes differ: {sorted(modes)}")
-
-        self.networks = list(networks)
-        self.batch_size = len(networks)
-        self.size = networks[0].size
-        self.synapse_mode = synapse_mode
-        self.is_fixed_point = networks[0].is_fixed_point
-        self.current_mode, self.tau_select = next(iter(modes))
-        self._batched_external = batched_external
-        self._ext_validated = False
-        self._validate_external_shape()
-        self._externals = [net.external_input for net in networks]
-        self._synapses = _SynapseBatch(networks, synapse_mode, integer_mode=integer_csr)
-
-        shape = (self.batch_size, self.size)
-        # Copy the full per-replica simulation state — including the
-        # synaptic-current bookkeeping and last-fired masks — so stacking
-        # already-stepped ("warm") networks continues exactly where each
-        # sequential engine left off.
-        self._last_fired = np.stack(
-            [np.asarray(net._last_fired, dtype=bool) for net in networks]
-        )
-        self._fired = np.zeros(shape, dtype=bool)
-        self._current = np.stack(
-            [np.asarray(net.current_state.current, dtype=np.float64) for net in networks]
-        )
-        self._ext = np.zeros(shape, dtype=np.float64)
-        self._isyn_raw = np.zeros(shape, dtype=np.int64)
-        self._fscratch = np.zeros(shape, dtype=np.float64)
-        self._fscratch2 = np.zeros(shape, dtype=np.float64)
-        self._iscratch = np.zeros(shape, dtype=np.int64)
-        self._iscratch2 = np.zeros(shape, dtype=np.int64)
-        self._v_scratch: Optional[np.ndarray] = None
-
-        pops = [net.population for net in networks]
+        self._layout = layout = _check_layout(networks)
+        self.size, self.is_fixed_point, (self.current_mode, self.tau_select), timestep = layout
         if self.is_fixed_point:
-            self._init_fixed(pops)
-            if self.current_mode == "decay" and self._use_raw_current:
-                # Carry the quantised current as raw integer state: the
-                # sequential engine re-quantises its float current at the
-                # top of every step, and the result is exactly the raw
-                # kernel input of the previous step, so the round-trip
-                # can be hoisted out of the loop entirely.
-                _quantize_q15_16(self._current, self._isyn_raw, self._fscratch)
+            self.h_shift, self._pin_voltage = timestep
+            self._substeps = 1 << self.h_shift  # FixedPointPopulation.substeps_per_ms
         else:
-            self._init_float(pops)
+            self.h_shift, self._v_substeps = 1, timestep
+        self.networks = list(networks)
+        self.synapse_mode = synapse_mode
+        self._batched_external = batched_external
+        self._synapses = _SynapseBatch(networks, synapse_mode, integer_mode=integer_csr)
+        for name, rows in self._rows_of(networks).items():
+            setattr(self, name, rows)
+        self._alloc()
 
     # ------------------------------------------------------------------ #
     # Stacking
@@ -692,7 +605,7 @@ class BatchedNetwork:
 
     @property
     def integer_propagation(self) -> bool:
-        """``True`` when the integer CSR/dense synapse kernel is active."""
+        """``True`` when the integer CSR synapse kernel is active."""
         return self._synapses.integer
 
     @property
@@ -700,50 +613,80 @@ class BatchedNetwork:
         """Whether the fixed-point step runs on the raw-integer current feed."""
         return self._synapses.integer or self._synapses._none
 
-    def _validate_external_shape(self) -> None:
-        provider = self._batched_external
-        if provider is None:
-            return
-        declared = getattr(provider, "batch_shape", None)
-        if declared is not None:
-            expected = (self.batch_size, self.size)
-            if tuple(declared) != expected:
-                raise BatchIncompatibleError(
-                    f"batched external provider declares shape {tuple(declared)}, "
-                    f"expected {expected}"
-                )
-            self._ext_validated = True
+    def _row_names(self) -> List[str]:
+        """Attributes of every per-replica array: checkpointed state, then parameters."""
+        fixed = self.is_fixed_point
+        return [attr for _, attr in _STATE[fixed]] + list(_PARAMS[fixed])
 
-    def _init_fixed(self, pops: Sequence[FixedPointPopulation]) -> None:
-        h_shifts = {p.h_shift for p in pops}
-        pins = {p.pin_voltage for p in pops}
-        if len(h_shifts) != 1 or len(pins) != 1:
-            raise BatchIncompatibleError("fixed-point timestep/pin configuration differs")
-        self.h_shift = pops[0].h_shift
-        self._substeps = pops[0].substeps_per_ms
-        self.v_raw = np.stack([p.v_raw for p in pops]).astype(np.int64)
-        self.u_raw = np.stack([p.u_raw for p in pops]).astype(np.int64)
-        self._kernel = _FixedBatchKernel(
-            np.stack([p.a_raw for p in pops]).astype(np.int64),
-            np.stack([p.b_raw for p in pops]).astype(np.int64),
-            np.stack([p.c_raw for p in pops]).astype(np.int64),
-            np.stack([p.d_raw for p in pops]).astype(np.int64),
-            h_shift=self.h_shift,
-            pin_voltage=pops[0].pin_voltage,
-        )
+    def _rows_of(self, networks: Sequence[SNNNetwork]) -> Dict[str, np.ndarray]:
+        """Stack the networks' per-replica arrays, keyed by attribute name.
 
-    def _init_float(self, pops: Sequence[IzhikevichPopulation]) -> None:
-        substeps = {p.v_substeps for p in pops}
-        if len(substeps) != 1:
-            raise BatchIncompatibleError("float64 sub-step configuration differs")
-        self.h_shift = 1
-        self._v_substeps = pops[0].v_substeps
-        self.v = np.stack([p.v for p in pops]).astype(np.float64)
-        self.u = np.stack([p.u for p in pops]).astype(np.float64)
-        self._params = tuple(
-            np.stack([getattr(p, name) for p in pops]).astype(np.float64)
-            for name in ("a", "b", "c", "d")
+        The one reader of :class:`SNNNetwork` state and parameters.  It
+        copies the full simulation state — including the synaptic-current
+        bookkeeping and last-fired masks — so stacking already-stepped
+        ("warm") networks continues exactly where each sequential engine
+        left off.  Every row without a leading underscore is the
+        population array of the same name.
+        """
+        current = np.stack(
+            [np.asarray(net.current_state.current, dtype=np.float64) for net in networks]
         )
+        isyn_raw = np.zeros(current.shape, dtype=np.int64)
+        if self.is_fixed_point and self.current_mode == "decay" and self._use_raw_current:
+            # Carry the quantised current as raw integer state: the
+            # sequential engine re-quantises its float current at the
+            # top of every step, and the result is exactly the raw
+            # kernel input of the previous step, so the round-trip can
+            # be hoisted out of the loop entirely.
+            _quantize_q15_16(current, isyn_raw)
+        rows = {
+            "_last_fired": np.stack([np.asarray(net._last_fired, dtype=bool) for net in networks]),
+            "_current": current,
+            "_isyn_raw": isyn_raw,
+        }
+        pops = [net.population for net in networks]
+        dtype = np.int64 if self.is_fixed_point else np.float64
+        for name in self._row_names():
+            if name not in rows:  # the population's own array of that name
+                rows[name] = np.stack([getattr(pop, name) for pop in pops]).astype(dtype)
+        return rows
+
+    def _alloc(self) -> None:
+        """Fit the engine to the live rows: scratch buffers, kernel, provider shape."""
+        self.batch_size = len(self.networks)
+        shape = (self.batch_size, self.size)
+        self._fired = np.zeros(shape, dtype=bool)
+        self._ext = np.zeros(shape, dtype=np.float64)
+        self._fscratch = np.zeros(shape, dtype=np.float64)
+        self._fscratch2 = np.zeros(shape, dtype=np.float64)
+        self._iscratch = np.zeros(shape, dtype=np.int64)
+        self._iscratch2 = np.zeros(shape, dtype=np.int64)
+        self._v_scratch: Optional[np.ndarray] = None
+        if self.is_fixed_point:
+            self._kernel = _FixedBatchKernel(
+                self.a_raw, self.b_raw, self.c_raw, self.d_raw,
+                h_shift=self.h_shift, pin_voltage=self._pin_voltage,
+            )
+        declared = getattr(self._batched_external, "batch_shape", None)
+        if declared is not None and tuple(declared) != shape:
+            raise BatchIncompatibleError(
+                f"batched external provider declares shape {tuple(declared)}, expected {shape}"
+            )
+        # Providers declaring batch_shape are checked here, once per
+        # composition; opaque callables keep the per-step check.
+        self._ext_validated = declared is not None
+
+    def _provider_hook(self, name: str) -> Optional[Callable]:
+        """The batched provider's ``retain``/``extend``; raises if it lacks it."""
+        if self._batched_external is None:
+            return None
+        hook = getattr(self._batched_external, name, None)
+        if hook is None:
+            raise BatchIncompatibleError(
+                f"batched external provider does not support {name}(); use a drive of "
+                "repro.runtime.drives that does, or per-replica providers"
+            )
+        return hook
 
     # ------------------------------------------------------------------ #
     # Stepping
@@ -751,16 +694,16 @@ class BatchedNetwork:
     def _external(self, step: int) -> np.ndarray:
         if self._batched_external is not None:
             ext = np.asarray(self._batched_external(step), dtype=np.float64)
-            # Providers declaring batch_shape were validated once at
-            # construction; opaque callables keep the per-step check
-            # (a wrong-shaped row would otherwise broadcast silently).
+            # A wrong-shaped row from an unchecked provider would
+            # otherwise broadcast silently.
             if not self._ext_validated and ext.shape != self._ext.shape:
                 raise ValueError(
                     f"batched external input has shape {ext.shape}, "
                     f"expected {self._ext.shape}"
                 )
             return ext
-        for i, provider in enumerate(self._externals):
+        for i, net in enumerate(self.networks):
+            provider = net.external_input
             if provider is None:
                 self._ext[i] = 0.0
             else:
@@ -821,9 +764,9 @@ class BatchedNetwork:
             return fired
         synaptic = self._synapses.propagate(self._last_fired)
         current = self._update_current(external, synaptic)
-        a, b, c, d = self._params
         self.v, self.u, fired_f = euler_step(
-            self.v, self.u, current, a, b, c, d, dt_ms=1.0, v_substeps=self._v_substeps
+            self.v, self.u, current, self.a, self.b, self.c, self.d,
+            dt_ms=1.0, v_substeps=self._v_substeps,
         )
         fired[:] = fired_f
         return fired
@@ -885,12 +828,6 @@ class BatchedNetwork:
             for b in range(batch_size)
         ]
 
-    def reset_currents(self) -> None:
-        """Clear the synaptic-current state and the last-fired masks."""
-        self._current[:] = 0.0
-        self._isyn_raw[:] = 0
-        self._last_fired[:] = False
-
     # ------------------------------------------------------------------ #
     # Checkpointing (repro.runtime.checkpoint)
     # ------------------------------------------------------------------ #
@@ -910,27 +847,19 @@ class BatchedNetwork:
     def export_state(self) -> dict:
         """A picklable snapshot of the full per-replica simulation state.
 
-        Covers everything the step loop carries between steps: the
+        Covers everything the step loop carries between steps (the
+        ``_STATE`` rows): the last-fired masks, the float synaptic
+        current, the raw Q15.16 integer current feed and the
         membrane/recovery state (raw Q7.8 integers on the fixed-point
-        backend), the float synaptic current, the raw Q15.16 integer
-        current feed (``_isyn_raw``) and the last-fired masks, plus a
-        structural descriptor so a restore onto a mismatched batch
-        fails loudly.  Kernel parameters, connectivity and drive
-        providers are *not* serialised — they are pure functions of the
-        (graph, config) pairs the restore path rebuilds the batch from.
+        backend), plus a structural descriptor so a restore onto a
+        mismatched batch fails loudly.  Kernel parameters, connectivity
+        and drive providers are *not* serialised — they are pure
+        functions of the (graph, config) pairs the restore path rebuilds
+        the batch from.
         """
-        state = {
-            "descriptor": self._state_descriptor(),
-            "last_fired": self._last_fired.copy(),
-            "current": self._current.copy(),
-            "isyn_raw": self._isyn_raw.copy(),
-        }
-        if self.is_fixed_point:
-            state["v_raw"] = self.v_raw.copy()
-            state["u_raw"] = self.u_raw.copy()
-        else:
-            state["v"] = self.v.copy()
-            state["u"] = self.u.copy()
+        state = {"descriptor": self._state_descriptor()}
+        for key, attr in _STATE[self.is_fixed_point]:
+            state[key] = getattr(self, attr).copy()
         return state
 
     def restore_state(self, state: dict) -> None:
@@ -952,33 +881,30 @@ class BatchedNetwork:
             raise BatchIncompatibleError(
                 f"checkpoint state does not match the live batch: {diff}"
             )
-        names = ["last_fired", "current", "isyn_raw"]
-        names += ["v_raw", "u_raw"] if self.is_fixed_point else ["v", "u"]
-        arrays = {}
-        for name in names:
-            target = getattr(self, name if name.startswith(("v", "u")) else f"_{name}")
-            arr = np.asarray(state[name], dtype=target.dtype)
+        arrays = []
+        for key, attr in _STATE[self.is_fixed_point]:
+            target = getattr(self, attr)
+            arr = np.asarray(state[key], dtype=target.dtype)
             if arr.shape != target.shape:
                 raise BatchIncompatibleError(
-                    f"checkpoint array {name!r} has shape {arr.shape}, "
+                    f"checkpoint array {key!r} has shape {arr.shape}, "
                     f"expected {target.shape}"
                 )
-            arrays[name] = arr
-        for name, arr in arrays.items():
-            target = getattr(self, name if name.startswith(("v", "u")) else f"_{name}")
+            arrays.append((target, arr))
+        for target, arr in arrays:
             np.copyto(target, arr)
 
     # ------------------------------------------------------------------ #
-    # Active-set shrinking
+    # Active-set shrinking and growth
     # ------------------------------------------------------------------ #
     def retain(self, keep: Sequence[int]) -> None:
         """Shrink the batch to the replica rows listed in ``keep``.
 
         ``keep`` must be strictly increasing current row indices.  All
-        per-replica state (membrane, recovery, currents, last-fired
-        masks, synapse stacks, external providers) is sliced down so
-        subsequent steps only advance the surviving replicas; each
-        survivor's trajectory is unaffected (replicas are independent).
+        per-replica state (every row array, synapse stacks, external
+        providers) is sliced down so subsequent steps only advance the
+        surviving replicas; each survivor's trajectory is unaffected
+        (replicas are independent).
 
         **Layering seam.**  Within ``src/repro`` the sanctioned caller
         is :meth:`repro.runtime.slots.SlotEngine.recompose`, which owns
@@ -999,44 +925,24 @@ class BatchedNetwork:
             return
         # Validate everything that can refuse BEFORE mutating any state,
         # so a raise leaves the batch fully usable.
-        provider_retain = None
-        if self._batched_external is not None:
-            provider_retain = getattr(self._batched_external, "retain", None)
-            if provider_retain is None:
-                raise BatchIncompatibleError(
-                    "batched external provider does not support retain(); "
-                    "use a compiled drive (repro.runtime.drives) or per-replica providers"
-                )
+        provider_retain = self._provider_hook("retain")
         self.networks = [self.networks[i] for i in keep]
-        self.batch_size = int(keep.size)
-        for name in ("_last_fired", "_fired", "_current", "_ext", "_isyn_raw",
-                     "_fscratch", "_fscratch2", "_iscratch", "_iscratch2"):
-            setattr(self, name, np.ascontiguousarray(getattr(self, name)[keep]))
-        self._v_scratch = None
-        if self.is_fixed_point:
-            self.v_raw = np.ascontiguousarray(self.v_raw[keep])
-            self.u_raw = np.ascontiguousarray(self.u_raw[keep])
-            self._kernel.retain(keep)
-        else:
-            self.v = np.ascontiguousarray(self.v[keep])
-            self.u = np.ascontiguousarray(self.u[keep])
-            self._params = tuple(np.ascontiguousarray(p[keep]) for p in self._params)
+        for name in self._row_names():
+            setattr(self, name, getattr(self, name)[keep])
         self._synapses.retain(keep)
-        self._externals = [self._externals[i] for i in keep]
         if provider_retain is not None:
             provider_retain(keep)
-            self._ext_validated = False
-            self._validate_external_shape()
+        self._alloc()
 
     def extend(self, networks: Sequence[SNNNetwork]) -> None:
         """Stack additional replicas into the live batch.
 
         The inverse of :meth:`retain`: the given (typically freshly
-        built) networks are appended as new batch rows, state copied the
-        same way construction copies it, so each new replica's trajectory
-        is bit-identical to running it standalone from its current state.
-        Existing rows are untouched — appending rows cannot change their
-        fused updates (replicas are independent).
+        built) networks are appended as new batch rows, read by the same
+        :meth:`_rows_of` construction uses, so each new replica's
+        trajectory is bit-identical to running it standalone from its
+        current state.  Existing rows are untouched — appending rows
+        cannot change their fused updates (replicas are independent).
 
         The networks must satisfy the same compatibility contract as
         construction (size, population kind, current mode, timestep
@@ -1058,87 +964,18 @@ class BatchedNetwork:
         networks = list(networks)
         # Validate everything that can refuse BEFORE mutating any state,
         # mirroring retain(), so a raise leaves the batch fully usable.
-        sizes = {net.size for net in networks}
-        if sizes != {self.size}:
-            raise BatchIncompatibleError(
-                f"stacked-in network sizes {sorted(sizes)} differ from batch size {self.size}"
-            )
-        if {net.is_fixed_point for net in networks} != {self.is_fixed_point}:
-            raise BatchIncompatibleError("cannot mix fixed-point and float64 populations")
-        if {(net.current_mode, net.tau_select) for net in networks} != {
-            (self.current_mode, self.tau_select)
-        }:
-            raise BatchIncompatibleError("stacked-in current modes differ from the batch")
-        pops = [net.population for net in networks]
-        if self.is_fixed_point:
-            if {p.h_shift for p in pops} != {self.h_shift} or {
-                p.pin_voltage for p in pops
-            } != {self._kernel.pin_voltage}:
-                raise BatchIncompatibleError("fixed-point timestep/pin configuration differs")
-        else:
-            if {p.v_substeps for p in pops} != {self._v_substeps}:
-                raise BatchIncompatibleError("float64 sub-step configuration differs")
-        provider_extend = None
-        if self._batched_external is not None:
-            provider_extend = getattr(self._batched_external, "extend", None)
-            if provider_extend is None:
-                raise BatchIncompatibleError(
-                    "batched external provider does not support extend(); "
-                    "use a portfolio drive (repro.runtime.drives) or per-replica providers"
-                )
-        self._synapses.validate_extend([net.synapses for net in networks])
-
-        raw_decay = self.is_fixed_point and self.current_mode == "decay" and self._use_raw_current
-        self._synapses.extend([net.synapses for net in networks])
+        _check_layout(networks, self._layout)
+        provider_extend = self._provider_hook("extend")
+        synapses = [net.synapses for net in networks]
+        self._synapses.validate_extend(synapses)
+        rows = self._rows_of(networks)
         self.networks.extend(networks)
-        self._externals.extend(net.external_input for net in networks)
-        self.batch_size = len(self.networks)
-        shape = (self.batch_size, self.size)
-
-        add_last_fired = np.stack([np.asarray(net._last_fired, dtype=bool) for net in networks])
-        add_current = np.stack(
-            [np.asarray(net.current_state.current, dtype=np.float64) for net in networks]
-        )
-        self._last_fired = np.concatenate([self._last_fired, add_last_fired])
-        self._current = np.concatenate([self._current, add_current])
-        self._fired = np.zeros(shape, dtype=bool)
-        self._ext = np.zeros(shape, dtype=np.float64)
-        self._fscratch = np.zeros(shape, dtype=np.float64)
-        self._fscratch2 = np.zeros(shape, dtype=np.float64)
-        self._iscratch = np.zeros(shape, dtype=np.int64)
-        self._iscratch2 = np.zeros(shape, dtype=np.int64)
-        self._v_scratch = None
-        add_isyn_raw = np.zeros(add_current.shape, dtype=np.int64)
-        if raw_decay:
-            # New rows join the raw-integer current feed exactly as
-            # construction seeds it: the quantised float current.
-            _quantize_q15_16(add_current, add_isyn_raw, np.empty_like(add_current))
-        self._isyn_raw = np.concatenate([self._isyn_raw, add_isyn_raw])
-
-        if self.is_fixed_point:
-            self.v_raw = np.concatenate(
-                [self.v_raw, np.stack([p.v_raw for p in pops]).astype(np.int64)]
-            )
-            self.u_raw = np.concatenate(
-                [self.u_raw, np.stack([p.u_raw for p in pops]).astype(np.int64)]
-            )
-            self._kernel.extend(
-                np.stack([p.a_raw for p in pops]).astype(np.int64),
-                np.stack([p.b_raw for p in pops]).astype(np.int64),
-                np.stack([p.c_raw for p in pops]).astype(np.int64),
-                np.stack([p.d_raw for p in pops]).astype(np.int64),
-            )
-        else:
-            self.v = np.concatenate([self.v, np.stack([p.v for p in pops]).astype(np.float64)])
-            self.u = np.concatenate([self.u, np.stack([p.u for p in pops]).astype(np.float64)])
-            self._params = tuple(
-                np.concatenate([cur, np.stack([getattr(p, name) for p in pops]).astype(np.float64)])
-                for cur, name in zip(self._params, ("a", "b", "c", "d"))
-            )
+        for name, new in rows.items():
+            setattr(self, name, np.concatenate([getattr(self, name), new]))
+        self._synapses.extend(synapses)
         if provider_extend is not None:
             provider_extend(networks)
-            self._ext_validated = False
-            self._validate_external_shape()
+        self._alloc()
 
     # ------------------------------------------------------------------ #
     @property

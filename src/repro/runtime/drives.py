@@ -228,21 +228,41 @@ class PortfolioAnnealedDrive(CompiledDrive):
     the live rows, joining the pregenerated noise chunk mid-flight.
     """
 
+    #: Per-row arrays as ``(snapshot key, attribute, spec field, dtype)``,
+    #: in snapshot order.  The keys stay literal strings: pickle memoises
+    #: an interned string once per snapshot.
+    _ROWS = (
+        ("drives", "_drives", "drive", np.float64),
+        ("masks", "_masks", "free_mask", bool),
+        ("sigma", "_sigma", "noise_sigma", np.float64),
+        ("period", "_period", "anneal_period", np.int64),
+        ("floor", "_floor", "anneal_floor", np.float64),
+        ("offsets", "_offsets", "step_offset", np.int64),
+    )
+    _drives: np.ndarray
+    _masks: np.ndarray
+    _sigma: np.ndarray
+    _period: np.ndarray
+    _floor: np.ndarray
+    _offsets: np.ndarray
+
     def __init__(
         self, specs: Sequence[AnnealedNoiseSpec], *, chunk_steps: int = DEFAULT_CHUNK_STEPS
     ) -> None:
         if not specs:
             raise ValueError("cannot compile zero drives")
-        self._chunk_steps = chunk_steps
-        self._drives = np.stack([np.asarray(s.drive, dtype=np.float64) for s in specs])
-        self._masks = np.stack([np.asarray(s.free_mask, dtype=bool) for s in specs])
-        self._sigma = np.asarray([s.noise_sigma for s in specs], dtype=np.float64)
-        self._period = np.asarray([s.anneal_period for s in specs], dtype=np.int64)
-        self._floor = np.asarray([s.anneal_floor for s in specs], dtype=np.float64)
-        self._offsets = np.asarray([s.step_offset for s in specs], dtype=np.int64)
-        num_values = self._drives.shape[1]
-        self._normals = _ChunkedNormals([s.rng for s in specs], num_values, chunk_steps)
+        for (_, attr, _, _), rows in zip(self._ROWS, self._rows_of(specs)):
+            setattr(self, attr, rows)
+        self._normals = _ChunkedNormals([s.rng for s in specs], self._drives.shape[1], chunk_steps)
         self._alloc()
+
+    @classmethod
+    def _rows_of(cls, specs: Sequence[AnnealedNoiseSpec]) -> List[np.ndarray]:
+        """The specs' per-row arrays, in ``_ROWS`` order."""
+        return [
+            np.asarray([getattr(s, field) for s in specs], dtype=dtype)
+            for _, _, field, dtype in cls._ROWS
+        ]
 
     def _alloc(self) -> None:
         self._noise = np.empty_like(self._drives)
@@ -265,12 +285,8 @@ class PortfolioAnnealedDrive(CompiledDrive):
 
     def retain(self, keep: Sequence[int]) -> None:
         keep = list(keep)
-        self._drives = np.ascontiguousarray(self._drives[keep])
-        self._masks = np.ascontiguousarray(self._masks[keep])
-        self._sigma = self._sigma[keep]
-        self._period = self._period[keep]
-        self._floor = self._floor[keep]
-        self._offsets = self._offsets[keep]
+        for _, attr, _, _ in self._ROWS:
+            setattr(self, attr, getattr(self, attr)[keep])
         self._normals.retain(keep)
         self._alloc()
 
@@ -279,27 +295,11 @@ class PortfolioAnnealedDrive(CompiledDrive):
         if not networks:
             return
         specs = annealed_specs(networks)
-        for spec in specs:
-            if np.asarray(spec.drive).shape != self._drives.shape[1:]:
-                raise ValueError("stacked-in drive width differs from the live batch")
-        self._drives = np.concatenate(
-            [self._drives, np.stack([np.asarray(s.drive, dtype=np.float64) for s in specs])]
-        )
-        self._masks = np.concatenate(
-            [self._masks, np.stack([np.asarray(s.free_mask, dtype=bool) for s in specs])]
-        )
-        self._sigma = np.concatenate(
-            [self._sigma, np.asarray([s.noise_sigma for s in specs], dtype=np.float64)]
-        )
-        self._period = np.concatenate(
-            [self._period, np.asarray([s.anneal_period for s in specs], dtype=np.int64)]
-        )
-        self._floor = np.concatenate(
-            [self._floor, np.asarray([s.anneal_floor for s in specs], dtype=np.float64)]
-        )
-        self._offsets = np.concatenate(
-            [self._offsets, np.asarray([s.step_offset for s in specs], dtype=np.int64)]
-        )
+        new_rows = self._rows_of(specs)
+        if new_rows[0].shape[1:] != self._drives.shape[1:]:
+            raise ValueError("stacked-in drive width differs from the live batch")
+        for (_, attr, _, _), rows in zip(self._ROWS, new_rows):
+            setattr(self, attr, np.concatenate([getattr(self, attr), rows]))
         self._normals.extend([s.rng for s in specs])
         self._alloc()
 
@@ -308,15 +308,9 @@ class PortfolioAnnealedDrive(CompiledDrive):
     # ------------------------------------------------------------------ #
     def export_state(self) -> dict:
         """A picklable snapshot: per-row anneal params, offsets, streams."""
-        return {
-            "drives": self._drives.copy(),
-            "masks": self._masks.copy(),
-            "sigma": self._sigma.copy(),
-            "period": self._period.copy(),
-            "floor": self._floor.copy(),
-            "offsets": self._offsets.copy(),
-            "normals": self._normals.export_state(),
-        }
+        state = {key: getattr(self, attr).copy() for key, attr, _, _ in self._ROWS}
+        state["normals"] = self._normals.export_state()
+        return state
 
     def restore_state(self, state: dict) -> None:
         """Overwrite the provider wholesale with an exported snapshot.
@@ -326,31 +320,21 @@ class PortfolioAnnealedDrive(CompiledDrive):
         state over it, so the drive amplitudes, per-row offsets and
         noise cursors continue exactly where the snapshot left them.
         """
-        drives = np.asarray(state["drives"], dtype=np.float64)
-        if drives.ndim != 2 or drives.shape[1] != self._drives.shape[1]:
-            raise ValueError(
-                f"checkpoint drive width {drives.shape} does not match the "
-                f"live batch width {self._drives.shape[1]}"
-            )
-        rows = drives.shape[0]
-        masks = np.asarray(state["masks"], dtype=bool)
-        sigma = np.asarray(state["sigma"], dtype=np.float64)
-        period = np.asarray(state["period"], dtype=np.int64)
-        floor = np.asarray(state["floor"], dtype=np.float64)
-        offsets = np.asarray(state["offsets"], dtype=np.int64)
-        if masks.shape != drives.shape or any(
-            arr.shape != (rows,) for arr in (sigma, period, floor, offsets)
-        ):
-            raise ValueError("checkpoint drive state arrays disagree on the row count")
-        self._drives = drives.copy()
-        self._masks = masks.copy()
-        self._sigma = sigma.copy()
-        self._period = period.copy()
-        self._floor = floor.copy()
-        self._offsets = offsets.copy()
+        rows = np.shape(state["drives"])[:1]  # (row count,)
+        arrays = []
+        for key, attr, _, dtype in self._ROWS:
+            arr = np.array(state[key], dtype=dtype)
+            expected = rows + getattr(self, attr).shape[1:]
+            if arr.shape != expected:
+                raise ValueError(
+                    f"checkpoint drive array {key!r} has shape {arr.shape}, expected {expected}"
+                )
+            arrays.append((attr, arr))
         self._normals.restore_state(state["normals"])
-        if len(self._normals._rngs) != rows:
+        if (len(self._normals._rngs),) != rows:
             raise ValueError("checkpoint noise streams disagree with the drive row count")
+        for attr, arr in arrays:
+            setattr(self, attr, arr)
         self._alloc()
 
 

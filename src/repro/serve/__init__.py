@@ -13,6 +13,7 @@ from .loadgen import OpenLoopLoad, build_instance_pool, run_open_loop, run_open_
 from .metrics import MetricsRecorder, MetricsSnapshot, nearest_rank_percentile
 from .service import (
     IncompatibleInstanceError,
+    InvalidRequestError,
     LoadShedError,
     ServeResult,
     ServeStatus,
@@ -25,6 +26,7 @@ from .supervisor import ServeSupervisor, SupervisorError
 __all__ = [
     "AdmissionJournal",
     "IncompatibleInstanceError",
+    "InvalidRequestError",
     "JournalCorruptError",
     "JournalError",
     "LoadShedError",

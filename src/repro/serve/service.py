@@ -55,6 +55,8 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import math
+import operator
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -77,6 +79,7 @@ from .metrics import MetricsRecorder, MetricsSnapshot
 
 __all__ = [
     "IncompatibleInstanceError",
+    "InvalidRequestError",
     "LoadShedError",
     "ServePolicy",
     "ServeResult",
@@ -117,6 +120,10 @@ class IncompatibleInstanceError(ServeError):
 
 class ServiceClosedError(ServeError):
     """The service has been stopped and accepts no new submissions."""
+
+
+class InvalidRequestError(ServeError, ValueError):
+    """A malformed request: non-integer budget, NaN deadline or bad clamps."""
 
 
 class ServeStatus(Enum):
@@ -418,19 +425,31 @@ class SolveService:
     ) -> ServeResult:
         """Solve one instance through the live batch; awaits the outcome.
 
-        Raises :class:`LoadShedError` when the admission queue is full,
+        Raises :class:`InvalidRequestError` (a ``ValueError``) on a
+        ``max_steps`` that is not an integer, a NaN ``deadline`` or
+        clamps naming an unknown variable, a value outside its domain or
+        conflicting values — all before the request is booked;
+        :class:`LoadShedError` when the admission queue is full; and
         :class:`IncompatibleInstanceError` when the graph's neuron count
-        differs from the live batch's, and ``ValueError`` on
-        inconsistent clamps.  Cancelling the awaiting task abandons the
-        request: its batch slot is freed at the next scheduler round.
+        differs from the live batch's.  Cancelling the awaiting task
+        abandons the request: its batch slot is freed at the next
+        scheduler round.
         """
         if self._closed:
             raise ServiceClosedError("service is stopped")
         self._ensure_started()
-        resolved = graph.resolve_clamps(clamps)
+        try:
+            budget = self._default_max_steps if max_steps is None else operator.index(max_steps)
+        except TypeError:
+            raise InvalidRequestError(f"max_steps must be an integer, got {max_steps!r}") from None
+        if deadline is not None and math.isnan(deadline):
+            raise InvalidRequestError("deadline is NaN")
+        try:
+            resolved = graph.resolve_clamps(clamps)
+        except (KeyError, IndexError, ValueError) as exc:
+            raise InvalidRequestError(f"invalid clamps: {exc}") from exc
         if not graph.clamps_consistent(resolved):
-            raise ValueError("clamps violate a constraint edge")
-        budget = self._default_max_steps if max_steps is None else int(max_steps)
+            raise InvalidRequestError("clamps violate a constraint edge")
 
         if budget <= 0:
             # Mirrors the batch engines' max_steps<=0 guard: the

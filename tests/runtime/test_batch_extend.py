@@ -7,12 +7,15 @@ the per-row step offsets that make a mid-run stack-in bit-identical to a
 fresh standalone solve.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.csp import SpikingCSPSolver, make_instance
 from repro.runtime import BatchedNetwork, BatchIncompatibleError
 from repro.runtime.drives import PortfolioAnnealedDrive
+from repro.snn.eighty_twenty import EightyTwentyConfig, build_eighty_twenty
 
 
 def _networks(seeds, *, instance_seed=3, num_vertices=8):
@@ -165,3 +168,87 @@ class TestBatchedNetworkExtend:
         grown = BatchedNetwork.from_networks(build([1, 2]))
         grown.extend(build([3]))
         np.testing.assert_array_equal(_spikes(joint, 30), _spikes(grown, 30))
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_build():
+    graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
+    return graph, clamps, SpikingCSPSolver(graph, seed=0).synapses
+
+
+def _shared_csp(seeds):
+    # Replicas of one graph sharing one synapse build (one matrix object)
+    # across calls, as the solve service's synapse cache does.
+    graph, clamps, synapses = _shared_build()
+    return [
+        SpikingCSPSolver(graph, seed=int(seed), synapses=synapses).build_network(clamps)
+        for seed in seeds
+    ]
+
+
+def _flat_csp(seeds):
+    # One graph per replica: independent connectivity of equal size.
+    nets = []
+    for seed in seeds:
+        graph, clamps = make_instance("coloring", seed=int(seed), num_vertices=8, num_colors=3)
+        nets.append(SpikingCSPSolver(graph, seed=int(seed)).build_network(clamps))
+    return nets
+
+
+def _eighty_twenty(seeds, *, backend="fixed"):
+    nets = []
+    for seed in seeds:
+        definition = build_eighty_twenty(
+            EightyTwentyConfig(num_excitatory=24, num_inhibitory=6, seed=int(seed))
+        )
+        if backend == "fixed":
+            nets.append(definition.fixed_network(current_mode="decay"))
+        else:
+            nets.append(definition.float_network())
+    return nets
+
+
+#: name -> (network factory, batch options, the synapse engine it must reach)
+ENGINES = {
+    "integer-shared": (_shared_csp, {}, "shared"),
+    "integer-flat": (_flat_csp, {}, "flat"),
+    "per-replica-float": (_eighty_twenty, {}, "per-replica"),
+    "float64": (lambda seeds: _eighty_twenty(seeds, backend="float64"), {}, "per-replica"),
+    "fused-dense": (_eighty_twenty, {"synapse_mode": "fused"}, "fused"),
+}
+
+
+def _engine(batch):
+    synapses = batch._synapses
+    if synapses.integer:
+        return synapses._int_kind
+    return "per-replica" if synapses._weight_rows is None else "fused"
+
+
+class TestExtendEqualsJointConstruction:
+    @pytest.mark.parametrize("warm_steps", [0, 5], ids=["cold", "warm"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_extend_matches_joint_construction(self, engine, warm_steps):
+        factory, options, kind = ENGINES[engine]
+        head, tail = [11, 12], [13, 14]
+
+        def networks(seeds):
+            nets = factory(seeds)
+            for net in nets:
+                for step in range(1, warm_steps + 1):
+                    net.step(step)
+            return nets
+
+        joint = BatchedNetwork.from_networks(networks(head + tail), **options)
+        grown = BatchedNetwork.from_networks(networks(head), **options)
+        grown.extend(networks(tail))
+        assert _engine(joint) == _engine(grown) == kind
+        assert grown.batch_size == joint.batch_size == 4
+
+        joint_state, grown_state = joint.export_state(), grown.export_state()
+        assert list(joint_state) == list(grown_state)
+        assert joint_state["descriptor"] == grown_state["descriptor"]
+        for key in list(joint_state)[1:]:
+            np.testing.assert_array_equal(joint_state[key], grown_state[key], err_msg=key)
+        start = warm_steps + 1
+        np.testing.assert_array_equal(_spikes(joint, 20, start), _spikes(grown, 20, start))

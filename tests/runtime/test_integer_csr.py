@@ -125,8 +125,7 @@ class TestIntegerPathBitExact:
             _make_networks(seeds, factory),
             _make_networks(seeds, factory),
         )
-        assert batch.integer_propagation
-        assert batch._synapses._int_kind == "dense"
+        assert not batch.integer_propagation
 
     def test_float64_population_uses_integer_gather(self):
         seeds = [61, 62, 63]

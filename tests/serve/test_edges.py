@@ -9,7 +9,7 @@ from repro.csp.config import CSPConfig
 from repro.csp.scenarios import make_instance
 from repro.csp.solver import SpikingCSPSolver, _empty_result
 from repro.runtime.batch import BatchedNetwork, BatchIncompatibleError
-from repro.serve import IncompatibleInstanceError, ServeStatus, SolveService
+from repro.serve import IncompatibleInstanceError, InvalidRequestError, ServeStatus, SolveService
 
 
 def _instance(seed, num_vertices=9):
@@ -135,3 +135,39 @@ def test_inconsistent_clamps_rejected_at_submit():
                 await service.submit(graph, clamps, max_steps=600)
 
     asyncio.run(main())
+
+
+def _out_of_domain(graph):
+    variable = graph.variables[0]
+    return {"clamps": {variable.name: max(int(v) for v in variable.domain) + 1}}
+
+
+def _conflicting_values(graph):
+    variable = graph.variables[0]
+    return {"clamps": [(variable.name, int(v)) for v in variable.domain[:2]]}
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        pytest.param(lambda graph: {"max_steps": float("nan")}, id="nan-budget"),
+        pytest.param(lambda graph: {"max_steps": float("inf")}, id="inf-budget"),
+        pytest.param(lambda graph: {"max_steps": 2.5}, id="fractional-budget"),
+        pytest.param(lambda graph: {"deadline": float("nan")}, id="nan-deadline"),
+        pytest.param(lambda graph: {"clamps": {"no-such-variable": 0}}, id="unknown-variable"),
+        pytest.param(_out_of_domain, id="out-of-domain-value"),
+        pytest.param(_conflicting_values, id="conflicting-values"),
+    ],
+)
+def test_malformed_request_is_a_typed_rejection(malformed):
+    graph, clamps = _instance(7)
+    request = {"clamps": clamps, "max_steps": 600, **malformed(graph)}
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps") as service:
+            with pytest.raises(InvalidRequestError):
+                await service.submit(graph, **request)
+            return service.metrics()
+
+    # Rejected before the ledger booked anything.
+    assert asyncio.run(main()).submitted == 0

@@ -10,14 +10,14 @@ sweep task functions (RL005).  ``reprolint`` machine-checks all five::
     python -m tools.reprolint src tools benchmarks
 
 Each rule is a plugin registered in :mod:`tools.reprolint.rules`;
-per-rule configuration lives under ``[tool.reprolint]`` in
-``pyproject.toml`` and individual findings can be waived inline with
-``# reprolint: disable=RLxxx -- reason`` comments (unused waivers are
-themselves flagged).  See ``docs/LINTING.md`` for the full contract
-catalogue.
+per-rule configuration is the :class:`ReprolintConfig` dataclass in
+:mod:`tools.reprolint.config`, and individual findings can be waived
+inline with ``# reprolint: disable=RLxxx -- reason`` comments (unused
+waivers are themselves flagged).  See ``docs/LINTING.md`` for the full
+contract catalogue.
 """
 
-from .config import ReprolintConfig, load_config
+from .config import ReprolintConfig
 from .engine import LintResult, SourceFile, Violation, run_reprolint
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ReprolintConfig",
     "SourceFile",
     "Violation",
-    "load_config",
     "run_reprolint",
 ]
 

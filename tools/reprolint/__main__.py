@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import load_config
+from .config import ReprolintConfig
 from .engine import run_reprolint
 from .rules import get_rules
 
@@ -54,7 +54,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule.rule_id}  {rule.name}: {rule.description}")
         return 0
 
-    config = load_config(REPO_ROOT)
+    config = ReprolintConfig()
     roots = tuple(args.roots) if args.roots else config.roots
     try:
         result = run_reprolint(REPO_ROOT, roots, config)

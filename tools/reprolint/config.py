@@ -1,18 +1,13 @@
 """Configuration model for reprolint.
 
-Defaults below encode the repo's real contracts; ``[tool.reprolint]`` in
-``pyproject.toml`` can override any of them (keys may be spelled in
-kebab-case, TOML style, or snake_case).  On interpreters without
-``tomllib``/``tomli`` the built-in defaults — kept identical to the
-committed ``pyproject.toml`` — are used, so the lint behaves the same
-everywhere it can run.
+The dataclass defaults below encode the repo's real contracts and are
+the one source of the lint's configuration: change a contract here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Mapping, Tuple
 
 
 @dataclass(frozen=True)
@@ -120,58 +115,3 @@ class ReprolintConfig:
     rl004: CrashSafetyConfig = field(default_factory=CrashSafetyConfig)
     rl005: WorkerHygieneConfig = field(default_factory=WorkerHygieneConfig)
 
-
-def _load_toml(path: Path) -> Optional[Dict[str, Any]]:
-    try:
-        import tomllib  # Python >= 3.11
-    except ImportError:  # pragma: no cover - 3.10 fallback
-        try:
-            import tomli as tomllib  # type: ignore[no-redef]
-        except ImportError:
-            return None
-    try:
-        with open(path, "rb") as handle:
-            return tomllib.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def _normalise(table: Mapping[str, Any]) -> Dict[str, Any]:
-    """kebab-case TOML keys -> snake_case dataclass fields."""
-    return {str(key).replace("-", "_"): value for key, value in table.items()}
-
-
-def _coerce(value: Any, template: Any) -> Any:
-    """Coerce a TOML value onto the default's shape (tuples stay tuples)."""
-    if isinstance(template, tuple) and isinstance(value, list):
-        return tuple(value)
-    if isinstance(template, Mapping) and isinstance(value, Mapping):
-        return {str(key): int(level) for key, level in value.items()}
-    return value
-
-
-def _apply(instance: Any, table: Mapping[str, Any]) -> Any:
-    updates: Dict[str, Any] = {}
-    known = {f.name: getattr(instance, f.name) for f in fields(instance)}
-    for key, value in _normalise(table).items():
-        if key in known and not isinstance(known[key], (LayeringConfig, DeterminismConfig, ExactIntConfig, CrashSafetyConfig, WorkerHygieneConfig)):
-            updates[key] = _coerce(value, known[key])
-    return replace(instance, **updates) if updates else instance
-
-
-def load_config(repo_root: Path, *, pyproject: Optional[Path] = None) -> ReprolintConfig:
-    """Build the effective config from ``pyproject.toml`` under ``repo_root``."""
-    config = ReprolintConfig()
-    path = pyproject if pyproject is not None else repo_root / "pyproject.toml"
-    data = _load_toml(path)
-    if not data:
-        return config
-    table = data.get("tool", {}).get("reprolint")
-    if not isinstance(table, Mapping):
-        return config
-    config = _apply(config, table)
-    for name in ("rl001", "rl002", "rl003", "rl004", "rl005"):
-        sub = table.get(name)
-        if isinstance(sub, Mapping):
-            config = replace(config, **{name: _apply(getattr(config, name), sub)})
-    return config

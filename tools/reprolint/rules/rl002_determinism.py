@@ -17,7 +17,7 @@ paid for:
 * **No wall-clock reads in step-deterministic layers.**  ``time.time``
   / ``monotonic`` / ``perf_counter`` values leaking into solve state
   make runs unreplayable.  Timing/metrics modules are allowlisted in
-  ``[tool.reprolint.rl002] clock-allow``; the serve tier's injectable
+  ``DeterminismConfig.clock_allow``; the serve tier's injectable
   clock seam carries an inline waiver.
 """
 
@@ -215,7 +215,7 @@ class DeterminismRule:
                     node.col_offset,
                     f"wall-clock read 'time.{node.attr}' in a step-deterministic "
                     "layer — inject a clock (see SolveService(clock=...)) or add "
-                    "the module to [tool.reprolint.rl002] clock-allow",
+                    "the module to DeterminismConfig.clock_allow (tools/reprolint/config.py)",
                 )
             )
         return violations
