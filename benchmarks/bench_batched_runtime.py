@@ -173,7 +173,7 @@ def _legacy_run_batch(entries, config, *, max_steps, check_interval):
     num = len(entries)
     num_neurons = entries[0].graph.num_neurons
     batch = BatchedNetwork.from_networks(
-        [e.network for e in entries], synapse_mode="exact", integer_csr=False
+        [e.row for e in entries], synapse_mode="exact", integer_csr=False
     )
     window = max(1, config.decode_window)
     history = np.zeros((window, num, num_neurons), dtype=bool)

@@ -139,7 +139,7 @@ def _measure_throughput(instances, solver_seed):
         start = time.perf_counter()
         batch.run(THROUGHPUT_STEPS, record=False, start_step=1)
         best = min(best, time.perf_counter() - start)
-    substeps = getattr(batch.networks[0].population, "substeps_per_ms", 1)
+    substeps = batch.rows[0].substeps
     updates = THROUGHPUT_STEPS * batch.batch_size * batch.size * substeps
     return updates / best if best > 0 else 0.0
 

@@ -355,7 +355,6 @@ class RestartPortfolioPolicy:
             synapses=self._shared_synapses.get(id(state.graph)),
         )
         self._shared_synapses[id(state.graph)] = solver.synapses
-        network = solver.build_network(state.clamps)
         state.live += 1
         row = SlotRow(
             graph=state.graph,
@@ -363,7 +362,7 @@ class RestartPortfolioPolicy:
             budget=budget,
             payload=_Attempt(instance=instance, attempt=attempt_index),
         )
-        return row, network
+        return row, solver.row(state.clamps)
 
     def _eligible(self, instance: int) -> bool:
         state = self._states[instance]

@@ -27,18 +27,27 @@ Both stack the replicas into one exact-mode
 synapse kernel and a compiled batched drive provider, and *shrink* the
 batch as replicas solve (dropping converged instances from the live
 state) — every result stays bit-identical to a sequential :meth:`solve`.
+Replicas enter the batch as row specs (:meth:`SpikingCSPSolver.row`),
+built from a per-config template; :meth:`SpikingCSPSolver.build_network`
+stays the sequential reference.  Decoding is one vectorised pass per
+checkpoint (:data:`CSP_SLOT_DECODER`), with :func:`decode_assignment` and
+:meth:`ConstraintGraph.is_solution` as its reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..runtime.batch import BatchRow, Replica, batch_row
+from ..runtime.drives import AnnealedNoiseSpec
+from ..runtime.slots import OneShotPolicy, SlotDecode, SlotEngine, SlotRow
 from ..snn.fixed_izhikevich import FixedPointPopulation
 from ..snn.izhikevich import IzhikevichPopulation
-from ..snn.network import SNNNetwork
+from ..snn.network import Population, SNNNetwork
 from .config import CSPConfig
 from .graph import ClampsLike, ConstraintGraph
 
@@ -175,24 +184,17 @@ class SpikingCSPSolver:
     # Network assembly
     # ------------------------------------------------------------------ #
     def build_network(self, clamps: ClampsLike = (), *, seed: Optional[int] = None) -> SNNNetwork:
-        """A fresh solver network for one instance (graph + clamps)."""
+        """A fresh solver network for one instance (graph + clamps).
+
+        The sequential reference of :meth:`row`: a population quantised
+        through :meth:`FixedPointPopulation.from_float_parameters` and an
+        annealed-noise closure.
+        """
         cfg = self.config
         num_neurons = self.graph.num_neurons
-        a = np.full(num_neurons, cfg.a)
-        b = np.full(num_neurons, cfg.b)
-        c = np.full(num_neurons, cfg.c)
-        d = np.full(num_neurons, cfg.d)
-        if self.backend == "fixed":
-            population = FixedPointPopulation.from_float_parameters(
-                a, b, c, d, h_shift=cfg.h_shift, pin_voltage=cfg.pin_voltage
-            )
-        else:
-            population = IzhikevichPopulation.from_parameters(a, b, c, d)
-        rng = np.random.default_rng(self.seed if seed is None else seed)
-        drive = self.graph.drive_vector(
-            clamps, clamp_drive=cfg.clamp_drive, free_bias=cfg.free_bias
-        )
-        free_mask = (drive > 0.0) & (drive != cfg.clamp_drive)
+        population = _population(cfg, self.backend, num_neurons)
+        spec = self._drive_spec(clamps, seed)
+        drive, free_mask, rng = spec.drive, spec.free_mask, spec.rng
 
         def external(step: int) -> np.ndarray:
             # Annealed exploration noise: each cycle ramps the amplitude
@@ -206,19 +208,9 @@ class SpikingCSPSolver:
 
         # Declare the closure's structure so the batch engine can compile
         # a bit-identical vectorised (B, N) provider out of many of them
-        # (repro.runtime.drives).  The spec shares this closure's RNG; the
-        # compiler clones its state, so whichever of the two ends up being
-        # consumed sees the identical stream.
-        from ..runtime.drives import AnnealedNoiseSpec
-
-        external.drive_spec = AnnealedNoiseSpec(
-            drive=drive,
-            free_mask=free_mask,
-            rng=rng,
-            noise_sigma=cfg.noise_sigma,
-            anneal_period=cfg.anneal_period,
-            anneal_floor=cfg.anneal_floor,
-        )
+        # (repro.runtime.drives).  The spec shares this closure's RNG; a
+        # batch lifts it with a clone, so the closure stays untouched.
+        external.drive_spec = spec
 
         return SNNNetwork(
             population=population,
@@ -226,6 +218,35 @@ class SpikingCSPSolver:
             external_input=external,
             current_mode="decay",
             tau_select=cfg.tau_select,
+        )
+
+    def row(self, clamps: ClampsLike = (), *, seed: Optional[int] = None) -> BatchRow:
+        """A fresh solver row for one instance: :meth:`build_network` as a row spec.
+
+        Bit-identical to what a batch reads of the network
+        :meth:`build_network` makes for the same clamps and seed — state,
+        parameters, connectivity and noise stream — but built from the
+        config's cached template, with no population or closure.  Its
+        drive is a spec only, whose fresh generator the batch's compiled
+        drive consumes: stack it with a batched drive, as the slot engine
+        does.
+        """
+        template = _row_template(self.config, self.backend, self.graph.num_neurons)
+        return replace(template, synapses=self.synapses, drive_spec=self._drive_spec(clamps, seed))
+
+    def _drive_spec(self, clamps: ClampsLike, seed: Optional[int]) -> AnnealedNoiseSpec:
+        """The annealed-noise drive of one instance, owning a fresh generator."""
+        cfg = self.config
+        drive = self.graph.drive_vector(
+            clamps, clamp_drive=cfg.clamp_drive, free_bias=cfg.free_bias
+        )
+        return AnnealedNoiseSpec(
+            drive=drive,
+            free_mask=(drive > 0.0) & (drive != cfg.clamp_drive),
+            rng=np.random.default_rng(self.seed if seed is None else seed),
+            noise_sigma=cfg.noise_sigma,
+            anneal_period=cfg.anneal_period,
+            anneal_floor=cfg.anneal_floor,
         )
 
     # ------------------------------------------------------------------ #
@@ -252,7 +273,7 @@ class SpikingCSPSolver:
         resolved = self.graph.resolve_clamps(clamps)
         if not self.graph.clamps_consistent(resolved):
             raise ValueError("clamps violate a constraint edge")
-        entry = _BatchEntry(self.graph, resolved, self.build_network(resolved))
+        entry = _BatchEntry(self.graph, resolved, self.row(resolved))
         return _run_batch(
             [entry], self.config, max_steps=max_steps, check_interval=check_interval
         )[0]
@@ -279,7 +300,7 @@ class SpikingCSPSolver:
             resolved = self.graph.resolve_clamps(clamps)
             if not self.graph.clamps_consistent(resolved):
                 raise ValueError("clamps violate a constraint edge")
-            entries.append(_BatchEntry(self.graph, resolved, self.build_network(resolved)))
+            entries.append(_BatchEntry(self.graph, resolved, self.row(resolved)))
         return _run_batch(entries, self.config, max_steps=max_steps, check_interval=check_interval)
 
 
@@ -337,24 +358,19 @@ def solve_instances(
     if len(sizes) != 1:
         raise ValueError(f"instances have differing neuron counts: {sorted(sizes)}")
 
-    # Instances of the *same* graph object share one synapse build, so
-    # the batch engine sees one shared connectivity matrix and takes its
-    # shared-sparse fast path instead of stacking B identical copies.
-    shared_synapses: Dict[int, object] = {}
+    # Instances of the *same* graph object share one solver and so one
+    # synapse build: the batch engine sees one shared connectivity matrix
+    # and takes its shared-sparse fast path instead of stacking B copies.
+    solvers: Dict[int, SpikingCSPSolver] = {}
     entries = []
     for (graph, clamps), instance_seed in zip(instances, seeds):
-        solver = SpikingCSPSolver(
-            graph,
-            cfg,
-            backend=backend,
-            seed=int(instance_seed),
-            synapses=shared_synapses.get(id(graph)),
-        )
-        shared_synapses[id(graph)] = solver.synapses
+        solver = solvers.get(id(graph))
+        if solver is None:
+            solver = solvers[id(graph)] = SpikingCSPSolver(graph, cfg, backend=backend)
         resolved = graph.resolve_clamps(clamps)
         if not graph.clamps_consistent(resolved):
             raise ValueError("clamps violate a constraint edge")
-        entries.append(_BatchEntry(graph, resolved, solver.build_network(resolved)))
+        entries.append(_BatchEntry(graph, resolved, solver.row(resolved, seed=int(instance_seed))))
     store = identity = None
     if checkpoint_dir is not None:
         from ..runtime.checkpoint import CheckpointStore
@@ -374,32 +390,181 @@ def solve_instances(
 
 
 # ---------------------------------------------------------------------- #
-# Shared batch loop (bit-identical to the pre-refactor Sudoku loops)
+# Row template and batched decode
 # ---------------------------------------------------------------------- #
+def _population(config: CSPConfig, backend: str, num_neurons: int) -> Population:
+    """A fresh solver population at rest: one quantisation of the config."""
+    a, b, c, d = (np.full(num_neurons, value) for value in (config.a, config.b, config.c, config.d))
+    if backend == "fixed":
+        return FixedPointPopulation.from_float_parameters(
+            a, b, c, d, h_shift=config.h_shift, pin_voltage=config.pin_voltage
+        )
+    return IzhikevichPopulation.from_parameters(a, b, c, d)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(config: CSPConfig, backend: str, num_neurons: int) -> BatchRow:
+    """The resting row every fresh row of one config shares, built once.
+
+    A batch's reading (:func:`~repro.runtime.batch.batch_row`) of an
+    input-free reference network, so the population constants and the
+    resting ``v``/``u`` are quantised once per key.  The arrays are made
+    read-only: rows share them and a batch copies them when it stacks.
+    """
+    network = SNNNetwork(
+        population=_population(config, backend, num_neurons),
+        current_mode="decay",
+        tau_select=config.tau_select,
+    )
+    template = batch_row(network)
+    for array in template.arrays.values():
+        array.flags.writeable = False
+    return template
+
+
 @dataclass
 class _BatchEntry:
     graph: ConstraintGraph
     clamps: List[Tuple[int, int, int]]
-    network: SNNNetwork
+    #: The instance's row spec (a network also stacks, through the adapter).
+    row: Replica
+
+
+@dataclass(frozen=True)
+class _RowPlan:
+    """One row's decode constants, built at its first decode (``SlotRow.plan``)."""
+
+    #: The graph's shared domain, or ``None`` when domains differ.
+    domain: Optional[np.ndarray]
+    #: One column per clamp: variable, value and in-domain position.
+    clamps: np.ndarray
 
 
 class _CSPSlotDecoder:
     """Constraint-graph decode adapter for the runtime slot engine.
 
     Rows carry their :class:`ConstraintGraph` and resolved clamps; the
-    engine hands back the row plus its sliding-window state, and this
-    adapter runs the canonical :func:`decode_assignment` + solution
-    test.  One instance serves every CSP-layer engine (the decoder is
-    stateless).
+    engine hands over every at-check row of a checkpoint with its
+    sliding-window state, and this adapter decodes them in one pass,
+    bit-identical to :func:`decode_assignment` + ``is_solution`` row by
+    row.  Rows whose graph has one shared domain are decoded together:
+    one window argmax over ``(R, V, W)``, clamps applied from the rows'
+    index arrays, and one conflict count over the picks' conflict CSR.
+    Rows with differing domains take the reference loop.  One instance
+    serves every CSP-layer engine (per-row constants live on the rows).
     """
 
-    def decode(self, row, window_counts, last_spike):
-        from ..runtime.slots import SlotDecode
+    def decode_rows(
+        self, rows: Sequence[SlotRow], window_counts: np.ndarray, last_spike: np.ndarray
+    ) -> List[SlotDecode]:
+        plans = [row.plan if row.plan is not None else _plan(row) for row in rows]
+        decodes: List[Optional[SlotDecode]] = [None] * len(rows)
+        by_width: Dict[int, List[int]] = {}
+        for i, (row, plan) in enumerate(zip(rows, plans)):
+            if plan.domain is None:
+                values, decided = decode_assignment(
+                    row.graph, window_counts[i], last_spike[i], row.clamps
+                )
+                solved = row.graph.is_solution(values, decided)
+                decodes[i] = SlotDecode(values=values, decided=decided, solved=solved)
+            else:
+                by_width.setdefault(plan.domain.size, []).append(i)
+        for members in by_width.values():
+            decoded = _decode_shared_domain(
+                [rows[i].graph for i in members],
+                [plans[i] for i in members],
+                window_counts[members],
+                last_spike[members],
+            )
+            for i, decode in zip(members, decoded):
+                decodes[i] = decode
+        return decodes  # every entry is filled above
 
-        values, decided = decode_assignment(row.graph, window_counts, last_spike, row.clamps)
-        return SlotDecode(
-            values=values, decided=decided, solved=row.graph.is_solution(values, decided)
-        )
+
+def _plan(row: SlotRow) -> _RowPlan:
+    """Build and keep a row's decode constants."""
+    graph = row.graph
+    shared = graph.homogeneous_domain
+    triples = np.asarray(graph.resolve_clamps(row.clamps), dtype=np.int64).reshape(-1, 3).T
+    triples[2] -= graph.offsets[triples[0]]  # neuron index -> in-domain position
+    row.plan = _RowPlan(
+        domain=None if shared is None else np.asarray(shared, dtype=np.int64),
+        clamps=triples,
+    )
+    return row.plan
+
+
+def _decode_shared_domain(
+    graphs: Sequence[ConstraintGraph],
+    plans: Sequence[_RowPlan],
+    window_counts: np.ndarray,
+    last_spike: np.ndarray,
+) -> List[SlotDecode]:
+    """:func:`decode_assignment` + ``is_solution`` of ``R`` rows at once.
+
+    Every row's graph has one shared domain of the same width ``W``
+    (values may differ between rows).  The expressions are the
+    reference's, evaluated per row; the recency tie-break is scaled by
+    each row's own recency maximum.  A row that never spiked divides by
+    infinity instead of skipping the term: adding ``-0.0`` leaves its
+    counts exact, and no row divides by zero.
+    """
+    num_rows, num_neurons = window_counts.shape
+    width = plans[0].domain.size
+    num_vars = num_neurons // width
+    top = last_spike.max(axis=1)
+    scale = np.where(top > 0, top + 1.0, np.inf)
+    score = window_counts + last_spike / scale[:, None]  # int64 -> float64 is exact here
+    positions = score.reshape(num_rows, num_vars, width).argmax(axis=2)
+    decided = window_counts.reshape(num_rows, num_vars, width).any(axis=2)  # counts >= 0
+    domains = np.array([plan.domain for plan in plans])
+    row_index = np.arange(num_rows)
+    values = np.where(decided, domains[row_index[:, None], positions], 0)
+
+    owners = np.repeat(row_index, [plan.clamps.shape[1] for plan in plans])
+    clamped, clamp_values, clamp_positions = np.concatenate([p.clamps for p in plans], axis=1)
+    values[owners, clamped] = clamp_values
+    decided[owners, clamped] = True
+    positions[owners, clamped] = clamp_positions
+
+    solved = decided.all(axis=1)
+    full = np.flatnonzero(solved)
+    if full.size:
+        solved[full] = ~_conflicted([graphs[r] for r in full], positions[full], width)
+    return [
+        SlotDecode(values=v, decided=d, solved=s)
+        for v, d, s in zip(values, decided, solved.tolist())
+    ]
+
+
+def _conflicted(graphs: Sequence[ConstraintGraph], positions: np.ndarray, width: int) -> np.ndarray:
+    """Per row: does any picked neuron's conflict list hold another pick?
+
+    ``positions`` are the picked in-domain positions, ``(R, V)``.  Rows
+    of one graph share its conflict CSR; the distinct graphs' CSRs are
+    laid end to end so one gather serves every row.
+    """
+    num_rows, num_vars = positions.shape
+    num_neurons = num_vars * width
+    slot_of: Dict[int, int] = {}
+    slots = [slot_of.setdefault(id(graph), len(slot_of)) for graph in graphs]
+    firsts = {slot: graph for graph, slot in zip(graphs, slots)}
+    csrs = [firsts[slot]._conflicts_csr() for slot in range(len(firsts))]
+    targets = np.concatenate([t for t, _ in csrs])
+    bases = np.cumsum([0] + [t.size for t, _ in csrs[:-1]])
+    indptr = np.concatenate([ptr for _, ptr in csrs]) + np.repeat(bases, num_neurons + 1)
+    # Row r's pick p reads its conflicts from indptr[slot_r * (N + 1) + p].
+    picks = positions + np.arange(num_vars) * width  # neuron index of each pick
+    first = (picks + (np.asarray(slots) * (num_neurons + 1))[:, None]).ravel()
+    starts = indptr[first]
+    counts = indptr[first + 1] - starts
+    owner = np.repeat(np.arange(num_rows), counts.reshape(num_rows, num_vars).sum(axis=1))
+    hits = targets[np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(owner.size)]
+    selected = np.zeros((num_rows, num_neurons), dtype=bool)
+    selected[np.arange(num_rows)[:, None], picks] = True
+    conflicted = np.zeros(num_rows, dtype=bool)
+    conflicted[owner[selected[owner, hits]]] = True
+    return conflicted
 
 
 CSP_SLOT_DECODER = _CSPSlotDecoder()
@@ -449,8 +614,6 @@ def _run_batch(
     :meth:`SlotEngine.run`, leaving every entry to the canonical
     zero-step decode below.
     """
-    from ..runtime.slots import OneShotPolicy, SlotEngine, SlotRow
-
     if not entries:
         return []
     engine = SlotEngine(
@@ -467,7 +630,7 @@ def _run_batch(
                 SlotRow(
                     graph=entry.graph, clamps=entry.clamps, budget=max_steps, payload=index
                 ),
-                entry.network,
+                entry.row,
             )
             for index, entry in enumerate(entries)
         ],
@@ -525,8 +688,6 @@ def _solve_fingerprint(
 
 def _empty_decode(graph: ConstraintGraph, clamps: ClampsLike) -> Tuple[np.ndarray, np.ndarray]:
     """Decode of the canonical zero-step window (clamps only)."""
-    from ..runtime.slots import SlotEngine
-
     window_counts, last_spike = SlotEngine.empty_window(graph.num_neurons)
     return decode_assignment(graph, window_counts, last_spike, clamps)
 

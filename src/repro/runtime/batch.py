@@ -53,11 +53,15 @@ state across steps, so the per-step re-quantisation of the float current
 disappears entirely.
 
 Every per-replica array is one row of a ``(B, N)`` stack, named in one
-place (``_STATE`` and ``_PARAMS``) and read from the networks in one
-place (:meth:`BatchedNetwork._rows_of`).  Batches shrink and grow along
-those rows: :meth:`BatchedNetwork.retain` drops replicas (e.g. solver
-instances that already converged) so late steps only advance the
-survivors, and :meth:`BatchedNetwork.extend` stacks fresh ones in.  Spike
+place (``_STATE`` and ``_PARAMS``).  A replica enters a batch as a
+:class:`BatchRow` — its layout, connectivity, 1-D arrays and inputs —
+and :meth:`BatchedNetwork._rows_of` is the one reader that stacks them.
+Solvers build row specs directly (``SpikingCSPSolver.row``);
+:func:`batch_row` is the one adapter that reads an :class:`SNNNetwork`
+into one.  Batches shrink and grow along those rows:
+:meth:`BatchedNetwork.retain` drops replicas (e.g. solver instances that
+already converged) so late steps only advance the survivors, and
+:meth:`BatchedNetwork.extend` stacks fresh ones in.  Spike
 recording in :meth:`BatchedNetwork.run` goes through a preallocated
 bit-packed buffer (one bit per neuron-step) instead of a ``(T, B, N)``
 bool cube.
@@ -75,7 +79,8 @@ true division or float cast introduced inside them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,10 +90,11 @@ from ..sim.npu import _COEFF_004_Q4_11, _CONST_140_ACC, _VTH_RAW
 from ..snn.analysis import SpikeRaster
 from ..snn.fixed_izhikevich import FixedPointPopulation, decay_current_raw
 from ..snn.izhikevich import euler_step
-from ..snn.network import SNNNetwork, Synapses
+from ..snn.network import InputProvider, SNNNetwork, Synapses
 from ..snn.synapse import DenseSynapses, SparseSynapses
+from .drives import lift_drive_spec
 
-__all__ = ["BatchedNetwork", "BatchIncompatibleError"]
+__all__ = ["BatchRow", "BatchedNetwork", "BatchIncompatibleError", "batch_row"]
 
 #: Signature of a batched external-input provider: ``f(step) -> (B, N)``.
 BatchedInputProvider = Callable[[int], np.ndarray]
@@ -285,17 +291,17 @@ class _SynapseBatch:
 
     def __init__(
         self,
-        networks: Sequence[SNNNetwork],
+        synapses: Sequence[Synapses],
+        size: int,
         mode: str,
         *,
         integer_mode: Optional[bool] = None,
     ) -> None:
-        synapses = [net.synapses for net in networks]
         if len({type(s) for s in synapses}) != 1:
             raise BatchIncompatibleError("all networks must use the same synapse kind")
         self.mode = mode
-        self.size = networks[0].size
-        self._synapses: List[Any] = synapses
+        self.size = size
+        self._synapses: List[Any] = list(synapses)
         self._none = synapses[0] is None
         self._build(integer_mode)
         if integer_mode is True and not self.integer and not self._none:
@@ -306,8 +312,7 @@ class _SynapseBatch:
     def _build(self, integer_mode: Optional[bool]) -> None:
         """(Re)build the stacked structures for the current replica set."""
         batch, size = len(self._synapses), self.size
-        self._out = np.zeros((batch, size), dtype=np.float64)
-        self._raw_out = np.zeros((batch, size), dtype=np.int64)
+        self._resize()
         self._weight_rows: Optional[np.ndarray] = None
         self._gather: tuple = ()  # (indptr, indices, col_counts, data, uniform)
         self._int_kind: Optional[str] = None
@@ -323,18 +328,23 @@ class _SynapseBatch:
                 batch * size, size
             )
 
+    def _resize(self) -> None:
+        batch, size = len(self._synapses), self.size
+        self._out = np.zeros((batch, size), dtype=np.float64)
+        self._raw_out = np.zeros((batch, size), dtype=np.int64)
+
     def _build_integer(self) -> bool:
         """Stack raw Q15.16 sparse weights; ``False`` when that would lose bits.
 
-        Every retain/extend rebuilds this stack, so rows rely on
-        :meth:`SparseSynapses.quantized_q15_16` memoising its lossless
-        payloads: a row is quantised once, not once per recomposition.
+        Rows rely on :meth:`SparseSynapses.quantized_q15_16` memoising
+        its lossless payloads: a row is quantised once, not once per
+        recomposition.
         """
         first = self._synapses[0]
         if not isinstance(first, SparseSynapses):
             return False
         synapses = self._synapses
-        shared = all(s.matrix is first.matrix for s in synapses[1:])
+        shared = self._one_matrix()
         raws = []
         for synapse in synapses[:1] if shared else synapses:
             raw, lossless = synapse.quantized_q15_16()
@@ -342,27 +352,39 @@ class _SynapseBatch:
                 return False
             raws.append(raw)
         if shared:
-            indptr = np.asarray(first.matrix.indptr, dtype=np.int64)
+            counts = np.diff(np.asarray(first.matrix.indptr, dtype=np.int64))
             indices = np.asarray(first.matrix.indices, dtype=np.int64)
         else:
             # Independent per-replica connectivity: flatten the B CSC
             # structures over one (B * N)-column grid with globally offset
             # row indices, so a single gather serves the whole batch.
-            matrices = [synapse.matrix for synapse in synapses]
-            ptrs = np.stack([m.indptr for m in matrices]).astype(np.int64)  # (B, N + 1)
-            indptr = np.concatenate([[0], np.cumsum(np.diff(ptrs, axis=1).ravel())])
-            indices = np.concatenate([m.indices for m in matrices]).astype(np.int64)
-            indices += np.repeat(np.arange(len(matrices), dtype=np.int64) * self.size, ptrs[:, -1])
-        counts = np.diff(indptr)
+            counts, indices = self._flat_columns(synapses, 0)
+        # Raw payloads kept as float64 so the bincount reduction skips a
+        # cast; every partial sum is an integer below 2^53, hence exact.
+        self._set_gather(counts, indices, np.concatenate(raws, dtype=np.float64))
+        self._int_kind = "shared" if shared else "flat"
+        return True
+
+    def _one_matrix(self) -> bool:
+        """Whether every replica shares the first replica's matrix object."""
+        first = self._synapses[0].matrix
+        return all(s.matrix is first for s in self._synapses[1:])
+
+    def _flat_columns(self, synapses: Sequence[Any], first_replica: int) -> tuple:
+        """Column counts and grid-offset row indices of consecutive replicas."""
+        matrices = [synapse.matrix for synapse in synapses]
+        ptrs = np.stack([m.indptr for m in matrices]).astype(np.int64)  # (B, N + 1)
+        indices = np.concatenate([m.indices for m in matrices]).astype(np.int64)
+        replicas = np.arange(first_replica, first_replica + len(matrices), dtype=np.int64)
+        indices += np.repeat(replicas * self.size, ptrs[:, -1])
+        return np.diff(ptrs, axis=1).ravel(), indices
+
+    def _set_gather(self, counts: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+        indptr = np.concatenate([[0], np.cumsum(counts)])
         uniform = None
         if counts.size and int(counts[0]) > 0 and np.all(counts == counts[0]):
             uniform = int(counts[0])  # constant fan-out (the WTA graphs)
-        # Raw payloads kept as float64 so the bincount reduction skips a
-        # cast; every partial sum is an integer below 2^53, hence exact.
-        data = np.concatenate(raws, dtype=np.float64)
         self._gather = (indptr, indices, counts, data, uniform)
-        self._int_kind = "shared" if shared else "flat"
-        return True
 
     # ------------------------------------------------------------------ #
     # reprolint: exact-int -- integer scatter-add (float64 weights waived in _build_integer)
@@ -430,13 +452,26 @@ class _SynapseBatch:
         return out
 
     def retain(self, keep: np.ndarray) -> None:
-        """Drop all replica rows not listed in ``keep``."""
+        """Drop all replica rows not listed in ``keep``.
+
+        A flat integer grid whose survivors still hold several matrices
+        is sliced down to the kept replicas' columns; any other stack is
+        rebuilt.  Either way the stacks equal a fresh build's.
+        """
+        old = len(self._synapses)
         self._synapses = [self._synapses[i] for i in keep]
-        # Rebuild the stacked views for the surviving replicas.  This is
-        # called at solver check intervals, not per step, so the rebuild
-        # cost is amortised away; shared structures are replica-agnostic
-        # and rebuild for free.
-        self._build(self.integer)
+        if self._int_kind != "flat" or self._one_matrix():
+            self._build(self.integer)
+            return
+        indptr, indices, counts, data, _ = self._gather
+        nnz = np.diff(indptr[:: self.size])  # entries per old replica
+        kept = np.zeros(old, dtype=bool)
+        kept[keep] = True
+        entries = np.repeat(kept, nnz)
+        shift = np.repeat((keep - np.arange(len(keep))) * self.size, nnz[keep])
+        columns = counts.reshape(old, self.size)[keep].ravel()
+        self._set_gather(columns, indices[entries] - shift, data[entries])
+        self._resize()
 
     def validate_extend(self, synapses: Sequence[Synapses]) -> None:
         """Raise if :meth:`extend` would refuse — without mutating anything.
@@ -456,9 +491,25 @@ class _SynapseBatch:
                 )
 
     def extend(self, synapses: Sequence[Synapses]) -> None:
-        """Append replica synapse sets (checked by :meth:`validate_extend`)."""
+        """Append replica synapse sets (checked by :meth:`validate_extend`).
+
+        A flat integer grid grows by the new replicas' columns; any other
+        stack is rebuilt.  Either way the stacks equal a fresh build's.
+        """
+        old = len(self._synapses)
         self._synapses.extend(synapses)
-        self._build(self.integer)
+        if self._int_kind != "flat":
+            self._build(self.integer)
+            return
+        _, indices, counts, data, _ = self._gather
+        new_counts, new_indices = self._flat_columns(synapses, old)
+        raws = [data] + [synapse.quantized_q15_16()[0] for synapse in synapses]
+        self._set_gather(
+            np.concatenate([counts, new_counts]),
+            np.concatenate([indices, new_indices]),
+            np.concatenate(raws, dtype=np.float64),
+        )
+        self._resize()
 
 
 #: Per-replica arrays a checkpoint carries, by backend (``is_fixed_point``):
@@ -471,8 +522,14 @@ _STATE = {
             ("v", "v"), ("u", "u")),
 }
 #: Per-replica neuron parameters, by backend; not exported, because a
-#: restore rebuilds them from the networks.
+#: restore rebuilds them from the rows.
 _PARAMS = {True: ("a_raw", "b_raw", "c_raw", "d_raw"), False: ("a", "b", "c", "d")}
+#: The population arrays of each backend, by attribute name: the
+#: checkpointed state without a leading underscore, then the parameters.
+_POPULATION = {
+    fixed: tuple(attr for _, attr in _STATE[fixed] if not attr.startswith("_")) + _PARAMS[fixed]
+    for fixed in (True, False)
+}
 #: What :func:`_layout` compares, in order, for the error message.
 _LAYOUT_FIELDS = ("size", "is_fixed_point", "(current_mode, tau_select)", "timestep")
 
@@ -493,9 +550,75 @@ def _layout(network: SNNNetwork) -> tuple:
     return (network.size, network.is_fixed_point, modes, timestep)
 
 
-def _check_layout(networks: Sequence[SNNNetwork], expected: Optional[tuple] = None) -> tuple:
-    """The layout ``networks`` (and ``expected``, if given) share; raises otherwise."""
-    layouts = {_layout(net) for net in networks}
+@dataclass
+class BatchRow:
+    """One replica in the form a batch stacks: a row spec.
+
+    ``layout`` is the :func:`_layout` tuple every row of a batch shares.
+    ``arrays`` holds the replica's 1-D per-neuron arrays by batch
+    attribute name: ``_last_fired``, ``_current`` and the population
+    arrays of ``_POPULATION``; the batch copies them when it stacks, so
+    rows may share read-only arrays.  ``provider`` is the per-replica
+    input that batches without a batched provider call; ``drive_spec``
+    is its declarative form (``repro.runtime.drives``), whose generator
+    this row owns, for the compiled drives that stack it.
+    """
+
+    layout: tuple
+    synapses: Synapses
+    arrays: Dict[str, np.ndarray]
+    provider: Optional[InputProvider] = None
+    drive_spec: Any = None
+
+    @property
+    def size(self) -> int:
+        return int(self.layout[0])
+
+    @property
+    def substeps(self) -> int:
+        """Population updates per neuron per 1 ms step."""
+        _, fixed, _, timestep = self.layout
+        return 1 << timestep[0] if fixed else 1
+
+
+#: A replica as the batch accepts it: a network or its row spec.
+Replica = Union[SNNNetwork, BatchRow]
+
+
+def batch_row(replica: Replica) -> BatchRow:
+    """The row spec of a replica: the one reader of :class:`SNNNetwork` state.
+
+    Row specs pass through.  A network is read as it stands — the
+    last-fired mask, the float synaptic current (the batch re-derives
+    its raw Q15.16 feed from it), the population's state and parameters,
+    the synapses and the external-input provider — so stacking an
+    already-stepped ("warm") network continues exactly where its
+    sequential engine left off.  The provider's drive spec is lifted
+    with a clone of its generator (:func:`~repro.runtime.drives.lift_drive_spec`),
+    which leaves the network's own closure untouched.
+    """
+    if isinstance(replica, BatchRow):
+        return replica
+    fixed = replica.is_fixed_point
+    dtype = np.int64 if fixed else np.float64
+    arrays = {
+        "_last_fired": np.asarray(replica._last_fired, dtype=bool),
+        "_current": np.asarray(replica.current_state.current, dtype=np.float64),
+    }
+    for name in _POPULATION[fixed]:
+        arrays[name] = np.asarray(getattr(replica.population, name), dtype=dtype)
+    return BatchRow(
+        layout=_layout(replica),
+        synapses=replica.synapses,
+        arrays=arrays,
+        provider=replica.external_input,
+        drive_spec=lift_drive_spec(replica),
+    )
+
+
+def _check_layout(rows: Sequence[BatchRow], expected: Optional[tuple] = None) -> tuple:
+    """The layout ``rows`` (and ``expected``, if given) share; raises otherwise."""
+    layouts = {row.layout for row in rows}
     if expected is not None:
         layouts.add(expected)
     if len(layouts) > 1:
@@ -510,16 +633,16 @@ def _check_layout(networks: Sequence[SNNNetwork], expected: Optional[tuple] = No
 class BatchedNetwork:
     """``B`` independent, structurally compatible networks as one unit of work.
 
-    Build with :meth:`from_networks`; the constituent networks must share
-    the population kind (all fixed-point or all float64), size, timestep
-    configuration, current mode and synapse kind.  The stacked engine owns
-    copies of the per-replica state, so the source networks are left
-    untouched.
+    Build with :meth:`from_networks`; the replicas — :class:`SNNNetwork`
+    instances or :class:`BatchRow` specs — must share the population kind
+    (all fixed-point or all float64), size, timestep configuration,
+    current mode and synapse kind.  The stacked engine owns copies of the
+    per-replica state, so the source networks are left untouched.
 
     Parameters
     ----------
     networks:
-        The replicas to stack.
+        The replicas to stack (networks go through :func:`batch_row`).
     synapse_mode:
         ``"exact"`` (bit-exact with the sequential engine) or ``"fused"``
         (vectorised dense propagation; see the module docstring).
@@ -558,7 +681,7 @@ class BatchedNetwork:
 
     def __init__(
         self,
-        networks: Sequence[SNNNetwork],
+        networks: Sequence[Replica],
         *,
         synapse_mode: str = "exact",
         batched_external: Optional[BatchedInputProvider] = None,
@@ -568,19 +691,23 @@ class BatchedNetwork:
             raise BatchIncompatibleError("cannot batch zero networks")
         if synapse_mode not in ("exact", "fused"):
             raise ValueError(f"unknown synapse mode {synapse_mode!r}")
-        self._layout = layout = _check_layout(networks)
+        rows = [batch_row(replica) for replica in networks]
+        self._layout = layout = _check_layout(rows)
         self.size, self.is_fixed_point, (self.current_mode, self.tau_select), timestep = layout
         if self.is_fixed_point:
             self.h_shift, self._pin_voltage = timestep
             self._substeps = 1 << self.h_shift  # FixedPointPopulation.substeps_per_ms
         else:
             self.h_shift, self._v_substeps = 1, timestep
-        self.networks = list(networks)
+        self.rows = rows
         self.synapse_mode = synapse_mode
         self._batched_external = batched_external
-        self._synapses = _SynapseBatch(networks, synapse_mode, integer_mode=integer_csr)
-        for name, rows in self._rows_of(networks).items():
-            setattr(self, name, rows)
+        self._check_inputs(rows)
+        self._synapses = _SynapseBatch(
+            [row.synapses for row in rows], self.size, synapse_mode, integer_mode=integer_csr
+        )
+        for name, stacked in self._rows_of(rows).items():
+            setattr(self, name, stacked)
         self._alloc()
 
     # ------------------------------------------------------------------ #
@@ -589,13 +716,13 @@ class BatchedNetwork:
     @classmethod
     def from_networks(
         cls,
-        networks: Sequence[SNNNetwork],
+        networks: Sequence[Replica],
         *,
         synapse_mode: str = "exact",
         batched_external: Optional[BatchedInputProvider] = None,
         integer_csr: Optional[bool] = None,
     ) -> "BatchedNetwork":
-        """Stack a sequence of compatible :class:`SNNNetwork` instances."""
+        """Stack compatible replicas: :class:`SNNNetwork` instances or row specs."""
         return cls(
             networks,
             synapse_mode=synapse_mode,
@@ -618,42 +745,28 @@ class BatchedNetwork:
         fixed = self.is_fixed_point
         return [attr for _, attr in _STATE[fixed]] + list(_PARAMS[fixed])
 
-    def _rows_of(self, networks: Sequence[SNNNetwork]) -> Dict[str, np.ndarray]:
-        """Stack the networks' per-replica arrays, keyed by attribute name.
+    def _rows_of(self, rows: Sequence[BatchRow]) -> Dict[str, np.ndarray]:
+        """Stack the rows' per-replica arrays, keyed by attribute name.
 
-        The one reader of :class:`SNNNetwork` state and parameters.  It
-        copies the full simulation state — including the synaptic-current
-        bookkeeping and last-fired masks — so stacking already-stepped
-        ("warm") networks continues exactly where each sequential engine
-        left off.  Every row without a leading underscore is the
-        population array of the same name.
+        The one reader of row specs: construction stacks its rows and
+        :meth:`extend` appends them.  The raw Q15.16 current feed is
+        derived here from the stacked float current.
         """
-        current = np.stack(
-            [np.asarray(net.current_state.current, dtype=np.float64) for net in networks]
-        )
-        isyn_raw = np.zeros(current.shape, dtype=np.int64)
+        stacked = {name: np.stack([row.arrays[name] for row in rows]) for name in rows[0].arrays}
+        isyn_raw = np.zeros(stacked["_current"].shape, dtype=np.int64)
         if self.is_fixed_point and self.current_mode == "decay" and self._use_raw_current:
             # Carry the quantised current as raw integer state: the
             # sequential engine re-quantises its float current at the
             # top of every step, and the result is exactly the raw
             # kernel input of the previous step, so the round-trip can
             # be hoisted out of the loop entirely.
-            _quantize_q15_16(current, isyn_raw)
-        rows = {
-            "_last_fired": np.stack([np.asarray(net._last_fired, dtype=bool) for net in networks]),
-            "_current": current,
-            "_isyn_raw": isyn_raw,
-        }
-        pops = [net.population for net in networks]
-        dtype = np.int64 if self.is_fixed_point else np.float64
-        for name in self._row_names():
-            if name not in rows:  # the population's own array of that name
-                rows[name] = np.stack([getattr(pop, name) for pop in pops]).astype(dtype)
-        return rows
+            _quantize_q15_16(stacked["_current"], isyn_raw)
+        stacked["_isyn_raw"] = isyn_raw
+        return stacked
 
     def _alloc(self) -> None:
         """Fit the engine to the live rows: scratch buffers, kernel, provider shape."""
-        self.batch_size = len(self.networks)
+        self.batch_size = len(self.rows)
         shape = (self.batch_size, self.size)
         self._fired = np.zeros(shape, dtype=bool)
         self._ext = np.zeros(shape, dtype=np.float64)
@@ -675,6 +788,15 @@ class BatchedNetwork:
         # Providers declaring batch_shape are checked here, once per
         # composition; opaque callables keep the per-step check.
         self._ext_validated = declared is not None
+
+    def _check_inputs(self, rows: Sequence[BatchRow]) -> None:
+        """Refuse rows whose drive is a spec only when no batched drive reads it."""
+        if self._batched_external is None and any(
+            row.provider is None and row.drive_spec is not None for row in rows
+        ):
+            raise BatchIncompatibleError(
+                "a row spec without a per-replica provider needs a batched_external drive"
+            )
 
     def _provider_hook(self, name: str) -> Optional[Callable]:
         """The batched provider's ``retain``/``extend``; raises if it lacks it."""
@@ -702,8 +824,8 @@ class BatchedNetwork:
                     f"expected {self._ext.shape}"
                 )
             return ext
-        for i, net in enumerate(self.networks):
-            provider = net.external_input
+        for i, row in enumerate(self.rows):
+            provider = row.provider
             if provider is None:
                 self._ext[i] = 0.0
             else:
@@ -926,7 +1048,7 @@ class BatchedNetwork:
         # Validate everything that can refuse BEFORE mutating any state,
         # so a raise leaves the batch fully usable.
         provider_retain = self._provider_hook("retain")
-        self.networks = [self.networks[i] for i in keep]
+        self.rows = [self.rows[i] for i in keep]
         for name in self._row_names():
             setattr(self, name, getattr(self, name)[keep])
         self._synapses.retain(keep)
@@ -934,24 +1056,25 @@ class BatchedNetwork:
             provider_retain(keep)
         self._alloc()
 
-    def extend(self, networks: Sequence[SNNNetwork]) -> None:
+    def extend(self, networks: Sequence[Replica]) -> None:
         """Stack additional replicas into the live batch.
 
-        The inverse of :meth:`retain`: the given (typically freshly
-        built) networks are appended as new batch rows, read by the same
-        :meth:`_rows_of` construction uses, so each new replica's
-        trajectory is bit-identical to running it standalone from its
-        current state.  Existing rows are untouched — appending rows
-        cannot change their fused updates (replicas are independent).
+        The inverse of :meth:`retain`: the given replicas — row specs, or
+        networks read through :func:`batch_row` — are appended as new
+        batch rows by the same :meth:`_rows_of` construction uses, so each
+        new replica's trajectory is bit-identical to running it
+        standalone from its current state.  Existing rows are untouched —
+        appending rows cannot change their fused updates (replicas are
+        independent).
 
-        The networks must satisfy the same compatibility contract as
+        The replicas must satisfy the same compatibility contract as
         construction (size, population kind, current mode, timestep
         configuration, synapse kind; integer-kernel batches additionally
         require losslessly quantisable weights).  When a
         ``batched_external`` provider is set it must support
-        ``extend(networks)`` — the portfolio drive of
-        :mod:`repro.runtime.drives` does; compiled drives without it
-        refuse.
+        ``extend(drive_specs)``, which receives the new rows' drive specs
+        — the portfolio drive of :mod:`repro.runtime.drives` does;
+        compiled drives without it refuse.
 
         **Layering seam.**  As with :meth:`retain`, the sanctioned
         ``src/repro`` caller is
@@ -961,20 +1084,21 @@ class BatchedNetwork:
         """
         if not networks:
             return
-        networks = list(networks)
+        rows = [batch_row(replica) for replica in networks]
         # Validate everything that can refuse BEFORE mutating any state,
         # mirroring retain(), so a raise leaves the batch fully usable.
-        _check_layout(networks, self._layout)
+        _check_layout(rows, self._layout)
+        self._check_inputs(rows)
         provider_extend = self._provider_hook("extend")
-        synapses = [net.synapses for net in networks]
+        synapses = [row.synapses for row in rows]
         self._synapses.validate_extend(synapses)
-        rows = self._rows_of(networks)
-        self.networks.extend(networks)
-        for name, new in rows.items():
+        stacked = self._rows_of(rows)
+        self.rows.extend(rows)
+        for name, new in stacked.items():
             setattr(self, name, np.concatenate([getattr(self, name), new]))
         self._synapses.extend(synapses)
         if provider_extend is not None:
-            provider_extend(networks)
+            provider_extend([row.drive_spec for row in rows])
         self._alloc()
 
     # ------------------------------------------------------------------ #

@@ -6,9 +6,10 @@ and ``B`` temporary arrays every millisecond.  This module *compiles*
 those per-replica closures into a single ``(B, N)`` vectorised provider
 that is **bit-identical** to calling the closures one by one:
 
-* every replica keeps its own independent noise stream (a clone of the
-  generator its closure would have consumed), so results remain
-  bit-comparable with sequential runs;
+* every replica keeps its own independent noise stream (the generator
+  its row spec owns — for a network, a clone of the one its closure
+  would have consumed), so results remain bit-comparable with
+  sequential runs;
 * the streams are pregenerated in chunks of :data:`DEFAULT_CHUNK_STEPS`
   network steps with one ``standard_normal`` call per replica per chunk.
   NumPy's ``Generator.standard_normal`` fills output arrays sequentially
@@ -23,9 +24,13 @@ Closures advertise their compilability by carrying a ``drive_spec``
 attribute (an :class:`AnnealedNoiseSpec`, attached by
 :meth:`repro.csp.solver.SpikingCSPSolver.build_network`); the 80-20
 workload's ``EightyTwentyNetwork.thalamic_input`` bound method is
-recognised structurally.  :func:`compile_batched_external` returns
-``None`` when any provider cannot be compiled, in which case the batch
-engine falls back to the per-replica loop.
+recognised structurally.  :func:`lift_drive_spec` is the one place a
+closure's spec is lifted, with a clone of the closure's generator, so
+compiling never perturbs the source; the drives themselves consume the
+generators their specs own and never clone.
+:func:`compile_batched_external` returns ``None`` when any provider
+cannot be compiled, in which case the batch engine falls back to the
+per-replica loop.
 
 There are two providers.  :class:`PortfolioAnnealedDrive` is the one
 annealed drive: every slot-engine batch (one-shot solves, the restart
@@ -42,7 +47,7 @@ once at construction instead of every step.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -57,8 +62,8 @@ __all__ = [
     "CompiledDrive",
     "CompiledScaledDrive",
     "PortfolioAnnealedDrive",
-    "annealed_specs",
     "compile_batched_external",
+    "lift_drive_spec",
 ]
 
 #: Network steps of noise pregenerated per replica per generator call.
@@ -98,7 +103,7 @@ class ScaledNoiseSpec:
 
 
 def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Snapshot a generator so the compiled drive never perturbs the source."""
+    """Snapshot a generator so a compiled drive never perturbs the source."""
     return copy.deepcopy(rng)
 
 
@@ -106,7 +111,8 @@ class _ChunkedNormals:
     """Per-replica standard-normal streams, pregenerated in step chunks.
 
     Each replica's stream is bit-identical to successive per-step
-    ``standard_normal(num_values)`` draws from (a clone of) its generator.
+    ``standard_normal(num_values)`` draws from its generator, which this
+    object consumes: the generators are owned by the specs handed in.
     """
 
     def __init__(
@@ -114,7 +120,7 @@ class _ChunkedNormals:
     ) -> None:
         if chunk_steps < 1:
             raise ValueError("chunk_steps must be positive")
-        self._rngs = [_clone_rng(rng) for rng in rngs]
+        self._rngs = list(rngs)
         self._chunk_steps = chunk_steps
         self._buffer = np.empty((len(self._rngs), chunk_steps, num_values), dtype=np.float64)
         self._row = chunk_steps  # force a refill on the first call
@@ -138,21 +144,20 @@ class _ChunkedNormals:
         """Append fresh per-replica streams, joining the chunk mid-flight.
 
         Each appended stream stays bit-identical to successive per-step
-        draws from (a clone of) its generator: the new rows' remaining
-        slots of the current chunk are filled with the stream's *first*
-        draws, so the next :meth:`next_rows` calls consume them in order
-        and the next refill continues each stream where it left off.
+        draws from its generator: the new rows' remaining slots of the
+        current chunk are filled with the stream's *first* draws, so the
+        next :meth:`next_rows` calls consume them in order and the next
+        refill continues each stream where it left off.
         """
         if not rngs:
             return
-        clones = [_clone_rng(rng) for rng in rngs]
         num_values = self._buffer.shape[2]
-        add = np.empty((len(clones), self._chunk_steps, num_values), dtype=np.float64)
+        add = np.empty((len(rngs), self._chunk_steps, num_values), dtype=np.float64)
         remaining = self._chunk_steps - self._row
         if remaining > 0:
-            for b, rng in enumerate(clones):
+            for b, rng in enumerate(rngs):
                 rng.standard_normal(out=add[b, self._row :])
-        self._rngs.extend(clones)
+        self._rngs.extend(rngs)
         self._buffer = np.concatenate([self._buffer, add])
 
     # ------------------------------------------------------------------ #
@@ -222,10 +227,11 @@ class PortfolioAnnealedDrive(CompiledDrive):
     closure expression term for term, elementwise in float64, so every
     row stays bit-identical to its sequential counterpart.
 
-    Besides :meth:`retain`, this provider supports :meth:`extend`:
-    freshly built replica networks (whose ``external_input`` closures
-    carry :class:`AnnealedNoiseSpec`, offset included) are stacked onto
-    the live rows, joining the pregenerated noise chunk mid-flight.
+    Besides :meth:`retain`, this provider supports :meth:`extend`: the
+    :class:`AnnealedNoiseSpec` of fresh rows (offset included) are
+    stacked onto the live rows, joining the pregenerated noise chunk
+    mid-flight.  Either way the drive consumes the generators the specs
+    own.
     """
 
     #: Per-row arrays as ``(snapshot key, attribute, spec field, dtype)``,
@@ -258,7 +264,9 @@ class PortfolioAnnealedDrive(CompiledDrive):
 
     @classmethod
     def _rows_of(cls, specs: Sequence[AnnealedNoiseSpec]) -> List[np.ndarray]:
-        """The specs' per-row arrays, in ``_ROWS`` order."""
+        """The specs' per-row arrays, in ``_ROWS`` order; ``ValueError`` on another kind."""
+        if not all(isinstance(spec, AnnealedNoiseSpec) for spec in specs):
+            raise ValueError("can only stack rows whose drive spec is an annealed-noise spec")
         return [
             np.asarray([getattr(s, field) for s in specs], dtype=dtype)
             for _, _, field, dtype in cls._ROWS
@@ -290,11 +298,10 @@ class PortfolioAnnealedDrive(CompiledDrive):
         self._normals.retain(keep)
         self._alloc()
 
-    def extend(self, networks: Sequence[SNNNetwork]) -> None:
-        """Stack the (fresh) networks' annealed-noise specs onto the batch."""
-        if not networks:
+    def extend(self, specs: Sequence[AnnealedNoiseSpec]) -> None:
+        """Stack fresh rows' annealed-noise specs onto the batch."""
+        if not specs:
             return
-        specs = annealed_specs(networks)
         new_rows = self._rows_of(specs)
         if new_rows[0].shape[1:] != self._drives.shape[1:]:
             raise ValueError("stacked-in drive width differs from the live batch")
@@ -315,9 +322,9 @@ class PortfolioAnnealedDrive(CompiledDrive):
     def restore_state(self, state: dict) -> None:
         """Overwrite the provider wholesale with an exported snapshot.
 
-        The restore path rebuilds the batch from *fresh* networks (the
-        closures of a live one do not pickle) and then stamps this saved
-        state over it, so the drive amplitudes, per-row offsets and
+        The restore path rebuilds the batch from *fresh* rows (live
+        generators are not part of a row's identity) and then stamps this
+        saved state over it, so the drive amplitudes, per-row offsets and
         noise cursors continue exactly where the snapshot left them.
         """
         rows = np.shape(state["drives"])[:1]  # (row count,)
@@ -370,7 +377,10 @@ CompiledAnnealedDrive = PortfolioAnnealedDrive
 
 
 def _spec_of(network: SNNNetwork) -> Optional[Any]:
-    """The drive spec of a network's external provider, or ``None``."""
+    """The drive spec of a network's external provider, or ``None``.
+
+    The spec shares the live generator of the closure it describes.
+    """
     provider = network.external_input
     if provider is None:
         return None
@@ -379,7 +389,7 @@ def _spec_of(network: SNNNetwork) -> Optional[Any]:
         return spec
     # The 80-20 thalamic input is a bound method of the network
     # definition; recognise it structurally and lift its config + live
-    # generator into a spec (the generator is cloned at compile time).
+    # generator into a spec.
     owner = getattr(provider, "__self__", None)
     if (
         isinstance(owner, EightyTwentyNetwork)
@@ -396,25 +406,20 @@ def _spec_of(network: SNNNetwork) -> Optional[Any]:
     return None
 
 
-def annealed_specs(networks: Sequence[SNNNetwork]) -> List[AnnealedNoiseSpec]:
-    """The networks' annealed-noise drive specs, validated.
+def _owned(spec: Any) -> Any:
+    """A copy of ``spec`` owning a clone of its generator."""
+    return replace(spec, rng=_clone_rng(spec.rng))
 
-    The contract for stacking networks into a
-    :class:`PortfolioAnnealedDrive` batch (the portfolio and serve
-    engines build every row through
-    ``SpikingCSPSolver.build_network``, which attaches the spec): each
-    network's external provider must carry an
-    :class:`AnnealedNoiseSpec`, otherwise ``ValueError`` is raised.
+
+def lift_drive_spec(network: SNNNetwork) -> Optional[Any]:
+    """The drive spec of a network's provider, owning a clone of its generator.
+
+    ``None`` for opaque or absent providers.  The clone is what keeps
+    stacking a network from perturbing its closure: the closure's next
+    draws stay those of a fresh same-seed generator.
     """
-    specs: List[AnnealedNoiseSpec] = []
-    for network in networks:
-        spec = _spec_of(network)
-        if not isinstance(spec, AnnealedNoiseSpec):
-            raise ValueError(
-                "can only stack in networks whose external input carries an annealed-noise spec"
-            )
-        specs.append(spec)
-    return specs
+    spec = _spec_of(network)
+    return None if spec is None else _owned(spec)
 
 
 def compile_batched_external(
@@ -428,24 +433,25 @@ def compile_batched_external(
     anneal configurations — or ``None`` when any closure is unrecognised
     (opaque callables, mixed drive families, differing widths); callers
     then fall back to the per-replica loop, which handles every provider.
+    The drive runs on clones of the closures' generators.
     """
-    specs: List[object] = []
+    sources: List[Any] = []
     for network in networks:
         spec = _spec_of(network)
         if spec is None:
             return None
-        specs.append(spec)
+        sources.append(spec)
     # Replicas sharing one generator object would interleave a single
     # stream when run per replica; independent clones cannot reproduce
     # that, so such batches are not compilable.
-    if len({id(s.rng) for s in specs}) != len(specs):
+    if len({id(s.rng) for s in sources}) != len(sources):
         return None
-    if all(isinstance(s, AnnealedNoiseSpec) for s in specs):
-        if len({s.drive.shape for s in specs}) != 1:
+    if all(isinstance(s, AnnealedNoiseSpec) for s in sources):
+        if len({s.drive.shape for s in sources}) != 1:
             return None
-        return PortfolioAnnealedDrive(specs, chunk_steps=chunk_steps)
-    if all(isinstance(s, ScaledNoiseSpec) for s in specs):
-        if len({s.scale.shape for s in specs}) != 1:
+        return PortfolioAnnealedDrive([_owned(s) for s in sources], chunk_steps=chunk_steps)
+    if all(isinstance(s, ScaledNoiseSpec) for s in sources):
+        if len({s.scale.shape for s in sources}) != 1:
             return None
-        return CompiledScaledDrive(specs, chunk_steps=chunk_steps)
+        return CompiledScaledDrive([_owned(s) for s in sources], chunk_steps=chunk_steps)
     return None

@@ -14,10 +14,14 @@ refill the freed slots at each decode checkpoint.
 
 The engine's invariants (every consumer inherits them):
 
+* **Rows, not networks.**  An admission is a :class:`SlotRow` plus a
+  row spec (:class:`~repro.runtime.batch.BatchRow`, e.g. from
+  ``SpikingCSPSolver.row``); a network is still accepted and read
+  through the one adapter, :func:`~repro.runtime.batch.batch_row`.
 * **Local step counters.**  Each :class:`SlotRow` records the global
   step count at admission (``offset``); its *local* step —
   ``global step - offset`` — drives its anneal phase (``step_offset``
-  stamped into the row's drive spec at admission), its sliding-window
+  stamped into the row spec's drive spec at admission), its sliding-window
   slot and its spike-recency bookkeeping.  A row stacked into a
   half-finished batch therefore replays exactly the trajectory of a
   fresh standalone run.
@@ -33,7 +37,9 @@ The engine's invariants (every consumer inherits them):
 * **Checkpoint cadence.**  Rows are decoded when their local step hits
   the check interval or their local budget — the union mask over rows
   decides when a checkpoint fires, so mixed-offset batches check each
-  row on its own standalone schedule.
+  row on its own standalone schedule.  The first
+  :meth:`SlotEngine.decode_row` call of a checkpoint decodes every
+  at-check row in one batched pass (:meth:`SlotDecoder.decode_rows`).
 * **Zero-step runs.**  ``max_steps <= 0`` never allocates a batch; the
   canonical zero-step window (:meth:`SlotEngine.empty_window`) decodes
   clamps only, identically across the solver, portfolio and serve
@@ -56,13 +62,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Protocol, Sequence, Tuple, cast
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, cast
 
 import numpy as np
 
-from .batch import BatchedNetwork
+from .batch import BatchedNetwork, BatchRow, Replica, batch_row
 from .checkpoint import CheckpointError, CheckpointStore, FaultPlan
-from .drives import PortfolioAnnealedDrive, annealed_specs
+from .drives import PortfolioAnnealedDrive
 
 __all__ = [
     "DurablePolicy",
@@ -107,10 +113,14 @@ class SlotRow:
     #: Global steps completed when the row was admitted (its local step
     #: 0).  Assigned by the engine at admission.
     offset: int = 0
+    #: Decoder-owned constants of this row (its clamp indices, say),
+    #: built by the :class:`SlotDecoder` at the row's first decode.
+    plan: Any = field(default=None, repr=False, compare=False)
 
 
-#: An admission: the row descriptor plus its freshly built network.
-SlotAdmission = Tuple[SlotRow, Any]
+#: An admission: the row descriptor plus its fresh row spec (or a
+#: network, read through :func:`~repro.runtime.batch.batch_row`).
+SlotAdmission = Tuple[SlotRow, Replica]
 
 
 @dataclass
@@ -142,11 +152,12 @@ class SlotOutcome:
 
 
 class SlotDecoder(Protocol):
-    """Decodes one row's assignment from its sliding-window state."""
+    """Decodes rows' assignments from their sliding-window state."""
 
-    def decode(
-        self, row: SlotRow, window_counts: np.ndarray, last_spike: np.ndarray
-    ) -> SlotDecode:  # pragma: no cover - interface
+    def decode_rows(
+        self, rows: Sequence[SlotRow], window_counts: np.ndarray, last_spike: np.ndarray
+    ) -> List[SlotDecode]:  # pragma: no cover - interface
+        """One decode per row; ``window_counts``/``last_spike`` are ``(R, N)``."""
         ...
 
 
@@ -174,16 +185,16 @@ class DurablePolicy(SlotPolicy, Protocol):
     A snapshot holds the engine state with one :meth:`describe` token in
     place of each live row's payload, plus :meth:`export_state`.
     Resuming restores the policy state first (a foreign snapshot raises
-    there), then turns each token back into a payload and a freshly
-    built network through :meth:`rebuild`.
+    there), then turns each token back into a payload and a fresh row
+    spec through :meth:`rebuild`.
     """
 
     def describe(self, row: SlotRow) -> Any:
         """A picklable token that :meth:`rebuild` turns back into the row."""
         ...  # pragma: no cover - interface
 
-    def rebuild(self, token: Any) -> Tuple[Any, Any]:
-        """``(payload, fresh network)`` of the row a token describes."""
+    def rebuild(self, token: Any) -> Tuple[Any, Replica]:
+        """``(payload, fresh row spec or network)`` of the row a token describes."""
         ...  # pragma: no cover - interface
 
     def export_state(self) -> Any:
@@ -282,6 +293,10 @@ class SlotEngine:
         self._offsets = np.zeros(0, dtype=np.int64)
         self._budgets = np.zeros(0, dtype=np.int64)
         self._row_index = np.zeros(0, dtype=np.int64)
+        #: The last checkpoint's at-check mask (until the rows or their
+        #: windows change) and the decodes made since, by row index.
+        self._at_check: Optional[np.ndarray] = None
+        self._decoded: Dict[int, SlotDecode] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection (read-only views for policies and trailing decodes)
@@ -318,10 +333,35 @@ class SlotEngine:
         return self._step - self._offsets
 
     def decode_row(self, row: int) -> SlotDecode:
-        """Decode one live row's current sliding window."""
-        return self._decoder.decode(
-            self._rows[row], self._window_counts[row], self._last_spike[row]
-        )
+        """Decode one live row's current sliding window.
+
+        At a checkpoint, the first call for an at-check row decodes every
+        at-check row in one batched pass and later calls read that
+        result; any other row (a trailing decode after :meth:`run`, say)
+        is decoded as a batch of one.
+        """
+        decode = self._decoded.get(row)
+        if decode is None:
+            at_check = self._at_check
+            if at_check is not None and at_check[row]:
+                indices = np.flatnonzero(at_check)
+            else:
+                indices = np.asarray([row])
+            assert self._window_counts is not None and self._last_spike is not None
+            decodes = self._decoder.decode_rows(
+                [self._rows[i] for i in indices],
+                self._window_counts[indices],
+                self._last_spike[indices],
+            )
+            self._decoded.update(zip(indices.tolist(), decodes))
+            decode = self._decoded[row]
+        return decode
+
+    def _forget_decodes(self) -> None:
+        """Drop cached decodes: the rows or their windows changed."""
+        self._at_check = None
+        if self._decoded:
+            self._decoded = {}
 
     # ------------------------------------------------------------------ #
     # Zero-step canonicalisation
@@ -366,28 +406,36 @@ class SlotEngine:
         """Apply one retire/admit decision to the live batch.
 
         ``keep`` lists surviving row indices in strictly increasing
-        order.  The canonical composition order — retain survivors, then
-        extend with admissions, rebuilding from scratch when nothing
-        survives — together with the degenerate-shape guards
-        (``extend([])`` no-op, empty recomposition) lives here and only
-        here.  Admitted rows are stamped with the current global step:
-        ``row.offset`` and their drive spec's ``step_offset`` both become
-        ``global_step``, so each new row's local phase sequence replays a
-        standalone run's.
+        order; anything else raises before the engine changes, with
+        :meth:`BatchedNetwork.retain`'s errors (``IndexError`` out of
+        range, ``ValueError`` not strictly increasing).  The canonical
+        composition order — retain survivors, then extend with
+        admissions, rebuilding from scratch when nothing survives —
+        together with the degenerate-shape guards (``extend([])`` no-op,
+        empty recomposition) lives here and only here.  Admitted rows
+        are stamped with the current global step: ``row.offset`` and
+        their row spec's drive ``step_offset`` both become
+        ``global_step``, so each new row's local phase sequence replays
+        a standalone run's.
         """
         keep = list(keep)
+        if any(i < 0 or i >= len(self._rows) for i in keep):
+            raise IndexError(f"keep indices out of range for {len(self._rows)} rows")
+        if any(b <= a for a, b in zip(keep, keep[1:])):
+            raise ValueError("keep indices must be strictly increasing")
         admissions = list(admissions)
         if len(keep) == len(self._rows) and not admissions:
             return
+        self._forget_decodes()
         new_rows = [self._rows[i] for i in keep]
-        new_nets = []
-        for row, network in admissions:
+        new_specs: List[BatchRow] = []
+        for row, replica in admissions:
+            spec = batch_row(replica)
             row.offset = self._step
-            spec = getattr(network.external_input, "drive_spec", None)
-            if spec is not None:
-                spec.step_offset = self._step
+            if spec.drive_spec is not None:
+                spec.drive_spec.step_offset = self._step
             new_rows.append(row)
-            new_nets.append(network)
+            new_specs.append(spec)
         if not new_rows:
             # Nothing survives and nothing arrives: tear the batch down.
             self._rows = []
@@ -395,19 +443,18 @@ class SlotEngine:
             self._reset_arrays()
             return
         if self._num_neurons is None:
-            self._num_neurons = int(new_nets[0].size)
-        if self._updates_per_step is None and new_nets:
-            substeps = getattr(new_nets[0].population, "substeps_per_ms", 1)
-            self._updates_per_step = int(self._num_neurons) * int(substeps)
+            self._num_neurons = new_specs[0].size
+        if self._updates_per_step is None and new_specs:
+            self._updates_per_step = int(self._num_neurons) * new_specs[0].substeps
         self._ensure_arrays()
         if keep and self._batch is not None:
             if len(keep) < len(self._rows):
                 self._batch.retain(keep)
-            if new_nets:  # the extend([]) guard, centralised
-                self._batch.extend(new_nets)
+            if new_specs:  # the extend([]) guard, centralised
+                self._batch.extend(new_specs)
         else:
-            self._batch = self._build_batch(new_nets)
-        pad = (len(new_nets), int(self._num_neurons))
+            self._batch = self._build_batch(new_specs)
+        pad = (len(new_specs), int(self._num_neurons))
         self._history = np.concatenate(
             [self._history[:, keep], np.zeros((self._window,) + pad, dtype=bool)], axis=1
         )
@@ -418,7 +465,7 @@ class SlotEngine:
             [self._last_spike[keep], np.full(pad, -1, dtype=np.int64)]
         )
         self._row_spikes = np.concatenate(
-            [self._row_spikes[keep], np.zeros(len(new_nets), dtype=np.int64)]
+            [self._row_spikes[keep], np.zeros(len(new_specs), dtype=np.int64)]
         )
         self._rows = new_rows
         self._offsets = np.asarray([r.offset for r in self._rows], dtype=np.int64)
@@ -477,16 +524,15 @@ class SlotEngine:
             "drive": drive_state,
         }
 
-    def restore_state(self, state: dict, rebuilt: Sequence[Tuple[Any, Any]]) -> None:
+    def restore_state(self, state: dict, rebuilt: Sequence[Tuple[Any, Replica]]) -> None:
         """Rebuild the engine from a snapshot; continues bit-identically.
 
-        ``rebuilt`` holds one ``(payload, network)`` pair per snapshot
+        ``rebuilt`` holds one ``(payload, row spec)`` pair per snapshot
         row, in row order (:meth:`DurablePolicy.rebuild` of the row's
-        token): the network freshly built from the same (graph, clamps,
-        seed, config) the original row was — live networks hold
-        unpicklable closures, so the snapshot stores only their state
-        arrays and the caller re-derives the structure.  The fresh
-        networks' state and drive streams are then overwritten wholesale
+        token): the row freshly built from the same (graph, clamps,
+        seed, config) the original row was — the snapshot stores only
+        state arrays and the caller re-derives the structure.  The fresh
+        rows' state and drive streams are then overwritten wholesale
         with the snapshot's, which is what makes the restored engine's
         next step bit-identical to the uninterrupted run's.
 
@@ -505,8 +551,9 @@ class SlotEngine:
         rebuilt = list(rebuilt)
         if len(rebuilt) != len(row_states):
             raise ValueError(
-                f"restore got {len(rebuilt)} networks for {len(row_states)} snapshot rows"
+                f"restore got {len(rebuilt)} rows for {len(row_states)} snapshot rows"
             )
+        self._forget_decodes()
         self._step = int(state["step"])
         self._num_neurons = state["num_neurons"]
         self._updates_per_step = state["updates_per_step"]
@@ -524,7 +571,7 @@ class SlotEngine:
             self._batch = None
             self._reset_arrays()
             return
-        self._batch = self._build_batch([network for _, network in rebuilt])
+        self._batch = self._build_batch([batch_row(replica) for _, replica in rebuilt])
         self._batch.restore_state(state["batch"])
         self._drive().restore_state(state["drive"])
         self._history = np.array(state["history"], dtype=bool, copy=True)
@@ -557,7 +604,7 @@ class SlotEngine:
 
         The policy state is restored first, so a snapshot of some other
         run raises :class:`~repro.runtime.checkpoint.CheckpointError`
-        before any network is built.
+        before any row is built.
         """
         latest = self._store.load_latest() if self._store is not None else None
         if latest is None:
@@ -568,9 +615,9 @@ class SlotEngine:
         self.restore_state(engine, [policy.rebuild(row["token"]) for row in engine["rows"]])
         return True
 
-    def _build_batch(self, networks: Sequence[Any]) -> BatchedNetwork:
+    def _build_batch(self, rows: Sequence[BatchRow]) -> BatchedNetwork:
         return BatchedNetwork.from_networks(
-            networks, batched_external=PortfolioAnnealedDrive(annealed_specs(networks))
+            rows, batched_external=PortfolioAnnealedDrive([row.drive_spec for row in rows])
         )
 
     def _drive(self) -> PortfolioAnnealedDrive:
@@ -610,6 +657,7 @@ class SlotEngine:
         """
         if self._batch is None:
             raise RuntimeError("no live rows to step")
+        self._forget_decodes()
         self._step += 1
         fired = self._batch.step(self._step)
         local = self._step - self._offsets  # per-row local step (1-based)
@@ -625,6 +673,7 @@ class SlotEngine:
         at_check = (local % self._check_interval == 0) | at_budget
         if not at_check.any():
             return None
+        self._at_check = at_check
         return SlotCheckpoint(
             engine=self, step=self._step, local=local, at_check=at_check, at_budget=at_budget
         )
@@ -687,8 +736,9 @@ class OneShotPolicy:
 
     It is a :class:`DurablePolicy` when every row's payload is its index
     in ``admissions``: the index is the row's token, the admission's
-    never-stepped network is its rebuilt network, and the state is the
-    retired outcomes plus ``identity``, which a resumed run must match.
+    never-stepped row spec is its rebuilt row (a resumed run admits
+    nothing else), and the state is the retired outcomes plus
+    ``identity``, which a resumed run must match.
     """
 
     def __init__(self, admissions: Sequence[SlotAdmission], *, identity: Any = None) -> None:
@@ -723,9 +773,9 @@ class OneShotPolicy:
     def describe(self, row: SlotRow) -> int:
         return row.payload
 
-    def rebuild(self, token: int) -> Tuple[Any, Any]:
-        row, network = self._admissions[token]
-        return row.payload, network
+    def rebuild(self, token: int) -> Tuple[Any, Replica]:
+        row, replica = self._admissions[token]
+        return row.payload, replica
 
     def export_state(self) -> dict:
         return {

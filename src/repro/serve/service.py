@@ -71,10 +71,10 @@ import numpy as np
 from ..csp.config import CSPConfig
 from ..csp.graph import ClampsLike, ConstraintGraph
 from ..csp.solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _empty_result
+from ..runtime.batch import BatchRow
 from ..runtime.cache import RunResultCache, derive_cache_key, derive_identity
 from ..runtime.checkpoint import CheckpointStore, FaultPlan
 from ..runtime.slots import SlotAdmission, SlotCheckpoint, SlotDecision, SlotEngine, SlotRow
-from ..snn.network import SNNNetwork
 from .metrics import MetricsRecorder, MetricsSnapshot
 
 __all__ = [
@@ -91,8 +91,9 @@ __all__ = [
 
 #: LRU bound of the in-memory result memo (entries).
 _MEMO_LIMIT = 4096
-#: LRU bound of the shared synapse builds, keyed by structural digest.
-_SYNAPSE_CACHE_SIZE = 64
+#: LRU bound of the shared solvers (one synapse build each), keyed by
+#: structural digest.
+_SOLVER_CACHE_SIZE = 64
 #: Clock units per scheduler step under ``clock="steps"``.
 _STEP_SECONDS = 1e-3
 
@@ -253,10 +254,10 @@ class ServePolicy:
             "max_steps": ticket.max_steps,
         }
 
-    def rebuild(self, token: Dict[str, Any]) -> Tuple[_Ticket, SNNNetwork]:
+    def rebuild(self, token: Dict[str, Any]) -> Tuple[_Ticket, BatchRow]:
         ticket = _Ticket(**token, state="running", recovered=True)
         self._service._inflight[ticket.key] = ticket
-        return ticket, self._service._build_network(ticket)
+        return ticket, self._service._build_row(ticket)
 
     def export_state(self) -> Dict[str, Any]:
         return {"num_neurons": self._service._num_neurons}
@@ -387,7 +388,7 @@ class SolveService:
 
         # Dedup / sharing caches.
         self._memo: "OrderedDict[str, CSPSolveResult]" = OrderedDict()
-        self._synapses: "OrderedDict[str, object]" = OrderedDict()
+        self._solvers: "OrderedDict[str, SpikingCSPSolver]" = OrderedDict()
 
         # Scheduler plumbing.
         self._task: Optional["asyncio.Task[None]"] = None
@@ -888,30 +889,29 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Batch-row construction (the bit-exactness-critical path)
     # ------------------------------------------------------------------ #
-    def _build_network(self, ticket: _Ticket) -> SNNNetwork:
-        """A fresh solver network for one admission.
+    def _build_row(self, ticket: _Ticket) -> BatchRow:
+        """A fresh solver row spec for one admission.
 
-        Graphs with identical structure share one synapse build (keyed
-        by the structural digest, LRU-bounded), which also keeps the
-        batch engine on its shared-matrix fast path for repeat
-        instances.  Shared connectivity never changes results — the
-        matrix values are a pure function of the structure and the
-        service-wide config.  The admission offset (the bit-exactness
-        mechanism) is stamped by :meth:`SlotEngine.recompose`.
+        Graphs with identical structure share one solver, and so one
+        synapse build (keyed by the structural digest, LRU-bounded),
+        which also keeps the batch engine on its shared-matrix fast path
+        for repeat instances.  Sharing never changes results: the
+        connectivity and the drive vector are pure functions of the
+        structure, the resolved clamps and the service-wide config, and
+        the row's noise stream comes from the ticket's seed.  The
+        admission offset (the bit-exactness mechanism) is stamped by
+        :meth:`SlotEngine.recompose`.
         """
         digest = ticket.graph.cache_token()
-        solver = SpikingCSPSolver(
-            ticket.graph,
-            self._config,
-            backend=self._backend,
-            seed=ticket.seed,
-            synapses=self._synapses.get(digest),
-        )
-        self._synapses[digest] = solver.synapses
-        self._synapses.move_to_end(digest)
-        while len(self._synapses) > _SYNAPSE_CACHE_SIZE:
-            self._synapses.popitem(last=False)
-        return solver.build_network(ticket.clamps)
+        solver = self._solvers.get(digest)
+        if solver is None:
+            solver = SpikingCSPSolver(ticket.graph, self._config, backend=self._backend)
+            self._solvers[digest] = solver
+            while len(self._solvers) > _SOLVER_CACHE_SIZE:
+                self._solvers.popitem(last=False)
+        else:
+            self._solvers.move_to_end(digest)
+        return solver.row(ticket.clamps, seed=ticket.seed)
 
     def _take_admissions(self, count: int) -> List[SlotAdmission]:
         """Admit up to ``count`` queued tickets as fresh batch rows."""
@@ -928,14 +928,13 @@ class SolveService:
                 self._drop_ticket(ticket)
                 continue
             ticket.state = "running"
-            network = self._build_network(ticket)
             row = SlotRow(
                 graph=ticket.graph,
                 clamps=ticket.clamps,
                 budget=ticket.max_steps,
                 payload=ticket,
             )
-            taken.append((row, network))
+            taken.append((row, self._build_row(ticket)))
         return taken
 
     # ------------------------------------------------------------------ #

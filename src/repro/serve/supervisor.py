@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict, List, Optional
 
-from .service import ServeResult, SolveService
+from .service import InvalidRequestError, ServeResult, SolveService
 
 __all__ = ["ServeSupervisor", "SupervisorError"]
 
@@ -292,11 +294,16 @@ class ServeSupervisor:
 
         Survives child crashes transparently: if the service dies before
         answering, the request is resubmitted to the respawned (and
-        state-recovered) incarnation.  Raises :class:`SupervisorError`
-        when the restart budget is exhausted or ``timeout`` (wall
-        seconds) passes, and re-raises the service's typed rejections
-        (e.g. ``LoadShedError``) as :class:`SupervisorError` with the
-        original message.
+        state-recovered) incarnation.  Raises
+        :class:`~repro.serve.service.InvalidRequestError` before
+        booking, or starting a child, when the request does not pickle
+        with the pipe's pickler (generator clamps, a lambda client):
+        such a request would otherwise fail in the respawn loop and
+        strand every other pending request.  Raises
+        :class:`SupervisorError` when the restart budget is exhausted or
+        ``timeout`` (wall seconds) passes, and re-raises the service's
+        typed rejections (e.g. ``LoadShedError``) as
+        :class:`SupervisorError` with the original message.
         """
         request = {
             "graph": graph,
@@ -306,6 +313,10 @@ class ServeSupervisor:
             "max_steps": max_steps,
             "deadline": deadline,
         }
+        try:
+            ForkingPickler.dumps(request)  # what Connection.send does
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise InvalidRequestError(f"request does not pickle: {exc}") from exc
         event = threading.Event()
         with self._lock:
             if self._stopped.is_set():

@@ -53,7 +53,7 @@ class TestPortfolioDriveEquivalence:
             drive(step)
         [extra] = _networks([3])
         extra.external_input.drive_spec.step_offset = 11
-        drive.extend([extra])
+        drive.extend([extra.external_input.drive_spec])
         assert drive.batch_shape[0] == 3
         [solo] = _networks([3])
         reference = PortfolioAnnealedDrive([solo.external_input.drive_spec])
@@ -67,7 +67,7 @@ class TestPortfolioDriveEquivalence:
         drive(1)
         drive.retain([0, 2])
         [extra] = _networks([4])
-        drive.extend([extra])
+        drive.extend([extra.external_input.drive_spec])
         assert drive.batch_shape[0] == 3
 
     def test_extend_rejects_foreign_specs(self):
@@ -75,7 +75,7 @@ class TestPortfolioDriveEquivalence:
         drive = PortfolioAnnealedDrive([n.external_input.drive_spec for n in nets])
         [other] = _networks([2], instance_seed=9, num_vertices=12)
         with pytest.raises(ValueError):
-            drive.extend([other])
+            drive.extend([other.external_input.drive_spec])
 
 
 class TestBatchedNetworkExtend:

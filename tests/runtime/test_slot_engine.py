@@ -449,3 +449,43 @@ class TestRecomposeEdges:
         assert engine.global_step == 50
         engine.fast_forward(20)  # never rewinds
         assert engine.global_step == 50
+
+    @pytest.mark.parametrize(
+        "keep, admit, error",
+        [
+            ([2, 1, 0], True, ValueError),
+            ([2, 1, 0], False, ValueError),
+            ([0, 0, 1], False, ValueError),
+            ([0, 0, 1], True, ValueError),
+            ([0, 5, 1], False, IndexError),
+            ([-1, 1], True, IndexError),
+        ],
+    )
+    def test_malformed_keep_raises_before_mutating(self, keep, admit, error):
+        engine, twin = self._engine_with_rows(), self._engine_with_rows()
+        for _ in range(7):
+            engine.step()
+            twin.step()
+        rows, payloads = list(engine.rows), [row.payload for row in engine.rows]
+        batch, state = engine._batch, engine._batch.export_state()
+        admissions = []
+        if admit:
+            job = _Job(name="late", seed=99, budget=300)
+            graph, clamps = job.make()
+            solver = SpikingCSPSolver(graph, CSPConfig(), seed=job.seed)
+            row = SlotRow(graph=graph, clamps=clamps, budget=job.budget, payload=job)
+            admissions.append((row, solver.row(clamps)))
+        with pytest.raises(error):
+            engine.recompose(keep, admissions)
+        assert engine.rows == rows and [row.payload for row in engine.rows] == payloads
+        assert engine._batch is batch and batch.batch_size == 3
+        for key, value in batch.export_state().items():
+            if key != "descriptor":
+                np.testing.assert_array_equal(value, state[key], err_msg=key)
+        # The engine still steps, exactly as if the call never happened.
+        for _ in range(30):
+            engine.step()
+            twin.step()
+        np.testing.assert_array_equal(engine._window_counts, twin._window_counts)
+        np.testing.assert_array_equal(engine._last_spike, twin._last_spike)
+        np.testing.assert_array_equal(engine.row_spikes, twin.row_spikes)

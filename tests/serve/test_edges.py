@@ -9,7 +9,13 @@ from repro.csp.config import CSPConfig
 from repro.csp.scenarios import make_instance
 from repro.csp.solver import SpikingCSPSolver, _empty_result
 from repro.runtime.batch import BatchedNetwork, BatchIncompatibleError
-from repro.serve import IncompatibleInstanceError, InvalidRequestError, ServeStatus, SolveService
+from repro.serve import (
+    IncompatibleInstanceError,
+    InvalidRequestError,
+    ServeStatus,
+    ServeSupervisor,
+    SolveService,
+)
 
 
 def _instance(seed, num_vertices=9):
@@ -171,3 +177,20 @@ def test_malformed_request_is_a_typed_rejection(malformed):
 
     # Rejected before the ledger booked anything.
     assert asyncio.run(main()).submitted == 0
+
+
+@pytest.mark.parametrize(
+    "unpicklable",
+    [
+        pytest.param(lambda clamps: {"clamps": (item for item in clamps.items())}, id="generator"),
+        pytest.param(lambda clamps: {"clamps": clamps, "client": lambda: "x"}, id="lambda-client"),
+    ],
+)
+def test_unpicklable_supervisor_request_is_a_typed_rejection(unpicklable):
+    graph, clamps = _instance(7)
+    supervisor = ServeSupervisor(service_kwargs={"capacity": 2})
+    with pytest.raises(InvalidRequestError):
+        supervisor.submit(graph, **unpicklable(clamps), timeout=5.0)
+    # Rejected before booking and before any child was spawned.
+    assert supervisor.child_pid is None
+    assert not supervisor._pending and not supervisor._events
