@@ -40,16 +40,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime.slots import SlotAdmission, SlotDecision, SlotEngine, SlotRow
+from ..runtime.slots import SlotAdmission, SlotDecision, SlotDecode, SlotEngine, SlotRow
 from .config import CSPConfig
 from .graph import ClampsLike, ConstraintGraph
-from .solver import (
-    CSP_SLOT_DECODER,
-    CSPSolveResult,
-    SpikingCSPSolver,
-    _empty_decode,
-    _empty_result,
-)
+from .solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _empty_result
 
 __all__ = [
     "PortfolioConfig",
@@ -274,10 +268,10 @@ def solve_instances_portfolio(
     results = []
     for state in states:
         if state.values is None:
-            # Never decoded (zero slots or zero budget): the canonical
-            # zero-step decode (clamps only).
-            state.values, state.decided = _empty_decode(state.graph, state.clamps)
-            state.solved = state.graph.is_solution(state.values, state.decided)
+            # Never launched (the global budget ran out first): the
+            # canonical zero-step decode (clamps only).
+            empty = _empty_result(state.graph, state.clamps)
+            state.solved, state.values, state.decided = empty.solved, empty.values, empty.decided
         results.append(
             CSPSolveResult(
                 solved=state.solved,
@@ -403,17 +397,20 @@ class RestartPortfolioPolicy:
         return launched
 
     # -- accounting ----------------------------------------------------- #
-    def _finish_attempt(self, attempt: _Attempt, local_steps: int, spikes: int) -> None:
-        """Book a finished attempt's work into its instance state."""
+    def _retire(
+        self, attempt: _Attempt, local_steps: int, spikes: int, decode: Optional[SlotDecode]
+    ) -> None:
+        """Book a retired attempt into its instance; a decode (not when raced) is its snapshot."""
         state = self._states[attempt.instance]
         state.live -= 1
         state.attempt_steps.append(int(local_steps))
         state.total_spikes += int(spikes)
-
-    def _snapshot(self, attempt: _Attempt, local_steps: int, values, decided) -> None:
-        state = self._states[attempt.instance]
-        state.steps = int(local_steps)
-        state.values, state.decided = values, decided
+        if decode is not None:
+            state.steps = int(local_steps)
+            state.values, state.decided = decode.values, decode.decided
+            if decode.solved:
+                state.solved = True
+                self.unsolved -= 1
 
     # -- SlotPolicy ----------------------------------------------------- #
     def initial_admissions(self, engine: SlotEngine) -> List[SlotAdmission]:
@@ -427,28 +424,16 @@ class RestartPortfolioPolicy:
         return admissions
 
     def on_checkpoint(self, checkpoint) -> SlotDecision:
-        engine = checkpoint.engine
+        finished = checkpoint.finished
+        spikes = checkpoint.engine.row_spikes
         keep: List[int] = []
-        for row_index, row in enumerate(engine.rows):
-            attempt = row.payload
-            state = self._states[attempt.instance]
-            local_steps = int(checkpoint.local[row_index])
-            if state.solved:
-                # Raced attempt of an instance another row already solved.
-                self._finish_attempt(attempt, local_steps, engine.row_spikes[row_index])
-                continue
-            if not checkpoint.at_check[row_index]:
-                keep.append(row_index)
-                continue
-            decode = engine.decode_row(row_index)
-            if decode.solved:
-                state.solved = True
-                self.unsolved -= 1
-                self._snapshot(attempt, local_steps, decode.values, decode.decided)
-                self._finish_attempt(attempt, local_steps, engine.row_spikes[row_index])
-            elif checkpoint.at_budget[row_index]:
-                self._snapshot(attempt, local_steps, decode.values, decode.decided)
-                self._finish_attempt(attempt, local_steps, engine.row_spikes[row_index])
+        for row_index, row in enumerate(checkpoint.rows):
+            # A raced attempt (another row solved its instance) retires
+            # without a decode.
+            raced = self._states[row.payload.instance].solved
+            if raced or row_index in finished:
+                decode = None if raced else finished[row_index].decode
+                self._retire(row.payload, checkpoint.local[row_index], spikes[row_index], decode)
             else:
                 keep.append(row_index)
         refills = (
@@ -463,13 +448,6 @@ class RestartPortfolioPolicy:
         mirroring the one-shot loop's final decode."""
         local = engine.local_steps()
         for row_index, row in enumerate(engine.rows):
-            attempt = row.payload
-            state = self._states[attempt.instance]
-            local_steps = int(local[row_index])
-            if not state.solved:
-                decode = engine.decode_row(row_index)
-                if decode.solved:
-                    state.solved = True
-                    self.unsolved -= 1
-                self._snapshot(attempt, local_steps, decode.values, decode.decided)
-            self._finish_attempt(attempt, local_steps, engine.row_spikes[row_index])
+            raced = self._states[row.payload.instance].solved
+            decode = None if raced else engine.decode_row(row_index)
+            self._retire(row.payload, local[row_index], engine.row_spikes[row_index], decode)

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..runtime.batch import BatchRow, Replica, batch_row
 from ..runtime.drives import AnnealedNoiseSpec
-from ..runtime.slots import OneShotPolicy, SlotDecode, SlotEngine, SlotRow
+from ..runtime.slots import OneShotPolicy, SlotDecode, SlotEngine, SlotOutcome, SlotRow
 from ..snn.fixed_izhikevich import FixedPointPopulation
 from ..snn.izhikevich import IzhikevichPopulation
 from ..snn.network import Population, SNNNetwork
@@ -641,16 +641,7 @@ def _run_batch(
     results: List[Optional[CSPSolveResult]] = [None] * len(entries)
     updates_per_step = engine.updates_per_step or 0
     for outcome in policy.outcomes:
-        results[outcome.row.payload] = CSPSolveResult(
-            solved=outcome.decode.solved,
-            steps=outcome.local_steps,
-            values=outcome.decode.values,
-            decided=outcome.decode.decided,
-            total_spikes=outcome.spikes,
-            neuron_updates=outcome.local_steps * updates_per_step,
-            attempts=1,
-            attempt_steps=(outcome.local_steps,),
-        )
+        results[outcome.row.payload] = _solve_result(outcome, updates_per_step)
     # Entries with no outcome never stepped (max_steps <= 0): the
     # zero-step decode, centralised in the engine's empty window.
     return [
@@ -686,10 +677,18 @@ def _solve_fingerprint(
     return key
 
 
-def _empty_decode(graph: ConstraintGraph, clamps: ClampsLike) -> Tuple[np.ndarray, np.ndarray]:
-    """Decode of the canonical zero-step window (clamps only)."""
-    window_counts, last_spike = SlotEngine.empty_window(graph.num_neurons)
-    return decode_assignment(graph, window_counts, last_spike, clamps)
+def _solve_result(outcome: SlotOutcome, updates_per_step: int) -> CSPSolveResult:
+    """The single-attempt result of a retired row."""
+    return CSPSolveResult(
+        solved=outcome.decode.solved,
+        steps=outcome.local_steps,
+        values=outcome.decode.values,
+        decided=outcome.decode.decided,
+        total_spikes=outcome.spikes,
+        neuron_updates=outcome.local_steps * updates_per_step,
+        attempts=1,
+        attempt_steps=(outcome.local_steps,),
+    )
 
 
 def _empty_result(graph: ConstraintGraph, clamps: ClampsLike) -> CSPSolveResult:
@@ -703,14 +702,7 @@ def _empty_result(graph: ConstraintGraph, clamps: ClampsLike) -> CSPSolveResult:
     owner of the zero-step semantics shared with the portfolio and
     serve layers.
     """
-    values, decided = _empty_decode(graph, clamps)
-    return CSPSolveResult(
-        solved=graph.is_solution(values, decided),
-        steps=0,
-        values=values,
-        decided=decided,
-        total_spikes=0,
-        neuron_updates=0,
-        attempts=1,
-        attempt_steps=(0,),
-    )
+    window_counts, last_spike = SlotEngine.empty_window(graph.num_neurons)
+    values, decided = decode_assignment(graph, window_counts, last_spike, clamps)
+    decode = SlotDecode(values, decided, graph.is_solution(values, decided))
+    return _solve_result(SlotOutcome(SlotRow(graph, clamps, budget=0), 0, 0, decode), 0)

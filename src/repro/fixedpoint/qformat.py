@@ -169,6 +169,9 @@ class QFormat:
             raw = np.trunc(scaled)
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown rounding mode {rounding!r}")
+        if overflow is Overflow.SATURATE:
+            # Saturate before the cast: an out-of-range float has no int64.
+            raw = np.clip(raw, self.raw_min, self.raw_max)
         raw = raw.astype(np.int64)
         raw = self.handle_overflow(raw, overflow)
         if np.isscalar(value) or np.ndim(value) == 0:

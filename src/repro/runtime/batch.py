@@ -40,17 +40,16 @@ Two operating points are supported, selected by ``synapse_mode``:
     kernel when their weights qualify (so fused *is* bit-exact there),
     per replica otherwise.
 
-On top of the propagation kernel the fixed-point step feeds the raw
-integer synaptic sum straight into the Q15.16 accumulator: instead of
-converting the integer sum to float, adding it to the drive current and
-re-quantising, the drive current is scaled once and the raw sum added in
-the integer domain (``round(base * 2^16 + S_raw)``), which is provably
-bit-identical to the sequential ``quantize(base + S_raw / 2^16)`` (scaling
-by a power of two commutes with float rounding) while skipping the float
-round-trip through :func:`_quantize_q15_16`.  In ``"decay"`` current mode
-the engine additionally carries the quantised current as raw integer
-state across steps, so the per-step re-quantisation of the float current
-disappears entirely.
+Every fixed-point step sums its current at scale ``2^16``
+(:meth:`BatchedNetwork._fixed_isyn_raw`): the drive current times
+``2^16``, the decayed raw current, then the integer kernel's raw sum (or
+a float synaptic current times ``2^16``), rounded once by
+:func:`_quantize_scaled_q15_16`.  Scaling by a power of two commutes with
+float rounding, so this is bit-identical to the sequential
+``Q15_16.from_float((decayed + external) + synaptic)`` without its
+float round-trip.  In ``"decay"`` current mode the engine carries the
+quantised current as raw integer state across steps, so the per-step
+re-quantisation of the float current disappears entirely.
 
 Every per-replica array is one row of a ``(B, N)`` stack, named in one
 place (``_STATE`` and ``_PARAMS``).  A replica enters a batch as a
@@ -88,7 +87,7 @@ from ..fixedpoint import Q7_8, Q15_16
 from ..sim.dcu import SHIFT_SELECTIONS
 from ..sim.npu import _COEFF_004_Q4_11, _CONST_140_ACC, _VTH_RAW
 from ..snn.analysis import SpikeRaster
-from ..snn.fixed_izhikevich import FixedPointPopulation, decay_current_raw
+from ..snn.fixed_izhikevich import FixedPointPopulation
 from ..snn.izhikevich import euler_step
 from ..snn.network import InputProvider, SNNNetwork, Synapses
 from ..snn.synapse import DenseSynapses, SparseSynapses
@@ -121,35 +120,11 @@ class BatchIncompatibleError(ValueError):
     """Raised when the networks handed to the batch engine cannot be stacked."""
 
 
-def _quantize_q15_16(
-    values: np.ndarray, out: np.ndarray, scratch: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Fused ``Q15_16.from_float`` (NEAREST / SATURATE) into ``out`` (int64).
-
-    Bit-identical to :meth:`repro.fixedpoint.QFormat.from_float` with the
-    default rounding and overflow modes: round-to-nearest with ties away
-    from zero is computed as ``copysign(floor(|x| + 0.5), x)``, which
-    matches the reference's ``floor(x + 0.5) / ceil(x - 0.5)`` split for
-    every representable input.
-    """
-    if scratch is None:
-        scratch = np.empty_like(values)
-    np.multiply(values, 65536.0, out=scratch)
-    np.abs(scratch, out=scratch)
-    scratch += 0.5
-    np.floor(scratch, out=scratch)
-    np.copysign(scratch, values, out=scratch)  # values carries the sign (scale > 0)
-    np.copyto(out, scratch, casting="unsafe")
-    np.maximum(out, _Q15_16_MIN, out=out)
-    np.minimum(out, _Q15_16_MAX, out=out)
-    return out
-
-
 # reprolint: exact-int -- pure int64 shift network (decay path)
 def _decay_raw_inplace(
     isyn_raw: np.ndarray, tau_select: int, h_shift: int, delta: np.ndarray, tmp: np.ndarray
 ) -> np.ndarray:
-    """In-place scratch-buffer twin of :func:`decay_current_raw`.
+    """In-place scratch-buffer twin of :func:`repro.snn.fixed_izhikevich.decay_current_raw`.
 
     Same integer shift-add network (``I - (approx(I / tau) >> h)`` with
     Q15.16 saturation), minus the per-step temporaries — integer ops are
@@ -167,16 +142,17 @@ def _decay_raw_inplace(
 
 
 def _quantize_scaled_q15_16(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Quantise pre-scaled current ``z = base * 2^16 + S_raw`` into ``out``.
+    """Quantise a current pre-scaled by ``2^16`` into ``out`` (int64).
 
-    Bit-identical to ``_quantize_q15_16(base + S_raw / 2^16, out)``:
-    multiplying a float64 by the exact power of two ``2^16`` commutes with
-    rounding, so ``fl(base + S/2^16) * 2^16 == fl(base * 2^16 + S)`` and
-    the round-to-nearest-away step sees the same value either way.  This
-    is what lets the integer synapse kernel feed its raw sum straight
-    into the accumulator without a float round-trip.  Saturation happens
-    on the float side (the bounds are exactly representable), which also
-    keeps enormous inputs away from undefined float->int casts.
+    Bit-identical to :meth:`repro.fixedpoint.QFormat.from_float` of
+    ``z / 2^16`` with the default rounding and overflow modes: rounding
+    to nearest with ties away from zero is ``copysign(floor(|z| + 0.5),
+    z)``, and multiplying a float64 by the power of two ``2^16`` commutes
+    with rounding, so ``fl(a + b) * 2^16 == fl(a * 2^16 + b * 2^16)``.
+    Saturation happens on the float side (the bounds are exactly
+    representable), which keeps enormous inputs away from undefined
+    float->int casts.  ``scratch`` must not alias ``z``: ``z`` still
+    carries the sign after ``scratch`` has lost it.
     """
     np.abs(z, out=scratch)
     scratch += 0.5
@@ -478,8 +454,8 @@ class _SynapseBatch:
 
         Checks the synapse kind and, when the integer kernel is live,
         that every new weight set quantises losslessly (the kernel must
-        not silently fall back to float mid-run: the engine's current
-        bookkeeping depends on which path is active).
+        not silently fall back to float mid-run: a snapshot's descriptor
+        records which path is active).
         """
         kind = type(self._synapses[0])
         for synapse in synapses:
@@ -735,11 +711,6 @@ class BatchedNetwork:
         """``True`` when the integer CSR synapse kernel is active."""
         return self._synapses.integer
 
-    @property
-    def _use_raw_current(self) -> bool:
-        """Whether the fixed-point step runs on the raw-integer current feed."""
-        return self._synapses.integer or self._synapses._none
-
     def _row_names(self) -> List[str]:
         """Attributes of every per-replica array: checkpointed state, then parameters."""
         fixed = self.is_fixed_point
@@ -753,14 +724,15 @@ class BatchedNetwork:
         derived here from the stacked float current.
         """
         stacked = {name: np.stack([row.arrays[name] for row in rows]) for name in rows[0].arrays}
-        isyn_raw = np.zeros(stacked["_current"].shape, dtype=np.int64)
-        if self.is_fixed_point and self.current_mode == "decay" and self._use_raw_current:
+        current = stacked["_current"]
+        isyn_raw = np.zeros(current.shape, dtype=np.int64)
+        if self.is_fixed_point and self.current_mode == "decay":
             # Carry the quantised current as raw integer state: the
             # sequential engine re-quantises its float current at the
-            # top of every step, and the result is exactly the raw
-            # kernel input of the previous step, so the round-trip can
-            # be hoisted out of the loop entirely.
-            _quantize_q15_16(stacked["_current"], isyn_raw)
+            # top of every step, and the result is exactly the kernel
+            # input of the previous step, so the round-trip can be
+            # hoisted out of the loop entirely.
+            _quantize_scaled_q15_16(current * 65536.0, isyn_raw, np.empty_like(current))
         stacked["_isyn_raw"] = isyn_raw
         return stacked
 
@@ -833,52 +805,47 @@ class BatchedNetwork:
         return self._ext
 
     def _update_current(self, external: np.ndarray, synaptic: np.ndarray) -> np.ndarray:
-        # Mirrors CurrentState.update elementwise (hence bit-exact).
+        # Float64 backend; mirrors CurrentState.update elementwise (hence bit-exact).
         if self.current_mode == "recompute":
             np.add(external, synaptic, out=self._current)
         else:
-            raw = _quantize_q15_16(self._current, self._isyn_raw, self._fscratch)
-            raw = decay_current_raw(raw, self.tau_select, self.h_shift)
+            z = np.multiply(self._current, 65536.0, out=self._fscratch)
+            raw = _quantize_scaled_q15_16(z, self._isyn_raw, self._fscratch2)
+            _decay_raw_inplace(raw, self.tau_select, self.h_shift, self._iscratch, self._iscratch2)
             np.divide(raw, 65536.0, out=self._current)
             self._current += external
             self._current += synaptic
         return self._current
 
     def _fixed_isyn_raw(self, external: np.ndarray) -> np.ndarray:
-        """Kernel input current on the raw-integer feed (no float round-trip).
+        """Kernel input current of a fixed-point step, summed at scale ``2^16``.
 
-        Sequential reference, per replica: ``base = decayed + external``
-        (or just ``external`` in recompute mode), ``current = base + syn``
-        and ``isyn_raw = quantize(current)``.  Here the synaptic term
-        arrives as the exact raw integer ``S``, so the quantisation runs
-        on ``base * 2^16 + S`` instead — bit-identical (see
-        :func:`_quantize_scaled_q15_16`) and one float pass cheaper.
+        Sequential reference, per replica: ``current = (decayed +
+        external) + synaptic`` (``decayed`` in decay mode only), then
+        ``isyn_raw = Q15_16.from_float(current)``.  Here every term enters
+        scaled by ``2^16`` — the drive current, the decayed raw current,
+        then the integer kernel's raw sum or a float synaptic current —
+        in the reference's order, and one quantiser rounds the sum:
+        bit-identical (see :func:`_quantize_scaled_q15_16`).
         """
-        syn_raw = self._synapses.propagate_raw(self._last_fired)
-        z = self._fscratch
+        z = np.multiply(external, 65536.0, out=self._fscratch)
         if self.current_mode == "decay":
-            raw = _decay_raw_inplace(
+            # int64 -> float64 is exact: |raw| < 2^53.
+            z += _decay_raw_inplace(
                 self._isyn_raw, self.tau_select, self.h_shift, self._iscratch, self._iscratch2
             )
-            base = self._fscratch2
-            np.divide(raw, 65536.0, out=base)  # exact
-            base += external
-            np.multiply(base, 65536.0, out=z)
+        synapses = self._synapses
+        if synapses.integer or synapses._none:
+            z += synapses.propagate_raw(self._last_fired)
         else:
-            np.multiply(external, 65536.0, out=z)
-        np.add(z, syn_raw, out=z)  # int64 -> float64 conversion is exact here
+            z += np.multiply(synapses.propagate(self._last_fired), 65536.0, out=self._fscratch2)
         return _quantize_scaled_q15_16(z, self._isyn_raw, self._fscratch2)
 
     def _advance_population(self, step_index: int) -> np.ndarray:
         external = self._external(step_index)
         fired = self._fired
         if self.is_fixed_point:
-            if self._use_raw_current:
-                isyn_raw = self._fixed_isyn_raw(external)
-            else:
-                synaptic = self._synapses.propagate(self._last_fired)
-                current = self._update_current(external, synaptic)
-                isyn_raw = _quantize_q15_16(current, self._isyn_raw, self._fscratch)
+            isyn_raw = self._fixed_isyn_raw(external)
             fired[:] = False
             for _ in range(self._substeps):
                 spike = self._kernel.substep(self.v_raw, self.u_raw, isyn_raw)

@@ -14,12 +14,13 @@ to the code that computes it.  :class:`RunResultCache` exploits that:
   to a **code fingerprint** hashing every ``repro`` source file, so
   editing the simulator invalidates all prior entries instead of
   serving stale results;
-* entries are pickled ``RunResult`` objects stored under
-  ``<root>/<key[:2]>/<key>.pkl`` — written atomically (temp file +
-  fsync + rename) with a SHA-256 payload checksum verified on every
-  read, so concurrent sweep workers may share one cache directory and a
-  corrupted entry is quarantined (renamed aside, counted) instead of
-  being served or silently lost;
+* entries are ``RunResult`` objects stored under
+  ``<root>/<key[:2]>/<key>.pkl`` in the checkpoint file format
+  (:func:`~repro.runtime.checkpoint.write_checkpoint`): written
+  atomically and checksummed, verified on every read, so concurrent
+  sweep workers may share one cache directory and a corrupted entry is
+  quarantined (renamed aside, counted) instead of being served or
+  silently lost;
 * requests that contain objects without a stable canonical form (e.g. a
   closure in ``options``) are *bypassed*, never mis-keyed.
 
@@ -37,14 +38,14 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import shutil
-import tempfile
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 import numpy as np
+
+from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 __all__ = [
     "RunResultCache",
@@ -66,12 +67,9 @@ ENV_DIR = "REPRO_RUN_CACHE_DIR"
 #: served request whose seed is derived from its identity).
 _IDENTITY_VERSION = 1
 #: Bumped whenever the cache-key binding or the stored format changes.
-_FORMAT_VERSION = 2
-
-#: Leads every checksummed cache entry; followed by a 32-byte SHA-256 of
-#: the pickled payload, then the payload itself.
-_ENTRY_MAGIC = b"RPROCSH1"
-_SHA_BYTES = 32
+_FORMAT_VERSION = 3
+#: The checkpoint-file kind of a cache entry.
+_ENTRY_KIND = "run-result"
 
 
 class UncacheableRequestError(TypeError):
@@ -232,37 +230,21 @@ class RunResultCache:
     def get(self, key: str, *, expect: Optional[type] = None) -> Optional[Any]:
         """Load a cached result (``None`` on miss or corrupt entry).
 
-        Checksummed entries (the format :meth:`put` writes) are verified
-        on every read: a payload whose SHA-256 does not match — bit rot,
-        torn write, tampering — is **quarantined** (renamed aside and
-        counted in :attr:`stats`) and reported as a miss.  Legacy
-        un-checksummed pickles are still readable; ones that fail to
-        unpickle are quarantined the same way.  With ``expect`` set, an
-        entry that unpickles to a different type — e.g. a foreign pickle
-        dropped into the cache directory, or an entry written by an
-        incompatible tool — is unlinked and reported as a miss, never
-        handed to the caller.
+        Entries are verified on every read
+        (:func:`~repro.runtime.checkpoint.read_checkpoint`): a damaged one
+        — bit rot, torn write, tampering, foreign bytes — is
+        **quarantined** (renamed aside and counted in :attr:`stats`) and
+        reported as a miss; an unreadable file is a plain miss.  With
+        ``expect`` set, an entry of a different type — e.g. one written
+        by an incompatible tool — is unlinked and reported as a miss,
+        never handed to the caller.
         """
         path = self._path(key)
         try:
-            data = path.read_bytes()
-        except FileNotFoundError:
-            return None
+            result = read_checkpoint(path, kind=_ENTRY_KIND)
         except OSError:
             return None
-        try:
-            if data.startswith(_ENTRY_MAGIC):
-                head = len(_ENTRY_MAGIC) + _SHA_BYTES
-                digest = data[len(_ENTRY_MAGIC) : head]
-                payload = data[head:]
-                if len(digest) < _SHA_BYTES or hashlib.sha256(payload).digest() != digest:
-                    raise ValueError("cache entry checksum mismatch")
-                result = pickle.loads(payload)
-            else:
-                # Pre-checksum entry (or foreign bytes): the unpickle
-                # itself is the only integrity check available.
-                result = pickle.loads(data)
-        except Exception:
+        except CheckpointError:
             self._quarantine(path)
             return None
         if expect is not None and not isinstance(result, expect):
@@ -271,31 +253,13 @@ class RunResultCache:
         return result
 
     def put(self, key: str, result: Any) -> None:
-        """Store ``result`` under ``key`` (atomic, fsynced, checksummed).
+        """Store ``result`` under ``key``: atomic, fsynced and checksummed.
 
-        The entry is written to a temp file (magic + payload SHA-256 +
-        pickled payload), fsynced and renamed into place, so a crash
-        mid-store can never leave a half-written entry under the key —
-        and a damaged one can never be mistaken for a result on read.
+        :func:`~repro.runtime.checkpoint.write_checkpoint` writes a temp
+        file, fsyncs it and renames it into place, so a crash mid-store
+        can never leave a half-written entry under the key.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(_ENTRY_MAGIC)
-                fh.write(hashlib.sha256(payload).digest())
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_checkpoint(self._path(key), result, kind=_ENTRY_KIND)
         self.stores += 1
 
     # ------------------------------------------------------------------ #

@@ -11,7 +11,8 @@ always-hot batch of the serve tier, or a large ``solve_instances`` call
   (SHA-256 over the payload, verified on read) and **atomically
   written** (temp file in the target directory + ``fsync`` +
   ``os.replace``), so a crash mid-write can never leave a half-written
-  file under the final name;
+  file under the final name.  It is the repository's one durable file
+  format: the run-result cache stores its entries in it too;
 * :class:`CheckpointStore` — a directory of rotating step-stamped
   snapshots with :meth:`CheckpointStore.load_latest` falling back past
   corrupt or torn snapshots (counted, typed) to the newest good one;

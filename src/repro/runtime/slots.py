@@ -40,6 +40,9 @@ The engine's invariants (every consumer inherits them):
   row on its own standalone schedule.  The first
   :meth:`SlotEngine.decode_row` call of a checkpoint decodes every
   at-check row in one batched pass (:meth:`SlotDecoder.decode_rows`).
+* **One retirement rule.**  :attr:`SlotCheckpoint.finished` holds the
+  at-check rows whose decode solved or whose budget is spent; policies
+  read it instead of re-deriving it.
 * **Zero-step runs.**  ``max_steps <= 0`` never allocates a batch; the
   canonical zero-step window (:meth:`SlotEngine.empty_window`) decodes
   clamps only, identically across the solver, portfolio and serve
@@ -60,6 +63,7 @@ below ``repro.csp`` in the layering.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, cast
@@ -208,7 +212,11 @@ class DurablePolicy(SlotPolicy, Protocol):
 
 @dataclass
 class SlotCheckpoint:
-    """Engine state handed to a policy when any row hits a check point."""
+    """Engine state handed to a policy when any row hits a check point.
+
+    :attr:`finished` is the engine's retirement rule; policies may retire
+    other rows too (abandoned requests, raced attempts).
+    """
 
     engine: "SlotEngine"
     #: Global step count (the step just executed).
@@ -224,9 +232,36 @@ class SlotCheckpoint:
     def rows(self) -> List[SlotRow]:
         return self.engine.rows
 
-    def decode(self, row: int) -> SlotDecode:
-        """Decode one row's current window (see :meth:`SlotEngine.decode_row`)."""
-        return self.engine.decode_row(row)
+    @functools.cached_property
+    def finished(self) -> Dict[int, SlotOutcome]:
+        """Outcomes of the at-check rows whose decode solved or whose budget is spent.
+
+        By ascending row index; decoded through :meth:`SlotEngine.decode_row`.
+        """
+        engine = self.engine
+        finished: Dict[int, SlotOutcome] = {}
+        for i in np.flatnonzero(self.at_check).tolist():
+            decode = engine.decode_row(i)
+            if decode.solved or self.at_budget[i]:
+                finished[i] = SlotOutcome(
+                    row=engine.rows[i],
+                    local_steps=int(self.local[i]),
+                    spikes=int(engine.row_spikes[i]),
+                    decode=decode,
+                )
+        return finished
+
+
+#: The per-row books a snapshot carries, in snapshot order: ``(snapshot
+#: key, attribute, row axis)``.  ``history`` rings the last ``window``
+#: steps, so its rows lie on axis 1.  The keys stay literal strings (see
+#: ``repro.runtime.batch._STATE``).
+_BOOKS = (
+    ("history", "_history", 1),
+    ("window_counts", "_window_counts", 0),
+    ("last_spike", "_last_spike", 0),
+    ("row_spikes", "_row_spikes", 0),
+)
 
 
 class SlotEngine:
@@ -257,6 +292,13 @@ class SlotEngine:
     can be refilled mid-run and exported.
     """
 
+    # The per-row books (see _BOOKS); the per-neuron ones are ``None``
+    # until the first admission fixes the neuron count.
+    _history: Optional[np.ndarray]
+    _window_counts: Optional[np.ndarray]
+    _last_spike: Optional[np.ndarray]
+    _row_spikes: np.ndarray
+
     def __init__(
         self,
         *,
@@ -281,18 +323,11 @@ class SlotEngine:
         self._checkpoint_every = every
         self._fault = fault
 
-        self._rows: List[SlotRow] = []
         self._batch: Optional[BatchedNetwork] = None
         self._step = 0
         self._num_neurons: Optional[int] = None
         self._updates_per_step: Optional[int] = None
-        self._history: Optional[np.ndarray] = None
-        self._window_counts: Optional[np.ndarray] = None
-        self._last_spike: Optional[np.ndarray] = None
-        self._row_spikes = np.zeros(0, dtype=np.int64)
-        self._offsets = np.zeros(0, dtype=np.int64)
-        self._budgets = np.zeros(0, dtype=np.int64)
-        self._row_index = np.zeros(0, dtype=np.int64)
+        self._install([], self._fresh_books(0))
         #: The last checkpoint's at-check mask (until the rows or their
         #: windows change) and the decodes made since, by row index.
         self._at_check: Optional[np.ndarray] = None
@@ -438,15 +473,13 @@ class SlotEngine:
             new_specs.append(spec)
         if not new_rows:
             # Nothing survives and nothing arrives: tear the batch down.
-            self._rows = []
             self._batch = None
-            self._reset_arrays()
+            self._install([], self._fresh_books(0))
             return
         if self._num_neurons is None:
             self._num_neurons = new_specs[0].size
         if self._updates_per_step is None and new_specs:
             self._updates_per_step = int(self._num_neurons) * new_specs[0].substeps
-        self._ensure_arrays()
         if keep and self._batch is not None:
             if len(keep) < len(self._rows):
                 self._batch.retain(keep)
@@ -454,23 +487,13 @@ class SlotEngine:
                 self._batch.extend(new_specs)
         else:
             self._batch = self._build_batch(new_specs)
-        pad = (len(new_specs), int(self._num_neurons))
-        self._history = np.concatenate(
-            [self._history[:, keep], np.zeros((self._window,) + pad, dtype=bool)], axis=1
-        )
-        self._window_counts = np.concatenate(
-            [self._window_counts[keep], np.zeros(pad, dtype=np.int64)]
-        )
-        self._last_spike = np.concatenate(
-            [self._last_spike[keep], np.full(pad, -1, dtype=np.int64)]
-        )
-        self._row_spikes = np.concatenate(
-            [self._row_spikes[keep], np.zeros(len(new_specs), dtype=np.int64)]
-        )
-        self._rows = new_rows
-        self._offsets = np.asarray([r.offset for r in self._rows], dtype=np.int64)
-        self._budgets = np.asarray([r.budget for r in self._rows], dtype=np.int64)
-        self._row_index = np.arange(len(self._rows), dtype=np.int64)
+        kept = np.asarray(keep, dtype=np.int64)
+        books = self._fresh_books(len(new_specs))
+        for _, attr, axis in _BOOKS:
+            old = getattr(self, attr)
+            if old is not None:
+                books[attr] = np.concatenate([old.take(kept, axis=axis), books[attr]], axis=axis)
+        self._install(new_rows, books)
 
     # ------------------------------------------------------------------ #
     # Checkpointing (repro.runtime.checkpoint)
@@ -510,19 +533,19 @@ class SlotEngine:
                     "token": tokens[i],
                 }
             )
-        return {
+        state = {
             "config": self._config_descriptor(),
             "step": int(self._step),
             "num_neurons": self._num_neurons,
             "updates_per_step": self._updates_per_step,
             "rows": rows,
-            "history": None if self._history is None else self._history.copy(),
-            "window_counts": None if self._window_counts is None else self._window_counts.copy(),
-            "last_spike": None if self._last_spike is None else self._last_spike.copy(),
-            "row_spikes": self._row_spikes.copy(),
-            "batch": batch_state,
-            "drive": drive_state,
         }
+        for key, attr, _ in _BOOKS:
+            book = getattr(self, attr)
+            state[key] = None if book is None else book.copy()
+        state["batch"] = batch_state
+        state["drive"] = drive_state
+        return state
 
     def restore_state(self, state: dict, rebuilt: Sequence[Tuple[Any, Replica]]) -> None:
         """Rebuild the engine from a snapshot; continues bit-identically.
@@ -557,7 +580,7 @@ class SlotEngine:
         self._step = int(state["step"])
         self._num_neurons = state["num_neurons"]
         self._updates_per_step = state["updates_per_step"]
-        self._rows = [
+        rows = [
             SlotRow(
                 graph=rs["graph"],
                 clamps=rs["clamps"],
@@ -567,28 +590,18 @@ class SlotEngine:
             )
             for rs, (payload, _) in zip(row_states, rebuilt)
         ]
-        if not self._rows:
-            self._batch = None
-            self._reset_arrays()
-            return
-        self._batch = self._build_batch([batch_row(replica) for _, replica in rebuilt])
-        self._batch.restore_state(state["batch"])
-        self._drive().restore_state(state["drive"])
-        self._history = np.array(state["history"], dtype=bool, copy=True)
-        self._window_counts = np.array(state["window_counts"], dtype=np.int64, copy=True)
-        self._last_spike = np.array(state["last_spike"], dtype=np.int64, copy=True)
-        self._row_spikes = np.array(state["row_spikes"], dtype=np.int64, copy=True)
-        expected = (len(self._rows), int(self._num_neurons))
-        if (
-            self._history.shape != (self._window,) + expected
-            or self._window_counts.shape != expected
-            or self._last_spike.shape != expected
-            or self._row_spikes.shape != (len(self._rows),)
-        ):
-            raise ValueError("checkpoint bookkeeping arrays disagree with the row set")
-        self._offsets = np.asarray([r.offset for r in self._rows], dtype=np.int64)
-        self._budgets = np.asarray([r.budget for r in self._rows], dtype=np.int64)
-        self._row_index = np.arange(len(self._rows), dtype=np.int64)
+        books = self._fresh_books(len(rows))
+        if rows:
+            for key, attr, _ in _BOOKS:
+                book = np.array(state[key], dtype=books[attr].dtype, copy=True)
+                if book.shape != books[attr].shape:
+                    self._install([], self._fresh_books(0))
+                    raise ValueError("checkpoint bookkeeping arrays disagree with the row set")
+                books[attr] = book
+            self._batch = self._build_batch([batch_row(replica) for _, replica in rebuilt])
+            self._batch.restore_state(state["batch"])
+            self._drive().restore_state(state["drive"])
+        self._install(rows, books)
 
     def _save(self, policy: SlotPolicy) -> None:
         """Snapshot the engine and its (durable) policy at this step."""
@@ -625,24 +638,25 @@ class SlotEngine:
         assert self._batch is not None
         return cast(PortfolioAnnealedDrive, self._batch._batched_external)
 
-    def _reset_arrays(self) -> None:
-        if self._num_neurons is None:
-            self._history = None
-            self._window_counts = None
-            self._last_spike = None
-        else:
-            n = int(self._num_neurons)
-            self._history = np.zeros((self._window, 0, n), dtype=bool)
-            self._window_counts = np.zeros((0, n), dtype=np.int64)
-            self._last_spike = np.full((0, n), -1, dtype=np.int64)
-        self._row_spikes = np.zeros(0, dtype=np.int64)
-        self._offsets = np.zeros(0, dtype=np.int64)
-        self._budgets = np.zeros(0, dtype=np.int64)
-        self._row_index = np.zeros(0, dtype=np.int64)
+    def _fresh_books(self, count: int) -> Dict[str, Any]:
+        """Books of ``count`` unstepped rows: empty windows, no recency, no spikes."""
+        books: Dict[str, Any] = {attr: None for _, attr, _ in _BOOKS}
+        books["_row_spikes"] = np.zeros(count, dtype=np.int64)
+        if self._num_neurons is not None:
+            shape = (count, int(self._num_neurons))
+            books["_history"] = np.zeros((self._window,) + shape, dtype=bool)
+            books["_window_counts"] = np.zeros(shape, dtype=np.int64)
+            books["_last_spike"] = np.full(shape, -1, dtype=np.int64)
+        return books
 
-    def _ensure_arrays(self) -> None:
-        if self._history is None:
-            self._reset_arrays()
+    def _install(self, rows: List[SlotRow], books: Dict[str, Any]) -> None:
+        """Make ``rows`` the live rows, with their books (keyed by attribute)."""
+        self._rows = rows
+        for _, attr, _ in _BOOKS:
+            setattr(self, attr, books[attr])
+        self._offsets = np.asarray([r.offset for r in rows], dtype=np.int64)
+        self._budgets = np.asarray([r.budget for r in rows], dtype=np.int64)
+        self._row_index = np.arange(len(rows), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Stepping
@@ -750,25 +764,9 @@ class OneShotPolicy:
         return list(self._admissions)
 
     def on_checkpoint(self, checkpoint: SlotCheckpoint) -> SlotDecision:
-        engine = checkpoint.engine
-        keep: List[int] = []
-        for i, row in enumerate(engine.rows):
-            if not checkpoint.at_check[i]:
-                keep.append(i)
-                continue
-            decode = engine.decode_row(i)
-            if decode.solved or checkpoint.at_budget[i]:
-                self.outcomes.append(
-                    SlotOutcome(
-                        row=row,
-                        local_steps=int(checkpoint.local[i]),
-                        spikes=int(engine.row_spikes[i]),
-                        decode=decode,
-                    )
-                )
-            else:
-                keep.append(i)
-        return SlotDecision(keep=keep)
+        finished = checkpoint.finished
+        self.outcomes.extend(finished.values())
+        return SlotDecision(keep=[i for i in range(len(checkpoint.rows)) if i not in finished])
 
     def describe(self, row: SlotRow) -> int:
         return row.payload

@@ -70,7 +70,13 @@ import numpy as np
 
 from ..csp.config import CSPConfig
 from ..csp.graph import ClampsLike, ConstraintGraph
-from ..csp.solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _empty_result
+from ..csp.solver import (
+    CSP_SLOT_DECODER,
+    CSPSolveResult,
+    SpikingCSPSolver,
+    _empty_result,
+    _solve_result,
+)
 from ..runtime.batch import BatchRow
 from ..runtime.cache import RunResultCache, derive_cache_key, derive_identity
 from ..runtime.checkpoint import CheckpointStore, FaultPlan
@@ -1019,32 +1025,20 @@ class SolveService:
     def _checkpoint_decision(self, checkpoint: SlotCheckpoint) -> SlotDecision:
         """Decide which rows finish, expire or survive one checkpoint."""
         now = self._now()
-        local = checkpoint.local
+        finished = checkpoint.finished
+        updates_per_step = self._engine.updates_per_step or 0
         keep: List[int] = []
-        for row, live in enumerate(self._engine.rows):
+        for row, live in enumerate(checkpoint.rows):
             ticket = live.payload
-            if not checkpoint.at_check[row]:
-                keep.append(row)
+            if row in finished:
+                self._finish_ticket(ticket, _solve_result(finished[row], updates_per_step))
                 continue
-            decode = self._engine.decode_row(row)
-            if decode.solved or checkpoint.at_budget[row]:
-                result = CSPSolveResult(
-                    solved=decode.solved,
-                    steps=int(local[row]),
-                    values=decode.values,
-                    decided=decode.decided,
-                    total_spikes=int(self._engine.row_spikes[row]),
-                    neuron_updates=int(local[row]) * int(self._engine.updates_per_step),
-                    attempts=1,
-                    attempt_steps=(int(local[row]),),
-                )
-                self._finish_ticket(ticket, result)
-                continue
-            self._expire_waiters(ticket, now)
-            if self._has_live_waiters(ticket):
-                keep.append(row)
-            else:
-                self._drop_ticket(ticket)
+            if checkpoint.at_check[row]:
+                self._expire_waiters(ticket, now)
+                if not self._has_live_waiters(ticket):
+                    self._drop_ticket(ticket)
+                    continue
+            keep.append(row)
         refills = self._take_admissions(self._capacity - len(keep))
         return SlotDecision(keep=keep, admissions=refills)
 

@@ -12,10 +12,12 @@ resubmitted requests are **bit-identical** to what an uninterrupted
 service would have produced — the property the differential chaos suite
 (``tests/serve/test_recovery.py``) pins down.
 
-The fault plan is handed to the *first* child incarnation only: a
-restored service resumes at a step below the plan's crash step, so
-re-arming it would crash-loop the supervisor instead of testing one
-recovery.
+:meth:`ServeSupervisor.start` spawns the first child exactly once; every
+later child comes from the respawn loop, so one service at a time owns
+the journal and snapshot directory.  The fault plan is handed to that
+first incarnation only: a restored service resumes at a step below the
+plan's crash step, so re-arming it would crash-loop the supervisor
+instead of testing one recovery.
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ class ServeSupervisor:
         self._events: Dict[int, threading.Event] = {}
         self._rid = 0
         self._stopped = threading.Event()
+        self._started = False
+        self._gave_up = False
         self.restarts = 0
         self.backoffs: List[float] = []
 
@@ -143,10 +147,12 @@ class ServeSupervisor:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
+        """Spawn the first child; later calls do nothing (the respawn loop spawns the rest)."""
         with self._lock:
-            if self._process is not None:
+            if self._started:
                 return
             self._spawn(first=True)
+            self._started = True
 
     def _spawn(self, *, first: bool) -> None:
         kwargs = dict(self._service_kwargs)
@@ -199,6 +205,7 @@ class ServeSupervisor:
                 if self._stopped.is_set():
                     return
                 if self.restarts >= self._max_restarts:
+                    self._gave_up = True
                     self._fail_pending(
                         SupervisorError(
                             f"service died {self.restarts + 1} times; giving up"
@@ -300,8 +307,9 @@ class ServeSupervisor:
         with the pipe's pickler (generator clamps, a lambda client):
         such a request would otherwise fail in the respawn loop and
         strand every other pending request.  Raises
-        :class:`SupervisorError` when the restart budget is exhausted or
-        ``timeout`` (wall seconds) passes, and re-raises the service's
+        :class:`SupervisorError` when the restart budget is exhausted
+        (at once, once the supervisor has given up) or ``timeout`` (wall
+        seconds) passes, and re-raises the service's
         typed rejections (e.g. ``LoadShedError``) as
         :class:`SupervisorError` with the original message.
         """
@@ -321,8 +329,11 @@ class ServeSupervisor:
         with self._lock:
             if self._stopped.is_set():
                 raise SupervisorError("supervisor is stopped")
-            if self._process is None:
-                self.start()
+            if self._gave_up:
+                raise SupervisorError(f"service died {self.restarts + 1} times; gave up")
+            # Spawns the first child only: while the child is down, the
+            # respawn loop resubmits every booked request.
+            self.start()
             self._rid += 1
             rid = self._rid
             self._pending[rid] = request

@@ -1,5 +1,7 @@
 """Unit and property tests for the Q-format fixed-point representation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +60,15 @@ class TestConversion:
     def test_saturation(self):
         assert Q7_8.from_float(500.0) == Q7_8.raw_max
         assert Q7_8.from_float(-500.0) == Q7_8.raw_min
+
+    def test_saturation_beyond_int64_picks_the_right_bound(self):
+        values = np.array([1e15, -1e15, 1e300, -1e300, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = Q15_16.from_float(values)
+        bounds = [Q15_16.raw_max, Q15_16.raw_min] * 3
+        np.testing.assert_array_equal(raw, bounds)
+        assert Q15_16.from_float(1e300) == Q15_16.raw_max
 
     def test_wrap_overflow(self):
         wrapped = Q7_8.from_float(128.0, overflow=Overflow.WRAP)

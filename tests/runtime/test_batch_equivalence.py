@@ -14,7 +14,7 @@ import pytest
 
 from repro.fixedpoint import Q15_16
 from repro.runtime import BatchedNetwork, BatchIncompatibleError
-from repro.runtime.batch import _FixedBatchKernel, _quantize_q15_16
+from repro.runtime.batch import _FixedBatchKernel, _quantize_scaled_q15_16
 from repro.sim.npu import izhikevich_update_raw
 from repro.snn import EightyTwentyConfig, build_eighty_twenty
 from repro.sudoku import SNNSudokuSolver, generate_puzzle_set
@@ -176,10 +176,11 @@ class TestFusedKernelPrimitives:
                 rng.uniform(-40000.0, 40000.0, size=500),
                 np.array([0.0, -0.5, 0.5, 1.5, -1.5, 32767.99998, -32768.0]),
                 rng.uniform(-1e-4, 1e-4, size=100),
+                np.array([1e15, -1e15, 1e300, -1e300, np.inf, -np.inf]),
             ]
         )
         out = np.empty(values.shape, dtype=np.int64)
-        _quantize_q15_16(values, out)
+        _quantize_scaled_q15_16(values * 65536.0, out, np.empty_like(values))
         expected = np.asarray(Q15_16.from_float(values), dtype=np.int64)
         np.testing.assert_array_equal(out, expected)
 

@@ -251,6 +251,48 @@ class TestChaosDifferential:
         assert any(row.offset > 0 for row in offsets)
 
 
+class TestRetirementRule:
+    @pytest.mark.parametrize("chaos_seed", [11, 23, 47])
+    def test_finished_holds_exactly_the_rows_a_policy_retires(self, chaos_seed):
+        """``SlotCheckpoint.finished`` against the chaos policy's own rule."""
+        rng = random.Random(chaos_seed)
+        config = CSPConfig()
+        jobs = [
+            _Job(name=f"job{i}", seed=100 + i, budget=rng.choice([60, 90, 140, 200]))
+            for i in range(10)
+        ]
+        policy = _ChaosPolicy(jobs, config=config, slots=4, rng=rng)
+        decide = policy.on_checkpoint
+        retirements = []
+
+        def checked(checkpoint):
+            by_job = {checkpoint.rows[i].payload: o for i, o in checkpoint.finished.items()}
+            before = set(policy.finished)
+            decision = decide(checkpoint)
+            retired = {job: policy.finished[job] for job in set(policy.finished) - before}
+            assert set(by_job) == set(retired), checkpoint.step
+            for job, outcome in by_job.items():
+                expected = retired[job]
+                assert outcome.row.payload == job
+                assert outcome.local_steps == expected.local_steps
+                assert outcome.spikes == expected.spikes
+                assert outcome.decode.solved == expected.solved
+                np.testing.assert_array_equal(outcome.decode.values, expected.values)
+                np.testing.assert_array_equal(outcome.decode.decided, expected.decided)
+            retirements.append(len(retired))
+            return decision
+
+        policy.on_checkpoint = checked
+        engine = SlotEngine(
+            decoder=CSP_SLOT_DECODER,
+            window=max(1, config.decode_window),
+            check_interval=CHECK_INTERVAL,
+        )
+        engine.run(policy, max_steps=4000)
+        assert sum(retirements) == len(policy.finished) > 0
+        assert 0 in retirements  # some checkpoints retire nothing
+
+
 class TestDurableResume:
     def test_resumed_refilling_run_matches_uninterrupted_and_standalone(self, tmp_path):
         config = CSPConfig()
@@ -337,6 +379,35 @@ class TestDurableResume:
             )
             np.testing.assert_array_equal(got.values, ref.values)
             np.testing.assert_array_equal(got.decided, ref.decided)
+
+    @pytest.mark.parametrize(
+        "key, axis",
+        [("history", 1), ("window_counts", 0), ("last_spike", 0), ("row_spikes", 0)],
+    )
+    def test_books_that_disagree_with_the_rows_refuse_to_restore(self, key, axis):
+        config = CSPConfig()
+
+        def make_engine():
+            return SlotEngine(
+                decoder=CSP_SLOT_DECODER,
+                window=max(1, config.decode_window),
+                check_interval=CHECK_INTERVAL,
+            )
+
+        jobs = [_Job(name=f"job{i}", seed=300 + i, budget=60) for i in range(3)]
+        policy = _RefillPolicy(jobs, config=config, slots=3)
+        engine = make_engine()
+        engine.admit(policy.initial_admissions(engine))
+        for _ in range(5):
+            engine.advance(policy)
+        tokens = [policy.describe(row) for row in engine.rows]
+        state = engine.export_state(tokens)
+        state[key] = np.delete(state[key], 0, axis=axis)  # one row short
+
+        restored = make_engine()
+        with pytest.raises(ValueError, match="disagree with the row set"):
+            restored.restore_state(state, [policy.rebuild(token) for token in tokens])
+        assert restored.num_rows == 0
 
 
 class TestOneShotPolicy:

@@ -7,7 +7,6 @@ through its typed channel, and the rest of the service is untouched
 """
 
 import asyncio
-import pickle
 
 import numpy as np
 import pytest
@@ -191,8 +190,7 @@ def test_corrupted_cache_entry_is_a_miss(tmp_path):
     assert not path.exists() or path.read_bytes() != b""  # garbage unlinked
 
     # Entry of the wrong type: equally a miss (``expect`` guard).
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(pickle.dumps({"not": "a result"}))
+    RunResultCache(tmp_path).put(derive_cache_key("serve", first.key), {"not": "a result"})
     resolved = serve_once(RunResultCache(tmp_path))
     assert not resolved.from_cache
     assert resolved.result.steps == first.result.steps

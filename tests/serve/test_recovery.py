@@ -29,6 +29,7 @@ from repro.serve import (
     OpenLoopLoad,
     ServeSupervisor,
     SolveService,
+    SupervisorError,
     run_open_loop_sync,
 )
 
@@ -281,6 +282,59 @@ def test_supervisor_kill9_delivers_bit_identical_results(tmp_path):
         dict(SERVICE_KW, default_max_steps=max_steps), count=count, max_steps=max_steps
     )
     _assert_serve_results_identical([results[i] for i in range(count)], reference)
+
+
+@pytest.mark.chaos
+def test_submit_during_respawn_backoff_spawns_no_second_child():
+    """A submit while the child is down only books the request: the
+    respawn loop spawns the one next child and resubmits it."""
+    supervisor = ServeSupervisor(
+        service_kwargs=dict(SERVICE_KW, clock="steps"), backoff_base=1.0, backoff_cap=1.0
+    )
+    spawns, children = [], []
+    spawn = supervisor._spawn
+
+    def recording_spawn(*, first):
+        spawns.append(first)
+        spawn(first=first)
+        children.append(supervisor._process)
+
+    supervisor._spawn = recording_spawn
+    instance = _request_instances(1)[0]
+    results = []
+    with supervisor:
+        supervisor.kill()
+        deadline = time.monotonic() + 30.0
+        while supervisor.child_pid is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert supervisor.child_pid is None  # inside the 1 s respawn backoff
+
+        def worker():
+            results.append(supervisor.submit(*instance, client="c0", timeout=120.0))
+
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        time.sleep(1.5)  # past the backoff
+        thread.join(timeout=120.0)
+        assert spawns == [True, False]
+        assert sum(child.is_alive() for child in children) == 1
+
+    reference, _ = _submit_all(SERVICE_KW, count=1)
+    _assert_serve_results_identical(results, reference)
+
+
+@pytest.mark.chaos
+def test_submit_after_giving_up_raises_at_once():
+    """Once the restart budget is spent, a submit fails without a new child."""
+    with ServeSupervisor(service_kwargs=dict(SERVICE_KW, clock="steps"), max_restarts=0) as sup:
+        sup.kill()
+        deadline = time.monotonic() + 30.0
+        while sup.child_pid is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # the listener reaps the child and gives up
+        with pytest.raises(SupervisorError, match="gave up"):
+            sup.submit(*_request_instances(1)[0], timeout=30.0)
+        assert sup.child_pid is None
 
 
 # --------------------------------------------------------------------- #
