@@ -25,12 +25,13 @@ loop is locked down separately in ``tests/runtime``.
 import json
 import os
 import time
+from collections import namedtuple
 
 import numpy as np
 
 from repro.csp import SpikingCSPSolver, make_instance
 from repro.csp.config import CSPConfig
-from repro.csp.solver import _BatchEntry, decode_assignment, solve_instances
+from repro.csp.solver import decode_assignment, solve_instances
 from repro.csp.scenarios.sudoku import clamps_from_cells, shared_sudoku_graph
 from repro.harness import format_table
 from repro.runtime import eighty_twenty_seed_sweep
@@ -162,6 +163,10 @@ def test_batched_runtime_scaling(benchmark):
 # Exact-mode batch-solve throughput (integer CSR + compiled drives +
 # active-set shrinking) vs. the pre-PR exact mode.
 # ---------------------------------------------------------------------- #
+#: One legacy-loop replica: its graph, resolved clamps and network.
+_Entry = namedtuple("_Entry", "graph clamps row")
+
+
 def _legacy_run_batch(entries, config, *, max_steps, check_interval):
     """The pre-PR CSP batch loop, kept verbatim as the benchmark baseline.
 
@@ -230,7 +235,7 @@ def _sudoku_workload():
         for clamps in clamp_sets:
             solver = SpikingCSPSolver(graph, seed=7)
             resolved = graph.resolve_clamps(clamps)
-            entries.append(_BatchEntry(graph, resolved, solver.build_network(resolved)))
+            entries.append(_Entry(graph, resolved, solver.build_network(resolved)))
         return _legacy_run_batch(
             entries, CSPConfig(), max_steps=SOLVE_MAX_STEPS, check_interval=SOLVE_CHECK_INTERVAL
         )
@@ -256,7 +261,7 @@ def _coloring_workload():
 
     def legacy():
         entries = [
-            _BatchEntry(graph, resolved, SpikingCSPSolver(graph, seed=s).build_network(resolved))
+            _Entry(graph, resolved, SpikingCSPSolver(graph, seed=s).build_network(resolved))
             for s in seeds
         ]
         return _legacy_run_batch(

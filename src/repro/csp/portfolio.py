@@ -29,21 +29,32 @@ Determinism and exactness:
 * attempt seeds derive from ``(portfolio seed, instance index, attempt
   index)`` through ``SeedSequence`` spawn keys, so the schedule is
   reproducible regardless of which slot an attempt lands in;
-* with restarts disabled the engine runs exactly one full-budget attempt
-  per instance and is bit-identical to ``solve_instances``.
+* ``PortfolioConfig(schedule="fixed", base_budget=max_steps,
+  max_attempts=1)`` runs exactly one full-budget attempt per instance
+  and is bit-identical to ``solve_instances``, the one-shot solve;
+* attempts are rows as the solver builds them: clamps checked once per
+  instance (:func:`~repro.csp.solver.resolve_instance`), connectivity
+  shared per graph structure across every attempt and refill.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..runtime.slots import SlotAdmission, SlotDecision, SlotDecode, SlotEngine, SlotRow
 from .config import CSPConfig
 from .graph import ClampsLike, ConstraintGraph
-from .solver import CSP_SLOT_DECODER, CSPSolveResult, SpikingCSPSolver, _empty_result
+from .solver import (
+    CSP_SLOT_DECODER,
+    CSPSolveResult,
+    SpikingCSPSolver,
+    _empty_result,
+    resolve_instance,
+)
 
 __all__ = [
     "PortfolioConfig",
@@ -106,7 +117,7 @@ class PortfolioConfig:
     #: Growth factor of the geometric schedule.
     growth: float = 2.0
     #: Maximum attempts per instance (0 = unbounded within the run's
-    #: global step budget).
+    #: global step budget; 1 = one attempt each, the one-shot solve).
     max_attempts: int = 0
     #: Maximum *concurrent* attempts per instance (0 = unbounded — freed
     #: slots always refill while any instance is unsolved).
@@ -119,17 +130,20 @@ class PortfolioConfig:
     #: ``anneal_variants[(k - 2) % len]`` (each a mapping over
     #: ``noise_sigma`` / ``anneal_period`` / ``anneal_floor``).
     anneal_variants: Tuple[Mapping[str, float], ...] = ()
-    #: ``False`` runs exactly one full-budget attempt per instance —
-    #: bit-identical to :func:`repro.csp.solver.solve_instances`.
-    restarts: bool = True
 
     def __post_init__(self) -> None:
         if self.schedule not in ("luby", "geometric", "fixed"):
             raise ValueError(f"unknown restart schedule {self.schedule!r}")
-        if self.base_budget < 1:
+        try:
+            base_budget = operator.index(self.base_budget)
+        except TypeError:
+            raise ValueError(f"base_budget must be an integer, got {self.base_budget!r}") from None
+        if base_budget < 1:
             raise ValueError("base_budget must be positive")
-        if self.schedule == "geometric" and self.growth < 1.0:
+        if self.schedule == "geometric" and not self.growth >= 1.0:
             raise ValueError("geometric growth must be >= 1")
+        if self.max_attempts < 0 or self.max_parallel < 0:
+            raise ValueError("max_attempts and max_parallel must be >= 0 (0 = unbounded)")
         for variant in self.anneal_variants:
             unknown = set(variant) - _VARIANT_FIELDS
             if unknown:
@@ -213,13 +227,14 @@ def solve_instances_portfolio(
     seeds:
         Optional explicit noise seeds of each instance's *first* attempt
         (restart attempts always derive theirs from the portfolio seed).
-        With ``portfolio.restarts`` false this makes the run bit-identical
-        to ``solve_instances(instances, seeds=seeds, ...)``.
+        Under ``PortfolioConfig(schedule="fixed", base_budget=max_steps,
+        max_attempts=1)`` this makes the run bit-identical to
+        ``solve_instances(instances, seeds=seeds, ...)``.
     max_steps:
         Global step budget shared by the whole batch.
     slots:
         Number of parallel batch rows to keep saturated (default: one per
-        instance).
+        instance; ``ValueError`` below 1).
 
     Returns
     -------
@@ -227,6 +242,8 @@ def solve_instances_portfolio(
     ``attempts`` / ``attempt_steps`` / ``neuron_updates`` accounting for
     every attempt launched for that instance.
     """
+    if slots is not None and slots < 1:
+        raise ValueError("slots must be positive")
     if not instances:
         return []
     cfg = config if config is not None else CSPConfig()
@@ -236,14 +253,12 @@ def solve_instances_portfolio(
     sizes = {graph.num_neurons for graph, _ in instances}
     if len(sizes) != 1:
         raise ValueError(f"instances have differing neuron counts: {sorted(sizes)}")
-    num_slots = len(instances) if slots is None else max(1, int(slots))
+    num_slots = len(instances) if slots is None else int(slots)
 
-    states: List[_InstanceState] = []
-    for graph, clamps in instances:
-        resolved = graph.resolve_clamps(clamps)
-        if not graph.clamps_consistent(resolved):
-            raise ValueError("clamps violate a constraint edge")
-        states.append(_InstanceState(graph=graph, clamps=resolved))
+    states = [
+        _InstanceState(graph=graph, clamps=resolve_instance(graph, clamps))
+        for graph, clamps in instances
+    ]
     if max_steps <= 0:
         return [_empty_result(state.graph, state.clamps) for state in states]
 
@@ -320,10 +335,6 @@ class RestartPortfolioPolicy:
         self._max_steps = max_steps
         #: Instances not yet solved; the run stops early when it hits 0.
         self.unsolved = len(self._states)
-        # Instances sharing one graph object share one synapse build so
-        # the batch engine keeps its shared-matrix fast path across
-        # refills.
-        self._shared_synapses: Dict[int, object] = {}
 
     # -- attempt construction ------------------------------------------ #
     def _build_attempt(self, instance: int) -> SlotAdmission:
@@ -336,24 +347,17 @@ class RestartPortfolioPolicy:
             attempt_seed = int(self._seeds[instance])
         else:
             attempt_seed = derive_attempt_seed(pcfg.seed, instance, attempt_index)
-        if pcfg.restarts:
-            budget = min(pcfg.attempt_budget(attempt_index), self._max_steps)
-        else:
-            budget = self._max_steps
-        attempt_cfg = pcfg.attempt_config(self._cfg, attempt_index)
         solver = SpikingCSPSolver(
             state.graph,
-            attempt_cfg,
+            pcfg.attempt_config(self._cfg, attempt_index),
             backend=self._backend,
             seed=attempt_seed,
-            synapses=self._shared_synapses.get(id(state.graph)),
         )
-        self._shared_synapses[id(state.graph)] = solver.synapses
         state.live += 1
         row = SlotRow(
             graph=state.graph,
             clamps=state.clamps,
-            budget=budget,
+            budget=min(pcfg.attempt_budget(attempt_index), self._max_steps),
             payload=_Attempt(instance=instance, attempt=attempt_index),
         )
         return row, solver.row(state.clamps)
@@ -375,21 +379,16 @@ class RestartPortfolioPolicy:
         Round-robin by launched-attempt count (fewest first, ties by
         instance index) — deterministic, and it spreads the freed
         capacity over the whole unsolved pool before racing extra
-        attempts on any one instance.  With restarts disabled only
+        attempts on any one instance.  Under ``max_attempts=1`` only
         *first* attempts are dispatched (instances beyond the initial
         wave still get their one attempt when a slot frees up; a late
         wave sees whatever global steps remain).
         """
         if global_step >= self._max_steps:
             return []
-        pcfg = self._pcfg
         launched: List[SlotAdmission] = []
         while len(launched) < count:
-            candidates = [
-                i
-                for i in range(len(self._states))
-                if self._eligible(i) and (pcfg.restarts or self._states[i].launched == 0)
-            ]
+            candidates = [i for i in range(len(self._states)) if self._eligible(i)]
             if not candidates:
                 break
             chosen = min(candidates, key=lambda i: (self._states[i].launched, i))

@@ -14,44 +14,52 @@ same annealed-noise expression, the same decode and the same batch loop —
 ``repro.sudoku.solver.SNNSudokuSolver`` is a thin adapter over this
 module and remains bit-identical to its pre-refactor behaviour.
 
-Batched solving comes in two shapes:
-
-* :meth:`SpikingCSPSolver.solve_batch` — many clamp sets on **one** graph
-  (the Sudoku many-puzzles case);
-* :func:`solve_instances` — many independent instances whose graphs may
-  differ (e.g. a sweep of random coloring instances), as long as their
-  neuron counts match.
-
-Both stack the replicas into one exact-mode
-:class:`~repro.runtime.batch.BatchedNetwork` riding the integer CSR
-synapse kernel and a compiled batched drive provider, and *shrink* the
-batch as replicas solve (dropping converged instances from the live
-state) — every result stays bit-identical to a sequential :meth:`solve`.
-Replicas enter the batch as row specs (:meth:`SpikingCSPSolver.row`),
-built from a per-config template; :meth:`SpikingCSPSolver.build_network`
-stays the sequential reference.  Decoding is one vectorised pass per
-checkpoint (:data:`CSP_SLOT_DECODER`), with :func:`decode_assignment` and
+Every route into the slot engine — :func:`solve_instances` (and the
+:meth:`SpikingCSPSolver.solve` / :meth:`~SpikingCSPSolver.solve_batch`
+wrappers over it), the restart portfolio and the solve service — turns
+an instance into a batch row the same way: :func:`resolve_instance`
+checks its clamps, and ``SpikingCSPSolver(graph, config, seed=...).row``
+builds the row from the config's cached template and the graph's shared
+connectivity (:func:`_connectivity`, one object per structure and
+weights).  :func:`solve_instances` runs a one-shot batch: every
+instance once, until it solves or exhausts its budget, dropping solved
+replicas from the live batch — every result stays bit-identical to a
+sequential run.  :meth:`SpikingCSPSolver.build_network` stays the
+sequential reference.  Decoding is one vectorised pass per checkpoint
+(:data:`CSP_SLOT_DECODER`), with :func:`decode_assignment` and
 :meth:`ConstraintGraph.is_solution` as its reference.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..runtime.batch import BatchRow, Replica, batch_row
+from ..runtime.batch import BatchRow, batch_row
 from ..runtime.drives import AnnealedNoiseSpec
 from ..runtime.slots import OneShotPolicy, SlotDecode, SlotEngine, SlotOutcome, SlotRow
 from ..snn.fixed_izhikevich import FixedPointPopulation
 from ..snn.izhikevich import IzhikevichPopulation
 from ..snn.network import Population, SNNNetwork
+from ..snn.synapse import SparseSynapses
 from .config import CSPConfig
 from .graph import ClampsLike, ConstraintGraph
 
-__all__ = ["CSPSolveResult", "SpikingCSPSolver", "decode_assignment", "solve_instances"]
+__all__ = [
+    "CSPSolveResult",
+    "SpikingCSPSolver",
+    "decode_assignment",
+    "resolve_instance",
+    "solve_instances",
+]
+
+#: LRU bound of the shared WTA connectivity (entries).
+_CONNECTIVITY_SIZE = 64
+_CONNECTIVITY: "OrderedDict[Tuple[str, float, float], SparseSynapses]" = OrderedDict()
 
 
 @dataclass
@@ -149,11 +157,9 @@ class SpikingCSPSolver:
         with; ``"float64"`` runs the double-precision reference dynamics.
     seed:
         Seed of the exploration-noise stream.
-    synapses:
-        Optional pre-built WTA connectivity to reuse (must come from an
-        identical graph and weight configuration).  Solvers sharing one
-        synapse object let the batch engine take its shared-matrix fast
-        path; by default each solver builds its own.
+
+    Solvers of structurally equal graphs under equal weights share one
+    synapse object (:func:`_connectivity`).
     """
 
     def __init__(
@@ -163,7 +169,6 @@ class SpikingCSPSolver:
         *,
         backend: str = "fixed",
         seed: int = 7,
-        synapses=None,
     ) -> None:
         if backend not in ("fixed", "float64"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -171,14 +176,7 @@ class SpikingCSPSolver:
         self.config = config if config is not None else CSPConfig()
         self.backend = backend
         self.seed = seed
-        self.synapses = (
-            synapses
-            if synapses is not None
-            else graph.build_synapses(
-                inhibition_weight=self.config.inhibition_weight,
-                self_excitation=self.config.self_excitation,
-            )
-        )
+        self.synapses = _connectivity(graph, self.config)
 
     # ------------------------------------------------------------------ #
     # Network assembly
@@ -270,13 +268,7 @@ class SpikingCSPSolver:
         check_interval:
             How often (in steps) the decoded assignment is tested.
         """
-        resolved = self.graph.resolve_clamps(clamps)
-        if not self.graph.clamps_consistent(resolved):
-            raise ValueError("clamps violate a constraint edge")
-        entry = _BatchEntry(self.graph, resolved, self.row(resolved))
-        return _run_batch(
-            [entry], self.config, max_steps=max_steps, check_interval=check_interval
-        )[0]
+        return self.solve_batch([clamps], max_steps=max_steps, check_interval=check_interval)[0]
 
     def solve_batch(
         self,
@@ -287,21 +279,30 @@ class SpikingCSPSolver:
     ) -> List[CSPSolveResult]:
         """Solve ``B`` instances of this graph at once on the batch engine.
 
-        All instance networks are stacked into one exact-mode
-        :class:`~repro.runtime.batch.BatchedNetwork` (they share the WTA
-        connectivity and differ only in drive and noise), so every 1 ms
-        step advances the whole batch in fused ``(B, N)`` updates while
-        each result stays bit-identical to a sequential :meth:`solve` —
-        replicas that solve early are dropped from the live batch while
-        the rest keep running.
+        :func:`solve_instances` over ``(self.graph, clamps)`` pairs, every
+        replica under this solver's seed: they share the WTA connectivity
+        and differ only in drive, so every 1 ms step advances the whole
+        batch in fused ``(B, N)`` updates while each result stays
+        bit-identical to a sequential :meth:`solve`.
         """
-        entries = []
-        for clamps in clamps_list:
-            resolved = self.graph.resolve_clamps(clamps)
-            if not self.graph.clamps_consistent(resolved):
-                raise ValueError("clamps violate a constraint edge")
-            entries.append(_BatchEntry(self.graph, resolved, self.row(resolved)))
-        return _run_batch(entries, self.config, max_steps=max_steps, check_interval=check_interval)
+        instances = [(self.graph, clamps) for clamps in clamps_list]
+        return solve_instances(
+            instances,
+            config=self.config,
+            backend=self.backend,
+            seeds=[self.seed] * len(instances),
+            max_steps=max_steps,
+            check_interval=check_interval,
+        )
+
+
+def resolve_instance(graph: ConstraintGraph, clamps: ClampsLike) -> List[Tuple[int, int, int]]:
+    """:meth:`ConstraintGraph.resolve_clamps`, plus ``ValueError`` when two
+    clamps sit on a conflict edge: the one clamp check of every solve path."""
+    resolved = graph.resolve_clamps(clamps)
+    if not graph.clamps_consistent(resolved):
+        raise ValueError("clamps violate a constraint edge")
+    return resolved
 
 
 def solve_instances(
@@ -319,18 +320,25 @@ def solve_instances(
 ) -> List[CSPSolveResult]:
     """Solve many ``(graph, clamps)`` instances as one exact-mode batch.
 
-    Unlike :meth:`SpikingCSPSolver.solve_batch`, the graphs may differ
-    between instances (e.g. independently generated coloring instances)
-    as long as every graph has the same neuron count.  ``seeds`` gives a
-    per-instance noise seed.  By default each instance receives an
-    *independent* seed spawned from ``seed`` through
-    ``numpy.random.SeedSequence`` (the :func:`repro.runtime.sweep.derive_task_seed`
-    scheme): historically the default was ``[seed] * len(instances)``,
-    which gave every replica the *same* noise stream, so identical
-    instances produced identical trajectories and solve-rate sweeps
-    measured one sample instead of ``B``.  Pass ``seeds=`` explicitly to
-    reproduce old runs (explicit seeds are honoured bit-for-bit,
-    including a shared value for every replica).
+    The one-shot solve: every instance runs once, until it solves or
+    exhausts ``max_steps``, as the :class:`~repro.runtime.slots.OneShotPolicy`
+    of the shared slot engine, whose windows, recency bookkeeping and
+    decode points make a batch of ``B`` reproduce ``B`` sequential runs.
+    The graphs may differ between instances (e.g. independently
+    generated coloring instances) as long as every graph has the same
+    neuron count; rows of structurally equal graphs share one
+    connectivity object.  ``seeds`` gives a per-instance noise seed.  By
+    default each instance receives an *independent* seed spawned from
+    ``seed`` through ``numpy.random.SeedSequence`` (the
+    :func:`repro.runtime.sweep.derive_task_seed` scheme), so identical
+    instances still sample ``B`` trajectories; explicit ``seeds`` are
+    honoured bit-for-bit, including one shared value for every replica.
+
+    Replicas whose decoded assignment is already a solution are *dropped
+    from the live batch* (the engine's recomposition over
+    :meth:`BatchedNetwork.retain`), so late steps only advance the
+    still-unsolved instances; replicas are independent, so this never
+    changes a result.
 
     With ``checkpoint_dir`` set, the slot engine writes a crash-safe
     snapshot (:mod:`repro.runtime.checkpoint`) every ``checkpoint_every``
@@ -344,6 +352,11 @@ def solve_instances(
     raises :class:`~repro.runtime.checkpoint.CheckpointError`.  ``fault``
     takes a :class:`~repro.runtime.checkpoint.FaultPlan` for the chaos
     suites (deterministic crash/torn-write/corruption injection).
+
+    Degenerate shapes never allocate a batch: an empty instance list
+    returns ``[]``, and a non-positive step budget short-circuits in
+    :meth:`SlotEngine.run`, leaving every instance to the canonical
+    zero-step decode (:func:`_empty_result`).
     """
     if not instances:
         return []
@@ -358,35 +371,59 @@ def solve_instances(
     if len(sizes) != 1:
         raise ValueError(f"instances have differing neuron counts: {sorted(sizes)}")
 
-    # Instances of the *same* graph object share one solver and so one
-    # synapse build: the batch engine sees one shared connectivity matrix
-    # and takes its shared-sparse fast path instead of stacking B copies.
-    solvers: Dict[int, SpikingCSPSolver] = {}
-    entries = []
-    for (graph, clamps), instance_seed in zip(instances, seeds):
-        solver = solvers.get(id(graph))
-        if solver is None:
-            solver = solvers[id(graph)] = SpikingCSPSolver(graph, cfg, backend=backend)
-        resolved = graph.resolve_clamps(clamps)
-        if not graph.clamps_consistent(resolved):
-            raise ValueError("clamps violate a constraint edge")
-        entries.append(_BatchEntry(graph, resolved, solver.row(resolved, seed=int(instance_seed))))
+    admissions = []
+    for index, ((graph, clamps), instance_seed) in enumerate(zip(instances, seeds)):
+        resolved = resolve_instance(graph, clamps)
+        solver = SpikingCSPSolver(graph, cfg, backend=backend, seed=int(instance_seed))
+        row = SlotRow(graph=graph, clamps=resolved, budget=max_steps, payload=index)
+        admissions.append((row, solver.row(resolved)))
     store = identity = None
     if checkpoint_dir is not None:
         from ..runtime.checkpoint import CheckpointStore
 
         store = CheckpointStore(checkpoint_dir, kind="csp-solve", fault=fault)
         identity = _solve_fingerprint(instances, seeds, cfg, backend, max_steps, check_interval)
-    return _run_batch(
-        entries,
-        cfg,
-        max_steps=max_steps,
+    engine = SlotEngine(
+        decoder=CSP_SLOT_DECODER,
+        window=max(1, cfg.decode_window),
         check_interval=check_interval,
         store=store,
         checkpoint_every=checkpoint_every,
         fault=fault,
-        identity=identity,
     )
+    policy = OneShotPolicy(admissions, identity=identity)
+    engine.run(policy, max_steps=max_steps)
+
+    results: List[Optional[CSPSolveResult]] = [None] * len(admissions)
+    updates_per_step = engine.updates_per_step or 0
+    for outcome in policy.outcomes:
+        results[outcome.row.payload] = _solve_result(outcome, updates_per_step)
+    # Rows with no outcome never stepped (max_steps <= 0).
+    return [
+        result if result is not None else _empty_result(row.graph, row.clamps)
+        for (row, _), result in zip(admissions, results)
+    ]
+
+
+def _connectivity(graph: ConstraintGraph, config: CSPConfig) -> SparseSynapses:
+    """The WTA connectivity of ``graph`` under ``config``'s weights, built once.
+
+    Keyed (LRU-bounded) by the structural digest, which hashes everything
+    :meth:`~ConstraintGraph.build_synapses` reads and which
+    ``add_conflict`` resets, plus the two weights: equal structures share
+    one synapse object, and so the batch engine's shared-matrix kernel,
+    while a mutated graph gets a fresh build.  Sharing never changes a result.
+    """
+    key = (graph.cache_token(), config.inhibition_weight, config.self_excitation)
+    synapses = _CONNECTIVITY.pop(key, None)
+    if synapses is None:
+        synapses = graph.build_synapses(
+            inhibition_weight=config.inhibition_weight, self_excitation=config.self_excitation
+        )
+    _CONNECTIVITY[key] = synapses
+    if len(_CONNECTIVITY) > _CONNECTIVITY_SIZE:
+        _CONNECTIVITY.popitem(last=False)
+    return synapses
 
 
 # ---------------------------------------------------------------------- #
@@ -420,14 +457,6 @@ def _row_template(config: CSPConfig, backend: str, num_neurons: int) -> BatchRow
     for array in template.arrays.values():
         array.flags.writeable = False
     return template
-
-
-@dataclass
-class _BatchEntry:
-    graph: ConstraintGraph
-    clamps: List[Tuple[int, int, int]]
-    #: The instance's row spec (a network also stacks, through the adapter).
-    row: Replica
 
 
 @dataclass(frozen=True)
@@ -568,86 +597,6 @@ def _conflicted(graphs: Sequence[ConstraintGraph], positions: np.ndarray, width:
 
 
 CSP_SLOT_DECODER = _CSPSlotDecoder()
-
-
-def _run_batch(
-    entries: Sequence[_BatchEntry],
-    config: CSPConfig,
-    *,
-    max_steps: int,
-    check_interval: int,
-    store=None,
-    checkpoint_every: Optional[int] = None,
-    fault=None,
-    identity: Optional[str] = None,
-) -> List[CSPSolveResult]:
-    """Advance all entries together, shrinking the batch as replicas solve.
-
-    This is the Sudoku solver's batch loop, generalised, now expressed
-    as the one-shot policy of the shared continuous-batching engine
-    (:class:`repro.runtime.slots.SlotEngine`): the per-replica sliding
-    windows, recency bookkeeping, decode points and stop conditions are
-    the engine's, so a batch of one reproduces the sequential solver
-    exactly and a batch of ``B`` reproduces ``B`` sequential runs.
-
-    Three layers of the batched runtime keep the loop fast without
-    touching the results (replicas are independent, so none of them can
-    observe the others):
-
-    * the annealed-noise closures are compiled into one bit-identical
-      vectorised ``(B, N)`` provider (:mod:`repro.runtime.drives`);
-    * the WTA weights are small exact Q15.16 values, so propagation runs
-      on the integer CSR kernel (:mod:`repro.runtime.batch`);
-    * replicas whose decoded assignment is already a solution are
-      *dropped from the live batch* (the engine's recomposition over
-      :meth:`BatchedNetwork.retain`), so late steps only advance the
-      still-unsolved instances instead of merely masking the solved
-      ones out of the statistics.
-
-    Durability is the engine's too: with a checkpoint ``store`` the
-    run resumes from the newest readable snapshot whose ``identity``
-    matches, saves every ``checkpoint_every`` steps and at completion,
-    and ``fault`` injects the chaos suites' crash.
-
-    Degenerate shapes never allocate a batch: an empty entry list has
-    nothing to stack, and a non-positive step budget short-circuits in
-    :meth:`SlotEngine.run`, leaving every entry to the canonical
-    zero-step decode below.
-    """
-    if not entries:
-        return []
-    engine = SlotEngine(
-        decoder=CSP_SLOT_DECODER,
-        window=max(1, config.decode_window),
-        check_interval=check_interval,
-        store=store,
-        checkpoint_every=checkpoint_every,
-        fault=fault,
-    )
-    policy = OneShotPolicy(
-        [
-            (
-                SlotRow(
-                    graph=entry.graph, clamps=entry.clamps, budget=max_steps, payload=index
-                ),
-                entry.row,
-            )
-            for index, entry in enumerate(entries)
-        ],
-        identity=identity,
-    )
-    engine.run(policy, max_steps=max_steps)
-
-    results: List[Optional[CSPSolveResult]] = [None] * len(entries)
-    updates_per_step = engine.updates_per_step or 0
-    for outcome in policy.outcomes:
-        results[outcome.row.payload] = _solve_result(outcome, updates_per_step)
-    # Entries with no outcome never stepped (max_steps <= 0): the
-    # zero-step decode, centralised in the engine's empty window.
-    return [
-        result if result is not None else _empty_result(entry.graph, entry.clamps)
-        for entry, result in zip(entries, results)
-    ]
 
 
 def _solve_fingerprint(

@@ -2,7 +2,7 @@
 
 Three subsystems grew the same bit-exactness-critical slot lifecycle
 independently: the batched constraint solver
-(:func:`repro.csp.solver._run_batch`), the restart-portfolio engine
+(:func:`repro.csp.solver.solve_instances`), the restart-portfolio engine
 (:func:`repro.csp.portfolio.solve_instances_portfolio`) and the solve
 service (:class:`repro.serve.SolveService`).  Each hand-rolled the
 global step loop over one exact-mode fused batch, the per-row *local*

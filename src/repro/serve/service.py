@@ -23,7 +23,12 @@ sliding-window decode slots and its recency bookkeeping, so neither the
 arrival order, the interleaving with other clients, nor mid-run
 retain/extend of neighbouring rows can perturb a request's trajectory.
 The differential suite (``tests/serve/test_offline_equivalence.py``)
-pins the contract.
+pins the contract.  A request becomes a batch row the way an offline
+one does: :func:`~repro.csp.solver.resolve_instance` checks its clamps
+at submit time, before anything is booked (with the rest of the typed
+boundary, see :meth:`SolveService.submit`), and ``SpikingCSPSolver(graph,
+config, seed=request_seed).row(clamps)`` builds the row over the
+connectivity the solver module shares per graph structure.
 
 **Scheduling.**  Admission is FIFO per client with round-robin
 fairness across clients.  A bounded admission queue sheds load with a
@@ -56,6 +61,7 @@ import asyncio
 import heapq
 import itertools
 import math
+import numbers
 import operator
 import time
 from collections import OrderedDict, deque
@@ -76,6 +82,7 @@ from ..csp.solver import (
     SpikingCSPSolver,
     _empty_result,
     _solve_result,
+    resolve_instance,
 )
 from ..runtime.batch import BatchRow
 from ..runtime.cache import RunResultCache, derive_cache_key, derive_identity
@@ -97,9 +104,6 @@ __all__ = [
 
 #: LRU bound of the in-memory result memo (entries).
 _MEMO_LIMIT = 4096
-#: LRU bound of the shared solvers (one synapse build each), keyed by
-#: structural digest.
-_SOLVER_CACHE_SIZE = 64
 #: Clock units per scheduler step under ``clock="steps"``.
 _STEP_SECONDS = 1e-3
 
@@ -130,7 +134,7 @@ class ServiceClosedError(ServeError):
 
 
 class InvalidRequestError(ServeError, ValueError):
-    """A malformed request: non-integer budget, NaN deadline or bad clamps."""
+    """A malformed request: a bad graph, client, budget, seed, deadline or clamps."""
 
 
 class ServeStatus(Enum):
@@ -392,9 +396,8 @@ class SolveService:
         )
         self._policy = ServePolicy(self)
 
-        # Dedup / sharing caches.
+        # Dedup: completed results by request identity.
         self._memo: "OrderedDict[str, CSPSolveResult]" = OrderedDict()
-        self._solvers: "OrderedDict[str, SpikingCSPSolver]" = OrderedDict()
 
         # Scheduler plumbing.
         self._task: Optional["asyncio.Task[None]"] = None
@@ -433,9 +436,12 @@ class SolveService:
         """Solve one instance through the live batch; awaits the outcome.
 
         Raises :class:`InvalidRequestError` (a ``ValueError``) on a
-        ``max_steps`` that is not an integer, a NaN ``deadline`` or
-        clamps naming an unknown variable, a value outside its domain or
-        conflicting values — all before the request is booked;
+        ``graph`` that is not a :class:`ConstraintGraph`, a ``client``
+        that is not a string, a ``max_steps`` that is not an integer, a
+        ``seed`` that is not a non-negative integer, a ``deadline`` that
+        is not a real number or is NaN, or clamps naming an unknown
+        variable, a value outside its domain, conflicting values or a
+        violated constraint edge — all before the request is booked;
         :class:`LoadShedError` when the admission queue is full; and
         :class:`IncompatibleInstanceError` when the graph's neuron count
         differs from the live batch's.  Cancelling the awaiting task
@@ -445,18 +451,28 @@ class SolveService:
         if self._closed:
             raise ServiceClosedError("service is stopped")
         self._ensure_started()
+        if not isinstance(graph, ConstraintGraph):
+            raise InvalidRequestError(f"graph must be a ConstraintGraph, got {graph!r}")
+        if not isinstance(client, str):
+            raise InvalidRequestError(f"client must be a string, got {client!r}")
         try:
             budget = self._default_max_steps if max_steps is None else operator.index(max_steps)
         except TypeError:
             raise InvalidRequestError(f"max_steps must be an integer, got {max_steps!r}") from None
-        if deadline is not None and math.isnan(deadline):
-            raise InvalidRequestError("deadline is NaN")
         try:
-            resolved = graph.resolve_clamps(clamps)
+            seed = None if seed is None else operator.index(seed)
+        except TypeError:
+            raise InvalidRequestError(f"seed must be an integer, got {seed!r}") from None
+        if seed is not None and seed < 0:
+            raise InvalidRequestError(f"seed must be non-negative, got {seed}")
+        if deadline is not None and (
+            not isinstance(deadline, numbers.Real) or math.isnan(deadline)
+        ):
+            raise InvalidRequestError(f"deadline must be a real number, got {deadline!r}")
+        try:
+            resolved = resolve_instance(graph, clamps)
         except (KeyError, IndexError, ValueError) as exc:
             raise InvalidRequestError(f"invalid clamps: {exc}") from exc
-        if not graph.clamps_consistent(resolved):
-            raise InvalidRequestError("clamps violate a constraint edge")
 
         if budget <= 0:
             # Mirrors the batch engines' max_steps<=0 guard: the
@@ -489,7 +505,7 @@ class SolveService:
         self._metrics.record_submitted()
 
         key = self._request_identity(graph, resolved, seed, budget)
-        request_seed = int(seed) if seed is not None else derive_request_seed(self._seed, key)
+        request_seed = seed if seed is not None else derive_request_seed(self._seed, key)
 
         cached = self._lookup_cached(key)
         if cached is not None:
@@ -898,26 +914,17 @@ class SolveService:
     def _build_row(self, ticket: _Ticket) -> BatchRow:
         """A fresh solver row spec for one admission.
 
-        Graphs with identical structure share one solver, and so one
-        synapse build (keyed by the structural digest, LRU-bounded),
-        which also keeps the batch engine on its shared-matrix fast path
-        for repeat instances.  Sharing never changes results: the
-        connectivity and the drive vector are pure functions of the
-        structure, the resolved clamps and the service-wide config, and
+        The row an offline solve of the same instance and seed builds:
+        repeat structures share the solver module's connectivity object,
+        which keeps the batch engine on its shared-matrix fast path, and
         the row's noise stream comes from the ticket's seed.  The
         admission offset (the bit-exactness mechanism) is stamped by
         :meth:`SlotEngine.recompose`.
         """
-        digest = ticket.graph.cache_token()
-        solver = self._solvers.get(digest)
-        if solver is None:
-            solver = SpikingCSPSolver(ticket.graph, self._config, backend=self._backend)
-            self._solvers[digest] = solver
-            while len(self._solvers) > _SOLVER_CACHE_SIZE:
-                self._solvers.popitem(last=False)
-        else:
-            self._solvers.move_to_end(digest)
-        return solver.row(ticket.clamps, seed=ticket.seed)
+        solver = SpikingCSPSolver(
+            ticket.graph, self._config, backend=self._backend, seed=ticket.seed
+        )
+        return solver.row(ticket.clamps)
 
     def _take_admissions(self, count: int) -> List[SlotAdmission]:
         """Admit up to ``count`` queued tickets as fresh batch rows."""

@@ -1,6 +1,6 @@
 """Batched CSP solving with active-set shrinking vs. sequential solves.
 
-``_run_batch`` drops replicas from the live batch as soon as their
+``solve_instances`` drops replicas from the live batch as soon as their
 decoded assignment is a solution, so late steps only advance unsolved
 instances.  Replicas are independent, so shrinking must not change any
 result: every batched solve — mixed convergence times included — has to
@@ -8,9 +8,12 @@ reproduce the sequential per-instance solve bit-for-bit (boards, step
 counts, spike counts).
 """
 
+from collections import OrderedDict
+
 import numpy as np
 
 from repro.csp import SpikingCSPSolver, make_instance
+from repro.csp import solver as solver_module
 from repro.csp.graph import ConstraintGraph
 from repro.csp.solver import solve_instances
 
@@ -60,7 +63,9 @@ class TestSolveBatchShrinking:
     def test_solve_instances_shares_synapses_per_graph(self, monkeypatch):
         # Identical graph objects must share one synapse build so the
         # batch engine takes its shared-matrix fast path instead of
-        # stacking B duplicate CSC structures.
+        # stacking B duplicate CSC structures.  Start from an empty
+        # connectivity owner, so earlier tests' builds cannot serve it.
+        monkeypatch.setattr(solver_module, "_CONNECTIVITY", OrderedDict())
         graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
         builds = []
         original = ConstraintGraph.build_synapses

@@ -2,10 +2,11 @@
 
 Three contracts are locked down:
 
-* **restarts disabled** — the portfolio loop reproduces fixed-seed
-  ``solve_instances`` bit-for-bit (same decode points, same shrink
-  timing, same spike counts), so the portfolio is a strict superset of
-  the existing engine;
+* **one attempt per instance** — under ``PortfolioConfig(schedule="fixed",
+  base_budget=max_steps, max_attempts=1)`` the portfolio loop reproduces
+  fixed-seed ``solve_instances`` bit-for-bit (same decode points, same
+  shrink timing, same spike counts), so the portfolio is a strict
+  superset of the one-shot solve;
 * **every attempt is a standalone solve** — an attempt stacked into a
   half-finished batch (fresh seed, Luby budget, step offset) produces
   exactly the trajectory of ``SpikingCSPSolver(...).solve`` with that
@@ -29,6 +30,11 @@ from repro.csp import (
     solve_instances_portfolio,
 )
 from repro.csp.solver import solve_instances
+
+
+def _one_shot(max_steps, **overrides):
+    """The portfolio config equivalent to one ``solve_instances`` attempt each."""
+    return PortfolioConfig(schedule="fixed", base_budget=max_steps, max_attempts=1, **overrides)
 
 
 def _hard_coloring_pool(count=8, *, base=0, num_vertices=12, edge_probability=0.85):
@@ -78,6 +84,19 @@ class TestPortfolioConfig:
         with pytest.raises(ValueError):
             PortfolioConfig(base_budget=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param({"max_parallel": -1}, id="negative-max-parallel"),
+            pytest.param({"max_attempts": -1}, id="negative-max-attempts"),
+            pytest.param({"base_budget": 2.5}, id="fractional-budget"),
+            pytest.param({"schedule": "geometric", "growth": float("nan")}, id="nan-growth"),
+        ],
+    )
+    def test_rejects_malformed_fields(self, fields):
+        with pytest.raises(ValueError):
+            PortfolioConfig(**fields)
+
     def test_luby_budgets(self):
         cfg = PortfolioConfig(schedule="luby", base_budget=100)
         assert [cfg.attempt_budget(k) for k in range(1, 8)] == [100, 100, 200, 100, 100, 200, 400]
@@ -104,7 +123,7 @@ class TestRestartsDisabledBitIdentity:
         port = solve_instances_portfolio(
             instances,
             seeds=seeds,
-            portfolio=PortfolioConfig(restarts=False),
+            portfolio=_one_shot(1200),
             max_steps=1200,
             check_interval=10,
         )
@@ -128,7 +147,7 @@ class TestRestartsDisabledBitIdentity:
         port = solve_instances_portfolio(
             instances,
             seeds=[3, 4],
-            portfolio=PortfolioConfig(restarts=False),
+            portfolio=_one_shot(30),
             max_steps=30,
             check_interval=10,
         )
@@ -142,12 +161,12 @@ class TestRestartsDisabledBitIdentity:
         explicit = solve_instances_portfolio(
             instances,
             seeds=[derive_attempt_seed(9, i, 1) for i in range(3)],
-            portfolio=PortfolioConfig(restarts=False, seed=9),
+            portfolio=_one_shot(400, seed=9),
             max_steps=400,
         )
         derived = solve_instances_portfolio(
             instances,
-            portfolio=PortfolioConfig(restarts=False, seed=9),
+            portfolio=_one_shot(400, seed=9),
             max_steps=400,
         )
         for e, d in zip(explicit, derived):
@@ -290,13 +309,19 @@ class TestEdgeShapes:
         with pytest.raises(ValueError):
             solve_instances_portfolio([inst, inst], seeds=[1])
 
+    @pytest.mark.parametrize("slots", [0, -3])
+    def test_non_positive_slots_rejected(self, slots):
+        inst = make_instance("coloring", seed=0, num_vertices=6, num_colors=3)
+        with pytest.raises(ValueError, match="slots"):
+            solve_instances_portfolio([inst, inst], slots=slots, max_steps=50)
+
     def test_restarts_disabled_with_fewer_slots_still_attempts_every_instance(self):
         # Instances beyond the initial wave must get their one attempt
         # when a slot frees up, not be silently returned unsolved.
         instances = _hard_coloring_pool(4, num_vertices=10, edge_probability=0.7)
         results = solve_instances_portfolio(
             instances,
-            portfolio=PortfolioConfig(restarts=False),
+            portfolio=_one_shot(1500),
             max_steps=1500,
             slots=2,
         )

@@ -1,9 +1,9 @@
 """Degenerate-shape guards of the shared batch loop (satellite bugfixes).
 
-``_run_batch`` historically fell through its step loop when
+The one-shot batch loop historically fell through its step loop when
 ``max_steps=0`` and decoded an all-zero window after allocating the full
 batch state; the explicit guards must reproduce those results exactly
-without building a batch, and an empty entry list must return ``[]``.
+without building a batch, and an empty instance list must return ``[]``.
 """
 
 import numpy as np

@@ -172,18 +172,14 @@ class TestBatchedNetworkExtend:
 
 @functools.lru_cache(maxsize=None)
 def _shared_build():
-    graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
-    return graph, clamps, SpikingCSPSolver(graph, seed=0).synapses
+    return make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
 
 
 def _shared_csp(seeds):
-    # Replicas of one graph sharing one synapse build (one matrix object)
-    # across calls, as the solve service's synapse cache does.
-    graph, clamps, synapses = _shared_build()
-    return [
-        SpikingCSPSolver(graph, seed=int(seed), synapses=synapses).build_network(clamps)
-        for seed in seeds
-    ]
+    # Replicas of one graph share one synapse build (one matrix object)
+    # across calls: the solver's connectivity owner hands it out.
+    graph, clamps = _shared_build()
+    return [SpikingCSPSolver(graph, seed=int(seed)).build_network(clamps) for seed in seeds]
 
 
 def _flat_csp(seeds):

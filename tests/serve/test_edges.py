@@ -163,20 +163,44 @@ def _conflicting_values(graph):
         pytest.param(lambda graph: {"clamps": {"no-such-variable": 0}}, id="unknown-variable"),
         pytest.param(_out_of_domain, id="out-of-domain-value"),
         pytest.param(_conflicting_values, id="conflicting-values"),
+        pytest.param(lambda graph: {"seed": -1}, id="negative-seed"),
+        pytest.param(lambda graph: {"seed": "abc"}, id="string-seed"),
+        pytest.param(lambda graph: {"seed": 1.5}, id="fractional-seed"),
+        pytest.param(lambda graph: {"client": ["a"]}, id="unhashable-client"),
+        pytest.param(lambda graph: {"deadline": "5"}, id="string-deadline"),
+        pytest.param(lambda graph: {"graph": None}, id="non-graph"),
     ],
 )
 def test_malformed_request_is_a_typed_rejection(malformed):
     graph, clamps = _instance(7)
-    request = {"clamps": clamps, "max_steps": 600, **malformed(graph)}
+    request = {"graph": graph, "clamps": clamps, "max_steps": 600, **malformed(graph)}
 
     async def main():
         async with SolveService(capacity=2, clock="steps") as service:
             with pytest.raises(InvalidRequestError):
-                await service.submit(graph, **request)
+                # A booked malformed request may never return: bound the wait.
+                await asyncio.wait_for(service.submit(**request), timeout=5.0)
             return service.metrics()
 
     # Rejected before the ledger booked anything.
     assert asyncio.run(main()).submitted == 0
+
+
+def test_malformed_seed_does_not_stall_a_valid_request():
+    graph, clamps = _instance(7)
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps") as service:
+            return await asyncio.gather(
+                asyncio.wait_for(service.submit(graph, clamps, seed=-1, max_steps=600), 5.0),
+                asyncio.wait_for(service.submit(graph, clamps, seed=3, max_steps=600), 5.0),
+                return_exceptions=True,
+            )
+
+    bad, good = asyncio.run(main())
+    assert isinstance(bad, InvalidRequestError)
+    assert not isinstance(good, BaseException), good
+    assert good.result is not None and good.seed == 3
 
 
 @pytest.mark.parametrize(
