@@ -12,9 +12,15 @@ scenario networks (graph coloring, N-queens, Latin squares).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+
+from ..isa.nm_ext import TAU_SELECT_MAX, TAU_SELECT_MIN
 
 __all__ = ["CSPConfig"]
+
+#: The two timesteps ``nmldh`` selects (``NMConfig.h_shift``): 0.5 ms and 0.125 ms.
+_H_SHIFTS = (1, 3)
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,24 @@ class CSPConfig:
     #: the fixed-point datapath, per the paper's §VI-C observation).
     pin_voltage: bool = True
 
+    def __post_init__(self) -> None:
+        """Refuse values that break a solve (``ValueError``)."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ValueError(f"CSPConfig.{field.name} must be finite, got {value!r}")
+        if self.anneal_period < 1:
+            raise ValueError(f"CSPConfig.anneal_period must be >= 1, got {self.anneal_period!r}")
+        if self.decode_window < 1:
+            raise ValueError(f"CSPConfig.decode_window must be >= 1, got {self.decode_window!r}")
+        if not TAU_SELECT_MIN <= self.tau_select <= TAU_SELECT_MAX:
+            raise ValueError(
+                f"CSPConfig.tau_select must be in {TAU_SELECT_MIN}..{TAU_SELECT_MAX}, "
+                f"got {self.tau_select!r}"
+            )
+        if self.h_shift not in _H_SHIFTS:
+            raise ValueError(f"CSPConfig.h_shift must be 1 or 3, got {self.h_shift!r}")
+
     def with_updates(self, **changes) -> "CSPConfig":
-        """A copy of this config with the given fields replaced."""
+        """A copy of this config with the given fields replaced (and validated)."""
         return replace(self, **changes)

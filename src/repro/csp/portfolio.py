@@ -264,7 +264,7 @@ def solve_instances_portfolio(
 
     engine = SlotEngine(
         decoder=CSP_SLOT_DECODER,
-        window=max(1, cfg.decode_window),
+        window=cfg.decode_window,
         check_interval=check_interval,
     )
     policy = RestartPortfolioPolicy(

@@ -385,7 +385,7 @@ def solve_instances(
         identity = _solve_fingerprint(instances, seeds, cfg, backend, max_steps, check_interval)
     engine = SlotEngine(
         decoder=CSP_SLOT_DECODER,
-        window=max(1, cfg.decode_window),
+        window=cfg.decode_window,
         check_interval=check_interval,
         store=store,
         checkpoint_every=checkpoint_every,

@@ -74,10 +74,23 @@ equivalence down with randomized cross-checks.  The pure-integer regions
 carrying that proof are marked ``# reprolint: exact-int`` — reprolint's
 RL003 rule (``docs/LINTING.md``) fails the lint on any float literal,
 true division or float cast introduced inside them.
+
+A fixed-point batch has two step paths.  The *NumPy step*
+(:meth:`BatchedNetwork._fixed_isyn_raw`, then ``2^h`` calls of
+:meth:`_FixedBatchKernel.substep`) is the reference and runs everywhere.
+The *native step* does the same work term for term in one C call
+(``native_step.c``, loaded by :mod:`repro.runtime.native`): the integer
+synaptic scatter, the current sum and its quantiser, and every substep.
+A batch takes it when it is fixed-point, its synapses run on the integer
+kernel or are absent, and the library loaded; otherwise, and on hosts
+without a C compiler, it takes the NumPy step.  Both paths carry the
+same state arrays, so results, snapshots and restores are identical on
+either; :attr:`BatchedNetwork.native_step` tells which one a batch runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -91,6 +104,7 @@ from ..snn.fixed_izhikevich import FixedPointPopulation
 from ..snn.izhikevich import euler_step
 from ..snn.network import InputProvider, SNNNetwork, Synapses
 from ..snn.synapse import DenseSynapses, SparseSynapses
+from . import native
 from .drives import lift_drive_spec
 
 __all__ = ["BatchRow", "BatchedNetwork", "BatchIncompatibleError", "batch_row"]
@@ -114,6 +128,10 @@ except AttributeError:  # pragma: no cover
     _clip = np.clip
 _ACC_FROM_Q7_8 = 16 - Q7_8.frac_bits  # promote Q7.8 raw to the Q?.16 accumulator
 _BV_SHIFT = 11 + Q7_8.frac_bits - 16  # align b*v (Q4.11 * Q7.8) to 16 frac bits
+#: Largest ``h_shift`` the native step takes (``nmldh`` selects 1 or 3).
+_NATIVE_MAX_H_SHIFT = 8
+#: ``BatchedNetwork._native`` before the first step of a composition.
+_UNBOUND: Any = object()
 
 
 class BatchIncompatibleError(ValueError):
@@ -151,15 +169,18 @@ def _quantize_scaled_q15_16(z: np.ndarray, out: np.ndarray, scratch: np.ndarray)
     with rounding, so ``fl(a + b) * 2^16 == fl(a * 2^16 + b * 2^16)``.
     Saturation happens on the float side (the bounds are exactly
     representable), which keeps enormous inputs away from undefined
-    float->int casts.  ``scratch`` must not alias ``z``: ``z`` still
-    carries the sign after ``scratch`` has lost it.
+    float->int casts; a NaN has no integer at all and raises
+    :class:`FloatingPointError`, as the native step does.  ``scratch``
+    must not alias ``z``: ``z`` still carries the sign after ``scratch``
+    has lost it.
     """
     np.abs(z, out=scratch)
     scratch += 0.5
     np.floor(scratch, out=scratch)
     np.copysign(scratch, z, out=scratch)
     np.clip(scratch, float(_Q15_16_MIN), float(_Q15_16_MAX), out=scratch)
-    np.copyto(out, scratch, casting="unsafe")
+    with np.errstate(invalid="raise"):
+        np.copyto(out, scratch, casting="unsafe")
     return out
 
 
@@ -488,6 +509,79 @@ class _SynapseBatch:
         self._resize()
 
 
+#: ``izh_batch.synapses`` codes of the C source, by ``_SynapseBatch._int_kind``.
+_NATIVE_SYNAPSES = {None: 0, "shared": 1, "flat": 2}
+#: The fixed-point arrays the native step reads or updates in place, as
+#: ``(StepBlock field, batch attribute)``.
+_NATIVE_ROWS = (("isyn", "_isyn_raw"), ("v", "v_raw"), ("u", "u_raw"),
+                ("a", "a_raw"), ("b", "b_raw"), ("c", "c_raw"), ("d", "d_raw"))
+
+
+class _NativeStep:
+    """The native fused step (:mod:`repro.runtime.native`) bound to one batch composition.
+
+    Holds the C pointer block and every array it points into; the batch
+    drops it in ``_alloc`` (construction, ``retain``, ``extend``) and binds
+    a fresh one on its next step.  ``restore_state`` copies in place, so
+    the pointers stay valid across it.  Per step only three addresses
+    vary: the drive output, cached while the provider returns the same
+    buffer, and the two fired masks the batch swaps.
+    """
+
+    def __init__(self, step: Callable[..., int], batch: "BatchedNetwork") -> None:
+        shape = (batch.batch_size, batch.size)
+        arrays = [getattr(batch, attr) for _, attr in _NATIVE_ROWS]
+        masks = (batch._fired, batch._last_fired)
+        for array, dtype in [(a, np.int64) for a in arrays] + [(m, np.bool_) for m in masks]:
+            # The C loop trusts these; a converted copy would detach it from the state.
+            if array.shape != shape or array.dtype != dtype or not array.flags.c_contiguous:
+                raise RuntimeError(f"batch arrays must be C-contiguous {shape} stacks")
+        synapses = batch._synapses
+        self._syn = np.zeros(shape, dtype=np.int64)  # C scratch, zero between calls
+        block = native.StepBlock(
+            cells=batch.batch_size * batch.size,
+            size=batch.size,
+            h_shift=batch.h_shift,
+            pin_voltage=int(batch._pin_voltage),
+            decay=int(batch.current_mode == "decay"),
+            synapses=_NATIVE_SYNAPSES[synapses._int_kind],
+            syn=self._syn.ctypes.data,
+        )
+        if batch.current_mode == "decay":
+            shifts = SHIFT_SELECTIONS[batch.tau_select]
+            block.shift_count = len(shifts)
+            block.shifts[: len(shifts)] = shifts
+        gather: List[np.ndarray] = []
+        if synapses._int_kind is not None:
+            indptr, indices, _, data, _ = synapses._gather
+            gather = [indptr.astype(np.int64), indices.astype(np.int64),
+                      data.astype(np.int64)]  # raw weights: exact below 2^53
+            block.indptr, block.indices, block.weights = (a.ctypes.data for a in gather)
+        for (field, _), array in zip(_NATIVE_ROWS, arrays):
+            setattr(block, field, array.ctypes.data)
+        self._keep = (block, arrays, masks, gather)  # alive while the C loop may touch them
+        self._step = step
+        self._block = ctypes.addressof(block)
+        self._shape = shape
+        self._masks = {id(mask): mask.ctypes.data for mask in masks}
+        self._external: Optional[np.ndarray] = None
+        self._external_at = 0
+
+    def __call__(self, external: np.ndarray, last_fired: np.ndarray, fired: np.ndarray) -> None:
+        if external is self._external:
+            at = self._external_at
+        elif external.flags.c_contiguous and external.shape == self._shape:
+            self._external, self._external_at = external, external.ctypes.data
+            at = self._external_at
+        else:
+            # A view or a broadcastable row: step a contiguous copy, uncached.
+            external = np.ascontiguousarray(np.broadcast_to(external, self._shape))
+            at = external.ctypes.data
+        masks = self._masks
+        if self._step(self._block, at, masks[id(last_fired)], masks[id(fired)]):
+            raise FloatingPointError("NaN in the input current of a fixed-point step")
+
+
 #: Per-replica arrays a checkpoint carries, by backend (``is_fixed_point``):
 #: ``(snapshot key, attribute)`` pairs in snapshot order.  The keys stay
 #: literal strings: pickle memoises an interned string once per snapshot.
@@ -752,6 +846,8 @@ class BatchedNetwork:
                 self.a_raw, self.b_raw, self.c_raw, self.d_raw,
                 h_shift=self.h_shift, pin_voltage=self._pin_voltage,
             )
+        # The native step binds to this composition on its next step.
+        self._native: Any = _UNBOUND
         declared = getattr(self._batched_external, "batch_shape", None)
         if declared is not None and tuple(declared) != shape:
             raise BatchIncompatibleError(
@@ -841,10 +937,38 @@ class BatchedNetwork:
             z += np.multiply(synapses.propagate(self._last_fired), 65536.0, out=self._fscratch2)
         return _quantize_scaled_q15_16(z, self._isyn_raw, self._fscratch2)
 
+    @property
+    def native_step(self) -> bool:
+        """``True`` when this batch steps through the native fused kernel.
+
+        Read-only: a fixed-point batch whose synapses run on the integer
+        kernel or are absent takes the native step whenever the library
+        of :mod:`repro.runtime.native` loaded, and the NumPy step
+        otherwise.  Asking binds (and, once per process, loads) as the
+        next step would.
+        """
+        return self._native_binding() is not None
+
+    def _native_binding(self) -> Optional[_NativeStep]:
+        if self._native is _UNBOUND:
+            synapses = self._synapses
+            step = None
+            # Larger shifts stay on the NumPy step: in C, shifting by
+            # 64 or more is undefined.
+            if (self.is_fixed_point and (synapses.integer or synapses._none)
+                    and 0 <= self.h_shift <= _NATIVE_MAX_H_SHIFT):
+                step = native.load()
+            self._native = None if step is None else _NativeStep(step, self)
+        return self._native
+
     def _advance_population(self, step_index: int) -> np.ndarray:
         external = self._external(step_index)
         fired = self._fired
         if self.is_fixed_point:
+            bound = self._native_binding()
+            if bound is not None:
+                bound(external, self._last_fired, fired)
+                return fired
             isyn_raw = self._fixed_isyn_raw(external)
             fired[:] = False
             for _ in range(self._substeps):

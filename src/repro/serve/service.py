@@ -388,7 +388,7 @@ class SolveService:
             self._ckpt_store = CheckpointStore(checkpoint_dir, kind="serve", fault=fault)
         self._engine = SlotEngine(
             decoder=CSP_SLOT_DECODER,
-            window=max(1, self._config.decode_window),
+            window=self._config.decode_window,
             check_interval=self._check_interval,
             store=self._ckpt_store,
             checkpoint_every=checkpoint_every,

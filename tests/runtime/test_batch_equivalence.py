@@ -146,6 +146,12 @@ class TestBatchedEquivalence:
             BatchedNetwork.from_networks(sizes + other)
 
 
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestBatchedEquivalenceOnNumPyStep(TestBatchedEquivalence):
+    """The same cases on the NumPy step."""
+
+
 class TestFusedKernelPrimitives:
     def test_kernel_bit_exact_with_npu_datapath(self):
         rng = np.random.default_rng(7)
@@ -206,3 +212,9 @@ class TestSudokuSolveBatch:
         batch = solver.solve_batch(puzzles, max_steps=200)
         for a, b in zip(many, batch):
             assert a.steps == b.steps and a.total_spikes == b.total_spikes
+
+
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestSudokuSolveBatchOnNumPyStep(TestSudokuSolveBatch):
+    """The same cases on the NumPy step."""

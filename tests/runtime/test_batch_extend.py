@@ -170,6 +170,12 @@ class TestBatchedNetworkExtend:
         np.testing.assert_array_equal(_spikes(joint, 30), _spikes(grown, 30))
 
 
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestBatchedNetworkExtendOnNumPyStep(TestBatchedNetworkExtend):
+    """The same cases on the NumPy step."""
+
+
 @functools.lru_cache(maxsize=None)
 def _shared_build():
     return make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
@@ -248,3 +254,9 @@ class TestExtendEqualsJointConstruction:
             np.testing.assert_array_equal(joint_state[key], grown_state[key], err_msg=key)
         start = warm_steps + 1
         np.testing.assert_array_equal(_spikes(joint, 20, start), _spikes(grown, 20, start))
+
+
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestExtendEqualsJointConstructionOnNumPyStep(TestExtendEqualsJointConstruction):
+    """The same cases on the NumPy step."""

@@ -178,6 +178,12 @@ class TestIntegerPathBitExact:
             np.testing.assert_array_equal(a.to_bool_matrix(), b.to_bool_matrix())
 
 
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestIntegerPathBitExactOnNumPyStep(TestIntegerPathBitExact):
+    """The same cases on the NumPy step."""
+
+
 class TestFallbacks:
     def test_non_representable_weights_fall_back(self):
         seeds = [11, 12, 13]
@@ -306,6 +312,12 @@ class TestActiveSetShrinking:
         np.testing.assert_array_equal(after, before[[1, 2]])
 
 
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestActiveSetShrinkingOnNumPyStep(TestActiveSetShrinking):
+    """The same cases on the NumPy step."""
+
+
 class TestBitPackedRecording:
     def test_run_rasters_match_manual_stepping(self):
         seeds = [21, 22]
@@ -329,3 +341,9 @@ class TestBitPackedRecording:
         rasters = batch.run(17, record=False)
         assert len(rasters) == 2
         assert all(r.num_steps == 17 and r.times.size == 0 for r in rasters)
+
+
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestBitPackedRecordingOnNumPyStep(TestBitPackedRecording):
+    """The same cases on the NumPy step."""

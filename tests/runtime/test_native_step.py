@@ -1,0 +1,285 @@
+"""The native fused step against its references, and how it is built and found.
+
+A fixed-point batch whose synapses run on the integer kernel (or are
+absent) steps through one C call (``repro/runtime/native_step.c``)
+wherever :func:`repro.runtime.native.load` finds a library, and through
+the NumPy step otherwise.  This suite holds both paths to the reference
+datapath term for term — :func:`repro.snn.fixed_izhikevich.decay_current_raw`,
+``Q15_16.from_float`` and :func:`repro.sim.npu.izhikevich_update_raw` —
+over the whole Q7.8 state range, saturating and infinite currents, every
+DCU selector and timestep, with and without the pin, for shared, flat
+and absent synapses in both current modes.  It also pins the loader's
+contract: lazily built, cached on disk by content, loaded from a warm
+cache without starting a process, and one logged warning for each way it
+can fail.
+"""
+
+import functools
+import logging
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from repro.fixedpoint import Q7_8, Q15_16
+from repro.runtime import BatchedNetwork, native
+from repro.sim.npu import izhikevich_update_raw
+from repro.snn.fixed_izhikevich import FixedPointPopulation, decay_current_raw
+from repro.snn.network import SNNNetwork
+from repro.snn.synapse import SparseSynapses, quantize_weights_q15_16
+
+BATCH, SIZE, STEPS = 3, 40, 3
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _sparse(rng):
+    """Random sparse weights, every one an exact Q15.16 value."""
+    nnz = SIZE * SIZE // 6
+    rows, cols = rng.integers(0, SIZE, nnz), rng.integers(0, SIZE, nnz)
+    weights = rng.integers(-20 * 65536, 20 * 65536, nnz) / 65536.0
+    return SparseSynapses(sparse.coo_matrix((weights, (rows, cols)), shape=(SIZE, SIZE)))
+
+
+def _synapses(kind, rng):
+    if kind == "none":
+        return [None] * BATCH
+    if kind == "shared":
+        return [_sparse(rng)] * BATCH
+    return [_sparse(rng) for _ in range(BATCH)]
+
+
+def _currents(rng):
+    """Drive currents: ordinary, saturating past +-2^31 raw, rounding ties, +-inf."""
+    values = rng.uniform(-60.0, 60.0, size=(BATCH, SIZE))
+    flat = values.reshape(-1)
+    picks = rng.permutation(flat.size)
+    flat[picks[:12]] = rng.uniform(-1e5, 1e5, size=12)  # far past Q15.16
+    flat[picks[12:20]] = (rng.integers(-(2**20), 2**20, size=8) + 0.5) / 65536.0
+    flat[picks[20:22]] = (np.inf, -np.inf)
+    flat[picks[22:24]] = (1e300, -1e300)
+    return values
+
+
+def _noise(replica, step):
+    """A drive that is a pure function of (replica, step), so runs can be repeated."""
+    return np.random.default_rng((replica, step)).uniform(-5.0, 25.0, SIZE)
+
+
+def _batch(rng, kind, *, mode, tau_select, h_shift, pin):
+    """A batch over random raw state spanning the whole Q7.8 range."""
+
+    def q78():
+        return rng.integers(Q7_8.raw_min, Q7_8.raw_max + 1, size=SIZE)
+
+    def q411():
+        return rng.integers(-(2**15), 2**15, size=SIZE)
+
+    networks = [
+        SNNNetwork(
+            population=FixedPointPopulation(
+                a_raw=q411(), b_raw=q411(), c_raw=q78(), d_raw=q411(),
+                v_raw=q78(), u_raw=q78(), h_shift=h_shift, pin_voltage=pin,
+            ),
+            synapses=synapses,
+            current_mode=mode,
+            tau_select=tau_select,
+        )
+        for synapses in _synapses(kind, rng)
+    ]
+    drive = np.zeros((BATCH, SIZE))
+    batch = BatchedNetwork.from_networks(networks, batched_external=lambda step: drive)
+    np.copyto(batch._isyn_raw, rng.integers(Q15_16.raw_min, Q15_16.raw_max + 1, (BATCH, SIZE)))
+    np.copyto(batch._last_fired, rng.random((BATCH, SIZE)) < 0.3)
+    weights = [
+        None if s is None else quantize_weights_q15_16(s.matrix.toarray())[0]
+        for s in (n.synapses for n in networks)
+    ]
+    return batch, drive, weights
+
+
+def _reference_step(batch, drive, weights, *, mode, tau_select, h_shift, pin):
+    """One step of the reference datapath on copies of the batch state."""
+    last = batch._last_fired
+    syn = np.stack([
+        np.zeros(SIZE, dtype=np.int64) if w is None else w @ last[b].astype(np.int64)
+        for b, w in enumerate(weights)
+    ])
+    current = drive + syn / 65536.0
+    if mode == "decay":
+        decayed = decay_current_raw(batch._isyn_raw, tau_select, h_shift)
+        current = (decayed / 65536.0 + drive) + syn / 65536.0
+    isyn = np.asarray(Q15_16.from_float(current), dtype=np.int64)
+    v, u = batch.v_raw.copy(), batch.u_raw.copy()
+    fired = np.zeros(v.shape, dtype=bool)
+    for _ in range(1 << h_shift):
+        v, u, spike = izhikevich_update_raw(
+            v, u, isyn, a_raw=batch.a_raw, b_raw=batch.b_raw, c_raw=batch.c_raw,
+            d_raw=batch.d_raw, h_shift=h_shift, pin_voltage=pin,
+        )
+        fired |= spike.astype(bool)
+    return isyn, v, u, fired
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("mode", ["recompute", "decay"])
+    @pytest.mark.parametrize("kind", ["none", "shared", "flat"])
+    def test_randomized_steps_match_the_datapath(self, step_path, kind, mode):
+        rng = np.random.default_rng(["none", "shared", "flat"].index(kind) * 2 + (mode == "decay"))
+        for tau_select in range(1, 10):
+            # (h_shift, pin) walks all eight pairs over the nine selectors.
+            h_shift, pin = tau_select % 4, bool((tau_select // 4) % 2)
+            options = dict(mode=mode, tau_select=tau_select, h_shift=h_shift, pin=pin)
+            batch, drive, weights = _batch(rng, kind, **options)
+            assert batch.native_step == (step_path == "native")
+            for step in range(STEPS):
+                drive[...] = _currents(rng)
+                isyn, v, u, fired = _reference_step(batch, drive, weights, **options)
+                got = batch.step(step)
+                case = f"{options} step {step}"
+                np.testing.assert_array_equal(batch._isyn_raw, isyn, err_msg=case)
+                np.testing.assert_array_equal(batch.v_raw, v, err_msg=case)
+                np.testing.assert_array_equal(batch.u_raw, u, err_msg=case)
+                np.testing.assert_array_equal(got, fired, err_msg=case)
+
+    def test_a_nan_current_raises_and_leaves_the_neurons_untouched(self, step_path):
+        population = FixedPointPopulation.from_float_parameters(
+            np.full(4, 0.1), np.full(4, 0.2), np.full(4, -65.0), np.full(4, 2.0)
+        )
+        network = SNNNetwork(
+            population=population, external_input=lambda step: np.array([1.0, np.nan, 2.0, 3.0])
+        )
+        batch = BatchedNetwork.from_networks([network])
+        v, u = batch.v_raw.copy(), batch.u_raw.copy()
+        with pytest.raises(FloatingPointError):
+            batch.step(0)
+        np.testing.assert_array_equal(batch.v_raw, v)
+        np.testing.assert_array_equal(batch.u_raw, u)
+
+    def test_pointers_follow_retain_extend_and_restore(self, step_path):
+        """Each recomposition rebinds the step; a restore copies under the bound pointers."""
+        ones = np.ones(SIZE)
+
+        def networks(replicas):
+            rng = np.random.default_rng(8)
+            synapses = [_sparse(rng) for _ in range(5)]  # one matrix each: the flat grid
+            return [
+                SNNNetwork(
+                    population=FixedPointPopulation.from_float_parameters(
+                        0.1 * ones, 0.2 * ones, -65.0 * ones, 2.0 * ones, pin_voltage=True
+                    ),
+                    synapses=synapses[b],
+                    external_input=functools.partial(_noise, b),
+                    current_mode="decay",
+                    tau_select=2,
+                )
+                for b in replicas
+            ]
+
+        def steps(batch, start, count):
+            return np.stack([batch.step(t).copy() for t in range(start, start + count)], axis=1)
+
+        reference = [net.run(30).to_bool_matrix() for net in networks(range(5))]
+        batch = BatchedNetwork.from_networks(networks([0, 1, 2]))
+        assert batch.native_step == (step_path == "native")
+        head = steps(batch, 0, 10)
+        saved = batch.export_state()
+        steps(batch, 10, 4)
+        batch.restore_state(saved)  # in place: the bound pointers stay valid
+        batch.retain([0, 2])
+        middle = steps(batch, 10, 10)
+        incoming = networks([3, 4])
+        for network in incoming:
+            network.run(20)
+        batch.extend(incoming)
+        assert batch.native_step == (step_path == "native")
+        tail = steps(batch, 20, 10)
+        for row, b in enumerate([0, 1, 2]):
+            np.testing.assert_array_equal(head[row], reference[b][:10])
+        for row, b in enumerate([0, 2]):
+            np.testing.assert_array_equal(middle[row], reference[b][10:20])
+        for row, b in enumerate([0, 2, 3, 4]):
+            np.testing.assert_array_equal(tail[row], reference[b][20:30])
+
+
+class TestLoader:
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        """An unloaded loader whose cache is an empty directory."""
+        monkeypatch.setattr(native, "_step", native._UNLOADED)
+        monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
+        return tmp_path
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX ownership")
+    def test_a_cache_others_may_write_is_not_used(self, monkeypatch, tmp_path):
+        shared = tmp_path / "cache" / "repro-native"
+        shared.mkdir(parents=True)
+        shared.chmod(0o777)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(native.tempfile, "gettempdir", lambda: str(tmp_path / "tmp"))
+        chosen = native._cache_dir()
+        assert chosen.parent == tmp_path / "tmp"
+        assert not chosen.stat().st_mode & 0o077
+
+    def test_a_host_with_a_compiler_loads_the_kernel(self):
+        # Otherwise CI would silently test only the NumPy fallback.
+        if shutil.which("gcc") is None and shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert native.load() is not None
+
+    def test_a_cold_cache_builds_once_under_a_content_name(self, fresh):
+        if shutil.which("gcc") is None and shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert native.load() is not None
+        assert native.load() is native.load()
+        assert [p.name for p in fresh.iterdir()] == [native.library_name()]
+
+    def test_a_warm_cache_starts_no_process(self):
+        if native.load() is None:
+            pytest.skip("no native step kernel on this host")
+        script = textwrap.dedent(
+            f"""
+            import subprocess, sys
+            sys.path.insert(0, {SRC!r})
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a warm cache must not start a process")
+
+            subprocess.run = subprocess.Popen = refuse
+            from repro.runtime import native
+            assert native.load() is not None
+            """
+        )
+        subprocess.run([sys.executable, "-c", script], check=True)
+
+    def test_no_compiler_warns_once(self, fresh, monkeypatch, caplog):
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            assert native.load() is None
+            assert native.load() is None
+        [record] = caplog.records
+        assert "no C compiler" in record.getMessage()
+
+    def test_a_build_failure_warns_with_the_compiler_output(self, fresh, monkeypatch, caplog):
+        if shutil.which("gcc") is None and shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        broken = fresh / "broken.c"
+        broken.write_text("int izh_step(void) { return syntax error; }\n")
+        monkeypatch.setattr(native, "SOURCE", broken)
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            assert native.load() is None
+        [record] = caplog.records
+        assert "build with" in record.getMessage() and "error" in record.getMessage()
+        assert [p.name for p in fresh.iterdir()] == ["broken.c"]  # no partial library
+
+    def test_a_load_failure_warns(self, fresh, caplog):
+        (fresh / native.library_name()).write_bytes(b"not a shared object")
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            assert native.load() is None
+        [record] = caplog.records
+        assert "load of" in record.getMessage()

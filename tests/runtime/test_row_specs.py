@@ -275,6 +275,12 @@ class TestRowAdmission:
             BatchedNetwork.from_networks([solver.row(clamps)])
 
 
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestRowAdmissionOnNumPyStep(TestRowAdmission):
+    """The same cases on the NumPy step."""
+
+
 # ---------------------------------------------------------------------- #
 # The per-config template against the population constructors
 # ---------------------------------------------------------------------- #

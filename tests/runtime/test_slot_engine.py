@@ -30,6 +30,7 @@ from repro.csp import SpikingCSPSolver, make_instance
 from repro.csp.config import CSPConfig
 from repro.csp.solver import CSP_SLOT_DECODER, decode_assignment, solve_instances
 from repro.runtime import checkpoint as checkpoint_module
+from repro.runtime import native
 from repro.runtime.checkpoint import CHECKPOINT_MAGIC, CheckpointStore, CheckpointVersionError
 from repro.runtime.slots import (
     OneShotPolicy,
@@ -251,6 +252,12 @@ class TestChaosDifferential:
         assert any(row.offset > 0 for row in offsets)
 
 
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestChaosDifferentialOnNumPyStep(TestChaosDifferential):
+    """The same cases on the NumPy step."""
+
+
 class TestRetirementRule:
     @pytest.mark.parametrize("chaos_seed", [11, 23, 47])
     def test_finished_holds_exactly_the_rows_a_policy_retires(self, chaos_seed):
@@ -410,6 +417,12 @@ class TestDurableResume:
         assert restored.num_rows == 0
 
 
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestDurableResumeOnNumPyStep(TestDurableResume):
+    """The same cases on the NumPy step."""
+
+
 class TestOneShotPolicy:
     def test_matches_sequential_solves(self):
         config = CSPConfig()
@@ -436,6 +449,73 @@ class TestOneShotPolicy:
             assert outcome.local_steps == reference.steps
             assert outcome.spikes == reference.total_spikes
             np.testing.assert_array_equal(outcome.decode.values, reference.values)
+
+
+@pytest.mark.usefixtures("step_path")
+@pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
+class TestOneShotPolicyOnNumPyStep(TestOneShotPolicy):
+    """The same cases on the NumPy step."""
+
+
+class TestSnapshotAcrossStepPaths:
+    """A snapshot saved on one step path resumes bit-identically on the other.
+
+    Both paths carry the same state arrays, and a supervised serve child
+    may restart on a host without a C compiler.
+    """
+
+    @pytest.mark.parametrize("saved_on", ["native", "numpy"])
+    def test_resume_on_the_other_path_matches_uninterrupted(self, tmp_path, monkeypatch, saved_on):
+        kernel = native.load()
+        if kernel is None:
+            pytest.skip("no native step kernel on this host")
+        native_steps = []
+
+        def counted(*args):
+            native_steps.append(1)
+            return kernel(*args)
+
+        def use(path):
+            monkeypatch.setattr(native, "load", lambda: counted if path == "native" else None)
+
+        config = CSPConfig()
+        jobs = [_Job(name=f"job{i}", seed=500 + i, budget=(60, 90, 140)[i % 3]) for i in range(6)]
+
+        def make_engine(store=None):
+            return SlotEngine(
+                decoder=CSP_SLOT_DECODER,
+                window=config.decode_window,
+                check_interval=CHECK_INTERVAL,
+                store=store,
+                checkpoint_every=30,
+            )
+
+        uninterrupted = _RefillPolicy(jobs, config=config, slots=3)
+        make_engine().run(uninterrupted, max_steps=4000)
+
+        use(saved_on)
+        engine = make_engine(CheckpointStore(tmp_path, kind="slots"))
+        policy = _RefillPolicy(jobs, config=config, slots=3)
+        engine.admit(policy.initial_admissions(engine))
+        for _ in range(100):
+            engine.advance(policy)
+        assert bool(native_steps) == (saved_on == "native")
+        del engine, policy, native_steps[:]
+
+        resumed_on = "numpy" if saved_on == "native" else "native"
+        use(resumed_on)
+        resumed = _RefillPolicy(jobs, config=config, slots=3)
+        engine = make_engine(CheckpointStore(tmp_path, kind="slots"))
+        engine.run(resumed, max_steps=4000)
+        assert resumed.restored
+        assert bool(native_steps) == (resumed_on == "native")
+        assert set(resumed.finished) == set(uninterrupted.finished) == set(jobs)
+        for job in jobs:
+            got, ref = resumed.finished[job], uninterrupted.finished[job]
+            assert (got.solved, got.local_steps, got.spikes) == (
+                ref.solved, ref.local_steps, ref.spikes
+            ), job
+            np.testing.assert_array_equal(got.values, ref.values)
 
 
 class TestZeroStepGuards:
