@@ -3,8 +3,8 @@
 Two gates:
 
 * **80-20 seed sweep** — the fused high-throughput mode (vectorised
-  float gather + one batched noise draw per step) against ``B`` separate
-  ``SNNNetwork.run`` calls; contractual >= 10x at B=32.
+  float gather + the compiled per-replica thalamic drive) against ``B``
+  separate ``SNNNetwork.run`` calls; contractual >= 10x at B=32.
 * **CSP/Sudoku batch solve** — the bit-exact solve path (integer CSR
   synapse kernel + compiled batched drives + active-set shrinking)
   against the pre-PR exact mode (per-replica float propagation,
@@ -22,6 +22,7 @@ Bit-exact equivalence of the engine's default mode with the sequential
 loop is locked down separately in ``tests/runtime``.
 """
 
+import functools
 import json
 import os
 import time
@@ -167,16 +168,23 @@ def test_batched_runtime_scaling(benchmark):
 _Entry = namedtuple("_Entry", "graph clamps row")
 
 
+def _call(closure, step):
+    return closure(step)
+
+
 def _legacy_run_batch(entries, config, *, max_steps, check_interval):
     """The pre-PR CSP batch loop, kept verbatim as the benchmark baseline.
 
     Per-replica float synapse propagation (``integer_csr=False``),
-    per-replica external-input closures (no drive compilation) and
-    freeze-only bookkeeping: solved replicas stay in the batch and keep
-    being stepped, only their statistics are masked.
+    per-replica external-input closures (no drive compilation: each is
+    wrapped so it declares no drive spec) and freeze-only bookkeeping:
+    solved replicas stay in the batch and keep being stepped, only their
+    statistics are masked.
     """
     num = len(entries)
     num_neurons = entries[0].graph.num_neurons
+    for e in entries:
+        e.row.external_input = functools.partial(_call, e.row.external_input)
     batch = BatchedNetwork.from_networks(
         [e.row for e in entries], synapse_mode="exact", integer_csr=False
     )

@@ -39,7 +39,6 @@ from repro.csp import PortfolioConfig, SpikingCSPSolver, make_instance
 from repro.csp.solver import solve_instances
 from repro.harness import csp_portfolio_solve_rate, format_table
 from repro.runtime.batch import BatchedNetwork
-from repro.runtime.drives import compile_batched_external
 
 COUNT = int(os.environ.get("CSP_BENCH_COUNT", "4"))
 MAX_STEPS = int(os.environ.get("CSP_BENCH_MAX_STEPS", "4000"))
@@ -131,11 +130,7 @@ def _measure_throughput(instances, solver_seed):
             solver.build_network(clamps)
             for solver, (_, clamps) in zip(solvers, instances)
         ]
-        batch = BatchedNetwork.from_networks(
-            networks,
-            synapse_mode="exact",
-            batched_external=compile_batched_external(networks),
-        )
+        batch = BatchedNetwork.from_networks(networks, synapse_mode="exact")
         start = time.perf_counter()
         batch.run(THROUGHPUT_STEPS, record=False, start_step=1)
         best = min(best, time.perf_counter() - start)

@@ -205,7 +205,7 @@ class SpikingCSPSolver:
             return drive + noise * free_mask
 
         # Declare the closure's structure so the batch engine can compile
-        # a bit-identical vectorised (B, N) provider out of many of them
+        # a bit-identical vectorised (B, N) drive out of many of them
         # (repro.runtime.drives).  The spec shares this closure's RNG; a
         # batch lifts it with a clone, so the closure stays untouched.
         external.drive_spec = spec
@@ -226,8 +226,8 @@ class SpikingCSPSolver:
         parameters, connectivity and noise stream — but built from the
         config's cached template, with no population or closure.  Its
         drive is a spec only, whose fresh generator the batch's compiled
-        drive consumes: stack it with a batched drive, as the slot engine
-        does.
+        drive consumes: stack it with rows whose specs compile with it,
+        as the slot engine does.
         """
         template = _row_template(self.config, self.backend, self.graph.num_neurons)
         return replace(template, synapses=self.synapses, drive_spec=self._drive_spec(clamps, seed))

@@ -159,8 +159,16 @@ class QFormat:
         int or numpy.ndarray
             Raw two's-complement integer payload(s), dtype ``int64`` for
             arrays.
+
+        Raises
+        ------
+        FloatingPointError
+            When any value is NaN, which has no integer; infinities
+            saturate like any other out-of-range value.
         """
         scaled = np.asarray(value, dtype=np.float64) * self.scale
+        if np.isnan(scaled).any():
+            raise FloatingPointError(f"NaN has no {self.name} value")
         if rounding is Rounding.NEAREST:
             raw = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
         elif rounding is Rounding.FLOOR:

@@ -21,12 +21,13 @@ This package makes *batches* of independent simulations the unit of work
     checkpoint files plus a pruning :class:`CheckpointStore` and the
     deterministic :class:`FaultPlan` used by the chaos suites; paired
     with the ``export_state``/``restore_state`` hooks on
-    :class:`BatchedNetwork`, the annealed drive and :class:`SlotEngine`
-    so a restored solve continues bit-identically.
+    :class:`BatchedNetwork` (its drive's state included) and
+    :class:`SlotEngine` so a restored solve continues bit-identically.
 :mod:`repro.runtime.drives`
-    Drive compilation: per-replica external-input closures compiled into
-    one vectorised ``(B, N)`` provider with bit-identical per-replica
-    noise streams (pregenerated in chunks), feeding the batch engine.
+    Drive compilation: the drive specs of a batch's per-replica input
+    closures compiled into one vectorised ``(B, N)`` drive with
+    bit-identical per-replica noise streams (pregenerated in chunks),
+    owned by the batch that compiled it.
 :mod:`repro.runtime.slots`
     :class:`SlotEngine`, the continuous-batching core shared by the
     one-shot solver batches, the restart portfolio and the solve
@@ -73,11 +74,9 @@ from .checkpoint import (
 )
 from .drives import (
     AnnealedNoiseSpec,
-    CompiledDrive,
     CompiledScaledDrive,
     PortfolioAnnealedDrive,
     ScaledNoiseSpec,
-    compile_batched_external,
 )
 from .slots import (
     DurablePolicy,
@@ -106,7 +105,6 @@ from .workloads import (
     PooledSudokuSweepConfig,
     SeedSweepResult,
     ServeLoadSweepConfig,
-    batched_thalamic_provider,
     build_eighty_twenty_replicas,
     csp_portfolio_sweep,
     eighty_twenty_seed_sweep,
@@ -138,11 +136,9 @@ __all__ = [
     "read_checkpoint",
     "write_checkpoint",
     "AnnealedNoiseSpec",
-    "CompiledDrive",
     "CompiledScaledDrive",
     "PortfolioAnnealedDrive",
     "ScaledNoiseSpec",
-    "compile_batched_external",
     "DurablePolicy",
     "OneShotPolicy",
     "SlotCheckpoint",
@@ -161,7 +157,6 @@ __all__ = [
     "derive_task_seed",
     "sweep_task_key",
     "SeedSweepResult",
-    "batched_thalamic_provider",
     "build_eighty_twenty_replicas",
     "csp_portfolio_sweep",
     "eighty_twenty_seed_sweep",

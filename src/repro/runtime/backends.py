@@ -152,9 +152,8 @@ class SimBackend(Protocol):
 def eighty_twenty_config(num_neurons: Optional[int], seed: int) -> EightyTwentyConfig:
     """The canonical 80/20 excitatory/inhibitory split for a scaled network.
 
-    Single source of truth shared by the network backends and the sweep
-    drivers, so a batched noise provider always scales the same columns
-    the networks were built with.
+    The one definition the network backends build every 80-20 network
+    (and so every sweep replica) from.
     """
     if num_neurons is None:
         return EightyTwentyConfig(seed=seed)

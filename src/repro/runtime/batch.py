@@ -34,11 +34,19 @@ Two operating points are supported, selected by ``synapse_mode``:
     the sequential column reduction, so results are numerically
     equivalent (same distribution, ULP-level differences in the synaptic
     current) but not guaranteed bit-identical.  This is the
-    high-throughput mode used by the 80-20 seed-sweep benchmarks,
-    typically combined with a ``batched_external`` provider.  Sparse
+    high-throughput mode used by the 80-20 seed-sweep benchmarks.  Sparse
     batches propagate exactly as in ``"exact"`` mode: through the integer
     kernel when their weights qualify (so fused *is* bit-exact there),
     per replica otherwise.
+
+A batch owns its input.  At construction it compiles its rows' drive
+specs into one ``(B, N)`` drive (:mod:`repro.runtime.drives`) when every
+row has a spec, the specs are one family as wide as the batch, and no
+two rows draw from one generator at the source (judged on a network's
+closure generator, not on the clone its row owns); otherwise it calls
+each row's own closure every step.  :meth:`BatchedNetwork.retain` and
+:meth:`BatchedNetwork.extend` restack the drive with the rows, and
+:meth:`BatchedNetwork.export_state` carries its state.
 
 Every fixed-point step sums its current at scale ``2^16``
 (:meth:`BatchedNetwork._fixed_isyn_raw`): the drive current times
@@ -92,7 +100,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
 
 import numpy as np
 
@@ -105,12 +113,9 @@ from ..snn.izhikevich import euler_step
 from ..snn.network import InputProvider, SNNNetwork, Synapses
 from ..snn.synapse import DenseSynapses, SparseSynapses
 from . import native
-from .drives import lift_drive_spec
+from .drives import declared_spec, drive_class, lift_drive_spec
 
 __all__ = ["BatchRow", "BatchedNetwork", "BatchIncompatibleError", "batch_row"]
-
-#: Signature of a batched external-input provider: ``f(step) -> (B, N)``.
-BatchedInputProvider = Callable[[int], np.ndarray]
 
 _Q7_8_MIN, _Q7_8_MAX = Q7_8.raw_min, Q7_8.raw_max
 _Q15_16_MIN, _Q15_16_MAX = Q15_16.raw_min, Q15_16.raw_max
@@ -356,9 +361,7 @@ class _SynapseBatch:
             # structures over one (B * N)-column grid with globally offset
             # row indices, so a single gather serves the whole batch.
             counts, indices = self._flat_columns(synapses, 0)
-        # Raw payloads kept as float64 so the bincount reduction skips a
-        # cast; every partial sum is an integer below 2^53, hence exact.
-        self._set_gather(counts, indices, np.concatenate(raws, dtype=np.float64))
+        self._set_gather(counts, indices, np.concatenate(raws, dtype=np.int64))
         self._int_kind = "shared" if shared else "flat"
         return True
 
@@ -377,6 +380,7 @@ class _SynapseBatch:
         return np.diff(ptrs, axis=1).ravel(), indices
 
     def _set_gather(self, counts: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+        """Install the integer grid: int64 CSC arrays, read in place by the native step."""
         indptr = np.concatenate([[0], np.cumsum(counts)])
         uniform = None
         if counts.size and int(counts[0]) > 0 and np.all(counts == counts[0]):
@@ -384,7 +388,7 @@ class _SynapseBatch:
         self._gather = (indptr, indices, counts, data, uniform)
 
     # ------------------------------------------------------------------ #
-    # reprolint: exact-int -- integer scatter-add (float64 weights waived in _build_integer)
+    # reprolint: exact-int -- integer scatter-add (bincount sums below 2^53 are exact)
     def propagate_raw(self, fired: np.ndarray) -> np.ndarray:
         """Raw Q15.16 synaptic current ``(B, N)`` (integer path only)."""
         out = self._raw_out
@@ -420,6 +424,8 @@ class _SynapseBatch:
             targets = indices[sel]
             if target_offset is not None:
                 targets = targets + np.repeat(target_offset, cnt)
+        # bincount sums the int64 weights in float64: every partial sum is
+        # an integer below 2^53, hence exact.
         sums = np.bincount(targets, weights=data[sel], minlength=out_flat.size)
         np.copyto(out_flat, sums, casting="unsafe")
         return out
@@ -504,7 +510,7 @@ class _SynapseBatch:
         self._set_gather(
             np.concatenate([counts, new_counts]),
             np.concatenate([indices, new_indices]),
-            np.concatenate(raws, dtype=np.float64),
+            np.concatenate(raws, dtype=np.int64),
         )
         self._resize()
 
@@ -523,8 +529,9 @@ class _NativeStep:
     Holds the C pointer block and every array it points into; the batch
     drops it in ``_alloc`` (construction, ``retain``, ``extend``) and binds
     a fresh one on its next step.  ``restore_state`` copies in place, so
-    the pointers stay valid across it.  Per step only three addresses
-    vary: the drive output, cached while the provider returns the same
+    the pointers stay valid across it.  The integer grid is read where
+    ``_SynapseBatch._gather`` keeps it.  Per step only three addresses
+    vary: the drive output, cached while the drive returns the same
     buffer, and the two fired masks the batch swaps.
     """
 
@@ -554,8 +561,9 @@ class _NativeStep:
         gather: List[np.ndarray] = []
         if synapses._int_kind is not None:
             indptr, indices, _, data, _ = synapses._gather
-            gather = [indptr.astype(np.int64), indices.astype(np.int64),
-                      data.astype(np.int64)]  # raw weights: exact below 2^53
+            gather = [indptr, indices, data]
+            if any(a.dtype != np.int64 or not a.flags.c_contiguous for a in gather):
+                raise RuntimeError("the integer synapse grid must be C-contiguous int64 arrays")
             block.indptr, block.indices, block.weights = (a.ctypes.data for a in gather)
         for (field, _), array in zip(_NATIVE_ROWS, arrays):
             setattr(block, field, array.ctypes.data)
@@ -583,13 +591,15 @@ class _NativeStep:
 
 
 #: Per-replica arrays a checkpoint carries, by backend (``is_fixed_point``):
-#: ``(snapshot key, attribute)`` pairs in snapshot order.  The keys stay
-#: literal strings: pickle memoises an interned string once per snapshot.
+#: ``(snapshot key, attribute)`` pairs in snapshot order — the state one
+#: step hands the next.  A fixed-point step reads the raw Q15.16 current,
+#: never a float one; a float64 step rewrites its raw scratch before any
+#: read.  The keys stay literal strings: pickle memoises an interned
+#: string once per snapshot.
 _STATE = {
-    True: (("last_fired", "_last_fired"), ("current", "_current"), ("isyn_raw", "_isyn_raw"),
+    True: (("last_fired", "_last_fired"), ("isyn_raw", "_isyn_raw"),
            ("v_raw", "v_raw"), ("u_raw", "u_raw")),
-    False: (("last_fired", "_last_fired"), ("current", "_current"), ("isyn_raw", "_isyn_raw"),
-            ("v", "v"), ("u", "u")),
+    False: (("last_fired", "_last_fired"), ("current", "_current"), ("v", "v"), ("u", "u")),
 }
 #: Per-replica neuron parameters, by backend; not exported, because a
 #: restore rebuilds them from the rows.
@@ -626,12 +636,13 @@ class BatchRow:
 
     ``layout`` is the :func:`_layout` tuple every row of a batch shares.
     ``arrays`` holds the replica's 1-D per-neuron arrays by batch
-    attribute name: ``_last_fired``, ``_current`` and the population
-    arrays of ``_POPULATION``; the batch copies them when it stacks, so
-    rows may share read-only arrays.  ``provider`` is the per-replica
-    input that batches without a batched provider call; ``drive_spec``
-    is its declarative form (``repro.runtime.drives``), whose generator
-    this row owns, for the compiled drives that stack it.
+    attribute name: ``_last_fired``, ``_current`` (a fixed-point batch
+    only seeds its raw current from it) and the population arrays of
+    ``_POPULATION``; the batch copies them when it stacks, so rows may
+    share read-only arrays.  ``provider`` is the replica's input closure
+    and ``drive_spec`` its declarative form (``repro.runtime.drives``),
+    whose generator this row owns: a batch compiles its rows' specs into
+    one drive when they compile and calls each row's provider otherwise.
     """
 
     layout: tuple
@@ -659,11 +670,11 @@ def batch_row(replica: Replica) -> BatchRow:
     """The row spec of a replica: the one reader of :class:`SNNNetwork` state.
 
     Row specs pass through.  A network is read as it stands — the
-    last-fired mask, the float synaptic current (the batch re-derives
-    its raw Q15.16 feed from it), the population's state and parameters,
-    the synapses and the external-input provider — so stacking an
-    already-stepped ("warm") network continues exactly where its
-    sequential engine left off.  The provider's drive spec is lifted
+    last-fired mask, the float synaptic current (a fixed-point batch
+    derives its raw Q15.16 feed from it), the population's state and
+    parameters, the synapses and the external-input provider — so
+    stacking an already-stepped ("warm") network continues exactly where
+    its sequential engine left off.  The provider's drive spec is lifted
     with a clone of its generator (:func:`~repro.runtime.drives.lift_drive_spec`),
     which leaves the network's own closure untouched.
     """
@@ -682,8 +693,41 @@ def batch_row(replica: Replica) -> BatchRow:
         synapses=replica.synapses,
         arrays=arrays,
         provider=replica.external_input,
-        drive_spec=lift_drive_spec(replica),
+        drive_spec=lift_drive_spec(replica.external_input),
     )
+
+
+def _source(row: BatchRow) -> Any:
+    """The generator a row's noise comes from at its source.
+
+    A row read off a network owns a clone of its closure's generator, so
+    the closure's own generator is the source; a row spec's is its own.
+    """
+    spec = declared_spec(row.provider)
+    return (row.drive_spec if spec is None else spec).rng
+
+
+def _drive_class(rows: Sequence[BatchRow], size: int) -> Optional[Type[Any]]:
+    """The drive ``rows`` compile into, or ``None``: the compile rule.
+
+    Every row has a drive spec, the specs are one family ``size`` wide
+    (:func:`~repro.runtime.drives.drive_class`), and no two rows draw
+    from one generator at the source: replicas sharing one generator
+    interleave a single stream when each steps its own closure, which
+    independent streams cannot replay.
+    """
+    drive = drive_class([row.drive_spec for row in rows], size)
+    if drive is None or len({id(_source(row)) for row in rows}) != len(rows):
+        return None
+    return drive
+
+
+def _check_closures(rows: Sequence[BatchRow]) -> None:
+    """Refuse rows a batch that calls closures cannot drive: a spec and no closure."""
+    if any(row.provider is None and row.drive_spec is not None for row in rows):
+        raise BatchIncompatibleError(
+            "a row whose drive is only a spec must compile with the batch's other rows"
+        )
 
 
 def _check_layout(rows: Sequence[BatchRow], expected: Optional[tuple] = None) -> tuple:
@@ -709,6 +753,11 @@ class BatchedNetwork:
     current mode and synapse kind.  The stacked engine owns copies of the
     per-replica state, so the source networks are left untouched.
 
+    The batch owns its input: it compiles the rows' drive specs into one
+    drive, or calls each row's closure when they do not compile (see the
+    module docstring); a network's own closure is never consumed by a
+    compiled drive.
+
     Parameters
     ----------
     networks:
@@ -716,13 +765,6 @@ class BatchedNetwork:
     synapse_mode:
         ``"exact"`` (bit-exact with the sequential engine) or ``"fused"``
         (vectorised dense propagation; see the module docstring).
-    batched_external:
-        Optional ``f(step) -> (B, N)`` provider replacing the per-replica
-        ``external_input`` callables.  When given, the per-replica
-        providers are ignored (and their RNG streams are not consumed).
-        Providers exposing a ``batch_shape`` attribute (the compiled
-        drives of :mod:`repro.runtime.drives`) are shape-checked once per
-        composition; plain callables are checked on every call.
     integer_csr:
         ``None`` (default) auto-enables the integer propagation kernel
         whenever the connectivity is sparse and every weight is exactly
@@ -732,7 +774,8 @@ class BatchedNetwork:
         weights do not qualify.
     """
 
-    # Per-replica rows, one (B, N) array each (see _STATE and _PARAMS).
+    # Per-replica rows, one (B, N) array each (see _STATE and _PARAMS);
+    # _isyn_raw is state on the fixed-point backend, scratch on float64.
     _last_fired: np.ndarray
     _current: np.ndarray
     _isyn_raw: np.ndarray
@@ -754,7 +797,6 @@ class BatchedNetwork:
         networks: Sequence[Replica],
         *,
         synapse_mode: str = "exact",
-        batched_external: Optional[BatchedInputProvider] = None,
         integer_csr: Optional[bool] = None,
     ) -> None:
         if not networks:
@@ -771,8 +813,10 @@ class BatchedNetwork:
             self.h_shift, self._v_substeps = 1, timestep
         self.rows = rows
         self.synapse_mode = synapse_mode
-        self._batched_external = batched_external
-        self._check_inputs(rows)
+        drive = _drive_class(rows, self.size)
+        if drive is None:
+            _check_closures(rows)
+        self._drive = None if drive is None else drive([row.drive_spec for row in rows])
         self._synapses = _SynapseBatch(
             [row.synapses for row in rows], self.size, synapse_mode, integer_mode=integer_csr
         )
@@ -789,16 +833,10 @@ class BatchedNetwork:
         networks: Sequence[Replica],
         *,
         synapse_mode: str = "exact",
-        batched_external: Optional[BatchedInputProvider] = None,
         integer_csr: Optional[bool] = None,
     ) -> "BatchedNetwork":
         """Stack compatible replicas: :class:`SNNNetwork` instances or row specs."""
-        return cls(
-            networks,
-            synapse_mode=synapse_mode,
-            batched_external=batched_external,
-            integer_csr=integer_csr,
-        )
+        return cls(networks, synapse_mode=synapse_mode, integer_csr=integer_csr)
 
     @property
     def integer_propagation(self) -> bool:
@@ -814,24 +852,30 @@ class BatchedNetwork:
         """Stack the rows' per-replica arrays, keyed by attribute name.
 
         The one reader of row specs: construction stacks its rows and
-        :meth:`extend` appends them.  The raw Q15.16 current feed is
-        derived here from the stacked float current.
+        :meth:`extend` appends them.  A fixed-point batch keeps no float
+        current: its raw Q15.16 current feed is derived here from the
+        rows' float current.
         """
-        stacked = {name: np.stack([row.arrays[name] for row in rows]) for name in rows[0].arrays}
-        current = stacked["_current"]
-        isyn_raw = np.zeros(current.shape, dtype=np.int64)
-        if self.is_fixed_point and self.current_mode == "decay":
-            # Carry the quantised current as raw integer state: the
-            # sequential engine re-quantises its float current at the
-            # top of every step, and the result is exactly the kernel
-            # input of the previous step, so the round-trip can be
-            # hoisted out of the loop entirely.
-            _quantize_scaled_q15_16(current * 65536.0, isyn_raw, np.empty_like(current))
-        stacked["_isyn_raw"] = isyn_raw
+        stacked = {
+            name: np.stack([row.arrays[name] for row in rows])
+            for name in self._row_names()
+            if name != "_isyn_raw"
+        }
+        if self.is_fixed_point:
+            isyn_raw = np.zeros((len(rows), self.size), dtype=np.int64)
+            if self.current_mode == "decay":
+                # Carry the quantised current as raw integer state: the
+                # sequential engine re-quantises its float current at the
+                # top of every step, and the result is exactly the kernel
+                # input of the previous step, so the round-trip can be
+                # hoisted out of the loop entirely.
+                current = np.stack([row.arrays["_current"] for row in rows])
+                _quantize_scaled_q15_16(current * 65536.0, isyn_raw, np.empty_like(current))
+            stacked["_isyn_raw"] = isyn_raw
         return stacked
 
     def _alloc(self) -> None:
-        """Fit the engine to the live rows: scratch buffers, kernel, provider shape."""
+        """Fit the engine to the live rows: scratch buffers and kernel."""
         self.batch_size = len(self.rows)
         shape = (self.batch_size, self.size)
         self._fired = np.zeros(shape, dtype=bool)
@@ -846,52 +890,18 @@ class BatchedNetwork:
                 self.a_raw, self.b_raw, self.c_raw, self.d_raw,
                 h_shift=self.h_shift, pin_voltage=self._pin_voltage,
             )
+        else:
+            # Raw current of the decay, rewritten before every read.
+            self._isyn_raw = np.zeros(shape, dtype=np.int64)
         # The native step binds to this composition on its next step.
         self._native: Any = _UNBOUND
-        declared = getattr(self._batched_external, "batch_shape", None)
-        if declared is not None and tuple(declared) != shape:
-            raise BatchIncompatibleError(
-                f"batched external provider declares shape {tuple(declared)}, expected {shape}"
-            )
-        # Providers declaring batch_shape are checked here, once per
-        # composition; opaque callables keep the per-step check.
-        self._ext_validated = declared is not None
-
-    def _check_inputs(self, rows: Sequence[BatchRow]) -> None:
-        """Refuse rows whose drive is a spec only when no batched drive reads it."""
-        if self._batched_external is None and any(
-            row.provider is None and row.drive_spec is not None for row in rows
-        ):
-            raise BatchIncompatibleError(
-                "a row spec without a per-replica provider needs a batched_external drive"
-            )
-
-    def _provider_hook(self, name: str) -> Optional[Callable]:
-        """The batched provider's ``retain``/``extend``; raises if it lacks it."""
-        if self._batched_external is None:
-            return None
-        hook = getattr(self._batched_external, name, None)
-        if hook is None:
-            raise BatchIncompatibleError(
-                f"batched external provider does not support {name}(); use a drive of "
-                "repro.runtime.drives that does, or per-replica providers"
-            )
-        return hook
 
     # ------------------------------------------------------------------ #
     # Stepping
     # ------------------------------------------------------------------ #
     def _external(self, step: int) -> np.ndarray:
-        if self._batched_external is not None:
-            ext = np.asarray(self._batched_external(step), dtype=np.float64)
-            # A wrong-shaped row from an unchecked provider would
-            # otherwise broadcast silently.
-            if not self._ext_validated and ext.shape != self._ext.shape:
-                raise ValueError(
-                    f"batched external input has shape {ext.shape}, "
-                    f"expected {self._ext.shape}"
-                )
-            return ext
+        if self._drive is not None:
+            return self._drive(step)
         for i, row in enumerate(self.rows):
             provider = row.provider
             if provider is None:
@@ -1046,6 +1056,7 @@ class BatchedNetwork:
     # ------------------------------------------------------------------ #
     def _state_descriptor(self) -> dict:
         """The structural identity a snapshot must match to be restored."""
+        drive = self._drive
         return {
             "batch_size": int(self.batch_size),
             "size": int(self.size),
@@ -1055,33 +1066,38 @@ class BatchedNetwork:
             "synapse_mode": self.synapse_mode,
             "h_shift": int(self.h_shift),
             "integer": bool(self._synapses.integer),
+            "drive": None if drive is None else type(drive).__name__,
         }
 
     def export_state(self) -> dict:
         """A picklable snapshot of the full per-replica simulation state.
 
-        Covers everything the step loop carries between steps (the
-        ``_STATE`` rows): the last-fired masks, the float synaptic
-        current, the raw Q15.16 integer current feed and the
-        membrane/recovery state (raw Q7.8 integers on the fixed-point
-        backend), plus a structural descriptor so a restore onto a
-        mismatched batch fails loudly.  Kernel parameters, connectivity
-        and drive providers are *not* serialised — they are pure
-        functions of the (graph, config) pairs the restore path rebuilds
+        Covers everything the step loop carries between steps: the
+        ``_STATE`` rows — the last-fired masks, the current (the raw
+        Q15.16 integer feed on the fixed-point backend, the float
+        synaptic current on float64) and the membrane/recovery state
+        (raw Q7.8 integers on the fixed-point backend) — and, under
+        ``"drive"``, the compiled drive's state (noise streams and
+        cursors included; ``None`` for a batch that calls its rows'
+        closures, whose state is theirs), plus a structural descriptor
+        so a restore onto a mismatched batch fails loudly.  Kernel
+        parameters, connectivity and drive specs are *not* serialised —
+        they are pure functions of the rows the restore path rebuilds
         the batch from.
         """
         state = {"descriptor": self._state_descriptor()}
         for key, attr in _STATE[self.is_fixed_point]:
             state[key] = getattr(self, attr).copy()
+        state["drive"] = None if self._drive is None else self._drive.export_state()
         return state
 
     def restore_state(self, state: dict) -> None:
         """Overwrite the live per-replica state with an exported snapshot.
 
         The batch must have been rebuilt to the snapshot's structure
-        first (same replica count, backend, current mode and synapse
-        engine); any mismatch raises :class:`BatchIncompatibleError`
-        before a single array is touched.
+        first (same replica count, backend, current mode, synapse engine
+        and drive); any mismatch raises :class:`BatchIncompatibleError`
+        (``ValueError`` from the drive) before a single array is touched.
         """
         descriptor = dict(state["descriptor"])
         mine = self._state_descriptor()
@@ -1104,6 +1120,8 @@ class BatchedNetwork:
                     f"expected {target.shape}"
                 )
             arrays.append((target, arr))
+        if self._drive is not None:
+            self._drive.restore_state(state["drive"])
         for target, arr in arrays:
             np.copyto(target, arr)
 
@@ -1114,10 +1132,10 @@ class BatchedNetwork:
         """Shrink the batch to the replica rows listed in ``keep``.
 
         ``keep`` must be strictly increasing current row indices.  All
-        per-replica state (every row array, synapse stacks, external
-        providers) is sliced down so subsequent steps only advance the
-        surviving replicas; each survivor's trajectory is unaffected
-        (replicas are independent).
+        per-replica state (every row array, synapse stacks, the drive) is
+        sliced down so subsequent steps only advance the surviving
+        replicas; each survivor's trajectory is unaffected (replicas are
+        independent).
 
         **Layering seam.**  Within ``src/repro`` the sanctioned caller
         is :meth:`repro.runtime.slots.SlotEngine.recompose`, which owns
@@ -1136,15 +1154,12 @@ class BatchedNetwork:
             raise ValueError("retain indices must be strictly increasing")
         if keep.size == self.batch_size:
             return
-        # Validate everything that can refuse BEFORE mutating any state,
-        # so a raise leaves the batch fully usable.
-        provider_retain = self._provider_hook("retain")
         self.rows = [self.rows[i] for i in keep]
         for name in self._row_names():
             setattr(self, name, getattr(self, name)[keep])
         self._synapses.retain(keep)
-        if provider_retain is not None:
-            provider_retain(keep)
+        if self._drive is not None:
+            self._drive.retain(keep)
         self._alloc()
 
     def extend(self, networks: Sequence[Replica]) -> None:
@@ -1161,11 +1176,10 @@ class BatchedNetwork:
         The replicas must satisfy the same compatibility contract as
         construction (size, population kind, current mode, timestep
         configuration, synapse kind; integer-kernel batches additionally
-        require losslessly quantisable weights).  When a
-        ``batched_external`` provider is set it must support
-        ``extend(drive_specs)``, which receives the new rows' drive specs
-        — the portfolio drive of :mod:`repro.runtime.drives` does;
-        compiled drives without it refuse.
+        require losslessly quantisable weights) and join its input path:
+        a batch with a compiled drive takes only rows that compile with
+        its rows, whose specs the drive stacks on; a batch that calls
+        closures takes only rows it can call.
 
         **Layering seam.**  As with :meth:`retain`, the sanctioned
         ``src/repro`` caller is
@@ -1177,10 +1191,12 @@ class BatchedNetwork:
             return
         rows = [batch_row(replica) for replica in networks]
         # Validate everything that can refuse BEFORE mutating any state,
-        # mirroring retain(), so a raise leaves the batch fully usable.
+        # so a raise leaves the batch fully usable.
         _check_layout(rows, self._layout)
-        self._check_inputs(rows)
-        provider_extend = self._provider_hook("extend")
+        if self._drive is None:
+            _check_closures(rows)
+        elif _drive_class(self.rows + rows, self.size) is not type(self._drive):
+            raise BatchIncompatibleError("stacked-in rows do not compile into the batch's drive")
         synapses = [row.synapses for row in rows]
         self._synapses.validate_extend(synapses)
         stacked = self._rows_of(rows)
@@ -1188,8 +1204,8 @@ class BatchedNetwork:
         for name, new in stacked.items():
             setattr(self, name, np.concatenate([getattr(self, name), new]))
         self._synapses.extend(synapses)
-        if provider_extend is not None:
-            provider_extend([row.drive_spec for row in rows])
+        if self._drive is not None:
+            self._drive.extend([row.drive_spec for row in rows])
         self._alloc()
 
     # ------------------------------------------------------------------ #

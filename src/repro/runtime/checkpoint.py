@@ -26,9 +26,9 @@ always-hot batch of the serve tier, or a large ``solve_instances`` call
   supervisor, so the chaos suites are seeded and reproducible.
 
 What goes *into* a snapshot is defined by the state-export hooks of the
-batched runtime — :meth:`BatchedNetwork.export_state`,
-:meth:`PortfolioAnnealedDrive.export_state` (RNG stream cursors
-included) and :meth:`SlotEngine.export_state` — plus the state of the
+batched runtime — :meth:`BatchedNetwork.export_state` (its compiled
+drive's state, RNG stream cursors included, among it) and
+:meth:`SlotEngine.export_state` — plus the state of the
 engine's :class:`~repro.runtime.slots.DurablePolicy`; the restore
 counterparts overwrite a freshly rebuilt engine wholesale.  The
 contract, pinned by ``tests/runtime/test_checkpoint.py``: a solve
@@ -62,7 +62,7 @@ __all__ = [
 #: First bytes of every checkpoint file; anything else is not a checkpoint.
 CHECKPOINT_MAGIC = b"RPROCKPT"
 #: Bumped whenever the on-disk layout or the payload schema changes.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Fixed-size header following the magic: format version (u32), length of
 # the kind string (u16).  The kind string, the 32-byte payload SHA-256

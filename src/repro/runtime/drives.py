@@ -1,10 +1,11 @@
-"""Compiled batched external-input providers (drive compilation).
+"""Compiled drives: a batch's per-replica input closures as one ``(B, N)`` drive.
 
 The exact-mode batch engine historically evaluated one external-input
 closure per replica per step — ``B`` Python calls, ``B`` small RNG draws
 and ``B`` temporary arrays every millisecond.  This module *compiles*
-those per-replica closures into a single ``(B, N)`` vectorised provider
-that is **bit-identical** to calling the closures one by one:
+the declarative form of those closures, their drive specs, into one
+vectorised drive that is **bit-identical** to calling the closures one
+by one:
 
 * every replica keeps its own independent noise stream (the generator
   its row spec owns — for a network, a clone of the one its closure
@@ -24,45 +25,43 @@ Closures advertise their compilability by carrying a ``drive_spec``
 attribute (an :class:`AnnealedNoiseSpec`, attached by
 :meth:`repro.csp.solver.SpikingCSPSolver.build_network`); the 80-20
 workload's ``EightyTwentyNetwork.thalamic_input`` bound method is
-recognised structurally.  :func:`lift_drive_spec` is the one place a
-closure's spec is lifted, with a clone of the closure's generator, so
-compiling never perturbs the source; the drives themselves consume the
-generators their specs own and never clone.
-:func:`compile_batched_external` returns ``None`` when any provider
-cannot be compiled, in which case the batch engine falls back to the
-per-replica loop.
+recognised structurally (:func:`declared_spec`).
+:func:`lift_drive_spec` is the one place a closure's spec is lifted,
+with a clone of the closure's generator, so stacking a network never
+perturbs its closure; the drives consume the generators their specs own
+and never clone.
 
-There are two providers.  :class:`PortfolioAnnealedDrive` is the one
-annealed drive: every slot-engine batch (one-shot solves, the restart
-portfolio, the solve service) runs on it, with per-row anneal
-parameters and step offsets, :meth:`~PortfolioAnnealedDrive.extend` for
-mid-run refills and ``export_state``/``restore_state`` for checkpoints.
-:class:`CompiledScaledDrive` serves the 80-20 thalamic input.  Both
-support ``retain`` (drop replicas) so a batch can shrink its active set
-together with the network state, and declare ``batch_shape`` so
-:class:`~repro.runtime.batch.BatchedNetwork` validates the output shape
-once at construction instead of every step.
+A drive has one owner, :class:`~repro.runtime.batch.BatchedNetwork`: it
+compiles its rows' specs when they compile (:func:`drive_class` names
+the drive of a spec family), steps each row's own closure when they do
+not, restacks the drive with its rows and carries the drive's state in
+its snapshot.  The two drives share one lifecycle — ``retain``,
+``extend`` and ``export_state``/``restore_state``:
+:class:`PortfolioAnnealedDrive`, the annealed drive of every constraint
+solve, whose per-row anneal parameters and step offsets let a row
+stacked in mid-run replay a standalone solve, and
+:class:`CompiledScaledDrive`, the 80-20 thalamic input.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
 from ..snn.eighty_twenty import EightyTwentyNetwork
-from ..snn.network import SNNNetwork
+from ..snn.network import InputProvider
 
 __all__ = [
     "DEFAULT_CHUNK_STEPS",
     "AnnealedNoiseSpec",
     "ScaledNoiseSpec",
-    "CompiledDrive",
     "CompiledScaledDrive",
     "PortfolioAnnealedDrive",
-    "compile_batched_external",
+    "declared_spec",
+    "drive_class",
     "lift_drive_spec",
 ]
 
@@ -164,58 +163,141 @@ class _ChunkedNormals:
     # Checkpointing (repro.runtime.checkpoint)
     # ------------------------------------------------------------------ #
     def export_state(self) -> dict:
-        """A picklable snapshot of every stream: generators, buffer, cursor.
+        """A picklable snapshot of every stream: generators, unread draws, cursor.
 
         ``numpy.random.Generator`` pickles its full bit-generator state,
         so restoring the snapshot resumes each replica's stream at
         exactly the draw it would have produced next — the property the
-        checkpoint/restore bit-identity contract rests on.
+        checkpoint/restore bit-identity contract rests on.  Only the
+        chunk's unread slots are state; the ones already read are not
+        exported.
         """
         return {
             "rngs": copy.deepcopy(self._rngs),
-            "buffer": self._buffer.copy(),
+            "buffer": self._buffer[:, self._row :].copy(),
             "row": int(self._row),
             "chunk_steps": int(self._chunk_steps),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite the streams wholesale with an exported snapshot."""
+        """Overwrite the streams with a snapshot of as many; checks before it writes."""
         if int(state["chunk_steps"]) != self._chunk_steps:
             raise ValueError(
                 f"checkpoint chunk_steps {state['chunk_steps']} differs from "
                 f"the live configuration {self._chunk_steps}"
             )
-        buffer = np.asarray(state["buffer"], dtype=np.float64)
-        rngs = list(state["rngs"])
-        if buffer.ndim != 3 or buffer.shape[0] != len(rngs):
-            raise ValueError("checkpoint noise buffer does not match its generator list")
-        if buffer.shape[1] != self._chunk_steps or buffer.shape[2] != self._buffer.shape[2]:
-            raise ValueError(
-                f"checkpoint noise buffer shape {buffer.shape} does not match "
-                f"the live stream width {self._buffer.shape[1:]}"
-            )
         row = int(state["row"])
         if not 0 <= row <= self._chunk_steps:
             raise ValueError(f"checkpoint chunk cursor {row} out of range")
+        rngs = list(state["rngs"])
+        unread = np.asarray(state["buffer"], dtype=np.float64)
+        expected = (len(self._rngs), self._chunk_steps - row, self._buffer.shape[2])
+        if len(rngs) != len(self._rngs) or unread.shape != expected:
+            raise ValueError(
+                f"checkpoint noise streams ({len(rngs)} generators, unread draws "
+                f"{unread.shape}) do not match the live streams {expected}"
+            )
         self._rngs = [_clone_rng(rng) for rng in rngs]
-        self._buffer = buffer.copy()
+        self._buffer[:, row:] = unread
         self._row = row
 
 
-class CompiledDrive:
-    """Base of the compiled providers: shape contract plus retain plumbing."""
+class _StackedDrive:
+    """One row per replica, stacked from drive specs, plus the replicas' noise streams.
 
-    batch_shape: tuple
+    A drive names its spec family (``_SPEC``) and its per-row arrays
+    (``_ROWS``: ``(snapshot key, attribute, spec field, dtype)`` in
+    snapshot order, the first ``(B, N)`` wide) and evaluates one step in
+    ``__call__``; this base stacks, restacks and snapshots the rows.  The
+    keys stay literal strings: pickle memoises an interned string once
+    per snapshot.
+    """
 
-    def __call__(self, step: int) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
+    _SPEC: type
+    _ROWS: tuple
 
-    def retain(self, keep: Sequence[int]) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+    def __init__(self, specs: Sequence[Any], *, chunk_steps: int = DEFAULT_CHUNK_STEPS) -> None:
+        if not specs:
+            raise ValueError("cannot compile zero drives")
+        for (_, attr, _, _), rows in zip(self._ROWS, self._rows_of(specs)):
+            setattr(self, attr, rows)
+        width = self._wide().shape[1]
+        self._normals = _ChunkedNormals([s.rng for s in specs], width, chunk_steps)
+        self._alloc()
+
+    @classmethod
+    def _rows_of(cls, specs: Sequence[Any]) -> List[np.ndarray]:
+        """The specs' per-row arrays, in ``_ROWS`` order; ``ValueError`` on another family."""
+        if not all(isinstance(spec, cls._SPEC) for spec in specs):
+            raise ValueError(f"can only stack drive specs of kind {cls._SPEC.__name__}")
+        return [
+            np.asarray([getattr(s, field) for s in specs], dtype=dtype)
+            for _, _, field, dtype in cls._ROWS
+        ]
+
+    def _wide(self) -> np.ndarray:
+        """The ``(B, N)`` per-row array the output takes its shape from."""
+        return getattr(self, self._ROWS[0][1])
+
+    def _alloc(self) -> None:
+        """Fit the output buffer to the live rows."""
+        self._out = np.empty_like(self._wide())
+
+    def retain(self, keep: Sequence[int]) -> None:
+        """Drop every row not listed in ``keep``."""
+        keep = list(keep)
+        for _, attr, _, _ in self._ROWS:
+            setattr(self, attr, getattr(self, attr)[keep])
+        self._normals.retain(keep)
+        self._alloc()
+
+    def extend(self, specs: Sequence[Any]) -> None:
+        """Stack fresh rows' specs onto the drive; their streams join the chunk mid-flight."""
+        if not specs:
+            return
+        new_rows = self._rows_of(specs)
+        if new_rows[0].shape[1:] != self._wide().shape[1:]:
+            raise ValueError("stacked-in drive width differs from the live rows")
+        for (_, attr, _, _), rows in zip(self._ROWS, new_rows):
+            setattr(self, attr, np.concatenate([getattr(self, attr), rows]))
+        self._normals.extend([s.rng for s in specs])
+        self._alloc()
+
+    # ------------------------------------------------------------------ #
+    # Checkpointing (repro.runtime.checkpoint)
+    # ------------------------------------------------------------------ #
+    def export_state(self) -> dict:
+        """A picklable snapshot: the per-row arrays and the noise streams."""
+        state = {key: getattr(self, attr).copy() for key, attr, _, _ in self._ROWS}
+        state["normals"] = self._normals.export_state()
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        """Overwrite the live rows with an exported snapshot of as many rows.
+
+        The restore path rebuilds the batch from *fresh* rows (live
+        generators are not part of a row's identity) and then stamps this
+        saved state over it, so the drive arrays, per-row offsets and
+        noise cursors continue exactly where the snapshot left them.
+        Everything is checked before anything is replaced.
+        """
+        arrays = []
+        for key, attr, _, dtype in self._ROWS:
+            arr = np.array(state[key], dtype=dtype)
+            expected = getattr(self, attr).shape
+            if arr.shape != expected:
+                raise ValueError(
+                    f"checkpoint drive array {key!r} has shape {arr.shape}, expected {expected}"
+                )
+            arrays.append((attr, arr))
+        self._normals.restore_state(state["normals"])
+        for attr, arr in arrays:
+            setattr(self, attr, arr)
+        self._alloc()
 
 
-class PortfolioAnnealedDrive(CompiledDrive):
-    """All replicas' annealed-noise drives as one vectorised provider.
+class PortfolioAnnealedDrive(_StackedDrive):
+    """All replicas' annealed-noise drives as one vectorised drive.
 
     Batches stack rows that *started at different global steps* (the
     slot engine refills freed slots mid-run) and may run different
@@ -226,17 +308,9 @@ class PortfolioAnnealedDrive(CompiledDrive):
     ``step - offset_b``.  The per-row amplitude arithmetic evaluates the
     closure expression term for term, elementwise in float64, so every
     row stays bit-identical to its sequential counterpart.
-
-    Besides :meth:`retain`, this provider supports :meth:`extend`: the
-    :class:`AnnealedNoiseSpec` of fresh rows (offset included) are
-    stacked onto the live rows, joining the pregenerated noise chunk
-    mid-flight.  Either way the drive consumes the generators the specs
-    own.
     """
 
-    #: Per-row arrays as ``(snapshot key, attribute, spec field, dtype)``,
-    #: in snapshot order.  The keys stay literal strings: pickle memoises
-    #: an interned string once per snapshot.
+    _SPEC = AnnealedNoiseSpec
     _ROWS = (
         ("drives", "_drives", "drive", np.float64),
         ("masks", "_masks", "free_mask", bool),
@@ -252,30 +326,9 @@ class PortfolioAnnealedDrive(CompiledDrive):
     _floor: np.ndarray
     _offsets: np.ndarray
 
-    def __init__(
-        self, specs: Sequence[AnnealedNoiseSpec], *, chunk_steps: int = DEFAULT_CHUNK_STEPS
-    ) -> None:
-        if not specs:
-            raise ValueError("cannot compile zero drives")
-        for (_, attr, _, _), rows in zip(self._ROWS, self._rows_of(specs)):
-            setattr(self, attr, rows)
-        self._normals = _ChunkedNormals([s.rng for s in specs], self._drives.shape[1], chunk_steps)
-        self._alloc()
-
-    @classmethod
-    def _rows_of(cls, specs: Sequence[AnnealedNoiseSpec]) -> List[np.ndarray]:
-        """The specs' per-row arrays, in ``_ROWS`` order; ``ValueError`` on another kind."""
-        if not all(isinstance(spec, AnnealedNoiseSpec) for spec in specs):
-            raise ValueError("can only stack rows whose drive spec is an annealed-noise spec")
-        return [
-            np.asarray([getattr(s, field) for s in specs], dtype=dtype)
-            for _, _, field, dtype in cls._ROWS
-        ]
-
     def _alloc(self) -> None:
+        super()._alloc()
         self._noise = np.empty_like(self._drives)
-        self._out = np.empty_like(self._drives)
-        self.batch_shape = self._drives.shape
         # max(period, 1) of the closure, vectorised once per composition.
         self._period_div = np.maximum(self._period, 1).astype(np.float64)
 
@@ -291,97 +344,46 @@ class PortfolioAnnealedDrive(CompiledDrive):
         np.add(self._drives, self._noise, out=self._out)
         return self._out
 
-    def retain(self, keep: Sequence[int]) -> None:
-        keep = list(keep)
-        for _, attr, _, _ in self._ROWS:
-            setattr(self, attr, getattr(self, attr)[keep])
-        self._normals.retain(keep)
-        self._alloc()
 
-    def extend(self, specs: Sequence[AnnealedNoiseSpec]) -> None:
-        """Stack fresh rows' annealed-noise specs onto the batch."""
-        if not specs:
-            return
-        new_rows = self._rows_of(specs)
-        if new_rows[0].shape[1:] != self._drives.shape[1:]:
-            raise ValueError("stacked-in drive width differs from the live batch")
-        for (_, attr, _, _), rows in zip(self._ROWS, new_rows):
-            setattr(self, attr, np.concatenate([getattr(self, attr), rows]))
-        self._normals.extend([s.rng for s in specs])
-        self._alloc()
+class CompiledScaledDrive(_StackedDrive):
+    """All replicas' scaled-noise (thalamic) drives as one vectorised drive."""
 
-    # ------------------------------------------------------------------ #
-    # Checkpointing (repro.runtime.checkpoint)
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> dict:
-        """A picklable snapshot: per-row anneal params, offsets, streams."""
-        state = {key: getattr(self, attr).copy() for key, attr, _, _ in self._ROWS}
-        state["normals"] = self._normals.export_state()
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite the provider wholesale with an exported snapshot.
-
-        The restore path rebuilds the batch from *fresh* rows (live
-        generators are not part of a row's identity) and then stamps this
-        saved state over it, so the drive amplitudes, per-row offsets and
-        noise cursors continue exactly where the snapshot left them.
-        """
-        rows = np.shape(state["drives"])[:1]  # (row count,)
-        arrays = []
-        for key, attr, _, dtype in self._ROWS:
-            arr = np.array(state[key], dtype=dtype)
-            expected = rows + getattr(self, attr).shape[1:]
-            if arr.shape != expected:
-                raise ValueError(
-                    f"checkpoint drive array {key!r} has shape {arr.shape}, expected {expected}"
-                )
-            arrays.append((attr, arr))
-        self._normals.restore_state(state["normals"])
-        if (len(self._normals._rngs),) != rows:
-            raise ValueError("checkpoint noise streams disagree with the drive row count")
-        for attr, arr in arrays:
-            setattr(self, attr, arr)
-        self._alloc()
-
-
-class CompiledScaledDrive(CompiledDrive):
-    """All replicas' scaled-noise (thalamic) drives as one provider."""
-
-    def __init__(
-        self, specs: Sequence[ScaledNoiseSpec], *, chunk_steps: int = DEFAULT_CHUNK_STEPS
-    ) -> None:
-        if not specs:
-            raise ValueError("cannot compile zero drives")
-        self._scales = np.stack([np.asarray(s.scale, dtype=np.float64) for s in specs])
-        num_values = self._scales.shape[1]
-        self._normals = _ChunkedNormals([s.rng for s in specs], num_values, chunk_steps)
-        self._out = np.empty_like(self._scales)
-        self.batch_shape = self._scales.shape
+    _SPEC = ScaledNoiseSpec
+    _ROWS = (("scales", "_scales", "scale", np.float64),)
+    _scales: np.ndarray
 
     def __call__(self, step: int) -> np.ndarray:
         normals = self._normals.next_rows()
         np.multiply(normals, self._scales, out=self._out)
         return self._out
 
-    def retain(self, keep: Sequence[int]) -> None:
-        keep = list(keep)
-        self._scales = np.ascontiguousarray(self._scales[keep])
-        self._normals.retain(keep)
-        self._out = np.empty_like(self._scales)
-        self.batch_shape = self._scales.shape
-
 
 #: Former name of the one annealed drive, still wrapped by ``perfbench/tracing.py``.
 CompiledAnnealedDrive = PortfolioAnnealedDrive
 
+#: The drive of each spec family.
+_DRIVES: Dict[type, Type[_StackedDrive]] = {
+    d._SPEC: d for d in (PortfolioAnnealedDrive, CompiledScaledDrive)
+}
 
-def _spec_of(network: SNNNetwork) -> Optional[Any]:
-    """The drive spec of a network's external provider, or ``None``.
+
+def drive_class(specs: Sequence[Any], size: int) -> Optional[Type[_StackedDrive]]:
+    """The drive stacking ``specs``, or ``None`` unless they are one family ``size`` wide."""
+    drive = _DRIVES.get(type(specs[0])) if specs else None
+    if drive is None:
+        return None
+    field = drive._ROWS[0][2]
+    for spec in specs:
+        if type(spec) is not drive._SPEC or np.shape(getattr(spec, field)) != (size,):
+            return None
+    return drive
+
+
+def declared_spec(provider: Optional[InputProvider]) -> Optional[Any]:
+    """The drive spec an input closure declares, or ``None`` for opaque or absent ones.
 
     The spec shares the live generator of the closure it describes.
     """
-    provider = network.external_input
     if provider is None:
         return None
     spec = getattr(provider, "drive_spec", None)
@@ -406,52 +408,12 @@ def _spec_of(network: SNNNetwork) -> Optional[Any]:
     return None
 
 
-def _owned(spec: Any) -> Any:
-    """A copy of ``spec`` owning a clone of its generator."""
-    return replace(spec, rng=_clone_rng(spec.rng))
+def lift_drive_spec(provider: Optional[InputProvider]) -> Optional[Any]:
+    """The drive spec a closure declares, owning a clone of its generator.
 
-
-def lift_drive_spec(network: SNNNetwork) -> Optional[Any]:
-    """The drive spec of a network's provider, owning a clone of its generator.
-
-    ``None`` for opaque or absent providers.  The clone is what keeps
+    ``None`` for opaque or absent closures.  The clone is what keeps
     stacking a network from perturbing its closure: the closure's next
     draws stay those of a fresh same-seed generator.
     """
-    spec = _spec_of(network)
-    return None if spec is None else _owned(spec)
-
-
-def compile_batched_external(
-    networks: Sequence[SNNNetwork], *, chunk_steps: int = DEFAULT_CHUNK_STEPS
-) -> Optional[CompiledDrive]:
-    """Compile the networks' per-replica input closures into one provider.
-
-    Returns a :class:`CompiledDrive` producing ``(B, N)`` arrays
-    bit-identical to the per-replica closure outputs — a
-    :class:`PortfolioAnnealedDrive` for annealed specs, whatever their
-    anneal configurations — or ``None`` when any closure is unrecognised
-    (opaque callables, mixed drive families, differing widths); callers
-    then fall back to the per-replica loop, which handles every provider.
-    The drive runs on clones of the closures' generators.
-    """
-    sources: List[Any] = []
-    for network in networks:
-        spec = _spec_of(network)
-        if spec is None:
-            return None
-        sources.append(spec)
-    # Replicas sharing one generator object would interleave a single
-    # stream when run per replica; independent clones cannot reproduce
-    # that, so such batches are not compilable.
-    if len({id(s.rng) for s in sources}) != len(sources):
-        return None
-    if all(isinstance(s, AnnealedNoiseSpec) for s in sources):
-        if len({s.drive.shape for s in sources}) != 1:
-            return None
-        return PortfolioAnnealedDrive([_owned(s) for s in sources], chunk_steps=chunk_steps)
-    if all(isinstance(s, ScaledNoiseSpec) for s in sources):
-        if len({s.scale.shape for s in sources}) != 1:
-            return None
-        return CompiledScaledDrive([_owned(s) for s in sources], chunk_steps=chunk_steps)
-    return None
+    spec = declared_spec(provider)
+    return None if spec is None else replace(spec, rng=_clone_rng(spec.rng))

@@ -72,7 +72,6 @@ import numpy as np
 
 from .batch import BatchedNetwork, BatchRow, Replica, batch_row
 from .checkpoint import CheckpointError, CheckpointStore, FaultPlan
-from .drives import PortfolioAnnealedDrive
 
 __all__ = [
     "DurablePolicy",
@@ -287,9 +286,10 @@ class SlotEngine:
         ``crash_at_step`` kills the process inside :meth:`advance`, with
         or without a store.
 
-    Every batch runs exact-mode synapses and one
-    :class:`~repro.runtime.drives.PortfolioAnnealedDrive`, so any batch
-    can be refilled mid-run and exported.
+    Every batch runs exact-mode synapses and owns its input: solver rows
+    compile into one :class:`~repro.runtime.drives.PortfolioAnnealedDrive`,
+    which the batch restacks when it is refilled mid-run and carries in
+    its snapshot.
     """
 
     # The per-row books (see _BOOKS); the per-neuron ones are ``None``
@@ -486,7 +486,7 @@ class SlotEngine:
             if new_specs:  # the extend([]) guard, centralised
                 self._batch.extend(new_specs)
         else:
-            self._batch = self._build_batch(new_specs)
+            self._batch = BatchedNetwork.from_networks(new_specs)
         kept = np.asarray(keep, dtype=np.int64)
         books = self._fresh_books(len(new_specs))
         for _, attr, axis in _BOOKS:
@@ -506,22 +506,24 @@ class SlotEngine:
 
         Captures the global step clock, every live row's descriptor
         (graph, clamps, budget, admission offset), the sliding-window /
-        recency / spike bookkeeping, the batched network state and the
-        drive state (noise cursors included) — everything
+        recency / spike bookkeeping and the batched network state, its
+        drive's (noise cursors included) among it — everything
         :meth:`restore_state` needs to continue bit-identically.
 
         ``tokens`` stand in for the rows' payloads, one picklable token
         per row (:meth:`DurablePolicy.describe`): a payload may hold
         objects that must never reach a pickle, such as the serve
-        scheduler's asyncio futures.
+        scheduler's asyncio futures.  Rows that step their own closures
+        (their specs did not compile into one drive) raise
+        :class:`~repro.runtime.checkpoint.CheckpointError`.
         """
         if len(tokens) != len(self._rows):
             raise ValueError("payload tokens must match the live row count")
-        drive_state = None
-        batch_state = None
-        if self._batch is not None:
-            batch_state = self._batch.export_state()
-            drive_state = self._drive().export_state()
+        batch = None if self._batch is None else self._batch.export_state()
+        if batch is not None and batch["drive"] is None:
+            # The batch calls its rows' closures, whose noise state a
+            # resume could not replay.
+            raise CheckpointError("only rows that compile into one drive can be snapshotted")
         rows = []
         for i, row in enumerate(self._rows):
             rows.append(
@@ -543,8 +545,7 @@ class SlotEngine:
         for key, attr, _ in _BOOKS:
             book = getattr(self, attr)
             state[key] = None if book is None else book.copy()
-        state["batch"] = batch_state
-        state["drive"] = drive_state
+        state["batch"] = batch
         return state
 
     def restore_state(self, state: dict, rebuilt: Sequence[Tuple[Any, Replica]]) -> None:
@@ -555,9 +556,9 @@ class SlotEngine:
         token): the row freshly built from the same (graph, clamps,
         seed, config) the original row was — the snapshot stores only
         state arrays and the caller re-derives the structure.  The fresh
-        rows' state and drive streams are then overwritten wholesale
-        with the snapshot's, which is what makes the restored engine's
-        next step bit-identical to the uninterrupted run's.
+        rows' state, drive streams included, is then overwritten
+        wholesale with the snapshot's, which is what makes the restored
+        engine's next step bit-identical to the uninterrupted run's.
 
         Restoring onto an engine with live rows, or with a mismatched
         window/check-interval configuration, raises before mutating.
@@ -598,9 +599,8 @@ class SlotEngine:
                     self._install([], self._fresh_books(0))
                     raise ValueError("checkpoint bookkeeping arrays disagree with the row set")
                 books[attr] = book
-            self._batch = self._build_batch([batch_row(replica) for _, replica in rebuilt])
+            self._batch = BatchedNetwork.from_networks([replica for _, replica in rebuilt])
             self._batch.restore_state(state["batch"])
-            self._drive().restore_state(state["drive"])
         self._install(rows, books)
 
     def _save(self, policy: SlotPolicy) -> None:
@@ -627,16 +627,6 @@ class SlotEngine:
         engine = snapshot["engine"]
         self.restore_state(engine, [policy.rebuild(row["token"]) for row in engine["rows"]])
         return True
-
-    def _build_batch(self, rows: Sequence[BatchRow]) -> BatchedNetwork:
-        return BatchedNetwork.from_networks(
-            rows, batched_external=PortfolioAnnealedDrive([row.drive_spec for row in rows])
-        )
-
-    def _drive(self) -> PortfolioAnnealedDrive:
-        """The live batch's annealed drive (:meth:`_build_batch` installs it)."""
-        assert self._batch is not None
-        return cast(PortfolioAnnealedDrive, self._batch._batched_external)
 
     def _fresh_books(self, count: int) -> Dict[str, Any]:
         """Books of ``count`` unstepped rows: empty windows, no recency, no spikes."""

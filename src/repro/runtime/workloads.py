@@ -28,17 +28,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from ..snn.analysis import SpikeRaster, rhythm_summary
-from ..snn.eighty_twenty import EightyTwentyConfig
 from ..snn.network import SNNNetwork
 from .batch import BatchedNetwork
-from .backends import RunRequest, RunResult, eighty_twenty_config, get_backend, run_on_backend
+from .backends import RunRequest, RunResult, get_backend, run_on_backend
 from .cache import RunResultCache
-from .drives import compile_batched_external
 from .sweep import SweepExecutor, SweepReport, SweepSpec, SweepTask, derive_task_seed
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "SeedSweepResult",
     "ServeLoadSweepConfig",
     "build_eighty_twenty_replicas",
-    "batched_thalamic_provider",
     "csp_portfolio_sweep",
     "eighty_twenty_seed_sweep",
     "pooled_sudoku_sweep",
@@ -108,43 +105,6 @@ def build_eighty_twenty_replicas(
     ]
 
 
-def batched_thalamic_provider(
-    configs: Sequence[EightyTwentyConfig], *, seed: int = 0
-) -> Callable[[int], np.ndarray]:
-    """Fully-vectorised thalamic noise for a batch of 80-20 replicas.
-
-    Draws the whole ``(B, N)`` input in one generator call per step and
-    scales the excitatory/inhibitory columns, instead of two draws plus a
-    concatenation per replica.  The noise is statistically identical to
-    the per-replica streams but comes from a single batch generator, so
-    runs using this provider are *not* bit-comparable with sequential
-    per-replica runs — use per-replica providers (the default) for
-    equivalence checks.
-    """
-    profiles = {
-        (c.num_excitatory, c.num_inhibitory, c.thalamic_excitatory, c.thalamic_inhibitory)
-        for c in configs
-    }
-    if len(profiles) != 1:
-        raise ValueError(
-            "all replicas must share the excitatory/inhibitory split and thalamic scales"
-        )
-    num_exc, num_inh, _, _ = next(iter(profiles))
-    scale = np.concatenate(
-        [
-            np.full(num_exc, configs[0].thalamic_excitatory),
-            np.full(num_inh, configs[0].thalamic_inhibitory),
-        ]
-    )
-    rng = np.random.default_rng(seed)
-    batch = len(configs)
-
-    def provider(step: int) -> np.ndarray:
-        return rng.standard_normal((batch, num_exc + num_inh)) * scale
-
-    return provider
-
-
 def eighty_twenty_seed_sweep(
     seeds: Sequence[int],
     *,
@@ -154,7 +114,6 @@ def eighty_twenty_seed_sweep(
     current_mode: str = "recompute",
     batched: bool = True,
     fused: bool = False,
-    noise_seed: Optional[int] = None,
 ) -> SeedSweepResult:
     """Run the 80-20 network once per seed and summarise every raster.
 
@@ -164,40 +123,24 @@ def eighty_twenty_seed_sweep(
         ``True`` stacks the replicas into a :class:`BatchedNetwork`;
         ``False`` runs the identical sequential loop (baseline).
     fused:
-        With ``batched=True``, additionally vectorise the synaptic
-        propagation and the thalamic noise across the batch (the
-        high-throughput mode; see :mod:`repro.runtime.batch` for the
-        exactness trade-off).
-    noise_seed:
-        Seed of the batch noise generator in fused mode (defaults to the
-        first sweep seed).
+        With ``batched=True``, additionally vectorise the dense synaptic
+        propagation across the batch (the high-throughput mode; see
+        :mod:`repro.runtime.batch` for the exactness trade-off).
+
+    Either batched mode compiles the replicas' thalamic closures into one
+    vectorised drive (per-replica streams pregenerated in chunks), so it
+    draws each replica's own noise while skipping ``B`` Python calls per
+    step; the exact mode stays bit-identical to the sequential loop.
     """
     seeds = [int(s) for s in seeds]
     networks = build_eighty_twenty_replicas(
         seeds, backend=backend, num_neurons=num_neurons, current_mode=current_mode
     )
-    if not batched:
-        rasters = [net.run(num_steps) for net in networks]
-    elif fused:
-        configs = [eighty_twenty_config(num_neurons, seed) for seed in seeds]
-        provider = batched_thalamic_provider(
-            configs, seed=noise_seed if noise_seed is not None else seeds[0]
-        )
-        batch = BatchedNetwork.from_networks(
-            networks, synapse_mode="fused", batched_external=provider
-        )
+    if batched:
+        batch = BatchedNetwork.from_networks(networks, synapse_mode="fused" if fused else "exact")
         rasters = batch.run(num_steps)
     else:
-        # The per-replica thalamic closures compile into one bit-exact
-        # vectorised provider (per-replica streams pregenerated in
-        # chunks), so the exact sweep stays bit-identical to the
-        # sequential loop while skipping B Python calls per step.
-        batch = BatchedNetwork.from_networks(
-            networks,
-            synapse_mode="exact",
-            batched_external=compile_batched_external(networks),
-        )
-        rasters = batch.run(num_steps)
+        rasters = [net.run(num_steps) for net in networks]
     summaries = []
     for seed, raster in zip(seeds, rasters):
         summary = rhythm_summary(raster)

@@ -4,7 +4,7 @@
 clients and keeps them solving inside **one always-hot fused batch**:
 admitted requests are stacked into a live
 :class:`~repro.runtime.batch.BatchedNetwork` (integer CSR propagation,
-compiled batched drives), and whenever a row finishes — solved, out of
+one compiled drive), and whenever a row finishes — solved, out of
 its per-request step budget, past its deadline or abandoned by its
 client — the freed slot is refilled from the admission queue through
 ``BatchedNetwork.retain`` / ``extend``, exactly the mechanics of

@@ -142,10 +142,3 @@ class FixedPointPopulation:
         for _ in range(self.substeps_per_ms):
             fired |= self.substep(isyn_raw).astype(bool)
         return fired
-
-    def step_ms_raw(self, isyn_raw: np.ndarray) -> np.ndarray:
-        """Like :meth:`step_ms` but taking a raw Q15.16 current array."""
-        fired = np.zeros(self.size, dtype=bool)
-        for _ in range(self.substeps_per_ms):
-            fired |= self.substep(isyn_raw).astype(bool)
-        return fired

@@ -192,15 +192,12 @@ class CurrentState:
         DCU decay selector (1..9), only used in ``"decay"`` mode.
     h_shift:
         Timestep shift used by the decay (1 → 0.5 ms, 3 → 0.125 ms).
-    decay_steps_per_ms:
-        Number of ``nmdec`` applications per 1 ms network step.
     """
 
     num_neurons: int
     mode: str = "recompute"
     tau_select: int = 4
     h_shift: int = 1
-    decay_steps_per_ms: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ("recompute", "decay"):
@@ -215,8 +212,7 @@ class CurrentState:
             self.current = external + synaptic
         else:
             raw = np.asarray(Q15_16.from_float(self.current), dtype=np.int64)
-            for _ in range(self.decay_steps_per_ms):
-                raw = decay_current_raw(raw, self.tau_select, self.h_shift)
+            raw = decay_current_raw(raw, self.tau_select, self.h_shift)
             self.current = np.asarray(Q15_16.to_float(raw)) + external + synaptic
         return self.current
 

@@ -211,7 +211,7 @@ class SNNSudokuSolver:
         connectivity and differ only in drive and noise): the inhibitory
         weights are exact Q15.16 values, so every 1 ms step propagates
         spikes for the whole batch through the integer CSR kernel and
-        draws all noise from one compiled ``(B, 729)`` provider, while
+        draws all noise from one compiled ``(B, 729)`` drive, while
         each result stays bit-identical to a sequential :meth:`solve`
         call on the same puzzle — including the per-puzzle noise streams,
         decode windows and step counts.  Replicas that solve early are

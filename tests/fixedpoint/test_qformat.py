@@ -70,6 +70,14 @@ class TestConversion:
         np.testing.assert_array_equal(raw, bounds)
         assert Q15_16.from_float(1e300) == Q15_16.raw_max
 
+    def test_nan_raises(self):
+        with pytest.raises(FloatingPointError):
+            Q15_16.from_float(float("nan"))
+        with pytest.raises(FloatingPointError):
+            Q15_16.from_float(np.array([1.0, np.nan, -np.inf]))
+        with pytest.raises(FloatingPointError):
+            Q7_8.from_float(np.nan, rounding=Rounding.FLOOR, overflow=Overflow.WRAP)
+
     def test_wrap_overflow(self):
         wrapped = Q7_8.from_float(128.0, overflow=Overflow.WRAP)
         assert wrapped == Q7_8.wrap(128 * 256)

@@ -13,8 +13,12 @@ fixture to ``numpy``::
     @pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
     class TestThingOnNumPyStep(TestThing):
         pass
+
+``assert_same_snapshot`` compares two exported snapshots (a batch's or
+a slot engine's), nested drive state included.
 """
 
+import numpy as np
 import pytest
 
 from repro.runtime import native
@@ -32,3 +36,27 @@ def step_path(request, monkeypatch):
         pytest.skip("no native step kernel on this host")
     return request.param
 
+
+
+def _assert_same(a, b, where="snapshot"):
+    if isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            _assert_same(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    elif isinstance(a, np.random.Generator):
+        assert a.bit_generator.state == b.bit_generator.state, where
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b, err_msg=where)
+        assert a.dtype == b.dtype, where
+    else:
+        assert a == b, where
+
+
+@pytest.fixture
+def assert_same_snapshot():
+    """``f(a, b)``: arrays equal elementwise, generators by bit-generator state."""
+    return _assert_same

@@ -111,18 +111,14 @@ class TestWorkloadSweeps:
         assert [s["seed"] for s in sweep.summaries] == [5, 6]
         assert all(s["backend"] == "fixed" for s in sweep.summaries)
 
-    def test_batched_thalamic_provider_rejects_mixed_scales(self):
-        from repro.runtime import batched_thalamic_provider
-        from repro.snn import EightyTwentyConfig
+    def test_exact_seed_sweep_clones_each_generator_once(self, monkeypatch):
+        from repro.runtime import drives
 
-        configs = [
-            EightyTwentyConfig(num_excitatory=80, num_inhibitory=20, seed=1),
-            EightyTwentyConfig(
-                num_excitatory=80, num_inhibitory=20, thalamic_inhibitory=3.0, seed=2
-            ),
-        ]
-        with pytest.raises(ValueError, match="thalamic scales"):
-            batched_thalamic_provider(configs)
+        clones = []
+        clone = drives._clone_rng
+        monkeypatch.setattr(drives, "_clone_rng", lambda rng: clones.append(rng) or clone(rng))
+        eighty_twenty_seed_sweep([5, 6, 7], num_steps=5, num_neurons=50)
+        assert len(clones) == 3 and len({id(rng) for rng in clones}) == 3
 
     def test_pooled_sudoku_sweep_shape(self):
         config = PooledSudokuSweepConfig(count=2, target_clues=40, max_steps=150)

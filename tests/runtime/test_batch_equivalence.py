@@ -84,16 +84,8 @@ class TestBatchedEquivalence:
                 net.synapses = None
             return nets
 
-        def provider(step):
-            rng = np.random.default_rng(step)
-            return 8.0 * rng.standard_normal((4, 60))
-
-        exact = BatchedNetwork.from_networks(
-            make(), synapse_mode="exact", batched_external=provider
-        ).run(NUM_STEPS)
-        fused = BatchedNetwork.from_networks(
-            make(), synapse_mode="fused", batched_external=provider
-        ).run(NUM_STEPS)
+        exact = BatchedNetwork.from_networks(make(), synapse_mode="exact").run(NUM_STEPS)
+        fused = BatchedNetwork.from_networks(make(), synapse_mode="fused").run(NUM_STEPS)
         _assert_rasters_equal(exact, fused)
 
     def test_fused_mode_statistically_consistent(self):

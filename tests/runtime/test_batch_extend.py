@@ -54,7 +54,6 @@ class TestPortfolioDriveEquivalence:
         [extra] = _networks([3])
         extra.external_input.drive_spec.step_offset = 11
         drive.extend([extra.external_input.drive_spec])
-        assert drive.batch_shape[0] == 3
         [solo] = _networks([3])
         reference = PortfolioAnnealedDrive([solo.external_input.drive_spec])
         for local in range(1, 60):
@@ -68,7 +67,7 @@ class TestPortfolioDriveEquivalence:
         drive.retain([0, 2])
         [extra] = _networks([4])
         drive.extend([extra.external_input.drive_spec])
-        assert drive.batch_shape[0] == 3
+        assert drive(2).shape == (3, extra.size)
 
     def test_extend_rejects_foreign_specs(self):
         nets = _networks([1])
@@ -127,28 +126,22 @@ class TestBatchedNetworkExtend:
             batch.extend([floaty])
 
     def test_extend_without_provider_support_refuses(self):
-        nets = _networks([5, 6])
-
-        def provider(step):  # a plain callable: no extend()
-            return np.zeros((2, nets[0].size))
-
-        batch = BatchedNetwork.from_networks(nets, batched_external=provider)
+        # A row whose closure declares no spec cannot join a compiled drive.
+        batch = BatchedNetwork.from_networks(_networks([5, 6]))
+        [opaque] = _networks([7])
+        closure = opaque.external_input
+        opaque.external_input = lambda step: closure(step)
         with pytest.raises(BatchIncompatibleError):
-            batch.extend(_networks([7]))
+            batch.extend([opaque])
         # The refusal left the batch fully usable.
+        assert batch.batch_size == 2
         batch.step(1)
 
     def test_extend_with_portfolio_drive_validates_shape(self):
-        nets = _networks([5, 6])
-        batch = BatchedNetwork.from_networks(
-            nets,
-            batched_external=PortfolioAnnealedDrive(
-                [n.external_input.drive_spec for n in nets]
-            ),
-        )
+        batch = BatchedNetwork.from_networks(_networks([5, 6]))
         batch.extend(_networks([7]))
-        assert batch._batched_external.batch_shape == (3, batch.size)
-        batch.step(1)
+        assert isinstance(batch._drive, PortfolioAnnealedDrive)
+        assert batch._drive(1).shape == (3, batch.size)
 
     def test_empty_extend_is_noop(self):
         batch = BatchedNetwork.from_networks(_networks([5, 6]))
@@ -230,7 +223,7 @@ def _engine(batch):
 class TestExtendEqualsJointConstruction:
     @pytest.mark.parametrize("warm_steps", [0, 5], ids=["cold", "warm"])
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_extend_matches_joint_construction(self, engine, warm_steps):
+    def test_extend_matches_joint_construction(self, engine, warm_steps, assert_same_snapshot):
         factory, options, kind = ENGINES[engine]
         head, tail = [11, 12], [13, 14]
 
@@ -247,11 +240,7 @@ class TestExtendEqualsJointConstruction:
         assert _engine(joint) == _engine(grown) == kind
         assert grown.batch_size == joint.batch_size == 4
 
-        joint_state, grown_state = joint.export_state(), grown.export_state()
-        assert list(joint_state) == list(grown_state)
-        assert joint_state["descriptor"] == grown_state["descriptor"]
-        for key in list(joint_state)[1:]:
-            np.testing.assert_array_equal(joint_state[key], grown_state[key], err_msg=key)
+        assert_same_snapshot(joint.export_state(), grown.export_state())
         start = warm_steps + 1
         np.testing.assert_array_equal(_spikes(joint, 20, start), _spikes(grown, 20, start))
 

@@ -15,8 +15,10 @@ import sys
 import numpy as np
 import pytest
 
+from repro.csp import SpikingCSPSolver
 from repro.csp.scenarios import make_instance
 from repro.csp.solver import solve_instances
+from repro.runtime.batch import BatchedNetwork
 from repro.runtime.checkpoint import (
     CHECKPOINT_MAGIC,
     CheckpointCorruptError,
@@ -155,6 +157,78 @@ def test_store_with_no_good_snapshot_returns_none(tmp_path):
 def test_store_rejects_nonpositive_keep(tmp_path):
     with pytest.raises(ValueError):
         CheckpointStore(tmp_path, keep=0)
+
+
+# --------------------------------------------------------------------- #
+# What a batch snapshot holds: the state one step hands the next
+# --------------------------------------------------------------------- #
+def _batch_networks(backend, seeds=(1, 2, 3)):
+    graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
+    return [
+        SpikingCSPSolver(graph, backend=backend, seed=seed).build_network(clamps)
+        for seed in seeds
+    ]
+
+
+def _steps(batch, start, count):
+    return np.stack([batch.step(t).copy() for t in range(start, start + count)])
+
+
+#: The snapshot keys of each backend, in order (decay-mode solver rows).
+SNAPSHOT_KEYS = {
+    "fixed": ["descriptor", "last_fired", "isyn_raw", "v_raw", "u_raw", "drive"],
+    "float64": ["descriptor", "last_fired", "current", "v", "u", "drive"],
+}
+
+
+@pytest.mark.usefixtures("step_path")
+class TestBatchSnapshot:
+    @pytest.mark.parametrize("backend", sorted(SNAPSHOT_KEYS))
+    def test_export_keys_and_restore_round_trip(self, backend, assert_same_snapshot):
+        batch = BatchedNetwork.from_networks(_batch_networks(backend))
+        _steps(batch, 1, 20)
+        saved = batch.export_state()
+        assert list(saved) == SNAPSHOT_KEYS[backend]
+        assert saved["descriptor"]["drive"] == "PortfolioAnnealedDrive"
+        assert sorted(saved["drive"]) == [
+            "drives", "floor", "masks", "normals", "offsets", "period", "sigma"
+        ]
+        expected = _steps(batch, 21, 40)
+        assert expected.any()
+
+        rebuilt = BatchedNetwork.from_networks(_batch_networks(backend))
+        rebuilt.restore_state(saved)
+        assert_same_snapshot(rebuilt.export_state(), saved)
+        np.testing.assert_array_equal(_steps(rebuilt, 21, 40), expected)
+
+    @pytest.mark.parametrize("backend, scratch", [("fixed", "_current"), ("float64", "_isyn_raw")])
+    def test_what_the_snapshot_leaves_out_is_not_state(self, backend, scratch):
+        # A fixed-point batch keeps no float current; a float64 batch's raw
+        # current is scratch its step rewrites before any read.
+        batch = BatchedNetwork.from_networks(_batch_networks(backend))
+        expected = _steps(batch, 1, 60)
+        scrambled = BatchedNetwork.from_networks(_batch_networks(backend))
+        rng = np.random.default_rng(0)
+        got = []
+        for t in range(1, 61):
+            if hasattr(scrambled, scratch):
+                array = getattr(scrambled, scratch)
+                array[...] = rng.integers(-(2**20), 2**20, array.shape)
+            got.append(scrambled.step(t).copy())
+        assert hasattr(scrambled, scratch) == (backend == "float64")
+        np.testing.assert_array_equal(np.stack(got), expected)
+
+    def test_a_mismatched_drive_refuses_before_any_array_changes(self):
+        batch = BatchedNetwork.from_networks(_batch_networks("fixed"))
+        _steps(batch, 1, 5)
+        saved = batch.export_state()
+        other = BatchedNetwork.from_networks(_batch_networks("fixed", seeds=(4, 5, 6)))
+        before = other.export_state()
+        saved["drive"]["normals"]["row"] = 40  # past the chunk
+        with pytest.raises(ValueError):
+            other.restore_state(saved)
+        np.testing.assert_array_equal(other.v_raw, before["v_raw"])
+        np.testing.assert_array_equal(other._drive._sigma, before["drive"]["sigma"])
 
 
 # --------------------------------------------------------------------- #

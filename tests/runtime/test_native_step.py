@@ -80,6 +80,7 @@ def _batch(rng, kind, *, mode, tau_select, h_shift, pin):
     def q411():
         return rng.integers(-(2**15), 2**15, size=SIZE)
 
+    drive = np.zeros((BATCH, SIZE))  # row b is replica b's input, set per step
     networks = [
         SNNNetwork(
             population=FixedPointPopulation(
@@ -87,13 +88,13 @@ def _batch(rng, kind, *, mode, tau_select, h_shift, pin):
                 v_raw=q78(), u_raw=q78(), h_shift=h_shift, pin_voltage=pin,
             ),
             synapses=synapses,
+            external_input=lambda step, b=b: drive[b],
             current_mode=mode,
             tau_select=tau_select,
         )
-        for synapses in _synapses(kind, rng)
+        for b, synapses in enumerate(_synapses(kind, rng))
     ]
-    drive = np.zeros((BATCH, SIZE))
-    batch = BatchedNetwork.from_networks(networks, batched_external=lambda step: drive)
+    batch = BatchedNetwork.from_networks(networks)
     np.copyto(batch._isyn_raw, rng.integers(Q15_16.raw_min, Q15_16.raw_max + 1, (BATCH, SIZE)))
     np.copyto(batch._last_fired, rng.random((BATCH, SIZE)) < 0.3)
     weights = [
@@ -160,6 +161,19 @@ class TestAgainstTheReference:
             batch.step(0)
         np.testing.assert_array_equal(batch.v_raw, v)
         np.testing.assert_array_equal(batch.u_raw, u)
+
+    @pytest.mark.parametrize("kind", ["shared", "flat"])
+    def test_the_block_reads_the_synapse_grid_in_place(self, kind):
+        if native.load() is None:
+            pytest.skip("no native step kernel on this host")
+        rng = np.random.default_rng(5)
+        batch, _, _ = _batch(rng, kind, mode="decay", tau_select=2, h_shift=1, pin=True)
+        block = batch._native_binding()._keep[0]
+        indptr, indices, _, weights, _ = batch._synapses._gather
+        assert [a.dtype for a in (indptr, indices, weights)] == [np.int64] * 3
+        assert (block.indptr, block.indices, block.weights) == (
+            indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data
+        )
 
     def test_pointers_follow_retain_extend_and_restore(self, step_path):
         """Each recomposition rebinds the step; a restore copies under the bound pointers."""

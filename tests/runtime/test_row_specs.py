@@ -205,24 +205,6 @@ def _admissions(seeds, backend, as_rows):
     return out
 
 
-def _assert_same_state(a, b):
-    for key, value in a._batch.export_state().items():
-        if key == "descriptor":
-            assert value == b._batch.export_state()[key]
-        else:
-            np.testing.assert_array_equal(value, b._batch.export_state()[key], err_msg=key)
-    drive_a, drive_b = a._drive().export_state(), b._drive().export_state()
-    normals_a, normals_b = drive_a.pop("normals"), drive_b.pop("normals")
-    for key in drive_a:
-        np.testing.assert_array_equal(drive_a[key], drive_b[key], err_msg=key)
-    # Only the chunk's unread slots hold draws; the rest is scratch.
-    cursor = normals_a["row"]
-    assert cursor == normals_b["row"]
-    np.testing.assert_array_equal(normals_a["buffer"][:, cursor:], normals_b["buffer"][:, cursor:])
-    for rng_a, rng_b in zip(normals_a["rngs"], normals_b["rngs"]):
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-
 class TestRowAdmission:
     @pytest.mark.parametrize("backend", ["fixed", "float64"])
     def test_row_spec_reads_like_its_network(self, backend):
@@ -241,7 +223,10 @@ class TestRowAdmission:
         assert spec.drive_spec.rng.bit_generator.state == lifted.drive_spec.rng.bit_generator.state
 
     @pytest.mark.parametrize("backend", ["fixed", "float64"])
-    def test_rows_and_networks_run_identically(self, backend):
+    def test_rows_and_networks_run_identically(self, backend, assert_same_snapshot):
+        def _assert_same_state(a, b):
+            assert_same_snapshot(a._batch.export_state(), b._batch.export_state())
+
         def engine(as_rows):
             slot_engine = SlotEngine(
                 decoder=CSP_SLOT_DECODER, window=20, check_interval=CHECK_INTERVAL
@@ -267,12 +252,35 @@ class TestRowAdmission:
             )
         _assert_same_state(by_rows, by_networks)
 
+    def test_rows_that_call_their_closures_refuse_to_snapshot(self):
+        from repro.runtime import CheckpointError
+
+        admissions = _admissions([1, 2], "fixed", False)
+        for _, network in admissions:
+            closure = network.external_input
+            network.external_input = lambda step, f=closure: f(step)  # declares no spec
+        engine = SlotEngine(decoder=CSP_SLOT_DECODER, window=20, check_interval=CHECK_INTERVAL)
+        engine.admit(admissions)
+        engine.step()
+        # A restore could not replay the closures' noise: refuse, never diverge.
+        with pytest.raises(CheckpointError):
+            engine.export_state([0, 1])
+
     def test_spec_only_rows_need_a_batched_drive(self):
         from repro.runtime import BatchIncompatibleError
 
         _, clamps, solver = _job(1, "fixed")
+        network = solver.build_network(clamps, seed=2)
+        closure = network.external_input
+        network.external_input = lambda step: closure(step)  # declares no spec
+        assert BatchedNetwork.from_networks([solver.row(clamps)])._drive is not None
+        # With a row that does not compile, the spec-only row has no closure to call.
         with pytest.raises(BatchIncompatibleError):
-            BatchedNetwork.from_networks([solver.row(clamps)])
+            BatchedNetwork.from_networks([solver.row(clamps), network])
+        batch = BatchedNetwork.from_networks([network])
+        with pytest.raises(BatchIncompatibleError):
+            batch.extend([solver.row(clamps)])
+        assert batch.batch_size == 1
 
 
 @pytest.mark.usefixtures("step_path")
@@ -360,7 +368,7 @@ class TestGeneratorOwnership:
         for _ in range(40):
             engine.step()
         owned = [spec.drive_spec.rng for _, spec in first + later]
-        assert all(a is b for a, b in zip(engine._drive()._normals._rngs, owned))
+        assert all(a is b for a, b in zip(engine._batch._drive._normals._rngs, owned))
 
     def test_direct_drive_consumes_the_generators_it_is_given(self):
         _, clamps, solver = _job(2, "fixed")

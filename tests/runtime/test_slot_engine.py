@@ -31,7 +31,12 @@ from repro.csp.config import CSPConfig
 from repro.csp.solver import CSP_SLOT_DECODER, decode_assignment, solve_instances
 from repro.runtime import checkpoint as checkpoint_module
 from repro.runtime import native
-from repro.runtime.checkpoint import CHECKPOINT_MAGIC, CheckpointStore, CheckpointVersionError
+from repro.runtime.checkpoint import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    CheckpointStore,
+    CheckpointVersionError,
+)
 from repro.runtime.slots import (
     OneShotPolicy,
     SlotDecision,
@@ -361,7 +366,8 @@ class TestDurableResume:
         for path in older:
             path.unlink()
         blob = bytearray(newest.read_bytes())
-        struct.pack_into("<I", blob, len(CHECKPOINT_MAGIC), 1)  # format version 1
+        # The previous format version.
+        struct.pack_into("<I", blob, len(CHECKPOINT_MAGIC), CHECKPOINT_VERSION - 1)
         newest.write_bytes(bytes(blob))
 
         stores = []
@@ -612,7 +618,7 @@ class TestRecomposeEdges:
             ([-1, 1], True, IndexError),
         ],
     )
-    def test_malformed_keep_raises_before_mutating(self, keep, admit, error):
+    def test_malformed_keep_raises_before_mutating(self, keep, admit, error, assert_same_snapshot):
         engine, twin = self._engine_with_rows(), self._engine_with_rows()
         for _ in range(7):
             engine.step()
@@ -630,9 +636,7 @@ class TestRecomposeEdges:
             engine.recompose(keep, admissions)
         assert engine.rows == rows and [row.payload for row in engine.rows] == payloads
         assert engine._batch is batch and batch.batch_size == 3
-        for key, value in batch.export_state().items():
-            if key != "descriptor":
-                np.testing.assert_array_equal(value, state[key], err_msg=key)
+        assert_same_snapshot(batch.export_state(), state)
         # The engine still steps, exactly as if the call never happened.
         for _ in range(30):
             engine.step()

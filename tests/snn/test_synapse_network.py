@@ -135,6 +135,22 @@ class TestSNNNetwork:
         raster = net.run(50, record=False)
         assert raster.num_spikes == 0 and raster.num_steps == 50
 
+    @pytest.mark.parametrize("mode", ["recompute", "decay"])
+    def test_a_nan_drive_raises_and_leaves_the_neurons_untouched(self, mode):
+        # The sequential reference agrees with the batch engine: NaN has no
+        # fixed-point current, so the step refuses instead of stepping on one.
+        pop = FixedPointPopulation.from_float_parameters(
+            np.full(4, 0.1), np.full(4, 0.2), np.full(4, -65.0), np.full(4, 2.0)
+        )
+        net = SNNNetwork(
+            pop, external_input=lambda t: np.array([1.0, np.nan, 2.0, 3.0]), current_mode=mode
+        )
+        v, u = pop.v_raw.copy(), pop.u_raw.copy()
+        with pytest.raises(FloatingPointError):
+            net.step(0)
+        np.testing.assert_array_equal(net.population.v_raw, v)
+        np.testing.assert_array_equal(net.population.u_raw, u)
+
     def test_reset_currents(self):
         net = SNNNetwork(self._float_population(3), current_mode="decay")
         net.step(0)
