@@ -26,8 +26,12 @@ This package makes *batches* of independent simulations the unit of work
 :mod:`repro.runtime.drives`
     Drive compilation: the drive specs of a batch's per-replica input
     closures compiled into one vectorised ``(B, N)`` drive with
-    bit-identical per-replica noise streams (pregenerated in chunks),
-    owned by the batch that compiled it.
+    bit-identical per-replica noise streams (each row's own generator,
+    one draw per step), owned by the batch that compiled it.
+:mod:`repro.runtime.native`
+    Loader of the native fused step of fixed-point batches (C, built
+    on first use, annealed noise included); without it the NumPy step
+    runs, bit-identical.
 :mod:`repro.runtime.slots`
     :class:`SlotEngine`, the continuous-batching core shared by the
     one-shot solver batches, the restart portfolio and the solve

@@ -83,17 +83,23 @@ carrying that proof are marked ``# reprolint: exact-int`` — reprolint's
 RL003 rule (``docs/LINTING.md``) fails the lint on any float literal,
 true division or float cast introduced inside them.
 
-A fixed-point batch has two step paths.  The *NumPy step*
-(:meth:`BatchedNetwork._fixed_isyn_raw`, then ``2^h`` calls of
+A fixed-point batch has two step paths.  The *NumPy step* (the drive,
+:meth:`BatchedNetwork._fixed_isyn_raw`, then ``2^h`` calls of
 :meth:`_FixedBatchKernel.substep`) is the reference and runs everywhere.
 The *native step* does the same work term for term in one C call
-(``native_step.c``, loaded by :mod:`repro.runtime.native`): the integer
-synaptic scatter, the current sum and its quantiser, and every substep.
-A batch takes it when it is fixed-point, its synapses run on the integer
-kernel or are absent, and the library loaded; otherwise, and on hosts
-without a C compiler, it takes the NumPy step.  Both paths carry the
-same state arrays, so results, snapshots and restores are identical on
-either; :attr:`BatchedNetwork.native_step` tells which one a batch runs.
+(``native_step.c``, loaded by :mod:`repro.runtime.native`): a
+:class:`~repro.runtime.drives.PortfolioAnnealedDrive` with its noise,
+drawn from each row's own bit generator; the integer synaptic scatter,
+the current sum and its quantiser, and every substep.  A batch takes it
+when it is fixed-point, its synapses run on the integer kernel or are
+absent, and the library loaded; otherwise, and on hosts without a C
+compiler or NumPy's ``npyrandom`` archive, it takes the NumPy step.
+Both paths carry the same state arrays and generators, so results,
+snapshots and restores are identical on either;
+:attr:`BatchedNetwork.native_step` tells which one a batch runs.  A step
+whose current is NaN raises :class:`FloatingPointError` on either path
+and leaves ``v``, ``u``, the last-fired mask and the current feed as it
+found them; every row's noise stream has still advanced by one step.
 """
 
 from __future__ import annotations
@@ -113,7 +119,7 @@ from ..snn.izhikevich import euler_step
 from ..snn.network import InputProvider, SNNNetwork, Synapses
 from ..snn.synapse import DenseSynapses, SparseSynapses
 from . import native
-from .drives import declared_spec, drive_class, lift_drive_spec
+from .drives import PortfolioAnnealedDrive, declared_spec, drive_class, lift_drive_spec
 
 __all__ = ["BatchRow", "BatchedNetwork", "BatchIncompatibleError", "batch_row"]
 
@@ -144,24 +150,25 @@ class BatchIncompatibleError(ValueError):
 
 
 # reprolint: exact-int -- pure int64 shift network (decay path)
-def _decay_raw_inplace(
-    isyn_raw: np.ndarray, tau_select: int, h_shift: int, delta: np.ndarray, tmp: np.ndarray
+def _decay_raw(
+    isyn_raw: np.ndarray, tau_select: int, h_shift: int, delta: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """In-place scratch-buffer twin of :func:`repro.snn.fixed_izhikevich.decay_current_raw`.
+    """Scratch-buffer twin of :func:`repro.snn.fixed_izhikevich.decay_current_raw`, into ``out``.
 
     Same integer shift-add network (``I - (approx(I / tau) >> h)`` with
     Q15.16 saturation), minus the per-step temporaries — integer ops are
-    exact, so reusing buffers cannot change the result.
+    exact, so reusing buffers cannot change the result.  ``isyn_raw`` is
+    only read; ``delta`` and ``out`` alias neither it nor each other.
     """
     shifts = SHIFT_SELECTIONS[tau_select]
     np.right_shift(isyn_raw, shifts[0], out=delta)
     for shift in shifts[1:]:
-        np.right_shift(isyn_raw, shift, out=tmp)
-        delta += tmp
+        np.right_shift(isyn_raw, shift, out=out)
+        delta += out
     np.right_shift(delta, h_shift, out=delta)
-    isyn_raw -= delta
-    _clip(isyn_raw, _Q15_16_MIN_I, _Q15_16_MAX_I, isyn_raw)
-    return isyn_raw
+    np.subtract(isyn_raw, delta, out=out)
+    _clip(out, _Q15_16_MIN_I, _Q15_16_MAX_I, out)
+    return out
 
 
 def _quantize_scaled_q15_16(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -521,28 +528,45 @@ _NATIVE_SYNAPSES = {None: 0, "shared": 1, "flat": 2}
 #: ``(StepBlock field, batch attribute)``.
 _NATIVE_ROWS = (("isyn", "_isyn_raw"), ("v", "v_raw"), ("u", "u_raw"),
                 ("a", "a_raw"), ("b", "b_raw"), ("c", "c_raw"), ("d", "d_raw"))
+#: The annealed drive's per-row arrays the native step reads, as
+#: ``(StepBlock field, PortfolioAnnealedDrive attribute, dtype, (B, N) wide)``.
+_NATIVE_DRIVE = (("drive", "_drives", np.float64, True), ("mask", "_masks", np.bool_, True),
+                 ("sigma", "_sigma", np.float64, False), ("period", "_period", np.int64, False),
+                 ("anneal_floor", "_floor", np.float64, False),
+                 ("offset", "_offsets", np.int64, False))
 
 
 class _NativeStep:
     """The native fused step (:mod:`repro.runtime.native`) bound to one batch composition.
 
-    Holds the C pointer block and every array it points into; the batch
-    drops it in ``_alloc`` (construction, ``retain``, ``extend``) and binds
-    a fresh one on its next step.  ``restore_state`` copies in place, so
-    the pointers stay valid across it.  The integer grid is read where
-    ``_SynapseBatch._gather`` keeps it.  Per step only three addresses
-    vary: the drive output, cached while the drive returns the same
-    buffer, and the two fired masks the batch swaps.
+    Holds the C pointer block and every array and generator it points
+    into; the batch drops it in ``_alloc`` (construction, ``retain``,
+    ``extend``) and binds a fresh one on its next step.  ``restore_state``
+    copies in place — arrays by copy, generators by bit-generator state —
+    so the pointers stay valid across it.  The integer grid is read where
+    ``_SynapseBatch._gather`` keeps it.  When the batch's drive is a
+    :class:`~repro.runtime.drives.PortfolioAnnealedDrive` (``annealed``),
+    the C step evaluates it from the drive's per-row arrays and draws
+    each row's normals from that row's ``bitgen_t``; otherwise the batch
+    passes the drive's output, whose address is cached while the drive
+    returns the same buffer.  The two fired masks the batch swaps are the
+    other per-step addresses.
     """
 
     def __init__(self, step: Callable[..., int], batch: "BatchedNetwork") -> None:
         shape = (batch.batch_size, batch.size)
-        arrays = [getattr(batch, attr) for _, attr in _NATIVE_ROWS]
+        drive = batch._drive
+        self.annealed = isinstance(drive, PortfolioAnnealedDrive)
+        # (StepBlock field, array, dtype, shape) of every array the block points into.
+        pointed = [(field, getattr(batch, attr), np.int64, shape) for field, attr in _NATIVE_ROWS]
+        if self.annealed:
+            pointed += [(field, getattr(drive, attr), dtype, shape if wide else shape[:1])
+                        for field, attr, dtype, wide in _NATIVE_DRIVE]
         masks = (batch._fired, batch._last_fired)
-        for array, dtype in [(a, np.int64) for a in arrays] + [(m, np.bool_) for m in masks]:
+        for _, array, dtype, want in pointed + [(None, m, np.bool_, shape) for m in masks]:
             # The C loop trusts these; a converted copy would detach it from the state.
-            if array.shape != shape or array.dtype != dtype or not array.flags.c_contiguous:
-                raise RuntimeError(f"batch arrays must be C-contiguous {shape} stacks")
+            if array.shape != want or array.dtype != dtype or not array.flags.c_contiguous:
+                raise RuntimeError(f"batch arrays must be C-contiguous {want} stacks of {dtype}")
         synapses = batch._synapses
         self._syn = np.zeros(shape, dtype=np.int64)  # C scratch, zero between calls
         block = native.StepBlock(
@@ -565,9 +589,19 @@ class _NativeStep:
             if any(a.dtype != np.int64 or not a.flags.c_contiguous for a in gather):
                 raise RuntimeError("the integer synapse grid must be C-contiguous int64 arrays")
             block.indptr, block.indices, block.weights = (a.ctypes.data for a in gather)
-        for (field, _), array in zip(_NATIVE_ROWS, arrays):
+        for field, array, _, _ in pointed:
             setattr(block, field, array.ctypes.data)
-        self._keep = (block, arrays, masks, gather)  # alive while the C loop may touch them
+        owned: List[Any] = []
+        if self.annealed:
+            rngs = list(drive._rngs)
+            bitgens = np.array(
+                [rng.bit_generator.ctypes.bit_generator.value for rng in rngs], dtype=np.uintp
+            )
+            noise = np.empty(batch.size)  # C scratch: one row's normals
+            block.annealed, block.rngs, block.noise = 1, bitgens.ctypes.data, noise.ctypes.data
+            owned = [rngs, bitgens, noise]
+        # Alive while the C loop may touch them.
+        self._keep = (block, pointed, masks, gather, owned)
         self._step = step
         self._block = ctypes.addressof(block)
         self._shape = shape
@@ -575,8 +609,11 @@ class _NativeStep:
         self._external: Optional[np.ndarray] = None
         self._external_at = 0
 
-    def __call__(self, external: np.ndarray, last_fired: np.ndarray, fired: np.ndarray) -> None:
-        if external is self._external:
+    def __call__(
+        self, step: int, external: Optional[np.ndarray], last_fired: np.ndarray, fired: np.ndarray
+    ) -> None:
+        """One step at global step ``step``; ``external`` is ``None`` when ``annealed``."""
+        if external is None or external is self._external:
             at = self._external_at
         elif external.flags.c_contiguous and external.shape == self._shape:
             self._external, self._external_at = external, external.ctypes.data
@@ -586,7 +623,7 @@ class _NativeStep:
             external = np.ascontiguousarray(np.broadcast_to(external, self._shape))
             at = external.ctypes.data
         masks = self._masks
-        if self._step(self._block, at, masks[id(last_fired)], masks[id(fired)]):
+        if self._step(self._block, step, at, masks[id(last_fired)], masks[id(fired)]):
             raise FloatingPointError("NaN in the input current of a fixed-point step")
 
 
@@ -917,8 +954,8 @@ class BatchedNetwork:
         else:
             z = np.multiply(self._current, 65536.0, out=self._fscratch)
             raw = _quantize_scaled_q15_16(z, self._isyn_raw, self._fscratch2)
-            _decay_raw_inplace(raw, self.tau_select, self.h_shift, self._iscratch, self._iscratch2)
-            np.divide(raw, 65536.0, out=self._current)
+            decayed = _decay_raw(raw, self.tau_select, self.h_shift, self._iscratch, self._iscratch2)
+            np.divide(decayed, 65536.0, out=self._current)
             self._current += external
             self._current += synaptic
         return self._current
@@ -932,12 +969,14 @@ class BatchedNetwork:
         scaled by ``2^16`` — the drive current, the decayed raw current,
         then the integer kernel's raw sum or a float synaptic current —
         in the reference's order, and one quantiser rounds the sum:
-        bit-identical (see :func:`_quantize_scaled_q15_16`).
+        bit-identical (see :func:`_quantize_scaled_q15_16`).  The sum is
+        quantised into scratch and committed to ``_isyn_raw`` only once
+        no cell raised, so a NaN leaves the current feed as it was.
         """
         z = np.multiply(external, 65536.0, out=self._fscratch)
         if self.current_mode == "decay":
             # int64 -> float64 is exact: |raw| < 2^53.
-            z += _decay_raw_inplace(
+            z += _decay_raw(
                 self._isyn_raw, self.tau_select, self.h_shift, self._iscratch, self._iscratch2
             )
         synapses = self._synapses
@@ -945,7 +984,9 @@ class BatchedNetwork:
             z += synapses.propagate_raw(self._last_fired)
         else:
             z += np.multiply(synapses.propagate(self._last_fired), 65536.0, out=self._fscratch2)
-        return _quantize_scaled_q15_16(z, self._isyn_raw, self._fscratch2)
+        fresh = _quantize_scaled_q15_16(z, self._iscratch, self._fscratch2)
+        self._isyn_raw, self._iscratch = fresh, self._isyn_raw
+        return fresh
 
     @property
     def native_step(self) -> bool:
@@ -972,19 +1013,21 @@ class BatchedNetwork:
         return self._native
 
     def _advance_population(self, step_index: int) -> np.ndarray:
-        external = self._external(step_index)
         fired = self._fired
         if self.is_fixed_point:
             bound = self._native_binding()
             if bound is not None:
-                bound(external, self._last_fired, fired)
+                # An annealed drive is evaluated inside the C step.
+                external = None if bound.annealed else self._external(step_index)
+                bound(step_index, external, self._last_fired, fired)
                 return fired
-            isyn_raw = self._fixed_isyn_raw(external)
+            isyn_raw = self._fixed_isyn_raw(self._external(step_index))
             fired[:] = False
             for _ in range(self._substeps):
                 spike = self._kernel.substep(self.v_raw, self.u_raw, isyn_raw)
                 np.logical_or(fired, spike, out=fired)
             return fired
+        external = self._external(step_index)
         synaptic = self._synapses.propagate(self._last_fired)
         current = self._update_current(external, synaptic)
         self.v, self.u, fired_f = euler_step(

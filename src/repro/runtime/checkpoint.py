@@ -62,7 +62,7 @@ __all__ = [
 #: First bytes of every checkpoint file; anything else is not a checkpoint.
 CHECKPOINT_MAGIC = b"RPROCKPT"
 #: Bumped whenever the on-disk layout or the payload schema changes.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Fixed-size header following the magic: format version (u32), length of
 # the kind string (u16).  The kind string, the 32-byte payload SHA-256

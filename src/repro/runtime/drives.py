@@ -1,31 +1,37 @@
 """Compiled drives: a batch's per-replica input closures as one ``(B, N)`` drive.
 
 The exact-mode batch engine historically evaluated one external-input
-closure per replica per step — ``B`` Python calls, ``B`` small RNG draws
-and ``B`` temporary arrays every millisecond.  This module *compiles*
-the declarative form of those closures, their drive specs, into one
-vectorised drive that is **bit-identical** to calling the closures one
-by one:
+closure per replica per step — ``B`` Python calls and ``B`` temporary
+arrays every millisecond.  This module *compiles* the declarative form
+of those closures, their drive specs, into one vectorised drive that is
+**bit-identical** to calling the closures one by one:
 
 * every replica keeps its own independent noise stream (the generator
   its row spec owns — for a network, a clone of the one its closure
   would have consumed), so results remain bit-comparable with
   sequential runs;
-* the streams are pregenerated in chunks of :data:`DEFAULT_CHUNK_STEPS`
-  network steps with one ``standard_normal`` call per replica per chunk.
-  NumPy's ``Generator.standard_normal`` fills output arrays sequentially
-  from the underlying bit stream, so a ``(chunk, N)`` draw yields exactly
-  the same values as ``chunk`` successive ``(N,)`` draws (locked down in
-  ``tests/runtime/test_drives.py``);
+* a drive's noise state is simply its generators: each step draws
+  ``rng.standard_normal(out=row)`` once per row, the same values the
+  closure's ``standard_normal(N)`` draws, so retiring, admitting and
+  snapshotting a row never touches another row's stream;
 * the per-step arithmetic (anneal amplitude, mask, drive offset, scale)
   runs as a handful of fused elementwise ``(B, N)`` operations matching
   the closure expressions term for term.
+
+A fixed-point batch on the native step (:mod:`repro.runtime.native`)
+does not call a :class:`PortfolioAnnealedDrive` at all: the C step reads
+its per-row arrays and generators and evaluates :meth:`PortfolioAnnealedDrive.__call__`
+term for term, drawing each row's normals straight from the row's bit
+generator.  ``__call__`` stays the reference and the NumPy step's path.
 
 Closures advertise their compilability by carrying a ``drive_spec``
 attribute (an :class:`AnnealedNoiseSpec`, attached by
 :meth:`repro.csp.solver.SpikingCSPSolver.build_network`); the 80-20
 workload's ``EightyTwentyNetwork.thalamic_input`` bound method is
-recognised structurally (:func:`declared_spec`).
+recognised structurally (:func:`declared_spec`).  Specs check their
+fields when built: an anneal period is an integer of at least 1 and a
+generator is a ``numpy.random.Generator``, whose bit generator the
+native step reads.
 :func:`lift_drive_spec` is the one place a closure's spec is lifted,
 with a clone of the closure's generator, so stacking a network never
 perturbs its closure; the drives consume the generators their specs own
@@ -46,6 +52,7 @@ stacked in mid-run replay a standalone solve, and
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Type
 
@@ -55,7 +62,6 @@ from ..snn.eighty_twenty import EightyTwentyNetwork
 from ..snn.network import InputProvider
 
 __all__ = [
-    "DEFAULT_CHUNK_STEPS",
     "AnnealedNoiseSpec",
     "ScaledNoiseSpec",
     "CompiledScaledDrive",
@@ -65,8 +71,10 @@ __all__ = [
     "lift_drive_spec",
 ]
 
-#: Network steps of noise pregenerated per replica per generator call.
-DEFAULT_CHUNK_STEPS = 32
+
+def _check_rng(rng: Any) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"a drive spec's rng must be a numpy.random.Generator, not {type(rng).__name__}")
 
 
 @dataclass
@@ -75,7 +83,10 @@ class AnnealedNoiseSpec:
 
     ``drive + amplitude(step) * standard_normal(N) * free_mask`` with
     ``amplitude(step) = noise_sigma * (1 - (1 - anneal_floor) * phase)``
-    and ``phase = (step % anneal_period) / max(anneal_period, 1)``.
+    and ``phase = (step % anneal_period) / anneal_period``.  Raises
+    ``ValueError`` for an ``anneal_period`` that is not an integer of at
+    least 1 and ``TypeError`` for an ``rng`` that is not a
+    ``numpy.random.Generator``.
     """
 
     drive: np.ndarray
@@ -92,13 +103,31 @@ class AnnealedNoiseSpec:
     #: standalone solve would.
     step_offset: int = 0
 
+    def __post_init__(self) -> None:
+        try:
+            period = operator.index(self.anneal_period)
+        except TypeError:
+            raise ValueError(
+                f"anneal_period must be an integer, not {type(self.anneal_period).__name__}"
+            ) from None
+        if period < 1:
+            raise ValueError(f"anneal_period must be at least 1, got {period}")
+        self.anneal_period = period
+        _check_rng(self.rng)
+
 
 @dataclass
 class ScaledNoiseSpec:
-    """Declarative form of a per-neuron-scaled noise drive (80-20 thalamic)."""
+    """Declarative form of a per-neuron-scaled noise drive (80-20 thalamic).
+
+    Raises ``TypeError`` for an ``rng`` that is not a ``numpy.random.Generator``.
+    """
 
     scale: np.ndarray
     rng: np.random.Generator
+
+    def __post_init__(self) -> None:
+        _check_rng(self.rng)
 
 
 def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -106,109 +135,15 @@ def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
     return copy.deepcopy(rng)
 
 
-class _ChunkedNormals:
-    """Per-replica standard-normal streams, pregenerated in step chunks.
-
-    Each replica's stream is bit-identical to successive per-step
-    ``standard_normal(num_values)`` draws from its generator, which this
-    object consumes: the generators are owned by the specs handed in.
-    """
-
-    def __init__(
-        self, rngs: Sequence[np.random.Generator], num_values: int, chunk_steps: int
-    ) -> None:
-        if chunk_steps < 1:
-            raise ValueError("chunk_steps must be positive")
-        self._rngs = list(rngs)
-        self._chunk_steps = chunk_steps
-        self._buffer = np.empty((len(self._rngs), chunk_steps, num_values), dtype=np.float64)
-        self._row = chunk_steps  # force a refill on the first call
-
-    def next_rows(self) -> np.ndarray:
-        """The next ``(B, num_values)`` slab of every replica's stream."""
-        if self._row == self._chunk_steps:
-            for b, rng in enumerate(self._rngs):
-                rng.standard_normal(out=self._buffer[b])
-            self._row = 0
-        rows = self._buffer[:, self._row, :]
-        self._row += 1
-        return rows
-
-    def retain(self, keep: Sequence[int]) -> None:
-        keep = list(keep)
-        self._rngs = [self._rngs[i] for i in keep]
-        self._buffer = np.ascontiguousarray(self._buffer[keep])
-
-    def extend(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Append fresh per-replica streams, joining the chunk mid-flight.
-
-        Each appended stream stays bit-identical to successive per-step
-        draws from its generator: the new rows' remaining slots of the
-        current chunk are filled with the stream's *first* draws, so the
-        next :meth:`next_rows` calls consume them in order and the next
-        refill continues each stream where it left off.
-        """
-        if not rngs:
-            return
-        num_values = self._buffer.shape[2]
-        add = np.empty((len(rngs), self._chunk_steps, num_values), dtype=np.float64)
-        remaining = self._chunk_steps - self._row
-        if remaining > 0:
-            for b, rng in enumerate(rngs):
-                rng.standard_normal(out=add[b, self._row :])
-        self._rngs.extend(rngs)
-        self._buffer = np.concatenate([self._buffer, add])
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing (repro.runtime.checkpoint)
-    # ------------------------------------------------------------------ #
-    def export_state(self) -> dict:
-        """A picklable snapshot of every stream: generators, unread draws, cursor.
-
-        ``numpy.random.Generator`` pickles its full bit-generator state,
-        so restoring the snapshot resumes each replica's stream at
-        exactly the draw it would have produced next — the property the
-        checkpoint/restore bit-identity contract rests on.  Only the
-        chunk's unread slots are state; the ones already read are not
-        exported.
-        """
-        return {
-            "rngs": copy.deepcopy(self._rngs),
-            "buffer": self._buffer[:, self._row :].copy(),
-            "row": int(self._row),
-            "chunk_steps": int(self._chunk_steps),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite the streams with a snapshot of as many; checks before it writes."""
-        if int(state["chunk_steps"]) != self._chunk_steps:
-            raise ValueError(
-                f"checkpoint chunk_steps {state['chunk_steps']} differs from "
-                f"the live configuration {self._chunk_steps}"
-            )
-        row = int(state["row"])
-        if not 0 <= row <= self._chunk_steps:
-            raise ValueError(f"checkpoint chunk cursor {row} out of range")
-        rngs = list(state["rngs"])
-        unread = np.asarray(state["buffer"], dtype=np.float64)
-        expected = (len(self._rngs), self._chunk_steps - row, self._buffer.shape[2])
-        if len(rngs) != len(self._rngs) or unread.shape != expected:
-            raise ValueError(
-                f"checkpoint noise streams ({len(rngs)} generators, unread draws "
-                f"{unread.shape}) do not match the live streams {expected}"
-            )
-        self._rngs = [_clone_rng(rng) for rng in rngs]
-        self._buffer[:, row:] = unread
-        self._row = row
-
-
 class _StackedDrive:
-    """One row per replica, stacked from drive specs, plus the replicas' noise streams.
+    """One row per replica, stacked from drive specs, plus each replica's generator.
 
     A drive names its spec family (``_SPEC``) and its per-row arrays
     (``_ROWS``: ``(snapshot key, attribute, spec field, dtype)`` in
     snapshot order, the first ``(B, N)`` wide) and evaluates one step in
-    ``__call__``; this base stacks, restacks and snapshots the rows.  The
+    ``__call__``, drawing ``rng.standard_normal(out=row)`` once per row;
+    this base stacks, restacks and snapshots the rows and the
+    generators (``_rngs``, consumed in place: the specs own them).  The
     keys stay literal strings: pickle memoises an interned string once
     per snapshot.
     """
@@ -216,13 +151,12 @@ class _StackedDrive:
     _SPEC: type
     _ROWS: tuple
 
-    def __init__(self, specs: Sequence[Any], *, chunk_steps: int = DEFAULT_CHUNK_STEPS) -> None:
+    def __init__(self, specs: Sequence[Any]) -> None:
         if not specs:
             raise ValueError("cannot compile zero drives")
         for (_, attr, _, _), rows in zip(self._ROWS, self._rows_of(specs)):
             setattr(self, attr, rows)
-        width = self._wide().shape[1]
-        self._normals = _ChunkedNormals([s.rng for s in specs], width, chunk_steps)
+        self._rngs: List[np.random.Generator] = [spec.rng for spec in specs]
         self._alloc()
 
     @classmethod
@@ -248,11 +182,11 @@ class _StackedDrive:
         keep = list(keep)
         for _, attr, _, _ in self._ROWS:
             setattr(self, attr, getattr(self, attr)[keep])
-        self._normals.retain(keep)
+        self._rngs = [self._rngs[i] for i in keep]
         self._alloc()
 
     def extend(self, specs: Sequence[Any]) -> None:
-        """Stack fresh rows' specs onto the drive; their streams join the chunk mid-flight."""
+        """Stack fresh rows' specs, and their generators, onto the drive."""
         if not specs:
             return
         new_rows = self._rows_of(specs)
@@ -260,16 +194,22 @@ class _StackedDrive:
             raise ValueError("stacked-in drive width differs from the live rows")
         for (_, attr, _, _), rows in zip(self._ROWS, new_rows):
             setattr(self, attr, np.concatenate([getattr(self, attr), rows]))
-        self._normals.extend([s.rng for s in specs])
+        self._rngs.extend(spec.rng for spec in specs)
         self._alloc()
 
     # ------------------------------------------------------------------ #
     # Checkpointing (repro.runtime.checkpoint)
     # ------------------------------------------------------------------ #
     def export_state(self) -> dict:
-        """A picklable snapshot: the per-row arrays and the noise streams."""
+        """A picklable snapshot: the per-row arrays and copies of the generators.
+
+        ``numpy.random.Generator`` pickles its full bit-generator state,
+        so restoring the snapshot resumes each replica's stream at
+        exactly the draw it would have produced next — the property the
+        checkpoint/restore bit-identity contract rests on.
+        """
         state = {key: getattr(self, attr).copy() for key, attr, _, _ in self._ROWS}
-        state["normals"] = self._normals.export_state()
+        state["rngs"] = copy.deepcopy(self._rngs)
         return state
 
     def restore_state(self, state: dict) -> None:
@@ -278,22 +218,32 @@ class _StackedDrive:
         The restore path rebuilds the batch from *fresh* rows (live
         generators are not part of a row's identity) and then stamps this
         saved state over it, so the drive arrays, per-row offsets and
-        noise cursors continue exactly where the snapshot left them.
-        Everything is checked before anything is replaced.
+        noise streams continue exactly where the snapshot left them.
+        Everything is checked before anything is replaced, and
+        everything is replaced in place — the arrays by copy, each
+        generator by its bit-generator state — so the addresses the
+        native step holds stay valid.
         """
         arrays = []
         for key, attr, _, dtype in self._ROWS:
-            arr = np.array(state[key], dtype=dtype)
-            expected = getattr(self, attr).shape
-            if arr.shape != expected:
+            arr = np.asarray(state[key], dtype=dtype)
+            target = getattr(self, attr)
+            if arr.shape != target.shape:
                 raise ValueError(
-                    f"checkpoint drive array {key!r} has shape {arr.shape}, expected {expected}"
+                    f"checkpoint drive array {key!r} has shape {arr.shape}, expected {target.shape}"
                 )
-            arrays.append((attr, arr))
-        self._normals.restore_state(state["normals"])
-        for attr, arr in arrays:
-            setattr(self, attr, arr)
-        self._alloc()
+            arrays.append((target, arr))
+        rngs = list(state["rngs"])
+        kinds = [type(getattr(rng, "bit_generator", None)) for rng in rngs]
+        if kinds != [type(rng.bit_generator) for rng in self._rngs]:
+            raise ValueError(
+                f"checkpoint noise streams ({len(rngs)} generators) do not match the "
+                f"live streams ({len(self._rngs)}) in number or bit generator"
+            )
+        for target, arr in arrays:
+            np.copyto(target, arr)
+        for live, saved in zip(self._rngs, rngs):
+            live.bit_generator.state = saved.bit_generator.state
 
 
 class PortfolioAnnealedDrive(_StackedDrive):
@@ -307,7 +257,10 @@ class PortfolioAnnealedDrive(_StackedDrive):
     fresh standalone solve would see at its local step
     ``step - offset_b``.  The per-row amplitude arithmetic evaluates the
     closure expression term for term, elementwise in float64, so every
-    row stays bit-identical to its sequential counterpart.
+    row stays bit-identical to its sequential counterpart.  The native
+    step reads ``_drives``, ``_masks``, ``_sigma``, ``_period``,
+    ``_floor``, ``_offsets`` and ``_rngs`` and evaluates :meth:`__call__`
+    in C.
     """
 
     _SPEC = AnnealedNoiseSpec
@@ -329,19 +282,25 @@ class PortfolioAnnealedDrive(_StackedDrive):
     def _alloc(self) -> None:
         super()._alloc()
         self._noise = np.empty_like(self._drives)
-        # max(period, 1) of the closure, vectorised once per composition.
-        self._period_div = np.maximum(self._period, 1).astype(np.float64)
+
+    def restore_state(self, state: dict) -> None:
+        # The native step divides by the period: refuse one no spec allows.
+        if np.any(np.asarray(state["period"]) < 1):
+            raise ValueError("checkpoint anneal periods must be at least 1")
+        super().restore_state(state)
 
     def __call__(self, step: int) -> np.ndarray:
         # Per-row local phase; identical term order to the per-replica
         # closure, evaluated elementwise (IEEE float64 either way).
         local = step - self._offsets
-        phase = (local % self._period) / self._period_div
+        phase = (local % self._period) / self._period
         amplitude = self._sigma * (1.0 - (1.0 - self._floor) * phase)
-        normals = self._normals.next_rows()
-        np.multiply(normals, amplitude[:, None], out=self._noise)
-        self._noise *= self._masks
-        np.add(self._drives, self._noise, out=self._out)
+        noise = self._noise
+        for row, rng in zip(noise, self._rngs):
+            rng.standard_normal(out=row)
+        noise *= amplitude[:, None]
+        noise *= self._masks
+        np.add(self._drives, noise, out=self._out)
         return self._out
 
 
@@ -353,9 +312,11 @@ class CompiledScaledDrive(_StackedDrive):
     _scales: np.ndarray
 
     def __call__(self, step: int) -> np.ndarray:
-        normals = self._normals.next_rows()
-        np.multiply(normals, self._scales, out=self._out)
-        return self._out
+        out = self._out
+        for row, rng in zip(out, self._rngs):
+            rng.standard_normal(out=row)
+        out *= self._scales
+        return out
 
 
 #: Former name of the one annealed drive, still wrapped by ``perfbench/tracing.py``.

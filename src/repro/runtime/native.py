@@ -4,17 +4,28 @@
 ``None`` when no library can be had; :class:`~repro.runtime.batch.BatchedNetwork`
 then runs its NumPy step, which stays the bit-exact reference.
 
+The C step draws the annealed drive's normals itself, from each row's
+NumPy bit generator, through an inline copy of the fast path of NumPy's
+``random_standard_normal``; draws off that path are replayed through
+NumPy's own function, linked from the ``npyrandom`` static archive NumPy
+ships (``numpy/random/lib``).  NEP 19 does not promise that sampler
+across NumPy releases, so the library reads the fast path's tables back
+through NumPy's function (``izh_probe``) and the loader then checks
+:data:`CHECK_DRAWS` draws of :func:`normals` against
+``Generator.standard_normal`` before it binds anything.
+
 The shared object is built lazily, on the first step of an eligible
 batch, at most once per process: a failure is remembered for the rest of
 the process and logged as one ``WARNING`` naming its cause (no compiler,
-a build failure with the tail of its stderr, or a load failure).  It is
-cached on disk under a name derived from a SHA-256 of the C source, the
-compiler flags and the platform tag, in the user cache directory (falling
-back to a per-user directory under ``tempfile.gettempdir()``; see
-:func:`_cache_dir`), and written under a temporary name
-then ``os.replace``-d into place, so concurrent builds never expose a
-partial file.  A cache hit is one :class:`ctypes.CDLL` call: no
-subprocess, no compiler probe.
+no ``npyrandom`` archive, a build failure with the tail of its stderr, a
+load failure, a failed probe or a failed self-check).  It is cached on
+disk under a name derived from a SHA-256 of the C source, the compiler
+flags, the platform tag and the bytes of the archive, in the user cache
+directory (falling back to a per-user directory under
+``tempfile.gettempdir()``; see :func:`_cache_dir`), and written under a
+temporary name then ``os.replace``-d into place, so concurrent builds
+never expose a partial file.  A cache hit is one :class:`ctypes.CDLL`
+call: no subprocess, no compiler probe.
 """
 
 from __future__ import annotations
@@ -31,16 +42,23 @@ import threading
 from pathlib import Path
 from typing import Any, Optional
 
-__all__ = ["FLAGS", "StepBlock", "library_name", "load"]
+import numpy as np
+
+__all__ = ["CHECK_DRAWS", "FLAGS", "StepBlock", "library_name", "load", "normals"]
 
 _log = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("native_step.c")
+#: NumPy's static ``npyrandom`` archive: the sampler the C step replays.
+ARCHIVE = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 #: Never ``-ffast-math`` (it breaks the quantiser's rounding) and never
 #: ``-march=native`` (a cached binary must run on any host of the arch).
 FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-fwrapv", "-ffp-contract=off")
 #: Lines of compiler stderr quoted in the build-failure warning.
 _STDERR_TAIL = 12
+#: Draws of the sampler checked against ``Generator.standard_normal`` at load.
+CHECK_DRAWS = 1 << 16
+_CHECK_SEED = 20250101
 
 
 class StepBlock(ctypes.Structure):
@@ -66,26 +84,53 @@ class StepBlock(ctypes.Structure):
         ("b", ctypes.c_void_p),
         ("c", ctypes.c_void_p),
         ("d", ctypes.c_void_p),
+        ("annealed", ctypes.c_int64),
+        ("drive", ctypes.c_void_p),
+        ("mask", ctypes.c_void_p),
+        ("sigma", ctypes.c_void_p),
+        ("period", ctypes.c_void_p),
+        ("anneal_floor", ctypes.c_void_p),
+        ("offset", ctypes.c_void_p),
+        ("rngs", ctypes.c_void_p),
+        ("noise", ctypes.c_void_p),
     ]
 
 
 _UNLOADED: Any = object()
-_step: Any = _UNLOADED
+_lib: Any = _UNLOADED
 _lock = threading.Lock()
 
 
-def load() -> Optional[Any]:
-    """The native ``izh_step(block, external, last_fired, fired)``, or ``None``.
-
-    Memoised per process, failures included.  Arguments are addresses
-    (Python ints); a non-zero return value reports a NaN input current.
-    """
-    global _step
-    if _step is _UNLOADED:
+def _library() -> Optional[ctypes.CDLL]:
+    """The loaded, probed and checked library, or ``None``; memoised per process."""
+    global _lib
+    if _lib is _UNLOADED:
         with _lock:
-            if _step is _UNLOADED:
-                _step = _load()
-    return _step
+            if _lib is _UNLOADED:
+                _lib = _load()
+    return _lib
+
+
+def load() -> Optional[Any]:
+    """The native ``izh_step(block, step, external, last_fired, fired)``, or ``None``.
+
+    Memoised per process, failures included.  Pointer arguments are
+    addresses (Python ints); a non-zero return value reports a NaN input
+    current.
+    """
+    lib = _library()
+    return None if lib is None else lib.izh_step
+
+
+def normals() -> Optional[Any]:
+    """The native ``izh_normals(bitgen, n, out)``, or ``None`` where :func:`load` finds none.
+
+    Fills ``out`` with the next ``n`` values of ``Generator.standard_normal``
+    from the ``bitgen_t`` at ``bitgen`` (``rng.bit_generator.ctypes.bit_generator``)
+    and returns how many of them missed the inline fast path.
+    """
+    lib = _library()
+    return None if lib is None else lib.izh_normals
 
 
 def _cache_dir() -> Path:
@@ -109,44 +154,77 @@ def _cache_dir() -> Path:
 
 
 def library_name() -> str:
-    """The cache file name: a digest of the source, the flags and the platform tag."""
+    """The cache file name: a digest of the source, the flags, the platform and the archive."""
     digest = hashlib.sha256(SOURCE.read_bytes())
     digest.update("\0".join(FLAGS + (sysconfig.get_platform(),)).encode())
+    digest.update(ARCHIVE.read_bytes())
     return f"native_step-{digest.hexdigest()[:24]}.so"
 
 
-def _load() -> Optional[Any]:
+def _unavailable(cause: str, *args: Any) -> None:
+    _log.warning("native step unavailable (" + cause + "); fixed-point batches use the NumPy step",
+                 *args)
+
+
+def _load() -> Optional[ctypes.CDLL]:
+    if not ARCHIVE.is_file():
+        _unavailable("NumPy's npyrandom archive not found at %s", ARCHIVE)
+        return None
     try:
         name = library_name()
     except OSError as exc:
-        _log.warning("native step unavailable (C source missing: %s); "
-                     "fixed-point batches use the NumPy step", exc)
+        _unavailable("C source missing: %s", exc)
         return None
     path = _cache_dir() / name
     if not path.exists() and not _build(path):
         return None
     try:
-        step = ctypes.CDLL(str(path)).izh_step
+        lib = ctypes.CDLL(str(path))
+        step, fill, probe = lib.izh_step, lib.izh_normals, lib.izh_probe
     except (OSError, AttributeError) as exc:
-        _log.warning("native step unavailable (load of %s failed: %s); "
-                     "fixed-point batches use the NumPy step", path, exc)
+        _unavailable("load of %s failed: %s", path, exc)
         return None
-    step.argtypes = [ctypes.c_void_p] * 4
+    step.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
     step.restype = ctypes.c_int
-    return step
+    fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    fill.restype = ctypes.c_int64
+    probe.argtypes, probe.restype = [], ctypes.c_int
+    if probe() != 0:
+        _unavailable("NumPy's normal sampler did not answer the table probe")
+        return None
+    mismatch = _self_check(fill)
+    if mismatch is not None:
+        _unavailable("the inline normal sampler disagrees with NumPy %s: %s",
+                     np.__version__, mismatch)
+        return None
+    return lib
+
+
+def _self_check(fill: Any) -> Optional[str]:
+    """``None`` when :data:`CHECK_DRAWS` native draws equal NumPy's, else what differed."""
+    mine, reference = (np.random.default_rng(_CHECK_SEED) for _ in range(2))
+    got = np.empty(CHECK_DRAWS)
+    fill(mine.bit_generator.ctypes.bit_generator, CHECK_DRAWS, got.ctypes.data)
+    expected = reference.standard_normal(CHECK_DRAWS)
+    differ = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    if differ.size:
+        return f"{differ.size} of {CHECK_DRAWS} draws differ, the first at draw {differ[0]}"
+    if mine.bit_generator.state != reference.bit_generator.state:
+        return "the generator ended in another state"
+    return None
 
 
 def _build(path: Path) -> bool:
     """Compile the C source into ``path``; logs the cause and returns ``False`` on failure."""
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
-        _log.warning("native step unavailable (no C compiler: neither gcc nor cc on PATH); "
-                     "fixed-point batches use the NumPy step")
+        _unavailable("no C compiler: neither gcc nor cc on PATH")
         return False
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # one build per process
     try:
         done = subprocess.run(
-            [compiler, *FLAGS, "-o", str(tmp), str(SOURCE)],
+            [compiler, *FLAGS, "-I", np.get_include(), "-o", str(tmp), str(SOURCE),
+             "-L", str(ARCHIVE.parent), "-lnpyrandom", "-lm"],
             capture_output=True, text=True, timeout=300,
         )
         if done.returncode != 0:
@@ -157,8 +235,7 @@ def _build(path: Path) -> bool:
             return False
         os.replace(tmp, path)
     except (OSError, subprocess.SubprocessError) as exc:
-        _log.warning("native step unavailable (build with %s failed: %s); "
-                     "fixed-point batches use the NumPy step", compiler, exc)
+        _unavailable("build with %s failed: %s", compiler, exc)
         return False
     finally:
         tmp.unlink(missing_ok=True)

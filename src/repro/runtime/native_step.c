@@ -2,12 +2,14 @@
  * Native fused step of a fixed-point batch (repro.runtime.native).
  *
  * One call advances every replica of a BatchedNetwork by one 1 ms step:
- * the integer CSR synaptic scatter, the current sum at scale 2^16, the
- * DCU decay, the one Q15.16 quantiser and all 2^h Izhikevich substeps.
- * It follows the NumPy step of repro/runtime/batch.py term for term and
- * in the same order (BatchedNetwork._fixed_isyn_raw, then
- * _FixedBatchKernel.substep), so both paths are bit-identical; the
- * NumPy step stays the reference.
+ * the annealed drive with its Gaussian noise (when the batch's drive is a
+ * PortfolioAnnealedDrive), the integer CSR synaptic scatter, the current
+ * sum at scale 2^16, the DCU decay, the one Q15.16 quantiser and all 2^h
+ * Izhikevich substeps.  It follows the NumPy step of
+ * repro/runtime/batch.py term for term and in the same order
+ * (PortfolioAnnealedDrive.__call__, BatchedNetwork._fixed_isyn_raw, then
+ * _FixedBatchKernel.substep), so both paths are bit-identical; the NumPy
+ * step stays the reference.
  *
  * Rules that keep it bit-exact and free of undefined behaviour:
  *   - Built with -O2 -std=c99 -fPIC -shared -fwrapv -ffp-contract=off:
@@ -18,9 +20,27 @@
  *   - >> of a negative int64 is an arithmetic shift on GCC and Clang
  *     (implementation-defined in C99); the NumPy step relies on the same
  *     semantics.
- *   - Floating point appears only in the quantiser; a value is cast to
- *     int64 only after the float-side clip, and a NaN current returns
- *     IZH_NAN_CURRENT instead of reaching the cast.
+ *   - Floating point appears only in the drive and the quantiser; a
+ *     value is cast to int64 only after the float-side clip, and a NaN
+ *     current is never cast: it fails the clip's comparison.
+ *   - The anneal period is at least 1 (AnnealedNoiseSpec checks it), so
+ *     % never divides by zero.
+ *   - A step either commits every replica's new current feed or none: the
+ *     quantiser writes into the syn scratch and the first substep pass
+ *     moves it into isyn.  A NaN current still finishes the pass, so every
+ *     replica's noise stream advances by one step, as it does on the
+ *     NumPy step and in the sequential closures.
+ *
+ * The normals come from each replica's own NumPy bit generator through
+ * normal(), an inline copy of the fast path of NumPy's
+ * random_standard_normal (the Marsaglia-Tsang ziggurat of
+ * numpy/random/src/distributions/distributions.c): one next_uint64 per
+ * value, the low byte picks the layer, bit 8 is the sign and the next 52
+ * bits the magnitude.  Its tables are not exported, so izh_probe reads
+ * them back through NumPy's own function; every draw that misses the
+ * fast path is replayed through that same function, linked from NumPy's
+ * libnpyrandom.a.  The loader checks izh_normals against
+ * Generator.standard_normal before it binds anything.
  *
  * The constants mirror repro.sim.npu (_COEFF_004_Q4_11, _CONST_140_ACC,
  * _VTH_RAW) and repro.fixedpoint (Q7_8, Q15_16); the randomized suite in
@@ -28,8 +48,14 @@
  */
 
 #include <math.h>
+#include <setjmp.h>
 #include <stdint.h>
 #include <string.h>
+
+#include <numpy/random/bitgen.h>
+
+/* numpy/random/distributions.h declares it beside Python's headers. */
+double random_standard_normal(bitgen_t *bitgen_state);
 
 #define IZH_OK 0
 #define IZH_NAN_CURRENT 1
@@ -45,6 +71,11 @@
 #define COEFF_004_Q4_11 82      /* 0.04 in Q4.11 */
 #define CONST_140_ACC 9175040   /* 140 with 16 fractional bits */
 #define VTH_RAW 7680            /* 30 mV in Q7.8 */
+
+#define ZIG_LAYERS 256
+#define ZIG_MAGNITUDE 0x000fffffffffffffULL   /* 52 bits */
+/* Calls one probe may make before it is abandoned (NumPy's makes 3). */
+#define PROBE_MAX_CALLS 64
 
 /* The per-batch pointer block; every field is 8 bytes, so the ctypes
  * mirror in native.py has no padding to get wrong.  Arrays are C-order
@@ -69,12 +100,193 @@ typedef struct {
     const int64_t *b;       /* Q4.11 */
     const int64_t *c;       /* Q7.8 */
     const int64_t *d;       /* Q4.11 */
+    /* The annealed drive (PortfolioAnnealedDrive), or annealed == 0 when
+     * the caller passes the drive current instead. */
+    int64_t annealed;
+    const double *drive;         /* (B, N) float64 */
+    const unsigned char *mask;   /* (B, N) bool: free neurons */
+    const double *sigma;         /* (B,) float64 */
+    const int64_t *period;       /* (B,) int64, >= 1 */
+    const double *anneal_floor;  /* (B,) float64 */
+    const int64_t *offset;       /* (B,) int64 step offsets */
+    bitgen_t *const *rngs;       /* (B,) each row's bit generator */
+    double *noise;               /* (N,) float64 scratch */
 } izh_batch;
 
 static int64_t clip(int64_t x, int64_t lo, int64_t hi)
 {
     return x < lo ? lo : (x > hi ? hi : x);
 }
+
+/* ------------------------------------------------------------------ */
+/* Standard normals: NumPy's ziggurat, fast path inline               */
+/* ------------------------------------------------------------------ */
+
+/* ki_double and wi_double of NumPy's ziggurat, filled by izh_probe. */
+static uint64_t zig_k[ZIG_LAYERS];
+static double zig_w[ZIG_LAYERS];
+
+/* The replay generator: hands NumPy's sampler the word normal() already
+ * drew, then forwards every later draw to the row's own generator. */
+typedef struct {
+    bitgen_t *source;
+    uint64_t word;
+    int fresh;
+} replay_state;
+
+static uint64_t replay_uint64(void *st)
+{
+    replay_state *r = st;
+    if (r->fresh) {
+        r->fresh = 0;
+        return r->word;
+    }
+    return r->source->next_uint64(r->source->state);
+}
+
+static uint32_t replay_uint32(void *st)
+{
+    replay_state *r = st;
+    return r->source->next_uint32(r->source->state);
+}
+
+static double replay_double(void *st)
+{
+    replay_state *r = st;
+    return r->source->next_double(r->source->state);
+}
+
+static uint64_t replay_raw(void *st)
+{
+    replay_state *r = st;
+    return r->source->next_raw(r->source->state);
+}
+
+/* One draw of Generator.standard_normal from `bitgen`, whose fields
+ * `copy` holds in registers.  The fast path returns rabs * w[idx] with the
+ * word's sign bit moved into the IEEE sign bit: the same value as NumPy's
+ * `if (sign) x = -x`, without a branch that is mispredicted half the
+ * time.  Counts replayed draws in *slow. */
+static inline double normal(const bitgen_t *copy, bitgen_t *bitgen, int64_t *slow)
+{
+    const uint64_t word = copy->next_uint64(copy->state);
+    const unsigned idx = (unsigned)(word & 0xff);
+    const uint64_t rabs = (word >> 9) & ZIG_MAGNITUDE;
+    if (rabs < zig_k[idx]) {
+        double x = (double)rabs * zig_w[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        bits ^= (word & 0x100) << 55;
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
+    replay_state r = {bitgen, word, 1};
+    bitgen_t replay = {&r, replay_uint64, replay_uint32, replay_double, replay_raw};
+    ++*slow;
+    return random_standard_normal(&replay);
+}
+
+/* n successive draws of Generator.standard_normal into out; returns how
+ * many missed the fast path and were replayed through NumPy. */
+int64_t izh_normals(bitgen_t *bitgen, int64_t n, double *out)
+{
+    /* NumPy never rewrites a bitgen_t, and a copy whose address does not
+     * escape stays in registers across the draws' indirect calls. */
+    const bitgen_t copy = *bitgen;
+    int64_t slow = 0;
+    for (int64_t i = 0; i < n; ++i)
+        out[i] = normal(&copy, bitgen, &slow);
+    return slow;
+}
+
+/* The probe generator: its first word is scripted, and any further call
+ * means the sampler left its fast path.  Later words (0: layer 0, zero
+ * magnitude) and doubles (0.5) let NumPy's slow paths return at once. */
+typedef struct {
+    uint64_t word;
+    int64_t calls;
+} probe_state;
+
+static jmp_buf probe_escape;
+
+static void probe_count(probe_state *p)
+{
+    if (++p->calls > PROBE_MAX_CALLS)
+        longjmp(probe_escape, 1);   /* not the sampler izh_probe knows */
+}
+
+static uint64_t probe_uint64(void *st)
+{
+    probe_state *p = st;
+    const uint64_t word = p->calls == 0 ? p->word : 0;
+    probe_count(p);
+    return word;
+}
+
+static uint32_t probe_uint32(void *st)
+{
+    probe_count(st);
+    return 0;
+}
+
+static double probe_double(void *st)
+{
+    probe_count(st);
+    return 0.5;
+}
+
+static uint64_t probe_raw(void *st)
+{
+    probe_count(st);
+    return 0;
+}
+
+/* Whether NumPy's sampler returns the positive word (idx, rabs) on its
+ * fast path; its value goes to *x. */
+static int probe_fast(unsigned idx, uint64_t rabs, double *x)
+{
+    probe_state p = {(rabs << 9) | idx, 0};
+    bitgen_t probe = {&p, probe_uint64, probe_uint32, probe_double, probe_raw};
+    *x = random_standard_normal(&probe);
+    return p.calls == 1;
+}
+
+/* Kept out of izh_probe's frame, so no local is live across its longjmp. */
+static void probe_tables(void)
+{
+    for (unsigned idx = 0; idx < ZIG_LAYERS; ++idx) {
+        uint64_t lo = 0, hi = ZIG_MAGNITUDE + 1;
+        double x;
+        while (lo < hi) {
+            const uint64_t mid = lo + (hi - lo) / 2;
+            if (probe_fast(idx, mid, &x))
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        zig_k[idx] = lo;
+        zig_w[idx] = 0.0;   /* read only for magnitude 0 when k == 1 */
+        if (lo > 1 && probe_fast(idx, 1, &x))
+            zig_w[idx] = x;
+    }
+}
+
+/* Read NumPy's fast-path tables back through its sampler: k[idx] is the
+ * first magnitude that leaves the fast path (a bisection), w[idx] the
+ * value of magnitude 1.  Returns 0, or -1 when a probe did not return
+ * within PROBE_MAX_CALLS draws.  The loader's self-check catches any
+ * other departure from the ziggurat assumed here. */
+int izh_probe(void)
+{
+    if (setjmp(probe_escape))
+        return -1;
+    probe_tables();
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* The step                                                           */
+/* ------------------------------------------------------------------ */
 
 /* exact-int: the synaptic scatter (_SynapseBatch.propagate_raw).  The
  * NumPy step sums in float64 through bincount; every partial sum is an
@@ -109,39 +321,69 @@ static void scatter(const izh_batch *k, const unsigned char *last_fired)
     }
 }
 
-/* The current stage (BatchedNetwork._fixed_isyn_raw): decay, the sum at
- * scale 2^16 and the quantiser (_quantize_scaled_q15_16).  Leaves the
- * syn scratch zeroed, also on the NaN return. */
-static int current(const izh_batch *k, const double *restrict external)
+/* Row `row` of PortfolioAnnealedDrive.__call__(step) into k->noise:
+ * the floor-mod phase, the amplitude, then drive + noise * mask. */
+static const double *annealed_row(const izh_batch *k, int64_t row, int64_t step)
 {
-    const int64_t cells = k->cells, h = k->h_shift, decay = k->decay;
-    const int64_t shift_count = k->shift_count;
+    const int64_t size = k->size, period = k->period[row];
+    int64_t local = (step - k->offset[row]) % period;
+    if (local < 0)
+        local += period;
+    const double phase = (double)local / (double)period;
+    const double amplitude = k->sigma[row] * (1.0 - (1.0 - k->anneal_floor[row]) * phase);
+    const double *drive = k->drive + row * size;
+    const unsigned char *mask = k->mask + row * size;
+    double *noise = k->noise;
+    izh_normals(k->rngs[row], size, noise);
+    for (int64_t i = 0; i < size; ++i) {
+        double n = noise[i] * amplitude;
+        n *= (double)mask[i];
+        noise[i] = drive[i] + n;
+    }
+    return noise;
+}
+
+/* The current stage (BatchedNetwork._fixed_isyn_raw): decay, the sum at
+ * scale 2^16 and the quantiser (_quantize_scaled_q15_16), row by row,
+ * into the syn scratch; isyn is only read.  On a NaN the pass still
+ * runs to its end (the drive's streams advance) and the scratch is
+ * zeroed again. */
+static int current(const izh_batch *k, int64_t step, const double *external)
+{
+    const int64_t size = k->size, rows = k->cells / k->size;
+    const int64_t h = k->h_shift, decay = k->decay, shift_count = k->shift_count;
     int64_t shifts[4];
     memcpy(shifts, k->shifts, sizeof shifts);
-    int64_t *restrict isyn = k->isyn, *restrict syn = k->syn;
-    for (int64_t i = 0; i < cells; ++i) {
-        double z = external[i] * 65536.0;
-        if (decay) {
-            /* exact-int: decay_current_raw, I - (approx(I / tau) >> h). */
-            const int64_t raw = isyn[i];
-            int64_t delta = raw >> shifts[0];
-            for (int64_t s = 1; s < shift_count; ++s)
-                delta += raw >> shifts[s];
-            z += (double)clip(raw - (delta >> h), Q15_16_MIN, Q15_16_MAX);
+    const int64_t *restrict isyn = k->isyn;
+    int64_t *restrict syn = k->syn;
+    int nan = 0;
+    for (int64_t row = 0; row < rows; ++row) {
+        const double *ext = k->annealed ? annealed_row(k, row, step) : external + row * size;
+        for (int64_t j = 0; j < size; ++j) {
+            const int64_t i = row * size + j;
+            double z = ext[j] * 65536.0;
+            if (decay) {
+                /* exact-int: decay_current_raw, I - (approx(I / tau) >> h). */
+                const int64_t raw = isyn[i];
+                int64_t delta = raw >> shifts[0];
+                for (int64_t s = 1; s < shift_count; ++s)
+                    delta += raw >> shifts[s];
+                z += (double)clip(raw - (delta >> h), Q15_16_MIN, Q15_16_MAX);
+            }
+            z += (double)syn[i];
+            nan |= isnan(z);
+            /* Round half away from zero: copysign(floor(|z| + 0.5), z), then
+             * clip to Q15.16.  For 0.5 <= r < 2^31 truncation is floor, and
+             * any r >= 2^31 (inf included) saturates, so the cast only ever
+             * sees an in-range value; a NaN fails the comparison. */
+            const double r = fabs(z) + 0.5;
+            const int64_t q = r < 2147483648.0 ? (int64_t)r : Q15_16_MAX + 1;
+            syn[i] = z < 0.0 ? -q : (q > Q15_16_MAX ? Q15_16_MAX : q);
         }
-        z += (double)syn[i];
-        syn[i] = 0;
-        if (isnan(z)) {
-            memset(syn + i, 0, (size_t)(cells - i) * sizeof *syn);
-            return IZH_NAN_CURRENT;
-        }
-        /* Round half away from zero: copysign(floor(|z| + 0.5), z), then
-         * clip to Q15.16.  For 0.5 <= r < 2^31 truncation is floor, and
-         * any r >= 2^31 (inf included) saturates, so the cast only ever
-         * sees an in-range value. */
-        const double r = fabs(z) + 0.5;
-        const int64_t q = r < 2147483648.0 ? (int64_t)r : Q15_16_MAX + 1;
-        isyn[i] = z < 0.0 ? -q : (q > Q15_16_MAX ? Q15_16_MAX : q);
+    }
+    if (nan) {
+        memset(syn, 0, (size_t)k->cells * sizeof *syn);
+        return IZH_NAN_CURRENT;
     }
     return IZH_OK;
 }
@@ -149,19 +391,26 @@ static int current(const izh_batch *k, const double *restrict external)
 /* exact-int: 2^h substeps of _FixedBatchKernel.substep
  * (repro.sim.npu.izhikevich_update_raw), spike reset and pin included.
  * Substep-major like the NumPy step: the neurons of one substep are
- * independent, which keeps the CPU's pipelines full.  Without the pin
- * the floor is Q7_8_MIN, which no clipped v is below, so the floor is
- * applied unconditionally (a branch-free max). */
+ * independent, which keeps the CPU's pipelines full.  The first pass
+ * commits the current feed the quantiser left in the syn scratch and
+ * zeroes the scratch.  Without the pin the floor is Q7_8_MIN, which no
+ * clipped v is below, so the floor is applied unconditionally (a
+ * branch-free max). */
 static void substeps(const izh_batch *k, unsigned char *restrict fired)
 {
     const int64_t cells = k->cells, h = k->h_shift, count = (int64_t)1 << k->h_shift;
     const int pin = k->pin_voltage != 0;
-    const int64_t *restrict isyn = k->isyn, *restrict a = k->a, *restrict b = k->b;
+    const int64_t *restrict a = k->a, *restrict b = k->b;
     const int64_t *restrict c = k->c, *restrict d = k->d;
+    int64_t *restrict isyn = k->isyn, *restrict next = k->syn;
     int64_t *restrict vs = k->v, *restrict us = k->u;
     memset(fired, 0, (size_t)cells);
     for (int64_t s = 0; s < count; ++s) {
         for (int64_t i = 0; i < cells; ++i) {
+            if (s == 0) {
+                isyn[i] = next[i];
+                next[i] = 0;
+            }
             const int64_t v0 = vs[i], v_acc = v0 * 256, u_acc = us[i] * 256;
             const int64_t dv = ((((v0 * v0) * COEFF_004_Q4_11) >> 11)
                                 + 5 * v_acc + CONST_140_ACC - u_acc + isyn[i]) >> h;
@@ -181,15 +430,17 @@ static void substeps(const izh_batch *k, unsigned char *restrict fired)
     }
 }
 
-/* One step of every replica.  `external` is the (B, N) float64 drive,
- * `last_fired` and `fired` are (B, N) bool masks.  On IZH_NAN_CURRENT
- * v, u and `fired` are untouched; the current feed is not. */
-int izh_step(const izh_batch *k, const double *external,
+/* One step of every replica at global step `step`.  `external` is the
+ * (B, N) float64 drive current, unread (and may be NULL) when the block
+ * carries the annealed drive; `last_fired` and `fired` are (B, N) bool
+ * masks.  On IZH_NAN_CURRENT v, u, isyn and `fired` are untouched, and
+ * every annealed row has drawn its step's normals. */
+int izh_step(const izh_batch *k, int64_t step, const double *external,
              const unsigned char *last_fired, unsigned char *fired)
 {
     if (k->synapses != SYN_NONE)
         scatter(k, last_fired);
-    if (current(k, external) != IZH_OK)
+    if (current(k, step, external) != IZH_OK)
         return IZH_NAN_CURRENT;
     substeps(k, fired);
     return IZH_OK;

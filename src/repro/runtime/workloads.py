@@ -128,9 +128,10 @@ def eighty_twenty_seed_sweep(
         :mod:`repro.runtime.batch` for the exactness trade-off).
 
     Either batched mode compiles the replicas' thalamic closures into one
-    vectorised drive (per-replica streams pregenerated in chunks), so it
-    draws each replica's own noise while skipping ``B`` Python calls per
-    step; the exact mode stays bit-identical to the sequential loop.
+    vectorised drive (one draw per replica per step from its own
+    generator), so it draws each replica's own noise while skipping ``B``
+    closure calls per step; the exact mode stays bit-identical to the
+    sequential loop.
     """
     seeds = [int(s) for s in seeds]
     networks = build_eighty_twenty_replicas(

@@ -89,14 +89,25 @@ class SNNNetwork:
 
     # ------------------------------------------------------------------ #
     def step(self, step_index: int) -> np.ndarray:
-        """Advance the network by one 1 ms step; returns the fired mask."""
+        """Advance the network by one 1 ms step; returns the fired mask.
+
+        A step whose current is NaN raises :class:`FloatingPointError`
+        (the fixed-point quantiser has no integer for it) and leaves the
+        population, the last-fired mask and the stored current as it
+        found them; the input closure has still been called.
+        """
         external = self._external(step_index)
         if self.synapses is not None:
             synaptic = self.synapses.propagate(self._last_fired)
         else:
             synaptic = np.zeros(self.size, dtype=np.float64)
+        previous = self.current_state.current
         current = self.current_state.update(external, synaptic)
-        fired = self._advance_population(current)
+        try:
+            fired = self._advance_population(current)
+        except FloatingPointError:
+            self.current_state.current = previous
+            raise
         self._last_fired = np.asarray(fired, dtype=bool)
         return self._last_fired
 

@@ -46,10 +46,10 @@ class TestPortfolioDriveEquivalence:
                 reference(local), offset(37 + local).copy()
             )
 
-    def test_extend_joins_streams_mid_chunk(self):
+    def test_extend_joins_streams_mid_run(self):
         nets = _networks([1, 2])
         drive = PortfolioAnnealedDrive([n.external_input.drive_spec for n in nets])
-        for step in range(1, 12):  # mid-chunk (chunk = 32)
+        for step in range(1, 12):
             drive(step)
         [extra] = _networks([3])
         extra.external_input.drive_spec.step_offset = 11

@@ -191,7 +191,7 @@ class TestBatchSnapshot:
         assert list(saved) == SNAPSHOT_KEYS[backend]
         assert saved["descriptor"]["drive"] == "PortfolioAnnealedDrive"
         assert sorted(saved["drive"]) == [
-            "drives", "floor", "masks", "normals", "offsets", "period", "sigma"
+            "drives", "floor", "masks", "offsets", "period", "rngs", "sigma"
         ]
         expected = _steps(batch, 21, 40)
         assert expected.any()
@@ -218,17 +218,25 @@ class TestBatchSnapshot:
         assert hasattr(scrambled, scratch) == (backend == "float64")
         np.testing.assert_array_equal(np.stack(got), expected)
 
-    def test_a_mismatched_drive_refuses_before_any_array_changes(self):
+    def test_a_mismatched_drive_refuses_before_any_array_changes(self, assert_same_snapshot):
         batch = BatchedNetwork.from_networks(_batch_networks("fixed"))
         _steps(batch, 1, 5)
-        saved = batch.export_state()
         other = BatchedNetwork.from_networks(_batch_networks("fixed", seeds=(4, 5, 6)))
         before = other.export_state()
-        saved["drive"]["normals"]["row"] = 40  # past the chunk
-        with pytest.raises(ValueError):
-            other.restore_state(saved)
-        np.testing.assert_array_equal(other.v_raw, before["v_raw"])
-        np.testing.assert_array_equal(other._drive._sigma, before["drive"]["sigma"])
+        mismatches = {
+            "a generator short": lambda drive: drive["rngs"].pop(),
+            "another bit generator": lambda drive: drive["rngs"].__setitem__(
+                2, np.random.Generator(np.random.MT19937(0))
+            ),
+            "an anneal period of 0": lambda drive: drive["period"].__setitem__(1, 0),
+        }
+        for case, mismatch in mismatches.items():
+            saved = batch.export_state()
+            mismatch(saved["drive"])
+            with pytest.raises(ValueError):
+                other.restore_state(saved)
+            # Nothing changed, the generators' states included.
+            assert_same_snapshot(other.export_state(), before, case)
 
 
 # --------------------------------------------------------------------- #

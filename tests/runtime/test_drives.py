@@ -2,10 +2,10 @@
 
 The drive compiler's contract: a compiled ``(B, N)`` drive produces, for
 every replica and every step, exactly the array the replica's own
-closure would have returned — per-replica RNG streams included.  The
-chunked pregeneration this relies on (``standard_normal((K, N))`` equals
-``K`` successive ``standard_normal(N)`` draws) is pinned down explicitly,
-since the whole bit-exactness story of the compiled drives rests on it.
+closure would have returned — per-replica RNG streams included.  A
+drive draws ``rng.standard_normal(out=row)`` once per row per step; that
+this equals the closure's ``standard_normal(N)`` (and that a block draw
+equals successive row draws) is pinned down explicitly.
 A batch compiles its rows' specs when they compile and steps each row's
 own closure otherwise; either way it equals its networks stepped one by
 one.
@@ -81,10 +81,9 @@ class TestChunkedStreamEquivalence:
 
 
 class TestCompiledAnnealedDrive:
-    @pytest.mark.parametrize("chunk_steps", [1, 4, 32])
-    def test_bit_identical_to_closures(self, chunk_steps):
+    def test_bit_identical_to_closures(self):
         seeds = [11, 12, 13]
-        compiled = PortfolioAnnealedDrive(_lifted(_csp_networks(seeds)), chunk_steps=chunk_steps)
+        compiled = PortfolioAnnealedDrive(_lifted(_csp_networks(seeds)))
         reference = [net.external_input for net in _csp_networks(seeds)]
         for step in range(1, 101):
             expected = np.stack([closure(step) for closure in reference])
@@ -179,7 +178,7 @@ class TestCompiledScaledDrive:
         np.testing.assert_array_equal(_batched(batch, 13), expected[:13, :2])
         for network in networks[2:]:
             network.run(13)  # warm: their closures stand at step 13
-        batch.extend(networks[2:])  # joins the noise chunk mid-flight
+        batch.extend(networks[2:])  # joins mid-run
         assert type(batch._drive) is CompiledScaledDrive
         np.testing.assert_array_equal(_batched(batch, 20, start=13), expected[13:33])
 
@@ -333,3 +332,31 @@ def test_a_nan_in_a_compiled_drive_raises_like_the_sequential_step(step_path):
         batch.step(0)
     with pytest.raises(FloatingPointError):
         network.step(0)
+
+
+class TestSpecValidation:
+    """Specs refuse at construction what a drive could not step the same way on every path."""
+
+    def _annealed(self, **fields):
+        spec = dict(drive=np.zeros(4), free_mask=np.ones(4, dtype=bool),
+                    rng=np.random.default_rng(0), noise_sigma=1.0, anneal_period=10,
+                    anneal_floor=0.2)
+        spec.update(fields)
+        return AnnealedNoiseSpec(**spec)
+
+    @pytest.mark.parametrize("period", [0, -3, 1.5, "10", None])
+    def test_an_anneal_period_below_one_or_not_an_integer_raises(self, period):
+        with pytest.raises(ValueError, match="anneal_period"):
+            self._annealed(anneal_period=period)
+
+    def test_an_integer_period_is_kept_as_an_int(self):
+        assert self._annealed(anneal_period=np.int64(7)).anneal_period == 7
+        assert type(self._annealed(anneal_period=np.int64(7)).anneal_period) is int
+
+    @pytest.mark.parametrize("rng", [None, 7, np.random.RandomState(0), np.random.PCG64(0)],
+                             ids=["none", "int", "random-state", "bit-generator"])
+    def test_an_rng_that_is_not_a_generator_raises(self, rng):
+        with pytest.raises(TypeError, match="numpy.random.Generator"):
+            self._annealed(rng=rng)
+        with pytest.raises(TypeError, match="numpy.random.Generator"):
+            ScaledNoiseSpec(scale=np.ones(4), rng=rng)

@@ -8,12 +8,18 @@ datapath term for term — :func:`repro.snn.fixed_izhikevich.decay_current_raw`,
 ``Q15_16.from_float`` and :func:`repro.sim.npu.izhikevich_update_raw` —
 over the whole Q7.8 state range, saturating and infinite currents, every
 DCU selector and timestep, with and without the pin, for shared, flat
-and absent synapses in both current modes.  It also pins the loader's
-contract: lazily built, cached on disk by content, loaded from a warm
-cache without starting a process, and one logged warning for each way it
-can fail.
+and absent synapses in both current modes.  It holds the C step's copy
+of NumPy's normal sampler to ``Generator.standard_normal`` over 10^7
+draws from every NumPy bit generator, and pins what a NaN step leaves
+behind on each path.  It also pins the loader's contract: lazily built,
+cached on disk by content (NumPy's ``npyrandom`` archive included),
+loaded from a warm cache without starting a process, checked against
+NumPy before it is bound, and one logged warning for each way it can
+fail.
 """
 
+import contextlib
+import ctypes
 import functools
 import logging
 import os
@@ -27,14 +33,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.csp import SpikingCSPSolver
+from repro.csp.scenarios import make_instance
 from repro.fixedpoint import Q7_8, Q15_16
-from repro.runtime import BatchedNetwork, native
+from repro.runtime import BatchedNetwork, drives, native
 from repro.sim.npu import izhikevich_update_raw
 from repro.snn.fixed_izhikevich import FixedPointPopulation, decay_current_raw
 from repro.snn.network import SNNNetwork
 from repro.snn.synapse import SparseSynapses, quantize_weights_q15_16
 
 BATCH, SIZE, STEPS = 3, 40, 3
+STEP_PATHS = ("native", "numpy")
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -221,11 +230,19 @@ class TestAgainstTheReference:
             np.testing.assert_array_equal(tail[row], reference[b][20:30])
 
 
+def _require_a_build(*, compiler=True):
+    """Skip where the library cannot be built: no npyrandom archive (or compiler)."""
+    if not native.ARCHIVE.is_file():
+        pytest.skip("no npyrandom archive in this NumPy")
+    if compiler and shutil.which("gcc") is None and shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+
+
 class TestLoader:
     @pytest.fixture
     def fresh(self, monkeypatch, tmp_path):
         """An unloaded loader whose cache is an empty directory."""
-        monkeypatch.setattr(native, "_step", native._UNLOADED)
+        monkeypatch.setattr(native, "_lib", native._UNLOADED)
         monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path)
         return tmp_path
 
@@ -242,13 +259,11 @@ class TestLoader:
 
     def test_a_host_with_a_compiler_loads_the_kernel(self):
         # Otherwise CI would silently test only the NumPy fallback.
-        if shutil.which("gcc") is None and shutil.which("cc") is None:
-            pytest.skip("no C compiler on PATH")
+        _require_a_build()
         assert native.load() is not None
 
     def test_a_cold_cache_builds_once_under_a_content_name(self, fresh):
-        if shutil.which("gcc") is None and shutil.which("cc") is None:
-            pytest.skip("no C compiler on PATH")
+        _require_a_build()
         assert native.load() is not None
         assert native.load() is native.load()
         assert [p.name for p in fresh.iterdir()] == [native.library_name()]
@@ -272,6 +287,7 @@ class TestLoader:
         subprocess.run([sys.executable, "-c", script], check=True)
 
     def test_no_compiler_warns_once(self, fresh, monkeypatch, caplog):
+        _require_a_build(compiler=False)
         monkeypatch.setattr(native.shutil, "which", lambda name: None)
         with caplog.at_level(logging.WARNING, logger=native.__name__):
             assert native.load() is None
@@ -280,8 +296,7 @@ class TestLoader:
         assert "no C compiler" in record.getMessage()
 
     def test_a_build_failure_warns_with_the_compiler_output(self, fresh, monkeypatch, caplog):
-        if shutil.which("gcc") is None and shutil.which("cc") is None:
-            pytest.skip("no C compiler on PATH")
+        _require_a_build()
         broken = fresh / "broken.c"
         broken.write_text("int izh_step(void) { return syntax error; }\n")
         monkeypatch.setattr(native, "SOURCE", broken)
@@ -292,8 +307,219 @@ class TestLoader:
         assert [p.name for p in fresh.iterdir()] == ["broken.c"]  # no partial library
 
     def test_a_load_failure_warns(self, fresh, caplog):
+        _require_a_build(compiler=False)
         (fresh / native.library_name()).write_bytes(b"not a shared object")
         with caplog.at_level(logging.WARNING, logger=native.__name__):
             assert native.load() is None
         [record] = caplog.records
         assert "load of" in record.getMessage()
+
+    def _assert_numpy_step(self):
+        networks = _csp_networks([1, 2])
+        batch = BatchedNetwork.from_networks(networks)
+        assert not batch.native_step
+        spikes = np.stack([batch.step(t).copy() for t in range(1, 30)], axis=1)
+        for row, network in zip(spikes, networks):
+            np.testing.assert_array_equal(row, np.stack([network.step(t) for t in range(1, 30)]))
+
+    def test_a_missing_archive_warns_once(self, fresh, monkeypatch, caplog):
+        monkeypatch.setattr(native, "ARCHIVE", fresh / "lib" / "libnpyrandom.a")
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            assert native.load() is None
+            self._assert_numpy_step()
+        [record] = caplog.records
+        assert "npyrandom archive not found" in record.getMessage()
+
+    def test_a_failed_self_check_warns_once(self, fresh, monkeypatch, caplog):
+        _require_a_build()
+        monkeypatch.setattr(native, "_self_check", lambda fill: "3 of 65536 draws differ")
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            assert native.load() is None
+            assert native.normals() is None
+            self._assert_numpy_step()
+        [record] = caplog.records
+        assert "disagrees with NumPy" in record.getMessage()
+        assert "3 of 65536 draws differ" in record.getMessage()
+
+    def test_the_self_check_sees_one_changed_draw(self):
+        fill = native.normals()
+        if fill is None:
+            pytest.skip("no native step kernel on this host")
+        assert native._self_check(fill) is None
+
+        def off_by_one_ulp(bitgen, count, out):
+            fill(bitgen, count, out)
+            view = np.ctypeslib.as_array(ctypes.cast(out, ctypes.POINTER(ctypes.c_double)), (count,))
+            view[count // 2] = np.nextafter(view[count // 2], np.inf)
+
+        message = native._self_check(off_by_one_ulp)
+        assert message is not None and f"draw {native.CHECK_DRAWS // 2}" in message
+
+    def test_the_cache_name_follows_the_archive(self, monkeypatch, tmp_path):
+        archive = tmp_path / "libnpyrandom.a"
+        archive.write_bytes(b"!<arch>\none NumPy build")
+        monkeypatch.setattr(native, "ARCHIVE", archive)
+        name = native.library_name()
+        assert native.library_name() == name
+        archive.write_bytes(b"!<arch>\nanother NumPy build")
+        assert native.library_name() != name
+
+
+# ---------------------------------------------------------------------- #
+# The inline normal sampler and the annealed drive in C
+# ---------------------------------------------------------------------- #
+#: NumPy's ziggurat_nor_r: only the layer-0 tail returns values this large.
+ZIGGURAT_R = 3.6541528853610088
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64)
+
+
+def _csp_networks(seeds):
+    """Coloring solver networks: their annealed drives compile into one."""
+    graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
+    return [SpikingCSPSolver(graph, seed=seed).build_network(clamps) for seed in seeds]
+
+
+@contextlib.contextmanager
+def _on_path(path):
+    """Batches first stepped inside take ``path``: ``"native"`` or ``"numpy"``."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "numpy":
+            patch.setattr(native, "load", lambda: None)
+        yield
+
+
+class TestInlineNormals:
+    @pytest.mark.parametrize("kind", BIT_GENERATORS, ids=lambda kind: kind.__name__)
+    def test_equals_numpy_s_sampler(self, kind):
+        """2 * 10^6 draws per bit generator, 10^7 in all, bit for bit."""
+        fill = native.normals()
+        if fill is None:
+            pytest.skip("no native step kernel on this host")
+        mine, reference = (np.random.Generator(kind(1234)) for _ in range(2))
+        got = np.empty(500_000)
+        slow = tails = 0
+        for _ in range(4):
+            slow += fill(mine.bit_generator.ctypes.bit_generator, got.size, got.ctypes.data)
+            expected = reference.standard_normal(got.size)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+            tails += int(np.count_nonzero(np.abs(got) >= ZIGGURAT_R))
+        # Both slow paths ran through the replay: the layer-0 tail, and
+        # the wedges (a replayed draw that is not a tail value).
+        assert tails > 0
+        assert slow > tails
+        # The streams still agree afterwards.
+        assert mine.standard_normal() == reference.standard_normal()
+        assert mine.random() == reference.random()
+        np.testing.assert_array_equal(
+            mine.bit_generator.random_raw(4), reference.bit_generator.random_raw(4)
+        )
+
+    def test_the_native_step_evaluates_the_annealed_drive_itself(self, monkeypatch):
+        batch = BatchedNetwork.from_networks(_csp_networks([1, 2]))
+        if not batch.native_step:
+            pytest.skip("no native step kernel on this host")
+
+        def refuse(self, step):  # pragma: no cover - the failure path
+            raise AssertionError("the native step called the annealed drive")
+
+        monkeypatch.setattr(drives.PortfolioAnnealedDrive, "__call__", refuse)
+        for step in range(1, 20):
+            batch.step(step)
+
+    def test_steps_before_a_row_s_offset_take_the_floor_mod_phase(self, step_path):
+        """A row admitted at a later step sees negative local steps before it:
+        the phase is a floor-mod, as NumPy's ``%`` (and the closure's) is."""
+        networks = _csp_networks([1, 2])
+        closures = [network.external_input for network in _csp_networks([1, 2])]
+        batch = BatchedNetwork.from_networks(networks)
+        batch._drive._offsets[:] = (250, 37)  # read in place by the native step
+        assert batch.native_step == (step_path == "native")
+        spikes = np.stack([batch.step(t).copy() for t in range(1, 40)], axis=1)
+        for row, (network, offset) in enumerate(zip(networks, (250, 37))):
+            network.external_input = lambda t, c=closures[row], o=offset: c(t - o)
+            expected = np.stack([network.step(t) for t in range(1, 40)])
+            np.testing.assert_array_equal(spikes[row], expected)
+
+    def test_a_restore_onto_the_live_batch_replays_the_run(self, step_path):
+        """Saved mid-run, stepped, restored in place and stepped again: the
+        rewound generators are the ones the bound step reads."""
+
+        def steps(batch, start, count):
+            return np.stack([batch.step(t).copy() for t in range(start, start + count)])
+
+        reference = steps(BatchedNetwork.from_networks(_csp_networks([4, 5, 6])), 1, 60)
+        batch = BatchedNetwork.from_networks(_csp_networks([4, 5, 6]))
+        assert batch.native_step == (step_path == "native")
+        head = steps(batch, 1, 20)
+        saved = batch.export_state()
+        steps(batch, 21, 15)
+        batch.restore_state(saved)
+        tail = steps(batch, 21, 40)
+        np.testing.assert_array_equal(np.concatenate([head, tail]), reference)
+
+
+# ---------------------------------------------------------------------- #
+# A NaN step leaves the state as it found it, on every path
+# ---------------------------------------------------------------------- #
+class TestANaNStep:
+    def test_the_three_paths_end_equal(self):
+        inputs = {0: [30.0] * 4, 1: [1.0, np.nan, 2.0, 3.0], 2: [30.0] * 4}
+
+        def network():
+            population = FixedPointPopulation.from_float_parameters(
+                np.full(4, 0.02), np.full(4, 0.2), np.full(4, -65.0), np.full(4, 8.0)
+            )
+            return SNNNetwork(population=population, current_mode="decay",
+                              external_input=lambda step: np.array(inputs[step]))
+
+        def run(stepper):
+            stepper(0)
+            with pytest.raises(FloatingPointError):
+                stepper(1)
+            stepper(2)
+
+        sequential = network()
+        run(sequential.step)
+        ends = {}
+        for path in STEP_PATHS:
+            with _on_path(path):
+                batch = BatchedNetwork.from_networks([network()])
+                run(batch.step)
+                ends[path] = batch
+        if not ends["native"].native_step:
+            del ends["native"]
+        isyn = np.asarray(Q15_16.from_float(sequential.current_state.current), dtype=np.int64)
+        for path, batch in ends.items():
+            np.testing.assert_array_equal(batch._isyn_raw[0], isyn, err_msg=path)
+            np.testing.assert_array_equal(batch.v_raw[0], sequential.population.v_raw, err_msg=path)
+            np.testing.assert_array_equal(batch.u_raw[0], sequential.population.u_raw, err_msg=path)
+            np.testing.assert_array_equal(batch._last_fired[0], sequential._last_fired, err_msg=path)
+
+    def test_an_annealed_batch_advances_every_stream_by_one_step(self, assert_same_snapshot):
+        graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
+        solver = SpikingCSPSolver(graph, seed=1)
+        ends = {}
+        for path in STEP_PATHS:
+            with _on_path(path):
+                batch = BatchedNetwork.from_networks([solver.row(clamps, seed=s) for s in (7, 8)])
+                for step in range(1, 6):
+                    batch.step(step)
+                batch._drive._drives[0, 5] = np.nan  # read in place; row 1 must still draw
+                before = batch.export_state()
+                before["drive"]["rngs"] = None  # compared below
+                with pytest.raises(FloatingPointError):
+                    batch.step(6)
+                after = batch.export_state()
+                streams = after["drive"].pop("rngs")
+                after["drive"]["rngs"] = None
+                assert_same_snapshot(after, before, path)
+                ends[path] = (batch.native_step, streams)
+        assert not ends["numpy"][0]
+        # Six steps of N draws on every row, the NaN row's included.
+        for seed, stream in zip((7, 8), ends["numpy"][1]):
+            fresh = np.random.default_rng(seed)
+            fresh.standard_normal(6 * graph.num_neurons)
+            assert stream.bit_generator.state == fresh.bit_generator.state
+        if ends["native"][0]:
+            assert_same_snapshot(ends["native"][1], ends["numpy"][1])

@@ -345,7 +345,7 @@ class TestGeneratorOwnership:
         network = solver.build_network(clamps, seed=77)
         engine = SlotEngine(decoder=CSP_SLOT_DECODER, window=20, check_interval=CHECK_INTERVAL)
         engine.admit([(SlotRow(graph=graph, clamps=clamps, budget=100), network)])
-        for _ in range(40):  # past one noise chunk
+        for _ in range(40):
             engine.step()
         assert network.external_input.drive_spec.step_offset == 0
         np.testing.assert_array_equal(
@@ -364,18 +364,18 @@ class TestGeneratorOwnership:
         for _ in range(13):
             engine.step()
         later = _admissions([3], "fixed", True)
-        engine.admit(later)  # joins the noise chunk mid-flight
+        engine.admit(later)  # joins mid-run
         for _ in range(40):
             engine.step()
         owned = [spec.drive_spec.rng for _, spec in first + later]
-        assert all(a is b for a, b in zip(engine._batch._drive._normals._rngs, owned))
+        assert all(a is b for a, b in zip(engine._batch._drive._rngs, owned))
 
     def test_direct_drive_consumes_the_generators_it_is_given(self):
         _, clamps, solver = _job(2, "fixed")
         specs = [solver.row(clamps, seed=s).drive_spec for s in (5, 6)]
         drive = PortfolioAnnealedDrive(specs)
         drive(1)
-        assert [spec.rng for spec in specs] == drive._normals._rngs
+        assert [spec.rng for spec in specs] == drive._rngs
         state = specs[0].rng.bit_generator.state
         assert state != np.random.default_rng(5).bit_generator.state
 
