@@ -100,6 +100,7 @@ snapshots and restores are identical on either;
 whose current is NaN raises :class:`FloatingPointError` on either path
 and leaves ``v``, ``u``, the last-fired mask and the current feed as it
 found them; every row's noise stream has still advanced by one step.
+The float64 backend refuses a NaN current the same way.
 """
 
 from __future__ import annotations
@@ -948,17 +949,26 @@ class BatchedNetwork:
         return self._ext
 
     def _update_current(self, external: np.ndarray, synaptic: np.ndarray) -> np.ndarray:
-        # Float64 backend; mirrors CurrentState.update elementwise (hence bit-exact).
+        """The float64 backend's current; mirrors ``CurrentState.update`` elementwise.
+
+        The new current is computed into scratch and committed only when
+        no cell is NaN; a NaN raises :class:`FloatingPointError` and
+        leaves the stored current as it was, as ``SNNNetwork.step`` does.
+        """
+        fresh = self._fscratch
         if self.current_mode == "recompute":
-            np.add(external, synaptic, out=self._current)
+            np.add(external, synaptic, out=fresh)
         else:
-            z = np.multiply(self._current, 65536.0, out=self._fscratch)
+            z = np.multiply(self._current, 65536.0, out=fresh)
             raw = _quantize_scaled_q15_16(z, self._isyn_raw, self._fscratch2)
             decayed = _decay_raw(raw, self.tau_select, self.h_shift, self._iscratch, self._iscratch2)
-            np.divide(decayed, 65536.0, out=self._current)
-            self._current += external
-            self._current += synaptic
-        return self._current
+            np.divide(decayed, 65536.0, out=fresh)
+            fresh += external
+            fresh += synaptic
+        if np.isnan(fresh).any():
+            raise FloatingPointError("NaN in the input current of a float64 step")
+        self._current, self._fscratch = fresh, self._current
+        return fresh
 
     def _fixed_isyn_raw(self, external: np.ndarray) -> np.ndarray:
         """Kernel input current of a fixed-point step, summed at scale ``2^16``.

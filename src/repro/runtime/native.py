@@ -3,6 +3,9 @@
 :func:`load` returns the C step bound through stdlib :mod:`ctypes`, or
 ``None`` when no library can be had; :class:`~repro.runtime.batch.BatchedNetwork`
 then runs its NumPy step, which stays the bit-exact reference.
+:func:`books` returns the same library's slot books (``izh_books``), or
+``None`` likewise; :class:`~repro.runtime.slots.SlotEngine` then keeps
+its books in NumPy, the reference.
 
 The C step draws the annealed drive's normals itself, from each row's
 NumPy bit generator, through an inline copy of the fast path of NumPy's
@@ -15,7 +18,8 @@ through NumPy's function (``izh_probe``) and the loader then checks
 ``Generator.standard_normal`` before it binds anything.
 
 The shared object is built lazily, on the first step of an eligible
-batch, at most once per process: a failure is remembered for the rest of
+batch or the first admission into a slot engine, at most once per
+process: a failure is remembered for the rest of
 the process and logged as one ``WARNING`` naming its cause (no compiler,
 no ``npyrandom`` archive, a build failure with the tail of its stderr, a
 load failure, a failed probe or a failed self-check).  It is cached on
@@ -44,16 +48,21 @@ from typing import Any, Optional
 
 import numpy as np
 
-__all__ = ["CHECK_DRAWS", "FLAGS", "StepBlock", "library_name", "load", "normals"]
+__all__ = ["BooksBlock", "CHECK_DRAWS", "FLAGS", "StepBlock", "books", "library_name", "load",
+           "normals"]
 
 _log = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("native_step.c")
 #: NumPy's static ``npyrandom`` archive: the sampler the C step replays.
 ARCHIVE = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
-#: Never ``-ffast-math`` (it breaks the quantiser's rounding) and never
-#: ``-march=native`` (a cached binary must run on any host of the arch).
-FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-fwrapv", "-ffp-contract=off")
+#: ``-O3`` turns on the loop vectoriser, which vectorises the source's
+#: per-cell loops (GCC's ``-O2`` cost model vectorises none of them);
+#: the AVX-512 code comes from the source's ``target_clones``, picked by
+#: CPUID at load.  Never ``-ffast-math`` (it breaks the quantiser's
+#: rounding) and never ``-march=native`` (a cached binary must run on any
+#: host of the arch).
+FLAGS = ("-O3", "-std=c99", "-fPIC", "-shared", "-fwrapv", "-ffp-contract=off")
 #: Lines of compiler stderr quoted in the build-failure warning.
 _STDERR_TAIL = 12
 #: Draws of the sampler checked against ``Generator.standard_normal`` at load.
@@ -96,6 +105,26 @@ class StepBlock(ctypes.Structure):
     ]
 
 
+class BooksBlock(ctypes.Structure):
+    """A slot engine's books, field for field ``izh_books_block`` of the C source."""
+
+    _fields_ = [
+        ("rows", ctypes.c_int64),
+        ("size", ctypes.c_int64),
+        ("window", ctypes.c_int64),
+        ("check_interval", ctypes.c_int64),
+        ("offsets", ctypes.c_void_p),
+        ("budgets", ctypes.c_void_p),
+        ("history", ctypes.c_void_p),
+        ("window_counts", ctypes.c_void_p),
+        ("last_spike", ctypes.c_void_p),
+        ("row_spikes", ctypes.c_void_p),
+        ("local", ctypes.c_void_p),
+        ("at_check", ctypes.c_void_p),
+        ("at_budget", ctypes.c_void_p),
+    ]
+
+
 _UNLOADED: Any = object()
 _lib: Any = _UNLOADED
 _lock = threading.Lock()
@@ -120,6 +149,17 @@ def load() -> Optional[Any]:
     """
     lib = _library()
     return None if lib is None else lib.izh_step
+
+
+def books() -> Optional[Any]:
+    """The native ``izh_books(block, step, fired)``, or ``None`` where :func:`load` finds none.
+
+    Updates the books a :class:`BooksBlock` points at after global step
+    ``step`` from the ``(R, N)`` bool mask at ``fired``, and returns how
+    many rows are at a check.
+    """
+    lib = _library()
+    return None if lib is None else lib.izh_books
 
 
 def normals() -> Optional[Any]:
@@ -180,7 +220,7 @@ def _load() -> Optional[ctypes.CDLL]:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        step, fill, probe = lib.izh_step, lib.izh_normals, lib.izh_probe
+        step, fill, probe, tally = lib.izh_step, lib.izh_normals, lib.izh_probe, lib.izh_books
     except (OSError, AttributeError) as exc:
         _unavailable("load of %s failed: %s", path, exc)
         return None
@@ -189,6 +229,8 @@ def _load() -> Optional[ctypes.CDLL]:
     fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     fill.restype = ctypes.c_int64
     probe.argtypes, probe.restype = [], ctypes.c_int
+    tally.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    tally.restype = ctypes.c_int64
     if probe() != 0:
         _unavailable("NumPy's normal sampler did not answer the table probe")
         return None

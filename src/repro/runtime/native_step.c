@@ -11,10 +11,26 @@
  * _FixedBatchKernel.substep), so both paths are bit-identical; the NumPy
  * step stays the reference.
  *
+ * izh_books then updates a SlotEngine's per-row books from the step's
+ * fired mask (repro/runtime/slots.py, whose NumPy books stay the
+ * reference).
+ *
  * Rules that keep it bit-exact and free of undefined behaviour:
- *   - Built with -O2 -std=c99 -fPIC -shared -fwrapv -ffp-contract=off:
- *     signed overflow wraps as NumPy's int64 does, and no multiply-add
- *     is fused.  Never -ffast-math, never -march=native.
+ *   - Built with -O3 -std=c99 -fPIC -shared -fwrapv -ffp-contract=off
+ *     (FLAGS in native.py): signed overflow wraps as NumPy's int64 does,
+ *     and no multiply-add is fused, in any clone.  Never -ffast-math,
+ *     never -march=native.
+ *   - The per-cell loops store unconditionally and test nothing but
+ *     loop-invariant values (which -O3 moves out of the loop) and one
+ *     store-free if (which the vectoriser turns into selects); a NaN is
+ *     an OR flag.  So -O3 vectorises them, and the default code keeps a
+ *     branch that is rarely taken.  Where ifunc exists (x86-64 with
+ *     glibc, GCC 12 or later) each one carries IZH_VECTOR: GCC compiles
+ *     it twice, for x86-64-v4 (AVX-512) and for the default target, and
+ *     the resolver picks one by CPUID when the library is loaded, so a
+ *     cached library runs on any x86-64 host.  Every lane does the scalar
+ *     code's exact integer or exact IEEE arithmetic, so both clones are
+ *     bit-identical.
  *   - No negative value is ever shifted left (undefined in C): Q7.8 is
  *     promoted to 16 fractional bits by multiplying with 256.
  *   - >> of a negative int64 is an arithmetic shift on GCC and Clang
@@ -26,10 +42,10 @@
  *   - The anneal period is at least 1 (AnnealedNoiseSpec checks it), so
  *     % never divides by zero.
  *   - A step either commits every replica's new current feed or none: the
- *     quantiser writes into the syn scratch and the first substep pass
- *     moves it into isyn.  A NaN current still finishes the pass, so every
- *     replica's noise stream advances by one step, as it does on the
- *     NumPy step and in the sequential closures.
+ *     quantiser writes into the syn scratch, which is copied into isyn
+ *     before the substep passes.  A NaN current still finishes the pass,
+ *     so every replica's noise stream advances by one step, as it does on
+ *     the NumPy step and in the sequential closures.
  *
  * The normals come from each replica's own NumPy bit generator through
  * normal(), an inline copy of the fast path of NumPy's
@@ -56,6 +72,12 @@
 
 /* numpy/random/distributions.h declares it beside Python's headers. */
 double random_standard_normal(bitgen_t *bitgen_state);
+
+#if defined(__x86_64__) && defined(__GLIBC__) && !defined(__clang__) && __GNUC__ >= 12
+#define IZH_VECTOR __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define IZH_VECTOR
+#endif
 
 #define IZH_OK 0
 #define IZH_NAN_CURRENT 1
@@ -112,6 +134,25 @@ typedef struct {
     bitgen_t *const *rngs;       /* (B,) each row's bit generator */
     double *noise;               /* (N,) float64 scratch */
 } izh_batch;
+
+/* A SlotEngine's books (slots._BOOKS) for R live rows of N neurons, and
+ * the per-row outputs of the last izh_books call; all 8-byte fields, as
+ * izh_batch.  Arrays are C-order, int64 unless noted. */
+typedef struct {
+    int64_t rows;               /* R */
+    int64_t size;               /* N */
+    int64_t window;             /* history ring length, >= 1 */
+    int64_t check_interval;     /* >= 1 */
+    const int64_t *offsets;     /* (R,) admission steps */
+    const int64_t *budgets;     /* (R,) local step budgets */
+    unsigned char *history;     /* (window, R, N) bool */
+    int64_t *window_counts;     /* (R, N) */
+    int64_t *last_spike;        /* (R, N) local step, or -1 */
+    int64_t *row_spikes;        /* (R,) */
+    int64_t *local;             /* (R,) out: local steps */
+    unsigned char *at_check;    /* (R,) bool out */
+    unsigned char *at_budget;   /* (R,) bool out */
+} izh_books_block;
 
 static int64_t clip(int64_t x, int64_t lo, int64_t hi)
 {
@@ -321,8 +362,20 @@ static void scatter(const izh_batch *k, const unsigned char *last_fired)
     }
 }
 
-/* Row `row` of PortfolioAnnealedDrive.__call__(step) into k->noise:
- * the floor-mod phase, the amplitude, then drive + noise * mask. */
+/* Row `row` of PortfolioAnnealedDrive.__call__(step), term for term:
+ * noise = n * amplitude; noise *= mask; drive + noise. */
+static IZH_VECTOR void drive_row(int64_t size, double amplitude, const double *restrict drive,
+                                 const unsigned char *restrict mask, double *restrict noise)
+{
+    for (int64_t i = 0; i < size; ++i) {
+        double n = noise[i] * amplitude;
+        n *= (double)mask[i];
+        noise[i] = drive[i] + n;
+    }
+}
+
+/* The drive current of row `row` at `step` into k->noise: the floor-mod
+ * phase, the amplitude, the row's normals, then drive_row. */
 static const double *annealed_row(const izh_batch *k, int64_t row, int64_t step)
 {
     const int64_t size = k->size, period = k->period[row];
@@ -331,102 +384,99 @@ static const double *annealed_row(const izh_batch *k, int64_t row, int64_t step)
         local += period;
     const double phase = (double)local / (double)period;
     const double amplitude = k->sigma[row] * (1.0 - (1.0 - k->anneal_floor[row]) * phase);
-    const double *drive = k->drive + row * size;
-    const unsigned char *mask = k->mask + row * size;
-    double *noise = k->noise;
-    izh_normals(k->rngs[row], size, noise);
-    for (int64_t i = 0; i < size; ++i) {
-        double n = noise[i] * amplitude;
-        n *= (double)mask[i];
-        noise[i] = drive[i] + n;
-    }
-    return noise;
+    izh_normals(k->rngs[row], size, k->noise);
+    drive_row(size, amplitude, k->drive + row * size, k->mask + row * size, k->noise);
+    return k->noise;
 }
 
-/* The current stage (BatchedNetwork._fixed_isyn_raw): decay, the sum at
- * scale 2^16 and the quantiser (_quantize_scaled_q15_16), row by row,
- * into the syn scratch; isyn is only read.  On a NaN the pass still
- * runs to its end (the drive's streams advance) and the scratch is
- * zeroed again. */
+/* One row of the current stage (BatchedNetwork._fixed_isyn_raw): the
+ * drive, the decayed feed (when `decay`) and the synaptic sum at scale
+ * 2^16, then the quantiser (_quantize_scaled_q15_16), into syn; isyn is
+ * only read.  `decay` and the selector's shift count are loop-invariant
+ * tests, which -O3 moves out of the loop, so every version of the loop
+ * is branch-free.  Returns whether any sum was NaN. */
+static IZH_VECTOR int current_row(int64_t size, const double *restrict ext,
+                                  const int64_t *restrict isyn, int64_t *restrict syn,
+                                  int64_t decay, int64_t count, const int64_t *shifts, int64_t h)
+{
+    const int64_t s0 = shifts[0], s1 = shifts[1], s2 = shifts[2], s3 = shifts[3];
+    int nan = 0;
+    for (int64_t j = 0; j < size; ++j) {
+        double z = ext[j] * 65536.0;
+        if (decay) {
+            /* exact-int: decay_current_raw, I - (approx(I / tau) >> h). */
+            const int64_t raw = isyn[j];
+            int64_t delta = raw >> s0;
+            if (count > 1)
+                delta += raw >> s1;
+            if (count > 2)
+                delta += raw >> s2;
+            if (count > 3)
+                delta += raw >> s3;
+            z += (double)clip(raw - (delta >> h), Q15_16_MIN, Q15_16_MAX);
+        }
+        z += (double)syn[j];
+        nan |= z != z;
+        /* Round half away from zero: copysign(floor(|z| + 0.5), z), then
+         * clip to Q15.16.  For 0.5 <= r < 2^31 truncation is floor; any
+         * larger r (inf and NaN included) is held at 2^31 before the
+         * cast, so the cast only ever sees an in-range value. */
+        const double r = fabs(z) + 0.5;
+        const int64_t q = (int64_t)(r < 2147483648.0 ? r : 2147483648.0);
+        syn[j] = z < 0.0 ? -q : (q < Q15_16_MAX ? q : Q15_16_MAX);
+    }
+    return nan;
+}
+
+/* The current stage, row by row, into the syn scratch.  On a NaN the
+ * pass still runs to its end (the drive's streams advance) and the
+ * scratch is zeroed again. */
 static int current(const izh_batch *k, int64_t step, const double *external)
 {
     const int64_t size = k->size, rows = k->cells / k->size;
-    const int64_t h = k->h_shift, decay = k->decay, shift_count = k->shift_count;
-    int64_t shifts[4];
-    memcpy(shifts, k->shifts, sizeof shifts);
-    const int64_t *restrict isyn = k->isyn;
-    int64_t *restrict syn = k->syn;
     int nan = 0;
     for (int64_t row = 0; row < rows; ++row) {
         const double *ext = k->annealed ? annealed_row(k, row, step) : external + row * size;
-        for (int64_t j = 0; j < size; ++j) {
-            const int64_t i = row * size + j;
-            double z = ext[j] * 65536.0;
-            if (decay) {
-                /* exact-int: decay_current_raw, I - (approx(I / tau) >> h). */
-                const int64_t raw = isyn[i];
-                int64_t delta = raw >> shifts[0];
-                for (int64_t s = 1; s < shift_count; ++s)
-                    delta += raw >> shifts[s];
-                z += (double)clip(raw - (delta >> h), Q15_16_MIN, Q15_16_MAX);
-            }
-            z += (double)syn[i];
-            nan |= isnan(z);
-            /* Round half away from zero: copysign(floor(|z| + 0.5), z), then
-             * clip to Q15.16.  For 0.5 <= r < 2^31 truncation is floor, and
-             * any r >= 2^31 (inf included) saturates, so the cast only ever
-             * sees an in-range value; a NaN fails the comparison. */
-            const double r = fabs(z) + 0.5;
-            const int64_t q = r < 2147483648.0 ? (int64_t)r : Q15_16_MAX + 1;
-            syn[i] = z < 0.0 ? -q : (q > Q15_16_MAX ? Q15_16_MAX : q);
-        }
+        nan |= current_row(size, ext, k->isyn + row * size, k->syn + row * size, k->decay,
+                           k->shift_count, k->shifts, k->h_shift);
     }
     if (nan) {
-        memset(syn, 0, (size_t)k->cells * sizeof *syn);
+        memset(k->syn, 0, (size_t)k->cells * sizeof *k->syn);
         return IZH_NAN_CURRENT;
     }
     return IZH_OK;
 }
 
-/* exact-int: 2^h substeps of _FixedBatchKernel.substep
- * (repro.sim.npu.izhikevich_update_raw), spike reset and pin included.
- * Substep-major like the NumPy step: the neurons of one substep are
- * independent, which keeps the CPU's pipelines full.  The first pass
- * commits the current feed the quantiser left in the syn scratch and
- * zeroes the scratch.  Without the pin the floor is Q7_8_MIN, which no
- * clipped v is below, so the floor is applied unconditionally (a
- * branch-free max). */
-static void substeps(const izh_batch *k, unsigned char *restrict fired)
+/* exact-int: one substep of _FixedBatchKernel.substep
+ * (repro.sim.npu.izhikevich_update_raw) over every cell; ORs the spikes
+ * into `fired`.  The spike reset stores nothing, so the vectoriser turns
+ * it into selects, while the default code keeps a branch that a few % of
+ * substeps take (as selects it timed slower in both).  Without the pin
+ * the floor is Q7_8_MIN, which no clipped v is below, so the floor is
+ * applied unconditionally. */
+static IZH_VECTOR void substep(int64_t cells, int64_t h, int64_t pin,
+                               const int64_t *restrict a, const int64_t *restrict b,
+                               const int64_t *restrict c, const int64_t *restrict d,
+                               const int64_t *restrict isyn, int64_t *restrict vs,
+                               int64_t *restrict us, unsigned char *restrict fired)
 {
-    const int64_t cells = k->cells, h = k->h_shift, count = (int64_t)1 << k->h_shift;
-    const int pin = k->pin_voltage != 0;
-    const int64_t *restrict a = k->a, *restrict b = k->b;
-    const int64_t *restrict c = k->c, *restrict d = k->d;
-    int64_t *restrict isyn = k->isyn, *restrict next = k->syn;
-    int64_t *restrict vs = k->v, *restrict us = k->u;
-    memset(fired, 0, (size_t)cells);
-    for (int64_t s = 0; s < count; ++s) {
-        for (int64_t i = 0; i < cells; ++i) {
-            if (s == 0) {
-                isyn[i] = next[i];
-                next[i] = 0;
-            }
-            const int64_t v0 = vs[i], v_acc = v0 * 256, u_acc = us[i] * 256;
-            const int64_t dv = ((((v0 * v0) * COEFF_004_Q4_11) >> 11)
-                                + 5 * v_acc + CONST_140_ACC - u_acc + isyn[i]) >> h;
-            /* (a (b v >> 3 - u)) >> 11 >> h as one arithmetic shift. */
-            const int64_t du = ((((b[i] * v0) >> 3) - u_acc) * a[i]) >> (11 + h);
-            int64_t v = clip((v_acc + dv) >> 8, Q7_8_MIN, Q7_8_MAX);
-            int64_t u = clip((u_acc + du) >> 8, Q7_8_MIN, Q7_8_MAX);
-            if (v >= VTH_RAW) {                 /* rare: a few % of substeps */
-                fired[i] = 1;
-                u = clip(u + (d[i] >> 3), Q7_8_MIN, Q7_8_MAX);  /* d: Q4.11 -> Q7.8 */
-                v = c[i];
-            }
-            const int64_t floor_v = pin ? c[i] : Q7_8_MIN;
-            vs[i] = v < floor_v ? floor_v : v;
-            us[i] = u;
+    for (int64_t i = 0; i < cells; ++i) {
+        const int64_t v0 = vs[i], v_acc = v0 * 256, u_acc = us[i] * 256;
+        const int64_t dv = ((((v0 * v0) * COEFF_004_Q4_11) >> 11)
+                            + 5 * v_acc + CONST_140_ACC - u_acc + isyn[i]) >> h;
+        /* (a (b v >> 3 - u)) >> 11 >> h as one arithmetic shift. */
+        const int64_t du = ((((b[i] * v0) >> 3) - u_acc) * a[i]) >> (11 + h);
+        int64_t v = clip((v_acc + dv) >> 8, Q7_8_MIN, Q7_8_MAX);
+        int64_t u = clip((u_acc + du) >> 8, Q7_8_MIN, Q7_8_MAX);
+        const int spike = v >= VTH_RAW;
+        if (spike) {
+            u = clip(u + (d[i] >> 3), Q7_8_MIN, Q7_8_MAX);  /* d: Q4.11 -> Q7.8 */
+            v = c[i];
         }
+        const int64_t floor_v = pin ? c[i] : Q7_8_MIN;
+        vs[i] = v < floor_v ? floor_v : v;
+        us[i] = u;
+        fired[i] |= (unsigned char)spike;
     }
 }
 
@@ -438,10 +488,70 @@ static void substeps(const izh_batch *k, unsigned char *restrict fired)
 int izh_step(const izh_batch *k, int64_t step, const double *external,
              const unsigned char *last_fired, unsigned char *fired)
 {
+    const int64_t cells = k->cells, count = (int64_t)1 << k->h_shift;
     if (k->synapses != SYN_NONE)
         scatter(k, last_fired);
     if (current(k, step, external) != IZH_OK)
         return IZH_NAN_CURRENT;
-    substeps(k, fired);
+    /* Commit the new current feed; the scratch is zero between calls. */
+    memcpy(k->isyn, k->syn, (size_t)cells * sizeof *k->syn);
+    memset(k->syn, 0, (size_t)cells * sizeof *k->syn);
+    memset(fired, 0, (size_t)cells);
+    /* Substep-major like the NumPy step: the cells of one substep are
+     * independent, which keeps the vector lanes full. */
+    for (int64_t s = 0; s < count; ++s)
+        substep(cells, k->h_shift, k->pin_voltage != 0, k->a, k->b, k->c, k->d, k->isyn,
+                k->v, k->u, fired);
     return IZH_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* The slot books                                                     */
+/* ------------------------------------------------------------------ */
+
+/* One row of SlotEngine.step's books at local step `local`: the history
+ * ring slot, the window counts and the last spike; returns the row's
+ * spikes. */
+static IZH_VECTOR int64_t books_row(int64_t size, int64_t local,
+                                    const unsigned char *restrict fired,
+                                    unsigned char *restrict history,
+                                    int64_t *restrict counts, int64_t *restrict last)
+{
+    int64_t spikes = 0;
+    for (int64_t j = 0; j < size; ++j) {
+        const int64_t f = fired[j];
+        counts[j] += f - history[j];
+        history[j] = fired[j];
+        last[j] = f ? local : last[j];
+        spikes += f;
+    }
+    return spikes;
+}
+
+/* SlotEngine.step's books after global step `step` (`fired` is the
+ * step's (R, N) bool mask): each row's local step, its history ring
+ * slot local % window, window counts, last spike and spike total, and
+ * whether it is at a check or at its budget.  Returns how many rows are
+ * at a check. */
+int64_t izh_books(const izh_books_block *k, int64_t step, const unsigned char *fired)
+{
+    const int64_t rows = k->rows, size = k->size;
+    int64_t checks = 0;
+    for (int64_t row = 0; row < rows; ++row) {
+        const int64_t local = step - k->offsets[row];
+        int64_t slot = local % k->window;
+        if (slot < 0)
+            slot += k->window;
+        k->row_spikes[row] += books_row(size, local, fired + row * size,
+                                        k->history + (slot * rows + row) * size,
+                                        k->window_counts + row * size,
+                                        k->last_spike + row * size);
+        const int at_budget = local >= k->budgets[row];
+        const int at_check = local % k->check_interval == 0 || at_budget;
+        k->local[row] = local;
+        k->at_budget[row] = (unsigned char)at_budget;
+        k->at_check[row] = (unsigned char)at_check;
+        checks += at_check;
+    }
+    return checks;
 }

@@ -63,6 +63,7 @@ below ``repro.csp`` in the layering.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 from dataclasses import dataclass, field
@@ -70,6 +71,7 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, cast
 
 import numpy as np
 
+from . import native
 from .batch import BatchedNetwork, BatchRow, Replica, batch_row
 from .checkpoint import CheckpointError, CheckpointStore, FaultPlan
 
@@ -261,6 +263,71 @@ _BOOKS = (
     ("last_spike", "_last_spike", 0),
     ("row_spikes", "_row_spikes", 0),
 )
+#: What ``izh_books`` reads and updates in place, as ``(BooksBlock field,
+#: engine attribute, dtype, per neuron)``: the books, then the rows'
+#: offsets and budgets.  ``history`` is ``(window, R, N)``, the other
+#: per-neuron arrays ``(R, N)``, the rest ``(R,)``.
+_NATIVE_BOOKS = (
+    ("history", "_history", np.bool_, True),
+    ("window_counts", "_window_counts", np.int64, True),
+    ("last_spike", "_last_spike", np.int64, True),
+    ("row_spikes", "_row_spikes", np.int64, False),
+    ("offsets", "_offsets", np.int64, False),
+    ("budgets", "_budgets", np.int64, False),
+)
+
+
+class _NativeBooks:
+    """The native books (``izh_books`` of :mod:`repro.runtime.native`) bound to one row set.
+
+    Holds the C pointer block, the engine's books it points into and the
+    per-row outputs of the last call (:attr:`local`, :attr:`at_check`,
+    :attr:`at_budget`), which the next call overwrites.  Every
+    recomposition, restore and teardown installs new book arrays, so
+    :meth:`SlotEngine._install` binds a fresh one each time.
+    """
+
+    def __init__(self, books: Any, engine: "SlotEngine") -> None:
+        count, size = len(engine.rows), int(engine.num_neurons or 0)
+        self.local = np.zeros(count, dtype=np.int64)
+        self.at_check = np.zeros(count, dtype=bool)
+        self.at_budget = np.zeros(count, dtype=bool)
+        block = native.BooksBlock(
+            rows=count, size=size, window=engine._window, check_interval=engine._check_interval,
+            local=self.local.ctypes.data, at_check=self.at_check.ctypes.data,
+            at_budget=self.at_budget.ctypes.data,
+        )
+        pointed: List[np.ndarray] = []
+        for field_name, attr, dtype, wide in _NATIVE_BOOKS:
+            array = getattr(engine, attr)
+            want = (count, size) if wide else (count,)
+            if field_name == "history":
+                want = (engine._window,) + want
+            # The C loop trusts these; a converted copy would detach it from the books.
+            if array.shape != want or array.dtype != dtype or not array.flags.c_contiguous:
+                raise RuntimeError(f"slot books must be C-contiguous {want} stacks of {dtype}")
+            setattr(block, field_name, array.ctypes.data)
+            pointed.append(array)
+        # Alive while the C loop may touch them.
+        self._keep = (block, pointed)
+        self._books = books
+        self._block = ctypes.addressof(block)
+        self._shape = (count, size)
+        #: The fired masks seen so far (the batch swaps two), by id, with
+        #: their addresses; holding the array keeps its id unique.
+        self._masks: Dict[int, Tuple[np.ndarray, int]] = {}
+
+    def __call__(self, step: int, fired: np.ndarray) -> int:
+        """The books after global step ``step``; returns how many rows are at a check."""
+        seen = self._masks.get(id(fired))
+        if seen is None:
+            if (fired.shape != self._shape or fired.dtype != np.bool_
+                    or not fired.flags.c_contiguous):
+                raise RuntimeError(f"the fired mask must be a C-contiguous {self._shape} bool array")
+            if len(self._masks) >= 2:
+                self._masks.clear()
+            seen = self._masks[id(fired)] = (fired, fired.ctypes.data)
+        return self._books(self._block, step, seen[1])
 
 
 class SlotEngine:
@@ -298,6 +365,8 @@ class SlotEngine:
     _window_counts: Optional[np.ndarray]
     _last_spike: Optional[np.ndarray]
     _row_spikes: np.ndarray
+    #: ``izh_books`` bound to the books, or ``None``: the NumPy books.
+    _native_books: Optional[_NativeBooks]
 
     def __init__(
         self,
@@ -594,7 +663,7 @@ class SlotEngine:
         books = self._fresh_books(len(rows))
         if rows:
             for key, attr, _ in _BOOKS:
-                book = np.array(state[key], dtype=books[attr].dtype, copy=True)
+                book = np.array(state[key], dtype=books[attr].dtype, copy=True, order="C")
                 if book.shape != books[attr].shape:
                     self._install([], self._fresh_books(0))
                     raise ValueError("checkpoint bookkeeping arrays disagree with the row set")
@@ -647,6 +716,9 @@ class SlotEngine:
         self._offsets = np.asarray([r.offset for r in rows], dtype=np.int64)
         self._budgets = np.asarray([r.budget for r in rows], dtype=np.int64)
         self._row_index = np.arange(len(rows), dtype=np.int64)
+        # The native books point into these very arrays: bind afresh.
+        tally = native.books() if rows else None
+        self._native_books = None if tally is None else _NativeBooks(tally, self)
 
     # ------------------------------------------------------------------ #
     # Stepping
@@ -657,26 +729,40 @@ class SlotEngine:
         Updates the per-row sliding windows, recency and spike totals on
         *local* step coordinates, then returns a :class:`SlotCheckpoint`
         when any row reaches a decode point (check-interval multiple of
-        its local step, or its local budget) — ``None`` otherwise.
+        its local step, or its local budget) — ``None`` otherwise.  The
+        books are one C call (``izh_books``) wherever the native library
+        of :mod:`repro.runtime.native` loaded, and NumPy otherwise; both
+        update the same arrays, so a snapshot saved on one path resumes
+        on the other.
         """
         if self._batch is None:
             raise RuntimeError("no live rows to step")
         self._forget_decodes()
         self._step += 1
         fired = self._batch.step(self._step)
-        local = self._step - self._offsets  # per-row local step (1-based)
-        slot = local % self._window
-        self._window_counts -= self._history[slot, self._row_index]
-        self._history[slot, self._row_index] = fired
-        self._window_counts += fired
-        if fired.any():
-            rows, cols = np.nonzero(fired)
-            self._last_spike[rows, cols] = local[rows]
-            self._row_spikes += fired.sum(axis=1)
-        at_budget = local >= self._budgets
-        at_check = (local % self._check_interval == 0) | at_budget
-        if not at_check.any():
-            return None
+        books = self._native_books
+        if books is not None:
+            if not books(self._step, fired):
+                return None
+            # Copies: the next call overwrites the outputs.
+            local, at_check, at_budget = (
+                books.local.copy(), books.at_check.copy(), books.at_budget.copy()
+            )
+        else:
+            # The NumPy books: the reference of izh_books.
+            local = self._step - self._offsets  # per-row local step (1-based)
+            slot = local % self._window
+            self._window_counts -= self._history[slot, self._row_index]
+            self._history[slot, self._row_index] = fired
+            self._window_counts += fired
+            if fired.any():
+                rows, cols = np.nonzero(fired)
+                self._last_spike[rows, cols] = local[rows]
+                self._row_spikes += fired.sum(axis=1)
+            at_budget = local >= self._budgets
+            at_check = (local % self._check_interval == 0) | at_budget
+            if not at_check.any():
+                return None
         self._at_check = at_check
         return SlotCheckpoint(
             engine=self, step=self._step, local=local, at_check=at_check, at_budget=at_budget

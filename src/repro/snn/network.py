@@ -91,8 +91,9 @@ class SNNNetwork:
     def step(self, step_index: int) -> np.ndarray:
         """Advance the network by one 1 ms step; returns the fired mask.
 
-        A step whose current is NaN raises :class:`FloatingPointError`
-        (the fixed-point quantiser has no integer for it) and leaves the
+        A step whose current is NaN raises :class:`FloatingPointError` on
+        either backend (the fixed-point quantiser has no integer for it,
+        and a float64 membrane would carry it forever) and leaves the
         population, the last-fired mask and the stored current as it
         found them; the input closure has still been called.
         """
@@ -103,11 +104,10 @@ class SNNNetwork:
             synaptic = np.zeros(self.size, dtype=np.float64)
         previous = self.current_state.current
         current = self.current_state.update(external, synaptic)
-        try:
-            fired = self._advance_population(current)
-        except FloatingPointError:
+        if np.isnan(current).any():
             self.current_state.current = previous
-            raise
+            raise FloatingPointError("NaN in the input current of a step")
+        fired = self._advance_population(current)
         self._last_fired = np.asarray(fired, dtype=bool)
         return self._last_fired
 

@@ -2,9 +2,11 @@
 
 A fixed-point batch steps through the native fused kernel wherever
 :func:`repro.runtime.native.load` finds a library, and through the NumPy
-step otherwise; no option selects the path.  ``step_path`` runs a test on
-each: its ``numpy`` leg makes the loader find nothing, as on a host
-without a C compiler.  The existing differential suites keep their test
+step otherwise, and a slot engine keeps its books in C (``izh_books``,
+:func:`repro.runtime.native.books`) or in NumPy on the same terms; no
+option selects the path.  ``step_path`` runs a test on each: its
+``numpy`` leg makes the loader find nothing, for the step and the books,
+as on a host without a C compiler.  The existing differential suites keep their test
 ids on the default path (the native one wherever a compiler exists) and
 gain a NumPy leg as ``<Class>OnNumPyStep`` subclasses, which pin the
 fixture to ``numpy``::
@@ -31,6 +33,7 @@ def step_path(request, monkeypatch):
     """``"native"`` or ``"numpy"``: the step path the test runs on."""
     if request.param == "numpy":
         monkeypatch.setattr(native, "load", lambda: None)
+        monkeypatch.setattr(native, "books", lambda: None)
     elif native.load() is None:
         # test_native_step.py fails this case wherever a compiler exists.
         pytest.skip("no native step kernel on this host")

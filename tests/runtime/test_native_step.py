@@ -35,43 +35,55 @@ from scipy import sparse
 
 from repro.csp import SpikingCSPSolver
 from repro.csp.scenarios import make_instance
+from repro.csp.solver import CSP_SLOT_DECODER
 from repro.fixedpoint import Q7_8, Q15_16
 from repro.runtime import BatchedNetwork, drives, native
+from repro.runtime.slots import _BOOKS, SlotEngine, SlotRow
 from repro.sim.npu import izhikevich_update_raw
 from repro.snn.fixed_izhikevich import FixedPointPopulation, decay_current_raw
+from repro.snn.izhikevich import IzhikevichPopulation
 from repro.snn.network import SNNNetwork
 from repro.snn.synapse import SparseSynapses, quantize_weights_q15_16
 
 BATCH, SIZE, STEPS = 3, 40, 3
+#: (B, N) of the randomized datapath suite: the cell counts that are not
+#: multiples of 8 leave a vector tail, and N = 729 is a Sudoku row.
+TAIL_SHAPES = tuple((b, n) for n in (1, 7, 9, 729) for b in (1, 2, 3))
 STEP_PATHS = ("native", "numpy")
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _sparse(rng):
+def _sparse(rng, size=SIZE):
     """Random sparse weights, every one an exact Q15.16 value."""
-    nnz = SIZE * SIZE // 6
-    rows, cols = rng.integers(0, SIZE, nnz), rng.integers(0, SIZE, nnz)
+    nnz = max(1, size * size // 6)
+    rows, cols = rng.integers(0, size, nnz), rng.integers(0, size, nnz)
     weights = rng.integers(-20 * 65536, 20 * 65536, nnz) / 65536.0
-    return SparseSynapses(sparse.coo_matrix((weights, (rows, cols)), shape=(SIZE, SIZE)))
+    return SparseSynapses(sparse.coo_matrix((weights, (rows, cols)), shape=(size, size)))
 
 
-def _synapses(kind, rng):
+def _synapses(kind, rng, shape=(BATCH, SIZE)):
+    batch, size = shape
     if kind == "none":
-        return [None] * BATCH
+        return [None] * batch
     if kind == "shared":
-        return [_sparse(rng)] * BATCH
-    return [_sparse(rng) for _ in range(BATCH)]
+        return [_sparse(rng, size)] * batch
+    return [_sparse(rng, size) for _ in range(batch)]
 
 
-def _currents(rng):
-    """Drive currents: ordinary, saturating past +-2^31 raw, rounding ties, +-inf."""
-    values = rng.uniform(-60.0, 60.0, size=(BATCH, SIZE))
+def _currents(rng, shape=(BATCH, SIZE)):
+    """Drive currents: ordinary, saturating past +-2^31 raw, rounding ties, +-inf.
+
+    The 24 special values land on random cells, as many as there are.
+    """
+    values = rng.uniform(-60.0, 60.0, size=shape)
+    special = np.concatenate([
+        rng.uniform(-1e5, 1e5, size=12),  # far past Q15.16
+        (rng.integers(-(2**20), 2**20, size=8) + 0.5) / 65536.0,  # rounding ties
+        (np.inf, -np.inf, 1e300, -1e300),
+    ])
     flat = values.reshape(-1)
-    picks = rng.permutation(flat.size)
-    flat[picks[:12]] = rng.uniform(-1e5, 1e5, size=12)  # far past Q15.16
-    flat[picks[12:20]] = (rng.integers(-(2**20), 2**20, size=8) + 0.5) / 65536.0
-    flat[picks[20:22]] = (np.inf, -np.inf)
-    flat[picks[22:24]] = (1e300, -1e300)
+    picks = rng.permutation(flat.size)[: special.size]
+    flat[picks] = special[rng.permutation(special.size)[: picks.size]]
     return values
 
 
@@ -80,16 +92,17 @@ def _noise(replica, step):
     return np.random.default_rng((replica, step)).uniform(-5.0, 25.0, SIZE)
 
 
-def _batch(rng, kind, *, mode, tau_select, h_shift, pin):
+def _batch(rng, kind, *, mode, tau_select, h_shift, pin, shape=(BATCH, SIZE)):
     """A batch over random raw state spanning the whole Q7.8 range."""
+    size = shape[1]
 
     def q78():
-        return rng.integers(Q7_8.raw_min, Q7_8.raw_max + 1, size=SIZE)
+        return rng.integers(Q7_8.raw_min, Q7_8.raw_max + 1, size=size)
 
     def q411():
-        return rng.integers(-(2**15), 2**15, size=SIZE)
+        return rng.integers(-(2**15), 2**15, size=size)
 
-    drive = np.zeros((BATCH, SIZE))  # row b is replica b's input, set per step
+    drive = np.zeros(shape)  # row b is replica b's input, set per step
     networks = [
         SNNNetwork(
             population=FixedPointPopulation(
@@ -101,11 +114,11 @@ def _batch(rng, kind, *, mode, tau_select, h_shift, pin):
             current_mode=mode,
             tau_select=tau_select,
         )
-        for b, synapses in enumerate(_synapses(kind, rng))
+        for b, synapses in enumerate(_synapses(kind, rng, shape))
     ]
     batch = BatchedNetwork.from_networks(networks)
-    np.copyto(batch._isyn_raw, rng.integers(Q15_16.raw_min, Q15_16.raw_max + 1, (BATCH, SIZE)))
-    np.copyto(batch._last_fired, rng.random((BATCH, SIZE)) < 0.3)
+    np.copyto(batch._isyn_raw, rng.integers(Q15_16.raw_min, Q15_16.raw_max + 1, shape))
+    np.copyto(batch._last_fired, rng.random(shape) < 0.3)
     weights = [
         None if s is None else quantize_weights_q15_16(s.matrix.toarray())[0]
         for s in (n.synapses for n in networks)
@@ -117,7 +130,7 @@ def _reference_step(batch, drive, weights, *, mode, tau_select, h_shift, pin):
     """One step of the reference datapath on copies of the batch state."""
     last = batch._last_fired
     syn = np.stack([
-        np.zeros(SIZE, dtype=np.int64) if w is None else w @ last[b].astype(np.int64)
+        np.zeros(batch.size, dtype=np.int64) if w is None else w @ last[b].astype(np.int64)
         for b, w in enumerate(weights)
     ])
     current = drive + syn / 65536.0
@@ -136,19 +149,34 @@ def _reference_step(batch, drive, weights, *, mode, tau_select, h_shift, pin):
     return isyn, v, u, fired
 
 
+KINDS = ("none", "shared", "flat")
+
+
 class TestAgainstTheReference:
     @pytest.mark.parametrize("mode", ["recompute", "decay"])
-    @pytest.mark.parametrize("kind", ["none", "shared", "flat"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_randomized_steps_match_the_datapath(self, step_path, kind, mode):
-        rng = np.random.default_rng(["none", "shared", "flat"].index(kind) * 2 + (mode == "decay"))
+        rng = np.random.default_rng(KINDS.index(kind) * 2 + (mode == "decay"))
+        self._randomized_steps(step_path, kind, mode, (BATCH, SIZE), rng)
+
+    @pytest.mark.parametrize("shape", TAIL_SHAPES, ids=lambda shape: "B%dxN%d" % shape)
+    @pytest.mark.parametrize("mode", ["recompute", "decay"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_vector_tails_match_the_datapath(self, step_path, kind, mode, shape):
+        rng = np.random.default_rng([KINDS.index(kind), mode == "decay", *shape])
+        self._randomized_steps(step_path, kind, mode, shape, rng)
+
+    @staticmethod
+    def _randomized_steps(step_path, kind, mode, shape, rng):
+        """Every DCU selector, timestep and pin, STEPS steps each, against the reference."""
         for tau_select in range(1, 10):
             # (h_shift, pin) walks all eight pairs over the nine selectors.
             h_shift, pin = tau_select % 4, bool((tau_select // 4) % 2)
             options = dict(mode=mode, tau_select=tau_select, h_shift=h_shift, pin=pin)
-            batch, drive, weights = _batch(rng, kind, **options)
+            batch, drive, weights = _batch(rng, kind, shape=shape, **options)
             assert batch.native_step == (step_path == "native")
             for step in range(STEPS):
-                drive[...] = _currents(rng)
+                drive[...] = _currents(rng, shape)
                 isyn, v, u, fired = _reference_step(batch, drive, weights, **options)
                 got = batch.step(step)
                 case = f"{options} step {step}"
@@ -382,10 +410,12 @@ def _csp_networks(seeds):
 
 @contextlib.contextmanager
 def _on_path(path):
-    """Batches first stepped inside take ``path``: ``"native"`` or ``"numpy"``."""
+    """Batches first stepped, and slot engines composed, inside take ``path``:
+    ``"native"`` or ``"numpy"``."""
     with pytest.MonkeyPatch.context() as patch:
         if path == "numpy":
             patch.setattr(native, "load", lambda: None)
+            patch.setattr(native, "books", lambda: None)
         yield
 
 
@@ -496,6 +526,42 @@ class TestANaNStep:
             np.testing.assert_array_equal(batch.u_raw[0], sequential.population.u_raw, err_msg=path)
             np.testing.assert_array_equal(batch._last_fired[0], sequential._last_fired, err_msg=path)
 
+    @pytest.mark.parametrize("mode", ["recompute", "decay"])
+    def test_the_float64_backend_refuses_a_nan_current(self, mode):
+        """Sequential and batched alike: ok, raise, ok, ok, and equal, finite ends."""
+        inputs = {0: [30.0] * 4, 1: [1.0, np.nan, 2.0, 3.0], 2: [30.0] * 4, 3: [30.0] * 4}
+        calls = []
+
+        def network():
+            population = IzhikevichPopulation(
+                a=np.full(4, 0.02), b=np.full(4, 0.2), c=np.full(4, -65.0),
+                d=np.full(4, 8.0), v=np.full(4, -65.0), u=np.full(4, -13.0),
+            )
+
+            def drive(step):
+                calls.append(step)
+                return np.array(inputs[step])
+
+            return SNNNetwork(population=population, current_mode=mode, external_input=drive)
+
+        sequential = network()
+        batch = BatchedNetwork.from_networks([network()])
+        for stepper in (sequential.step, batch.step):
+            outcomes = []
+            for step in range(4):
+                try:
+                    stepper(step)
+                    outcomes.append("ok")
+                except FloatingPointError:
+                    outcomes.append("raise")
+            assert outcomes == ["ok", "raise", "ok", "ok"]
+        assert calls == [0, 1, 2, 3] * 2  # the NaN step still read its input
+        assert np.isfinite(sequential.population.v).all()
+        np.testing.assert_array_equal(batch.v[0], sequential.population.v)
+        np.testing.assert_array_equal(batch.u[0], sequential.population.u)
+        np.testing.assert_array_equal(batch._current[0], sequential.current_state.current)
+        np.testing.assert_array_equal(batch._last_fired[0], sequential._last_fired)
+
     def test_an_annealed_batch_advances_every_stream_by_one_step(self, assert_same_snapshot):
         graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
         solver = SpikingCSPSolver(graph, seed=1)
@@ -523,3 +589,78 @@ class TestANaNStep:
             assert stream.bit_generator.state == fresh.bit_generator.state
         if ends["native"][0]:
             assert_same_snapshot(ends["native"][1], ends["numpy"][1])
+
+
+# ---------------------------------------------------------------------- #
+# The slot books in C against the NumPy books
+# ---------------------------------------------------------------------- #
+def _random_step(batch, step_index):
+    """Stands in for ``BatchedNetwork.step``: a random fired mask per (step, rows),
+    written into the batch's own buffers and swapped as the real step does."""
+    fired = batch._fired
+    fired[...] = np.random.default_rng([step_index, batch.batch_size]).random(fired.shape) < 0.3
+    batch._last_fired, batch._fired = fired, batch._last_fired
+    return batch._last_fired
+
+
+def _books_run(path, window, check_interval):
+    """The books and checkpoint masks after every step of one serve-style run on ``path``.
+
+    Rows join at different global steps, budgets fall between checks and
+    inside the window, the engine retains and extends mid-run (once to
+    the same row count, so only the rebound pointers tell the books
+    apart), and the run is saved and restored onto a fresh engine.
+    """
+    graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
+    solver = SpikingCSPSolver(graph, seed=1)
+
+    def admission(seed, budget):
+        row = SlotRow(graph=graph, clamps=clamps, budget=budget, payload=seed)
+        return row, solver.row(clamps, seed=seed)
+
+    def engine():
+        return SlotEngine(decoder=CSP_SLOT_DECODER, window=window, check_interval=check_interval)
+
+    records = []
+
+    def steps(live, count):
+        for _ in range(count):
+            checkpoint = live.step()
+            masks = None if checkpoint is None else (
+                checkpoint.local, checkpoint.at_check, checkpoint.at_budget)
+            books = {key: getattr(live, attr).copy() for key, attr, _ in _BOOKS}
+            records.append((books, masks))
+
+    with _on_path(path):
+        live = engine()
+        live.admit([admission(1, 9), admission(2, 25)])
+        assert (live._native_books is not None) == (path == "native")
+        steps(live, 4)
+        live.admit([admission(3, 13)])
+        steps(live, 6)
+        live.recompose([0, 2], [admission(4, 17)])
+        steps(live, 7)
+        live.recompose([1, 2], [admission(5, 40), admission(6, 11)])
+        steps(live, 5)
+        state = live.export_state([row.payload for row in live.rows])
+        rebuilt = [(row.payload, solver.row(clamps, seed=row.payload)) for row in live.rows]
+        live = engine()
+        live.restore_state(state, rebuilt)
+        steps(live, 20)
+    return records
+
+
+class TestNativeBooks:
+    @pytest.mark.parametrize("check_interval", [1, 7, 10])
+    @pytest.mark.parametrize("window", [1, 3, 20])
+    def test_equal_the_numpy_books_after_every_step(
+        self, monkeypatch, assert_same_snapshot, window, check_interval
+    ):
+        if native.books() is None:
+            pytest.skip("no native step kernel on this host")
+        monkeypatch.setattr(BatchedNetwork, "step", _random_step)
+        mine, reference = (_books_run(path, window, check_interval) for path in STEP_PATHS)
+        assert len(mine) == len(reference) == 42
+        assert any(masks is not None for _, masks in reference)
+        for step, (got, expected) in enumerate(zip(mine, reference)):
+            assert_same_snapshot(got, expected, f"step {step}")

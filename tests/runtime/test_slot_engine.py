@@ -466,13 +466,13 @@ class TestOneShotPolicyOnNumPyStep(TestOneShotPolicy):
 class TestSnapshotAcrossStepPaths:
     """A snapshot saved on one step path resumes bit-identically on the other.
 
-    Both paths carry the same state arrays, and a supervised serve child
-    may restart on a host without a C compiler.
+    Both paths carry the same state arrays and the same books, and a
+    supervised serve child may restart on a host without a C compiler.
     """
 
     @pytest.mark.parametrize("saved_on", ["native", "numpy"])
     def test_resume_on_the_other_path_matches_uninterrupted(self, tmp_path, monkeypatch, saved_on):
-        kernel = native.load()
+        kernel, books = native.load(), native.books()
         if kernel is None:
             pytest.skip("no native step kernel on this host")
         native_steps = []
@@ -483,6 +483,7 @@ class TestSnapshotAcrossStepPaths:
 
         def use(path):
             monkeypatch.setattr(native, "load", lambda: counted if path == "native" else None)
+            monkeypatch.setattr(native, "books", lambda: books if path == "native" else None)
 
         config = CSPConfig()
         jobs = [_Job(name=f"job{i}", seed=500 + i, budget=(60, 90, 140)[i % 3]) for i in range(6)]
@@ -503,6 +504,7 @@ class TestSnapshotAcrossStepPaths:
         engine = make_engine(CheckpointStore(tmp_path, kind="slots"))
         policy = _RefillPolicy(jobs, config=config, slots=3)
         engine.admit(policy.initial_admissions(engine))
+        assert (engine._native_books is not None) == (saved_on == "native")
         for _ in range(100):
             engine.advance(policy)
         assert bool(native_steps) == (saved_on == "native")
