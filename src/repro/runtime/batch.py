@@ -5,83 +5,63 @@ per Python loop iteration, so a seed sweep of the 80-20 workload or a
 multi-puzzle Sudoku solve-rate run pays the NumPy dispatch overhead of
 every small array operation ``B`` times per step.  :class:`BatchedNetwork`
 stacks the state of ``B`` *compatible* networks into ``(B, N)`` arrays and
-advances all of them in one fused update per step, amortising that
-overhead across the whole batch.
+advances all of them in one fused update per step.
 
 Two operating points are supported, selected by ``synapse_mode``:
 
 ``"exact"`` (default)
-    The batched run is **bit-exact** with ``B`` sequential
-    ``SNNNetwork.run`` calls — bit-identical spike rasters for the
-    fixed-point backend and bit-identical float64 trajectories for the
-    reference backend.  Whenever the connectivity is sparse and every
-    synaptic weight is exactly representable in Q15.16 (the WTA
-    constraint networks, whose weights are small integers), propagation
-    runs through the **integer CSR kernel**: the weights are quantised to
-    raw ``int64`` once at stack time and one batched gather + segmented
-    integer reduction delivers the synaptic current of all ``B``
-    replicas at once.  Integer adds commute, so the fused reduction is
-    bit-identical to the sequential per-replica propagation *by
-    construction* — this path is the default for every batch that
-    qualifies.  Everything else (e.g. the 80-20 network's dense random
-    weights) runs the per-replica propagation with the identical
-    sequential expressions.
-
+    **Bit-exact** with ``B`` sequential ``SNNNetwork.run`` calls on
+    either backend.  Sparse connectivity whose weights are all exactly
+    representable in Q15.16 (the WTA constraint networks) propagates
+    through the **integer CSR kernel**: raw ``int64`` weights and one
+    batched gather + segmented integer reduction for all ``B`` replicas,
+    bit-identical *by construction* because integer adds commute.
+    Everything else (e.g. the 80-20 network's dense random weights) runs
+    the per-replica propagation with the sequential expressions.
 ``"fused"``
     Dense connectivity (the 80-20 network) is propagated for the whole
-    batch at once: a float gather + segmented reduction over the stacked
-    weight matrices.  Floating-point summation order then differs from
-    the sequential column reduction, so results are numerically
-    equivalent (same distribution, ULP-level differences in the synaptic
-    current) but not guaranteed bit-identical.  This is the
-    high-throughput mode used by the 80-20 seed-sweep benchmarks.  Sparse
-    batches propagate exactly as in ``"exact"`` mode: through the integer
-    kernel when their weights qualify (so fused *is* bit-exact there),
-    per replica otherwise.
+    batch at once: a float gather + segmented reduction whose summation
+    order differs from the sequential one (ULP-level differences, no
+    bit guarantee); the high-throughput mode of the 80-20 seed sweeps.
+    Sparse batches propagate exactly as in ``"exact"`` mode.
 
-A batch owns its input.  At construction it compiles its rows' drive
-specs into one ``(B, N)`` drive (:mod:`repro.runtime.drives`) when every
-row has a spec, the specs are one family as wide as the batch, and no
-two rows draw from one generator at the source (judged on a network's
-closure generator, not on the clone its row owns); otherwise it calls
-each row's own closure every step.  :meth:`BatchedNetwork.retain` and
-:meth:`BatchedNetwork.extend` restack the drive with the rows, and
-:meth:`BatchedNetwork.export_state` carries its state.
+A batch owns its input.  It compiles its rows' drive specs into one
+``(B, N)`` drive (:mod:`repro.runtime.drives`) when every row has a spec,
+the specs are one family as wide as the batch, and no two rows draw from
+one generator at the source (judged on a network's closure generator,
+not on the clone its row owns); otherwise it calls each row's own
+closure every step.
 
 Every fixed-point step sums its current at scale ``2^16``
-(:meth:`BatchedNetwork._fixed_isyn_raw`): the drive current times
-``2^16``, the decayed raw current, then the integer kernel's raw sum (or
-a float synaptic current times ``2^16``), rounded once by
-:func:`_quantize_scaled_q15_16`.  Scaling by a power of two commutes with
-float rounding, so this is bit-identical to the sequential
-``Q15_16.from_float((decayed + external) + synaptic)`` without its
-float round-trip.  In ``"decay"`` current mode the engine carries the
-quantised current as raw integer state across steps, so the per-step
-re-quantisation of the float current disappears entirely.
+(:meth:`BatchedNetwork._fixed_isyn_raw`) and rounds it once
+(:func:`_quantize_scaled_q15_16`); scaling by a power of two commutes
+with float rounding, so this is bit-identical to the sequential
+``Q15_16.from_float((decayed + external) + synaptic)``.  In ``"decay"``
+current mode the quantised current is carried as raw integer state.
 
-Every per-replica array is one row of a ``(B, N)`` stack, named in one
-place (``_STATE`` and ``_PARAMS``).  A replica enters a batch as a
-:class:`BatchRow` — its layout, connectivity, 1-D arrays and inputs —
-and :meth:`BatchedNetwork._rows_of` is the one reader that stacks them.
-Solvers build row specs directly (``SpikingCSPSolver.row``);
-:func:`batch_row` is the one adapter that reads an :class:`SNNNetwork`
-into one.  Batches shrink and grow along those rows:
-:meth:`BatchedNetwork.retain` drops replicas (e.g. solver instances that
-already converged) so late steps only advance the survivors, and
-:meth:`BatchedNetwork.extend` stacks fresh ones in.  Spike
-recording in :meth:`BatchedNetwork.run` goes through a preallocated
-bit-packed buffer (one bit per neuron-step) instead of a ``(T, B, N)``
-bool cube.
+A replica enters a batch as a :class:`BatchRow` — its layout,
+connectivity, 1-D arrays and inputs; :func:`batch_row` is the one
+adapter that reads an :class:`SNNNetwork` into one, and solvers build
+row specs directly (``SpikingCSPSolver.row``).  Every per-replica array —
+the checkpointed state (``_STATE``), the parameters (``_PARAMS``) and the
+step's scratch (``_SCRATCH``) — is a row of one
+:class:`~repro.runtime.rows.RowStack`: buffers sized to a capacity whose
+live ``(B, N)`` prefix the batch sees as attributes.
+:meth:`BatchedNetwork.retain` drops replicas (solver instances that
+converged) by moving the survivors down in place, and
+:meth:`BatchedNetwork.extend` writes fresh ones after them, reallocating
+only when the buffers are full; the compiled drive keeps its rows the
+same way.  :meth:`BatchedNetwork.run` records spikes into a bit-packed
+buffer (one bit per neuron-step).
 
 The fixed-point update is fused through :class:`_FixedBatchKernel`, a
 scratch-buffer reimplementation of the integer datapath that is
 bit-identical to :func:`repro.sim.npu.izhikevich_update_raw` by
-construction (integer arithmetic is exact, so reassociating the adds and
-reusing buffers cannot change results); ``tests/runtime`` locks the
-equivalence down with randomized cross-checks.  The pure-integer regions
-carrying that proof are marked ``# reprolint: exact-int`` — reprolint's
-RL003 rule (``docs/LINTING.md``) fails the lint on any float literal,
-true division or float cast introduced inside them.
+construction; ``tests/runtime`` locks the equivalence down with
+randomized cross-checks.  The pure-integer regions carrying that proof
+are marked ``# reprolint: exact-int`` — reprolint's RL003 rule
+(``docs/LINTING.md``) fails the lint on any float literal, true
+division or float cast inside them.
 
 A fixed-point batch has two step paths.  The *NumPy step* (the drive,
 :meth:`BatchedNetwork._fixed_isyn_raw`, then ``2^h`` calls of
@@ -93,14 +73,17 @@ drawn from each row's own bit generator; the integer synaptic scatter,
 the current sum and its quantiser, and every substep.  A batch takes it
 when it is fixed-point, its synapses run on the integer kernel or are
 absent, and the library loaded; otherwise, and on hosts without a C
-compiler or NumPy's ``npyrandom`` archive, it takes the NumPy step.
-Both paths carry the same state arrays and generators, so results,
-snapshots and restores are identical on either;
-:attr:`BatchedNetwork.native_step` tells which one a batch runs.  A step
-whose current is NaN raises :class:`FloatingPointError` on either path
-and leaves ``v``, ``u``, the last-fired mask and the current feed as it
-found them; every row's noise stream has still advanced by one step.
-The float64 backend refuses a NaN current the same way.
+compiler or NumPy's ``npyrandom`` archive, it takes the NumPy step.  Its
+pointer block is bound when the row stacks are allocated and again only
+when they grow; each call passes the live row count, and only the
+integer grid's pointers are rewritten at a recomposition.  Both paths
+carry the same state arrays and generators, so results, snapshots and
+restores are identical on either; :attr:`BatchedNetwork.native_step`
+tells which one a batch runs.  A step whose current is NaN raises
+:class:`FloatingPointError` on either path and leaves ``v``, ``u``, the
+last-fired mask and the current feed as it found them; every row's
+noise stream has still advanced by one step.  The float64 backend
+refuses a NaN current the same way.
 """
 
 from __future__ import annotations
@@ -121,6 +104,7 @@ from ..snn.network import InputProvider, SNNNetwork, Synapses
 from ..snn.synapse import DenseSynapses, SparseSynapses
 from . import native
 from .drives import PortfolioAnnealedDrive, declared_spec, drive_class, lift_drive_spec
+from .rows import Field, RowStack
 
 __all__ = ["BatchRow", "BatchedNetwork", "BatchIncompatibleError", "batch_row"]
 
@@ -142,8 +126,6 @@ _ACC_FROM_Q7_8 = 16 - Q7_8.frac_bits  # promote Q7.8 raw to the Q?.16 accumulato
 _BV_SHIFT = 11 + Q7_8.frac_bits - 16  # align b*v (Q4.11 * Q7.8) to 16 frac bits
 #: Largest ``h_shift`` the native step takes (``nmldh`` selects 1 or 3).
 _NATIVE_MAX_H_SHIFT = 8
-#: ``BatchedNetwork._native`` before the first step of a composition.
-_UNBOUND: Any = object()
 
 
 class BatchIncompatibleError(ValueError):
@@ -202,37 +184,25 @@ class _FixedBatchKernel:
     """Scratch-buffer fixed-point Izhikevich substep over ``(B, N)`` state.
 
     Bit-identical to :func:`repro.sim.npu.izhikevich_update_raw`; the only
-    differences are preallocated temporaries and in-place NumPy ops, which
-    are exact for integer arithmetic.
+    differences are reused temporaries and in-place NumPy ops, which are
+    exact for integer arithmetic.  :meth:`substep` reads the ``(B, N)``
+    int64 parameters ``a_raw`` .. ``d_raw`` and the scratch of
+    :data:`SCRATCH` as attributes of ``rows`` (a batch passes itself).
     """
 
-    def __init__(
-        self,
-        a_raw: np.ndarray,
-        b_raw: np.ndarray,
-        c_raw: np.ndarray,
-        d_raw: np.ndarray,
-        *,
-        h_shift: int,
-        pin_voltage: bool,
-    ) -> None:
-        self.a = a_raw
-        self.b = b_raw
-        self.c = c_raw
-        self.d_q78 = d_raw >> (11 - Q7_8.frac_bits)
+    #: The scratch rows :meth:`substep` writes, as ``(attribute, dtype)``.
+    SCRATCH = (("_v_acc", np.int64), ("_u_acc", np.int64), ("_dv", np.int64),
+               ("_du", np.int64), ("_u_sp", np.int64), ("_spike", np.bool_))
+
+    def __init__(self, *, h_shift: int, pin_voltage: bool) -> None:
         self.h_shift = h_shift
         self.pin_voltage = pin_voltage
-        shape = a_raw.shape
-        self._v_acc = np.empty(shape, dtype=np.int64)
-        self._u_acc = np.empty(shape, dtype=np.int64)
-        self._dv = np.empty(shape, dtype=np.int64)
-        self._du = np.empty(shape, dtype=np.int64)
-        self._u_sp = np.empty(shape, dtype=np.int64)
-        self._spike = np.empty(shape, dtype=bool)
 
-    def substep(self, v: np.ndarray, u: np.ndarray, isyn_raw: np.ndarray) -> np.ndarray:
+    def substep(
+        self, rows: Any, v: np.ndarray, u: np.ndarray, isyn_raw: np.ndarray
+    ) -> np.ndarray:
         """Advance ``(v, u)`` in place by one NPU timestep; returns spikes."""
-        v_acc, u_acc, dv, du = self._v_acc, self._u_acc, self._dv, self._du
+        v_acc, u_acc, dv, du = rows._v_acc, rows._u_acc, rows._dv, rows._du
         np.left_shift(v, _ACC_FROM_Q7_8, out=v_acc)
         np.left_shift(u, _ACC_FROM_Q7_8, out=u_acc)
 
@@ -249,10 +219,10 @@ class _FixedBatchKernel:
 
         # du = (a (b v - u)) >> h — the two narrowing shifts (>> 11, >> h)
         # collapse into one arithmetic shift, which is bit-identical.
-        np.multiply(self.b, v, out=du)
+        np.multiply(rows.b_raw, v, out=du)
         np.right_shift(du, _BV_SHIFT, out=du)
         du -= u_acc
-        du *= self.a
+        du *= rows.a_raw
         np.right_shift(du, 11 + self.h_shift, out=du)
 
         v_acc += dv
@@ -262,20 +232,21 @@ class _FixedBatchKernel:
         np.right_shift(u_acc, _ACC_FROM_Q7_8, out=u_acc)
         _clip(u_acc, _Q7_8_MIN_I, _Q7_8_MAX_I, u_acc)
 
-        spike = self._spike
+        spike = rows._spike
         np.greater_equal(v_acc, _VTH_RAW, out=spike)
         np.copyto(v, v_acc)
         np.copyto(u, u_acc)
         if spike.any():
             # Reset only when something fired; quiet substeps (the common
             # case in settled WTA phases) skip the whole spike datapath.
-            u_sp = self._u_sp
-            np.add(u_acc, self.d_q78, out=u_sp)
+            u_sp = rows._u_sp
+            np.right_shift(rows.d_raw, 11 - Q7_8.frac_bits, out=u_sp)  # d: Q4.11 -> Q7.8
+            u_sp += u_acc
             _clip(u_sp, _Q7_8_MIN_I, _Q7_8_MAX_I, u_sp)
-            np.copyto(v, self.c, where=spike)
+            np.copyto(v, rows.c_raw, where=spike)
             np.copyto(u, u_sp, where=spike)
         if self.pin_voltage:
-            np.maximum(v, self.c, out=v)
+            np.maximum(v, rows.c_raw, out=v)
         return spike
 
 
@@ -320,9 +291,7 @@ class _SynapseBatch:
             )
 
     def _build(self, integer_mode: Optional[bool]) -> None:
-        """(Re)build the stacked structures for the current replica set."""
-        batch, size = len(self._synapses), self.size
-        self._resize()
+        """(Re)build the stacked structures for the live replica set."""
         self._weight_rows: Optional[np.ndarray] = None
         self._gather: tuple = ()  # (indptr, indices, col_counts, data, uniform)
         self._int_kind: Optional[str] = None
@@ -335,71 +304,49 @@ class _SynapseBatch:
             # then yields every replica's synaptic current at once.
             stacked = np.stack([np.asarray(s.weights) for s in self._synapses])
             self._weight_rows = np.ascontiguousarray(stacked.transpose(0, 2, 1)).reshape(
-                batch * size, size
+                len(self._synapses) * self.size, self.size
             )
-
-    def _resize(self) -> None:
-        batch, size = len(self._synapses), self.size
-        self._out = np.zeros((batch, size), dtype=np.float64)
-        self._raw_out = np.zeros((batch, size), dtype=np.int64)
 
     def _build_integer(self) -> bool:
         """Stack raw Q15.16 sparse weights; ``False`` when that would lose bits.
 
         Rows rely on :meth:`SparseSynapses.quantized_q15_16` memoising
         its lossless payloads: a row is quantised once, not once per
-        recomposition.
+        recomposition.  The native step reads the int64 grid in place.
         """
         first = self._synapses[0]
         if not isinstance(first, SparseSynapses):
             return False
-        synapses = self._synapses
-        shared = self._one_matrix()
+        shared = all(s.matrix is first.matrix for s in self._synapses[1:])
+        replicas = self._synapses[:1] if shared else self._synapses
         raws = []
-        for synapse in synapses[:1] if shared else synapses:
+        for synapse in replicas:
             raw, lossless = synapse.quantized_q15_16()
             if not lossless:
                 return False
             raws.append(raw)
-        if shared:
-            counts = np.diff(np.asarray(first.matrix.indptr, dtype=np.int64))
-            indices = np.asarray(first.matrix.indices, dtype=np.int64)
-        else:
+        matrices = [synapse.matrix for synapse in replicas]
+        ptrs = np.stack([m.indptr for m in matrices], dtype=np.int64)  # (1 or B, N + 1)
+        indices = np.concatenate([m.indices for m in matrices], dtype=np.int64)
+        if not shared:
             # Independent per-replica connectivity: flatten the B CSC
             # structures over one (B * N)-column grid with globally offset
             # row indices, so a single gather serves the whole batch.
-            counts, indices = self._flat_columns(synapses, 0)
-        self._set_gather(counts, indices, np.concatenate(raws, dtype=np.int64))
-        self._int_kind = "shared" if shared else "flat"
-        return True
-
-    def _one_matrix(self) -> bool:
-        """Whether every replica shares the first replica's matrix object."""
-        first = self._synapses[0].matrix
-        return all(s.matrix is first for s in self._synapses[1:])
-
-    def _flat_columns(self, synapses: Sequence[Any], first_replica: int) -> tuple:
-        """Column counts and grid-offset row indices of consecutive replicas."""
-        matrices = [synapse.matrix for synapse in synapses]
-        ptrs = np.stack([m.indptr for m in matrices]).astype(np.int64)  # (B, N + 1)
-        indices = np.concatenate([m.indices for m in matrices]).astype(np.int64)
-        replicas = np.arange(first_replica, first_replica + len(matrices), dtype=np.int64)
-        indices += np.repeat(replicas * self.size, ptrs[:, -1])
-        return np.diff(ptrs, axis=1).ravel(), indices
-
-    def _set_gather(self, counts: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
-        """Install the integer grid: int64 CSC arrays, read in place by the native step."""
-        indptr = np.concatenate([[0], np.cumsum(counts)])
+            indices += np.repeat(np.arange(len(matrices), dtype=np.int64) * self.size, ptrs[:, -1])
+        counts = np.diff(ptrs, axis=1).ravel()
+        indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
         uniform = None
         if counts.size and int(counts[0]) > 0 and np.all(counts == counts[0]):
             uniform = int(counts[0])  # constant fan-out (the WTA graphs)
-        self._gather = (indptr, indices, counts, data, uniform)
+        self._gather = (indptr, indices, counts, np.concatenate(raws, dtype=np.int64), uniform)
+        self._int_kind = "shared" if shared else "flat"
+        return True
 
     # ------------------------------------------------------------------ #
     # reprolint: exact-int -- integer scatter-add (bincount sums below 2^53 are exact)
-    def propagate_raw(self, fired: np.ndarray) -> np.ndarray:
-        """Raw Q15.16 synaptic current ``(B, N)`` (integer path only)."""
-        out = self._raw_out
+    def propagate_raw(self, fired: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Raw Q15.16 synaptic current ``(B, N)`` into ``out`` (integer path only)."""
         out_flat = out.reshape(-1)
         out_flat[:] = 0
         if self._none:
@@ -438,15 +385,13 @@ class _SynapseBatch:
         np.copyto(out_flat, sums, casting="unsafe")
         return out
 
-    def propagate(self, fired: np.ndarray) -> np.ndarray:
-        """Synaptic current ``(B, N)`` delivered by the firing mask ``(B, N)``."""
-        out = self._out
+    def propagate(self, fired: np.ndarray, out: np.ndarray, raw: np.ndarray) -> np.ndarray:
+        """Synaptic current ``(B, N)`` of the firing mask into ``out``; ``raw``: int64 scratch."""
         if self._none:
             out[:] = 0.0
             return out
         if self.integer:
-            raw = self.propagate_raw(fired)
-            np.divide(raw, 65536.0, out=out)  # exact: |raw| < 2^53
+            np.divide(self.propagate_raw(fired, raw), 65536.0, out=out)  # exact: |raw| < 2^53
             return out
         if self._weight_rows is None:
             for i, syn in enumerate(self._synapses):
@@ -462,27 +407,10 @@ class _SynapseBatch:
             out[nonempty] = np.add.reduceat(rows, starts, axis=0)
         return out
 
-    def retain(self, keep: np.ndarray) -> None:
-        """Drop all replica rows not listed in ``keep``.
-
-        A flat integer grid whose survivors still hold several matrices
-        is sliced down to the kept replicas' columns; any other stack is
-        rebuilt.  Either way the stacks equal a fresh build's.
-        """
-        old = len(self._synapses)
+    def retain(self, keep: Sequence[int]) -> None:
+        """Drop all replica rows not listed in ``keep``; rebuilds from the survivors."""
         self._synapses = [self._synapses[i] for i in keep]
-        if self._int_kind != "flat" or self._one_matrix():
-            self._build(self.integer)
-            return
-        indptr, indices, counts, data, _ = self._gather
-        nnz = np.diff(indptr[:: self.size])  # entries per old replica
-        kept = np.zeros(old, dtype=bool)
-        kept[keep] = True
-        entries = np.repeat(kept, nnz)
-        shift = np.repeat((keep - np.arange(len(keep))) * self.size, nnz[keep])
-        columns = counts.reshape(old, self.size)[keep].ravel()
-        self._set_gather(columns, indices[entries] - shift, data[entries])
-        self._resize()
+        self._build(self.integer)
 
     def validate_extend(self, synapses: Sequence[Synapses]) -> None:
         """Raise if :meth:`extend` would refuse — without mutating anything.
@@ -502,129 +430,89 @@ class _SynapseBatch:
                 )
 
     def extend(self, synapses: Sequence[Synapses]) -> None:
-        """Append replica synapse sets (checked by :meth:`validate_extend`).
-
-        A flat integer grid grows by the new replicas' columns; any other
-        stack is rebuilt.  Either way the stacks equal a fresh build's.
-        """
-        old = len(self._synapses)
+        """Append replica synapse sets (checked by :meth:`validate_extend`); rebuilds."""
         self._synapses.extend(synapses)
-        if self._int_kind != "flat":
-            self._build(self.integer)
-            return
-        _, indices, counts, data, _ = self._gather
-        new_counts, new_indices = self._flat_columns(synapses, old)
-        raws = [data] + [synapse.quantized_q15_16()[0] for synapse in synapses]
-        self._set_gather(
-            np.concatenate([counts, new_counts]),
-            np.concatenate([indices, new_indices]),
-            np.concatenate(raws, dtype=np.int64),
-        )
-        self._resize()
+        self._build(self.integer)
 
 
 #: ``izh_batch.synapses`` codes of the C source, by ``_SynapseBatch._int_kind``.
 _NATIVE_SYNAPSES = {None: 0, "shared": 1, "flat": 2}
-#: The fixed-point arrays the native step reads or updates in place, as
-#: ``(StepBlock field, batch attribute)``.
-_NATIVE_ROWS = (("isyn", "_isyn_raw"), ("v", "v_raw"), ("u", "u_raw"),
-                ("a", "a_raw"), ("b", "b_raw"), ("c", "c_raw"), ("d", "d_raw"))
-#: The annealed drive's per-row arrays the native step reads, as
-#: ``(StepBlock field, PortfolioAnnealedDrive attribute, dtype, (B, N) wide)``.
-_NATIVE_DRIVE = (("drive", "_drives", np.float64, True), ("mask", "_masks", np.bool_, True),
-                 ("sigma", "_sigma", np.float64, False), ("period", "_period", np.int64, False),
-                 ("anneal_floor", "_floor", np.float64, False),
-                 ("offset", "_offsets", np.int64, False))
+#: The batch rows the native step reads or updates in place, as
+#: ``(StepBlock field, batch attribute, dtype)``; ``_syn`` is its scratch.
+_NATIVE_ROWS = tuple((field, attr, np.int64) for field, attr in (
+    ("isyn", "_isyn_raw"), ("v", "v_raw"), ("u", "u_raw"), ("a", "a_raw"), ("b", "b_raw"),
+    ("c", "c_raw"), ("d", "d_raw"), ("syn", "_syn")))
+#: The annealed drive's rows the native step reads, as
+#: ``(StepBlock field, PortfolioAnnealedDrive attribute, dtype)``.
+_NATIVE_DRIVE = (("drive", "_drives", np.float64), ("mask", "_masks", np.bool_),
+                 ("sigma", "_sigma", np.float64), ("period", "_period", np.int64),
+                 ("anneal_floor", "_floor", np.float64), ("offset", "_offsets", np.int64),
+                 ("rngs", "_bitgens", np.uintp))
 
 
 class _NativeStep:
-    """The native fused step (:mod:`repro.runtime.native`) bound to one batch composition.
+    """The native fused step (:mod:`repro.runtime.native`) bound to one batch's buffers.
 
-    Holds the C pointer block and every array and generator it points
-    into; the batch drops it in ``_alloc`` (construction, ``retain``,
-    ``extend``) and binds a fresh one on its next step.  ``restore_state``
-    copies in place — arrays by copy, generators by bit-generator state —
-    so the pointers stay valid across it.  The integer grid is read where
-    ``_SynapseBatch._gather`` keeps it.  When the batch's drive is a
-    :class:`~repro.runtime.drives.PortfolioAnnealedDrive` (``annealed``),
-    the C step evaluates it from the drive's per-row arrays and draws
-    each row's normals from that row's ``bitgen_t``; otherwise the batch
-    passes the drive's output, whose address is cached while the drive
-    returns the same buffer.  The two fired masks the batch swaps are the
-    other per-step addresses.
+    Bound when the batch's row stack — and its drive's — were allocated;
+    retains, extends within capacity and restores write in place
+    (generators by bit-generator state), so the pointers stay valid until
+    an ``extend`` reallocates.  The integer grid is rebuilt at every
+    recomposition, so :meth:`grid` rewrites its kind and three pointers.
+    With a :class:`~repro.runtime.drives.PortfolioAnnealedDrive`
+    (``annealed``) the C step evaluates the drive itself; otherwise the
+    batch passes the drive's output.
     """
 
     def __init__(self, step: Callable[..., int], batch: "BatchedNetwork") -> None:
-        shape = (batch.batch_size, batch.size)
         drive = batch._drive
         self.annealed = isinstance(drive, PortfolioAnnealedDrive)
-        # (StepBlock field, array, dtype, shape) of every array the block points into.
-        pointed = [(field, getattr(batch, attr), np.int64, shape) for field, attr in _NATIVE_ROWS]
-        if self.annealed:
-            pointed += [(field, getattr(drive, attr), dtype, shape if wide else shape[:1])
-                        for field, attr, dtype, wide in _NATIVE_DRIVE]
-        masks = (batch._fired, batch._last_fired)
-        for _, array, dtype, want in pointed + [(None, m, np.bool_, shape) for m in masks]:
-            # The C loop trusts these; a converted copy would detach it from the state.
-            if array.shape != want or array.dtype != dtype or not array.flags.c_contiguous:
-                raise RuntimeError(f"batch arrays must be C-contiguous {want} stacks of {dtype}")
-        synapses = batch._synapses
-        self._syn = np.zeros(shape, dtype=np.int64)  # C scratch, zero between calls
-        block = native.StepBlock(
-            cells=batch.batch_size * batch.size,
+        self.kernel = step
+        self._noise = np.empty(batch.size)  # C scratch: one row's normals
+        self._block = block = native.StepBlock(
             size=batch.size,
             h_shift=batch.h_shift,
             pin_voltage=int(batch._pin_voltage),
             decay=int(batch.current_mode == "decay"),
-            synapses=_NATIVE_SYNAPSES[synapses._int_kind],
-            syn=self._syn.ctypes.data,
+            annealed=int(self.annealed),
+            noise=self._noise.ctypes.data,
         )
         if batch.current_mode == "decay":
             shifts = SHIFT_SELECTIONS[batch.tau_select]
             block.shift_count = len(shifts)
             block.shifts[: len(shifts)] = shifts
-        gather: List[np.ndarray] = []
+        batch._stack.bind(block, _NATIVE_ROWS)
+        if self.annealed:
+            drive._stack.bind(block, _NATIVE_DRIVE)
+        self._at = ctypes.addressof(block)
+        # The two fired-mask buffers the batch swaps, by id; holding them keeps the ids unique.
+        self._buffers = (batch._fired.base, batch._last_fired.base)
+        self._masks = {id(buffer): buffer.ctypes.data for buffer in self._buffers}
+        self.grid(batch._synapses)
+
+    def grid(self, synapses: _SynapseBatch) -> None:
+        """Point the block at the integer grid as last rebuilt."""
+        self._block.synapses = _NATIVE_SYNAPSES[synapses._int_kind]
         if synapses._int_kind is not None:
             indptr, indices, _, data, _ = synapses._gather
-            gather = [indptr, indices, data]
-            if any(a.dtype != np.int64 or not a.flags.c_contiguous for a in gather):
+            self._grid = (indptr, indices, data)  # alive while the C loop may read it
+            if any(a.dtype != np.int64 or not a.flags.c_contiguous for a in self._grid):
                 raise RuntimeError("the integer synapse grid must be C-contiguous int64 arrays")
-            block.indptr, block.indices, block.weights = (a.ctypes.data for a in gather)
-        for field, array, _, _ in pointed:
-            setattr(block, field, array.ctypes.data)
-        owned: List[Any] = []
-        if self.annealed:
-            rngs = list(drive._rngs)
-            bitgens = np.array(
-                [rng.bit_generator.ctypes.bit_generator.value for rng in rngs], dtype=np.uintp
+            self._block.indptr, self._block.indices, self._block.weights = (
+                a.ctypes.data for a in self._grid
             )
-            noise = np.empty(batch.size)  # C scratch: one row's normals
-            block.annealed, block.rngs, block.noise = 1, bitgens.ctypes.data, noise.ctypes.data
-            owned = [rngs, bitgens, noise]
-        # Alive while the C loop may touch them.
-        self._keep = (block, pointed, masks, gather, owned)
-        self._step = step
-        self._block = ctypes.addressof(block)
-        self._shape = shape
-        self._masks = {id(mask): mask.ctypes.data for mask in masks}
-        self._external: Optional[np.ndarray] = None
-        self._external_at = 0
 
     def __call__(
-        self, step: int, external: Optional[np.ndarray], last_fired: np.ndarray, fired: np.ndarray
+        self, rows: int, step: int, external: Optional[np.ndarray], last_fired: np.ndarray,
+        fired: np.ndarray,
     ) -> None:
-        """One step at global step ``step``; ``external`` is ``None`` when ``annealed``."""
-        if external is None or external is self._external:
-            at = self._external_at
-        elif external.flags.c_contiguous and external.shape == self._shape:
-            self._external, self._external_at = external, external.ctypes.data
-            at = self._external_at
-        else:
-            # A view or a broadcastable row: step a contiguous copy, uncached.
-            external = np.ascontiguousarray(np.broadcast_to(external, self._shape))
+        """One step of the ``rows`` live rows; ``external`` is ``None`` when ``annealed``."""
+        at = 0
+        if external is not None:
+            external = np.ascontiguousarray(np.broadcast_to(external, (rows, self._noise.size)))
             at = external.ctypes.data
         masks = self._masks
-        if self._step(self._block, step, at, masks[id(last_fired)], masks[id(fired)]):
+        if self.kernel(self._at, rows, step, at, masks[id(last_fired.base)],
+                       masks[id(fired.base)]):
             raise FloatingPointError("NaN in the input current of a fixed-point step")
 
 
@@ -646,6 +534,19 @@ _PARAMS = {True: ("a_raw", "b_raw", "c_raw", "d_raw"), False: ("a", "b", "c", "d
 #: checkpointed state without a leading underscore, then the parameters.
 _POPULATION = {
     fixed: tuple(attr for _, attr in _STATE[fixed] if not attr.startswith("_")) + _PARAMS[fixed]
+    for fixed in (True, False)
+}
+#: Scratch rows of a step, as ``(attribute, dtype)``: the next step's
+#: fired mask and the closures' drive, then the native step's (``_syn``,
+#: zero between calls) or the NumPy step's — float and integer
+#: temporaries and the synaptic outputs, then the substep's own on the
+#: fixed-point backend and ``_isyn_raw`` on float64.
+_SCRATCH = (("_fired", np.bool_), ("_ext", np.float64))
+_NATIVE_SCRATCH = (("_syn", np.int64),)
+_NUMPY_SCRATCH = {
+    fixed: (("_fscratch", np.float64), ("_fscratch2", np.float64), ("_iscratch", np.int64),
+            ("_iscratch2", np.int64), ("_out", np.float64), ("_raw_out", np.int64))
+    + (_FixedBatchKernel.SCRATCH if fixed else (("_isyn_raw", np.int64),))
     for fixed in (True, False)
 }
 #: What :func:`_layout` compares, in order, for the error message.
@@ -812,8 +713,9 @@ class BatchedNetwork:
         weights do not qualify.
     """
 
-    # Per-replica rows, one (B, N) array each (see _STATE and _PARAMS);
-    # _isyn_raw is state on the fixed-point backend, scratch on float64.
+    # Per-replica rows, the live (B, N) prefix of the row stack's buffers
+    # (see _STATE, _PARAMS and _SCRATCH); _isyn_raw is state on the
+    # fixed-point backend, scratch on float64.
     _last_fired: np.ndarray
     _current: np.ndarray
     _isyn_raw: np.ndarray
@@ -849,7 +751,6 @@ class BatchedNetwork:
             self._substeps = 1 << self.h_shift  # FixedPointPopulation.substeps_per_ms
         else:
             self.h_shift, self._v_substeps = 1, timestep
-        self.rows = rows
         self.synapse_mode = synapse_mode
         drive = _drive_class(rows, self.size)
         if drive is None:
@@ -858,9 +759,19 @@ class BatchedNetwork:
         self._synapses = _SynapseBatch(
             [row.synapses for row in rows], self.size, synapse_mode, integer_mode=integer_csr
         )
-        for name, stacked in self._rows_of(rows).items():
-            setattr(self, name, stacked)
-        self._alloc()
+        fixed, width, kernel = self.is_fixed_point, (None, self.size), self._native_kernel()
+        dtype = np.int64 if fixed else np.float64
+        fields = {attr: Field(np.bool_ if attr == "_last_fired" else dtype, width, key)
+                  for key, attr in _STATE[fixed]}
+        fields.update((attr, Field(dtype, width)) for attr in _PARAMS[fixed])
+        scratch = _SCRATCH + (_NUMPY_SCRATCH[fixed] if kernel is None else _NATIVE_SCRATCH)
+        fields.update((attr, Field(dt, width, scratch=True)) for attr, dt in scratch)
+        self._stack = RowStack(self, fields)
+        self._stack.extend(len(rows), self._rows_of(rows))
+        self.rows = rows
+        if fixed:
+            self._kernel = _FixedBatchKernel(h_shift=self.h_shift, pin_voltage=self._pin_voltage)
+        self._native = None if kernel is None else _NativeStep(kernel, self)
 
     # ------------------------------------------------------------------ #
     # Stacking
@@ -877,62 +788,72 @@ class BatchedNetwork:
         return cls(networks, synapse_mode=synapse_mode, integer_csr=integer_csr)
 
     @property
+    def batch_size(self) -> int:
+        """The live row count."""
+        return len(self.rows)
+
+    @property
     def integer_propagation(self) -> bool:
         """``True`` when the integer CSR synapse kernel is active."""
         return self._synapses.integer
 
-    def _row_names(self) -> List[str]:
-        """Attributes of every per-replica array: checkpointed state, then parameters."""
-        fixed = self.is_fixed_point
-        return [attr for _, attr in _STATE[fixed]] + list(_PARAMS[fixed])
-
     def _rows_of(self, rows: Sequence[BatchRow]) -> Dict[str, np.ndarray]:
         """Stack the rows' per-replica arrays, keyed by attribute name.
 
-        The one reader of row specs: construction stacks its rows and
-        :meth:`extend` appends them.  A fixed-point batch keeps no float
-        current: its raw Q15.16 current feed is derived here from the
-        rows' float current.
+        The one reader of row specs: construction and :meth:`extend`
+        write its arrays into the row stack.  A fixed-point batch keeps
+        no float current: its raw Q15.16 current feed is derived here
+        from the rows' float current.
         """
+        names = [attr for _, attr in _STATE[self.is_fixed_point]] + list(_PARAMS[self.is_fixed_point])
         stacked = {
             name: np.stack([row.arrays[name] for row in rows])
-            for name in self._row_names()
+            for name in names
             if name != "_isyn_raw"
         }
-        if self.is_fixed_point:
-            isyn_raw = np.zeros((len(rows), self.size), dtype=np.int64)
-            if self.current_mode == "decay":
-                # Carry the quantised current as raw integer state: the
-                # sequential engine re-quantises its float current at the
-                # top of every step, and the result is exactly the kernel
-                # input of the previous step, so the round-trip can be
-                # hoisted out of the loop entirely.
-                current = np.stack([row.arrays["_current"] for row in rows])
-                _quantize_scaled_q15_16(current * 65536.0, isyn_raw, np.empty_like(current))
-            stacked["_isyn_raw"] = isyn_raw
+        if self.is_fixed_point and self.current_mode == "decay":
+            # Carry the quantised current as raw integer state: the
+            # sequential engine re-quantises its float current at the
+            # top of every step, and the result is exactly the kernel
+            # input of the previous step, so the round-trip can be
+            # hoisted out of the loop entirely.
+            current = np.stack([row.arrays["_current"] for row in rows])
+            stacked["_isyn_raw"] = _quantize_scaled_q15_16(
+                current * 65536.0, np.empty(current.shape, dtype=np.int64), np.empty_like(current)
+            )
         return stacked
 
-    def _alloc(self) -> None:
-        """Fit the engine to the live rows: scratch buffers and kernel."""
-        self.batch_size = len(self.rows)
-        shape = (self.batch_size, self.size)
-        self._fired = np.zeros(shape, dtype=bool)
-        self._ext = np.zeros(shape, dtype=np.float64)
-        self._fscratch = np.zeros(shape, dtype=np.float64)
-        self._fscratch2 = np.zeros(shape, dtype=np.float64)
-        self._iscratch = np.zeros(shape, dtype=np.int64)
-        self._iscratch2 = np.zeros(shape, dtype=np.int64)
-        self._v_scratch: Optional[np.ndarray] = None
-        if self.is_fixed_point:
-            self._kernel = _FixedBatchKernel(
-                self.a_raw, self.b_raw, self.c_raw, self.d_raw,
-                h_shift=self.h_shift, pin_voltage=self._pin_voltage,
-            )
-        else:
-            # Raw current of the decay, rewritten before every read.
-            self._isyn_raw = np.zeros(shape, dtype=np.int64)
-        # The native step binds to this composition on its next step.
-        self._native: Any = _UNBOUND
+    def _native_kernel(self) -> Optional[Callable[..., int]]:
+        """The native step this batch takes for life, or ``None``: the NumPy step.
+
+        A fixed-point batch whose synapses run on the integer kernel or
+        are absent takes the native step whenever the library loaded.
+        Larger shifts than ``_NATIVE_MAX_H_SHIFT`` stay on the NumPy
+        step: in C, shifting by 64 or more is undefined.
+        """
+        synapses = self._synapses
+        if (self.is_fixed_point and (synapses.integer or synapses._none)
+                and 0 <= self.h_shift <= _NATIVE_MAX_H_SHIFT):
+            return native.load()
+        return None
+
+    def check_extend(self, rows: Sequence[BatchRow], kept: Sequence[int]) -> None:
+        """Raise if ``rows`` cannot join the live rows ``kept`` — without mutating anything.
+
+        The compatibility contract of construction (layout, synapse kind,
+        and losslessly quantisable weights on the integer kernel), and
+        the batch's input path: a compiled drive takes only rows that
+        compile with the kept rows, a batch that calls closures only
+        rows it can call.
+        """
+        _check_layout(rows, self._layout)
+        if self._drive is None:
+            _check_closures(rows)
+        elif _drive_class([self.rows[i] for i in kept] + list(rows), self.size) is not type(
+            self._drive
+        ):
+            raise BatchIncompatibleError("stacked-in rows do not compile into the batch's drive")
+        self._synapses.validate_extend([row.synapses for row in rows])
 
     # ------------------------------------------------------------------ #
     # Stepping
@@ -991,9 +912,10 @@ class BatchedNetwork:
             )
         synapses = self._synapses
         if synapses.integer or synapses._none:
-            z += synapses.propagate_raw(self._last_fired)
+            z += synapses.propagate_raw(self._last_fired, self._raw_out)
         else:
-            z += np.multiply(synapses.propagate(self._last_fired), 65536.0, out=self._fscratch2)
+            synaptic = synapses.propagate(self._last_fired, self._out, self._raw_out)
+            z += np.multiply(synaptic, 65536.0, out=self._fscratch2)
         fresh = _quantize_scaled_q15_16(z, self._iscratch, self._fscratch2)
         self._isyn_raw, self._iscratch = fresh, self._isyn_raw
         return fresh
@@ -1004,46 +926,35 @@ class BatchedNetwork:
 
         Read-only: a fixed-point batch whose synapses run on the integer
         kernel or are absent takes the native step whenever the library
-        of :mod:`repro.runtime.native` loaded, and the NumPy step
-        otherwise.  Asking binds (and, once per process, loads) as the
-        next step would.
+        of :mod:`repro.runtime.native` loaded (once per process, at the
+        first such batch), and the NumPy step otherwise.
         """
-        return self._native_binding() is not None
-
-    def _native_binding(self) -> Optional[_NativeStep]:
-        if self._native is _UNBOUND:
-            synapses = self._synapses
-            step = None
-            # Larger shifts stay on the NumPy step: in C, shifting by
-            # 64 or more is undefined.
-            if (self.is_fixed_point and (synapses.integer or synapses._none)
-                    and 0 <= self.h_shift <= _NATIVE_MAX_H_SHIFT):
-                step = native.load()
-            self._native = None if step is None else _NativeStep(step, self)
-        return self._native
+        return self._native is not None
 
     def _advance_population(self, step_index: int) -> np.ndarray:
         fired = self._fired
         if self.is_fixed_point:
-            bound = self._native_binding()
+            bound = self._native
             if bound is not None:
                 # An annealed drive is evaluated inside the C step.
                 external = None if bound.annealed else self._external(step_index)
-                bound(step_index, external, self._last_fired, fired)
+                bound(len(self.rows), step_index, external, self._last_fired, fired)
                 return fired
             isyn_raw = self._fixed_isyn_raw(self._external(step_index))
             fired[:] = False
             for _ in range(self._substeps):
-                spike = self._kernel.substep(self.v_raw, self.u_raw, isyn_raw)
+                spike = self._kernel.substep(self, self.v_raw, self.u_raw, isyn_raw)
                 np.logical_or(fired, spike, out=fired)
             return fired
         external = self._external(step_index)
-        synaptic = self._synapses.propagate(self._last_fired)
+        synaptic = self._synapses.propagate(self._last_fired, self._out, self._raw_out)
         current = self._update_current(external, synaptic)
-        self.v, self.u, fired_f = euler_step(
+        v, u, fired_f = euler_step(
             self.v, self.u, current, self.a, self.b, self.c, self.d,
             dt_ms=1.0, v_substeps=self._v_substeps,
         )
+        np.copyto(self.v, v)
+        np.copyto(self.u, u)
         fired[:] = fired_f
         return fired
 
@@ -1125,22 +1036,18 @@ class BatchedNetwork:
     def export_state(self) -> dict:
         """A picklable snapshot of the full per-replica simulation state.
 
-        Covers everything the step loop carries between steps: the
+        Covers everything the step loop carries between steps: the live
         ``_STATE`` rows — the last-fired masks, the current (the raw
         Q15.16 integer feed on the fixed-point backend, the float
-        synaptic current on float64) and the membrane/recovery state
-        (raw Q7.8 integers on the fixed-point backend) — and, under
-        ``"drive"``, the compiled drive's state (noise streams and
-        cursors included; ``None`` for a batch that calls its rows'
-        closures, whose state is theirs), plus a structural descriptor
-        so a restore onto a mismatched batch fails loudly.  Kernel
-        parameters, connectivity and drive specs are *not* serialised —
-        they are pure functions of the rows the restore path rebuilds
-        the batch from.
+        synaptic current on float64) and the membrane/recovery state —
+        and, under ``"drive"``, the compiled drive's state (``None`` for
+        a batch that calls its rows' closures, whose state is theirs),
+        plus a structural descriptor so a restore onto a mismatched
+        batch fails loudly.  Parameters, connectivity and drive specs
+        are *not* serialised: the restore path rebuilds them from rows.
         """
         state = {"descriptor": self._state_descriptor()}
-        for key, attr in _STATE[self.is_fixed_point]:
-            state[key] = getattr(self, attr).copy()
+        state.update(self._stack.export())
         state["drive"] = None if self._drive is None else self._drive.export_state()
         return state
 
@@ -1163,20 +1070,13 @@ class BatchedNetwork:
             raise BatchIncompatibleError(
                 f"checkpoint state does not match the live batch: {diff}"
             )
-        arrays = []
-        for key, attr in _STATE[self.is_fixed_point]:
-            target = getattr(self, attr)
-            arr = np.asarray(state[key], dtype=target.dtype)
-            if arr.shape != target.shape:
-                raise BatchIncompatibleError(
-                    f"checkpoint array {key!r} has shape {arr.shape}, "
-                    f"expected {target.shape}"
-                )
-            arrays.append((target, arr))
+        try:
+            arrays = self._stack.check(state, self.batch_size)
+        except ValueError as exc:
+            raise BatchIncompatibleError(f"checkpoint {exc}") from None
         if self._drive is not None:
             self._drive.restore_state(state["drive"])
-        for target, arr in arrays:
-            np.copyto(target, arr)
+        self._stack.restore(arrays)
 
     # ------------------------------------------------------------------ #
     # Active-set shrinking and growth
@@ -1184,19 +1084,17 @@ class BatchedNetwork:
     def retain(self, keep: Sequence[int]) -> None:
         """Shrink the batch to the replica rows listed in ``keep``.
 
-        ``keep`` must be strictly increasing current row indices.  All
-        per-replica state (every row array, synapse stacks, the drive) is
-        sliced down so subsequent steps only advance the surviving
-        replicas; each survivor's trajectory is unaffected (replicas are
-        independent).
+        ``keep`` must be strictly increasing current row indices.  The
+        survivors' rows move down in place, in order (the row stacks),
+        and the synapse stacks are rebuilt from them, so later steps
+        advance only the survivors; each survivor's trajectory is
+        unaffected (replicas are independent).
 
         **Layering seam.**  Within ``src/repro`` the sanctioned caller
         is :meth:`repro.runtime.slots.SlotEngine.recompose`, which owns
-        the retain-before-extend composition order and its edge guards
-        for the solver, portfolio and serve layers alike; direct calls
-        from outside ``repro/runtime/`` are rejected by reprolint's
-        RL001 layering rule (``python -m tools.reprolint``, see
-        ``docs/LINTING.md``).
+        the retain-before-extend composition order and its edge guards;
+        direct calls from outside ``repro/runtime/`` are rejected by
+        reprolint's RL001 layering rule (``docs/LINTING.md``).
         """
         keep = np.asarray(keep, dtype=np.int64)
         if keep.size == 0:
@@ -1208,71 +1106,49 @@ class BatchedNetwork:
         if keep.size == self.batch_size:
             return
         self.rows = [self.rows[i] for i in keep]
-        for name in self._row_names():
-            setattr(self, name, getattr(self, name)[keep])
+        self._stack.retain(keep)
         self._synapses.retain(keep)
         if self._drive is not None:
             self._drive.retain(keep)
-        self._alloc()
+        if self._native is not None:
+            self._native.grid(self._synapses)
 
     def extend(self, networks: Sequence[Replica]) -> None:
         """Stack additional replicas into the live batch.
 
         The inverse of :meth:`retain`: the given replicas — row specs, or
-        networks read through :func:`batch_row` — are appended as new
-        batch rows by the same :meth:`_rows_of` construction uses, so each
+        networks read through :func:`batch_row` — are written after the
+        live rows by the same :meth:`_rows_of` construction uses, so each
         new replica's trajectory is bit-identical to running it
-        standalone from its current state.  Existing rows are untouched —
-        appending rows cannot change their fused updates (replicas are
-        independent).
-
-        The replicas must satisfy the same compatibility contract as
-        construction (size, population kind, current mode, timestep
-        configuration, synapse kind; integer-kernel batches additionally
-        require losslessly quantisable weights) and join its input path:
-        a batch with a compiled drive takes only rows that compile with
-        its rows, whose specs the drive stacks on; a batch that calls
-        closures takes only rows it can call.
+        standalone from its current state, and existing rows are
+        untouched.  The row stacks reallocate only when they are full.
+        The replicas must pass :meth:`check_extend`, which refuses before
+        anything changes.
 
         **Layering seam.**  As with :meth:`retain`, the sanctioned
         ``src/repro`` caller is
-        :meth:`repro.runtime.slots.SlotEngine.recompose` (enforced by
-        reprolint rule RL001, ``docs/LINTING.md``); the slot engine uses the pair to
-        refill freed batch slots with fresh admissions mid-run.
+        :meth:`repro.runtime.slots.SlotEngine.recompose` (reprolint rule
+        RL001), which refills freed batch slots with admissions mid-run.
         """
         if not networks:
             return
         rows = [batch_row(replica) for replica in networks]
-        # Validate everything that can refuse BEFORE mutating any state,
-        # so a raise leaves the batch fully usable.
-        _check_layout(rows, self._layout)
-        if self._drive is None:
-            _check_closures(rows)
-        elif _drive_class(self.rows + rows, self.size) is not type(self._drive):
-            raise BatchIncompatibleError("stacked-in rows do not compile into the batch's drive")
-        synapses = [row.synapses for row in rows]
-        self._synapses.validate_extend(synapses)
-        stacked = self._rows_of(rows)
+        self.check_extend(rows, range(self.batch_size))
+        grown = self._stack.extend(len(rows), self._rows_of(rows))
         self.rows.extend(rows)
-        for name, new in stacked.items():
-            setattr(self, name, np.concatenate([getattr(self, name), new]))
-        self._synapses.extend(synapses)
+        self._synapses.extend([row.synapses for row in rows])
         if self._drive is not None:
-            self._drive.extend([row.drive_spec for row in rows])
-        self._alloc()
+            grown |= self._drive.extend([row.drive_spec for row in rows])
+        bound = self._native
+        if bound is not None and grown:
+            self._native = _NativeStep(bound.kernel, self)  # the buffers moved
+        elif bound is not None:
+            bound.grid(self._synapses)
 
     # ------------------------------------------------------------------ #
     @property
     def membrane_potentials(self) -> np.ndarray:
-        """Float view of the ``(B, N)`` membrane potentials in millivolts.
-
-        The returned array is a reused scratch buffer, overwritten by the
-        next access — copy it to persist values across calls.
-        """
-        if self._v_scratch is None or self._v_scratch.shape != (self.batch_size, self.size):
-            self._v_scratch = np.empty((self.batch_size, self.size), dtype=np.float64)
+        """The ``(B, N)`` membrane potentials in millivolts, as a fresh float array."""
         if self.is_fixed_point:
-            np.divide(self.v_raw, float(Q7_8.scale), out=self._v_scratch)
-        else:
-            np.copyto(self._v_scratch, self.v)
-        return self._v_scratch
+            return np.divide(self.v_raw, float(Q7_8.scale))
+        return self.v.copy()

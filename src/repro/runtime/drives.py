@@ -8,21 +8,19 @@ of those closures, their drive specs, into one vectorised drive that is
 
 * every replica keeps its own independent noise stream (the generator
   its row spec owns — for a network, a clone of the one its closure
-  would have consumed), so results remain bit-comparable with
-  sequential runs;
-* a drive's noise state is simply its generators: each step draws
-  ``rng.standard_normal(out=row)`` once per row, the same values the
-  closure's ``standard_normal(N)`` draws, so retiring, admitting and
-  snapshotting a row never touches another row's stream;
+  would have consumed): each step draws ``rng.standard_normal(out=row)``
+  once per row, the values the closure's ``standard_normal(N)`` draws,
+  so retiring, admitting and snapshotting a row never touches another
+  row's stream;
 * the per-step arithmetic (anneal amplitude, mask, drive offset, scale)
   runs as a handful of fused elementwise ``(B, N)`` operations matching
   the closure expressions term for term.
 
 A fixed-point batch on the native step (:mod:`repro.runtime.native`)
 does not call a :class:`PortfolioAnnealedDrive` at all: the C step reads
-its per-row arrays and generators and evaluates :meth:`PortfolioAnnealedDrive.__call__`
-term for term, drawing each row's normals straight from the row's bit
-generator.  ``__call__`` stays the reference and the NumPy step's path.
+its per-row arrays and each row's bit-generator address and evaluates
+:meth:`PortfolioAnnealedDrive.__call__` term for term.  ``__call__``
+stays the reference and the NumPy step's path.
 
 Closures advertise their compilability by carrying a ``drive_spec``
 attribute (an :class:`AnnealedNoiseSpec`, attached by
@@ -30,19 +28,17 @@ attribute (an :class:`AnnealedNoiseSpec`, attached by
 workload's ``EightyTwentyNetwork.thalamic_input`` bound method is
 recognised structurally (:func:`declared_spec`).  Specs check their
 fields when built: an anneal period is an integer of at least 1 and a
-generator is a ``numpy.random.Generator``, whose bit generator the
-native step reads.
-:func:`lift_drive_spec` is the one place a closure's spec is lifted,
-with a clone of the closure's generator, so stacking a network never
-perturbs its closure; the drives consume the generators their specs own
-and never clone.
+generator is a ``numpy.random.Generator``.  :func:`lift_drive_spec` is
+the one place a closure's spec is lifted, with a clone of the closure's
+generator, so stacking a network never perturbs its closure.
 
-A drive has one owner, :class:`~repro.runtime.batch.BatchedNetwork`: it
-compiles its rows' specs when they compile (:func:`drive_class` names
-the drive of a spec family), steps each row's own closure when they do
-not, restacks the drive with its rows and carries the drive's state in
-its snapshot.  The two drives share one lifecycle — ``retain``,
-``extend`` and ``export_state``/``restore_state``:
+A drive has one owner, :class:`~repro.runtime.batch.BatchedNetwork`,
+which compiles its rows' specs when they compile (:func:`drive_class`
+names the drive of a spec family), recomposes the drive with its rows
+and carries the drive's state in its snapshot.  A drive keeps its
+per-row arrays in one :class:`~repro.runtime.rows.RowStack` — retained
+in place, extended after the live rows — and shares one lifecycle,
+``retain``, ``extend`` and ``export_state``/``restore_state``:
 :class:`PortfolioAnnealedDrive`, the annealed drive of every constraint
 solve, whose per-row anneal parameters and step offsets let a row
 stacked in mid-run replay a standalone solve, and
@@ -54,12 +50,13 @@ from __future__ import annotations
 import copy
 import operator
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from ..snn.eighty_twenty import EightyTwentyNetwork
 from ..snn.network import InputProvider
+from .rows import Field, RowStack
 
 __all__ = [
     "AnnealedNoiseSpec",
@@ -139,100 +136,89 @@ class _StackedDrive:
     """One row per replica, stacked from drive specs, plus each replica's generator.
 
     A drive names its spec family (``_SPEC``) and its per-row arrays
-    (``_ROWS``: ``(snapshot key, attribute, spec field, dtype)`` in
-    snapshot order, the first ``(B, N)`` wide) and evaluates one step in
-    ``__call__``, drawing ``rng.standard_normal(out=row)`` once per row;
-    this base stacks, restacks and snapshots the rows and the
-    generators (``_rngs``, consumed in place: the specs own them).  The
-    keys stay literal strings: pickle memoises an interned string once
-    per snapshot.
+    (``_ROWS``: ``(snapshot key, attribute, spec field, dtype, (B, N)
+    wide)`` in snapshot order, the first wide) and evaluates one step in
+    ``__call__`` into ``_out``, drawing ``rng.standard_normal(out=row)``
+    once per row.  This base keeps the arrays in one
+    :class:`~repro.runtime.rows.RowStack`, which retains, extends and
+    snapshots them, and the generators in ``_rngs`` (consumed in place:
+    the specs own them).  The keys stay literal strings: pickle memoises
+    an interned string once per snapshot.
     """
 
     _SPEC: type
     _ROWS: tuple
+    _out: np.ndarray
 
     def __init__(self, specs: Sequence[Any]) -> None:
         if not specs:
             raise ValueError("cannot compile zero drives")
-        for (_, attr, _, _), rows in zip(self._ROWS, self._rows_of(specs)):
-            setattr(self, attr, rows)
-        self._rngs: List[np.random.Generator] = [spec.rng for spec in specs]
-        self._alloc()
+        self._width = np.shape(getattr(specs[0], self._ROWS[0][2]))
+        self._stack = RowStack(self, self._fields(self._width))
+        self._rngs: List[np.random.Generator] = []
+        self.extend(specs)
 
-    @classmethod
-    def _rows_of(cls, specs: Sequence[Any]) -> List[np.ndarray]:
-        """The specs' per-row arrays, in ``_ROWS`` order; ``ValueError`` on another family."""
-        if not all(isinstance(spec, cls._SPEC) for spec in specs):
-            raise ValueError(f"can only stack drive specs of kind {cls._SPEC.__name__}")
-        return [
-            np.asarray([getattr(s, field) for s in specs], dtype=dtype)
-            for _, _, field, dtype in cls._ROWS
-        ]
+    def _fields(self, width: Tuple[int, ...]) -> Dict[str, Field]:
+        """The stack's fields for rows ``width`` wide: ``_ROWS``, then the scratch."""
+        fields = {
+            attr: Field(dtype, (None, *width) if wide else (None,), key)
+            for key, attr, _, dtype, wide in self._ROWS
+        }
+        fields["_out"] = Field(np.float64, (None, *width), scratch=True)
+        return fields
 
-    def _wide(self) -> np.ndarray:
-        """The ``(B, N)`` per-row array the output takes its shape from."""
-        return getattr(self, self._ROWS[0][1])
-
-    def _alloc(self) -> None:
-        """Fit the output buffer to the live rows."""
-        self._out = np.empty_like(self._wide())
+    def _rows_of(self, specs: Sequence[Any]) -> Dict[str, Any]:
+        """The specs' per-row arrays by attribute; ``ValueError`` on another family or width."""
+        if not all(isinstance(spec, self._SPEC) for spec in specs):
+            raise ValueError(f"can only stack drive specs of kind {self._SPEC.__name__}")
+        rows = {
+            attr: np.asarray([getattr(s, field) for s in specs], dtype=dtype)
+            for _, attr, field, dtype, _ in self._ROWS
+        }
+        if rows[self._ROWS[0][1]].shape[1:] != self._width:
+            raise ValueError("stacked-in drive width differs from the live rows")
+        return rows
 
     def retain(self, keep: Sequence[int]) -> None:
-        """Drop every row not listed in ``keep``."""
-        keep = list(keep)
-        for _, attr, _, _ in self._ROWS:
-            setattr(self, attr, getattr(self, attr)[keep])
+        """Drop every row not listed in ``keep`` (strictly increasing)."""
+        self._stack.retain(keep)
         self._rngs = [self._rngs[i] for i in keep]
-        self._alloc()
 
-    def extend(self, specs: Sequence[Any]) -> None:
-        """Stack fresh rows' specs, and their generators, onto the drive."""
+    def extend(self, specs: Sequence[Any]) -> bool:
+        """Stack fresh rows' specs, and their generators, onto the drive.
+
+        Returns whether the arrays were reallocated
+        (:meth:`~repro.runtime.rows.RowStack.extend`).
+        """
         if not specs:
-            return
-        new_rows = self._rows_of(specs)
-        if new_rows[0].shape[1:] != self._wide().shape[1:]:
-            raise ValueError("stacked-in drive width differs from the live rows")
-        for (_, attr, _, _), rows in zip(self._ROWS, new_rows):
-            setattr(self, attr, np.concatenate([getattr(self, attr), rows]))
+            return False
+        rows = self._rows_of(specs)
         self._rngs.extend(spec.rng for spec in specs)
-        self._alloc()
+        return self._stack.extend(len(specs), rows)
 
     # ------------------------------------------------------------------ #
     # Checkpointing (repro.runtime.checkpoint)
     # ------------------------------------------------------------------ #
     def export_state(self) -> dict:
-        """A picklable snapshot: the per-row arrays and copies of the generators.
+        """A picklable snapshot: the live per-row arrays and copies of the generators.
 
-        ``numpy.random.Generator`` pickles its full bit-generator state,
-        so restoring the snapshot resumes each replica's stream at
-        exactly the draw it would have produced next — the property the
-        checkpoint/restore bit-identity contract rests on.
+        A ``numpy.random.Generator`` pickles its full bit-generator
+        state, so a restore resumes each stream at the very next draw.
         """
-        state = {key: getattr(self, attr).copy() for key, attr, _, _ in self._ROWS}
+        state: Dict[str, Any] = self._stack.export()
         state["rngs"] = copy.deepcopy(self._rngs)
         return state
 
     def restore_state(self, state: dict) -> None:
         """Overwrite the live rows with an exported snapshot of as many rows.
 
-        The restore path rebuilds the batch from *fresh* rows (live
-        generators are not part of a row's identity) and then stamps this
-        saved state over it, so the drive arrays, per-row offsets and
-        noise streams continue exactly where the snapshot left them.
-        Everything is checked before anything is replaced, and
-        everything is replaced in place — the arrays by copy, each
-        generator by its bit-generator state — so the addresses the
-        native step holds stay valid.
+        The restore path rebuilds the batch from *fresh* rows and stamps
+        this saved state over it.  Everything is checked before anything
+        is replaced, and everything is replaced in place — the arrays by
+        copy, each generator by its bit-generator state — so the
+        addresses the native step holds stay valid.
         """
-        arrays = []
-        for key, attr, _, dtype in self._ROWS:
-            arr = np.asarray(state[key], dtype=dtype)
-            target = getattr(self, attr)
-            if arr.shape != target.shape:
-                raise ValueError(
-                    f"checkpoint drive array {key!r} has shape {arr.shape}, expected {target.shape}"
-                )
-            arrays.append((target, arr))
+        arrays = self._stack.check(state, len(self._rngs))
         rngs = list(state["rngs"])
         kinds = [type(getattr(rng, "bit_generator", None)) for rng in rngs]
         if kinds != [type(rng.bit_generator) for rng in self._rngs]:
@@ -240,8 +226,7 @@ class _StackedDrive:
                 f"checkpoint noise streams ({len(rngs)} generators) do not match the "
                 f"live streams ({len(self._rngs)}) in number or bit generator"
             )
-        for target, arr in arrays:
-            np.copyto(target, arr)
+        self._stack.restore(arrays)
         for live, saved in zip(self._rngs, rngs):
             live.bit_generator.state = saved.bit_generator.state
 
@@ -259,18 +244,19 @@ class PortfolioAnnealedDrive(_StackedDrive):
     closure expression term for term, elementwise in float64, so every
     row stays bit-identical to its sequential counterpart.  The native
     step reads ``_drives``, ``_masks``, ``_sigma``, ``_period``,
-    ``_floor``, ``_offsets`` and ``_rngs`` and evaluates :meth:`__call__`
-    in C.
+    ``_floor``, ``_offsets`` and ``_bitgens`` — each row's ``bitgen_t``
+    address, a row of the stack like the others — and evaluates
+    :meth:`__call__` in C.
     """
 
     _SPEC = AnnealedNoiseSpec
     _ROWS = (
-        ("drives", "_drives", "drive", np.float64),
-        ("masks", "_masks", "free_mask", bool),
-        ("sigma", "_sigma", "noise_sigma", np.float64),
-        ("period", "_period", "anneal_period", np.int64),
-        ("floor", "_floor", "anneal_floor", np.float64),
-        ("offsets", "_offsets", "step_offset", np.int64),
+        ("drives", "_drives", "drive", np.float64, True),
+        ("masks", "_masks", "free_mask", bool, True),
+        ("sigma", "_sigma", "noise_sigma", np.float64, False),
+        ("period", "_period", "anneal_period", np.int64, False),
+        ("floor", "_floor", "anneal_floor", np.float64, False),
+        ("offsets", "_offsets", "step_offset", np.int64, False),
     )
     _drives: np.ndarray
     _masks: np.ndarray
@@ -278,10 +264,19 @@ class PortfolioAnnealedDrive(_StackedDrive):
     _period: np.ndarray
     _floor: np.ndarray
     _offsets: np.ndarray
+    _bitgens: np.ndarray
+    _noise: np.ndarray
 
-    def _alloc(self) -> None:
-        super()._alloc()
-        self._noise = np.empty_like(self._drives)
+    def _fields(self, width: Tuple[int, ...]) -> Dict[str, Field]:
+        fields = super()._fields(width)
+        fields["_bitgens"] = Field(np.uintp)
+        fields["_noise"] = Field(np.float64, (None, *width), scratch=True)
+        return fields
+
+    def _rows_of(self, specs: Sequence[Any]) -> Dict[str, Any]:
+        rows = super()._rows_of(specs)
+        rows["_bitgens"] = [spec.rng.bit_generator.ctypes.bit_generator.value for spec in specs]
+        return rows
 
     def restore_state(self, state: dict) -> None:
         # The native step divides by the period: refuse one no spec allows.
@@ -308,7 +303,7 @@ class CompiledScaledDrive(_StackedDrive):
     """All replicas' scaled-noise (thalamic) drives as one vectorised drive."""
 
     _SPEC = ScaledNoiseSpec
-    _ROWS = (("scales", "_scales", "scale", np.float64),)
+    _ROWS = (("scales", "_scales", "scale", np.float64, True),)
     _scales: np.ndarray
 
     def __call__(self, step: int) -> np.ndarray:

@@ -5,7 +5,10 @@
 then runs its NumPy step, which stays the bit-exact reference.
 :func:`books` returns the same library's slot books (``izh_books``), or
 ``None`` likewise; :class:`~repro.runtime.slots.SlotEngine` then keeps
-its books in NumPy, the reference.
+its books in NumPy, the reference.  Each call passes the live row count:
+a :class:`StepBlock` or :class:`BooksBlock` points at the buffers of a
+:class:`~repro.runtime.rows.RowStack`, sized to its capacity, and is
+bound again only when they are reallocated.
 
 The C step draws the annealed drive's normals itself, from each row's
 NumPy bit generator, through an inline copy of the fast path of NumPy's
@@ -74,7 +77,6 @@ class StepBlock(ctypes.Structure):
     """The per-batch pointer block, field for field ``izh_batch`` of the C source."""
 
     _fields_ = [
-        ("cells", ctypes.c_int64),
         ("size", ctypes.c_int64),
         ("h_shift", ctypes.c_int64),
         ("pin_voltage", ctypes.c_int64),
@@ -109,7 +111,7 @@ class BooksBlock(ctypes.Structure):
     """A slot engine's books, field for field ``izh_books_block`` of the C source."""
 
     _fields_ = [
-        ("rows", ctypes.c_int64),
+        ("capacity", ctypes.c_int64),
         ("size", ctypes.c_int64),
         ("window", ctypes.c_int64),
         ("check_interval", ctypes.c_int64),
@@ -141,22 +143,23 @@ def _library() -> Optional[ctypes.CDLL]:
 
 
 def load() -> Optional[Any]:
-    """The native ``izh_step(block, step, external, last_fired, fired)``, or ``None``.
+    """The native ``izh_step(block, rows, step, external, last_fired, fired)``, or ``None``.
 
-    Memoised per process, failures included.  Pointer arguments are
-    addresses (Python ints); a non-zero return value reports a NaN input
-    current.
+    Memoised per process, failures included.  Steps the first ``rows``
+    rows of the buffers a :class:`StepBlock` points at.  Pointer
+    arguments are addresses (Python ints); a non-zero return value
+    reports a NaN input current.
     """
     lib = _library()
     return None if lib is None else lib.izh_step
 
 
 def books() -> Optional[Any]:
-    """The native ``izh_books(block, step, fired)``, or ``None`` where :func:`load` finds none.
+    """The native ``izh_books(block, rows, step, fired)``, or ``None`` where :func:`load` finds none.
 
-    Updates the books a :class:`BooksBlock` points at after global step
-    ``step`` from the ``(R, N)`` bool mask at ``fired``, and returns how
-    many rows are at a check.
+    Updates the first ``rows`` rows of the books a :class:`BooksBlock`
+    points at after global step ``step`` from the ``(rows, N)`` bool
+    mask at ``fired``, and returns how many rows are at a check.
     """
     lib = _library()
     return None if lib is None else lib.izh_books
@@ -224,12 +227,12 @@ def _load() -> Optional[ctypes.CDLL]:
     except (OSError, AttributeError) as exc:
         _unavailable("load of %s failed: %s", path, exc)
         return None
-    step.argtypes = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
+    step.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 3
     step.restype = ctypes.c_int
     fill.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
     fill.restype = ctypes.c_int64
     probe.argtypes, probe.restype = [], ctypes.c_int
-    tally.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    tally.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
     tally.restype = ctypes.c_int64
     if probe() != 0:
         _unavailable("NumPy's normal sampler did not answer the table probe")

@@ -101,9 +101,9 @@ double random_standard_normal(bitgen_t *bitgen_state);
 
 /* The per-batch pointer block; every field is 8 bytes, so the ctypes
  * mirror in native.py has no padding to get wrong.  Arrays are C-order
- * (B, N) int64 unless noted. */
+ * (B, N) int64 unless noted, B rows of capacity: a call touches the
+ * first `rows`, the live rows. */
 typedef struct {
-    int64_t cells;          /* B * N */
     int64_t size;           /* N */
     int64_t h_shift;        /* 2^h_shift substeps per step */
     int64_t pin_voltage;
@@ -111,7 +111,7 @@ typedef struct {
     int64_t shift_count;    /* len(SHIFT_SELECTIONS[tau_select]) */
     int64_t shifts[4];
     int64_t synapses;       /* SYN_NONE, SYN_SHARED or SYN_FLAT */
-    const int64_t *indptr;  /* CSC column pointers (N + 1, or B * N + 1 when flat) */
+    const int64_t *indptr;  /* CSC column pointers (N + 1, or rows * N + 1 when flat) */
     const int64_t *indices; /* target rows: local (shared) or global (flat) */
     const int64_t *weights; /* raw Q15.16 weights */
     int64_t *syn;           /* scratch, all zero between calls */
@@ -135,23 +135,24 @@ typedef struct {
     double *noise;               /* (N,) float64 scratch */
 } izh_batch;
 
-/* A SlotEngine's books (slots._BOOKS) for R live rows of N neurons, and
- * the per-row outputs of the last izh_books call; all 8-byte fields, as
- * izh_batch.  Arrays are C-order, int64 unless noted. */
+/* A SlotEngine's books (slots._book_fields) for C rows of capacity, of
+ * which a call touches the first `rows`, and the per-row outputs of the
+ * last izh_books call; all 8-byte fields, as izh_batch.  Arrays are
+ * C-order, int64 unless noted; the history ring's row stride is C. */
 typedef struct {
-    int64_t rows;               /* R */
+    int64_t capacity;           /* C */
     int64_t size;               /* N */
     int64_t window;             /* history ring length, >= 1 */
     int64_t check_interval;     /* >= 1 */
-    const int64_t *offsets;     /* (R,) admission steps */
-    const int64_t *budgets;     /* (R,) local step budgets */
-    unsigned char *history;     /* (window, R, N) bool */
-    int64_t *window_counts;     /* (R, N) */
-    int64_t *last_spike;        /* (R, N) local step, or -1 */
-    int64_t *row_spikes;        /* (R,) */
-    int64_t *local;             /* (R,) out: local steps */
-    unsigned char *at_check;    /* (R,) bool out */
-    unsigned char *at_budget;   /* (R,) bool out */
+    const int64_t *offsets;     /* (C,) admission steps */
+    const int64_t *budgets;     /* (C,) local step budgets */
+    unsigned char *history;     /* (window, C, N) bool */
+    int64_t *window_counts;     /* (C, N) */
+    int64_t *last_spike;        /* (C, N) local step, or -1 */
+    int64_t *row_spikes;        /* (C,) */
+    int64_t *local;             /* (C,) out: local steps */
+    unsigned char *at_check;    /* (C,) bool out */
+    unsigned char *at_budget;   /* (C,) bool out */
 } izh_books_block;
 
 static int64_t clip(int64_t x, int64_t lo, int64_t hi)
@@ -332,9 +333,9 @@ int izh_probe(void)
 /* exact-int: the synaptic scatter (_SynapseBatch.propagate_raw).  The
  * NumPy step sums in float64 through bincount; every partial sum is an
  * integer below 2^53 there, so the int64 sums are equal. */
-static void scatter(const izh_batch *k, const unsigned char *last_fired)
+static void scatter(const izh_batch *k, int64_t cells, const unsigned char *last_fired)
 {
-    const int64_t cells = k->cells, size = k->size;
+    const int64_t size = k->size;
     const int64_t *indptr = k->indptr, *indices = k->indices, *w = k->weights;
     int64_t *syn = k->syn;
     int64_t col = 0;
@@ -428,12 +429,12 @@ static IZH_VECTOR int current_row(int64_t size, const double *restrict ext,
     return nan;
 }
 
-/* The current stage, row by row, into the syn scratch.  On a NaN the
- * pass still runs to its end (the drive's streams advance) and the
- * scratch is zeroed again. */
-static int current(const izh_batch *k, int64_t step, const double *external)
+/* The current stage of `rows` rows, row by row, into the syn scratch.  On
+ * a NaN the pass still runs to its end (the drive's streams advance) and
+ * the scratch is zeroed again. */
+static int current(const izh_batch *k, int64_t rows, int64_t step, const double *external)
 {
-    const int64_t size = k->size, rows = k->cells / k->size;
+    const int64_t size = k->size;
     int nan = 0;
     for (int64_t row = 0; row < rows; ++row) {
         const double *ext = k->annealed ? annealed_row(k, row, step) : external + row * size;
@@ -441,7 +442,7 @@ static int current(const izh_batch *k, int64_t step, const double *external)
                            k->shift_count, k->shifts, k->h_shift);
     }
     if (nan) {
-        memset(k->syn, 0, (size_t)k->cells * sizeof *k->syn);
+        memset(k->syn, 0, (size_t)(rows * size) * sizeof *k->syn);
         return IZH_NAN_CURRENT;
     }
     return IZH_OK;
@@ -480,18 +481,18 @@ static IZH_VECTOR void substep(int64_t cells, int64_t h, int64_t pin,
     }
 }
 
-/* One step of every replica at global step `step`.  `external` is the
- * (B, N) float64 drive current, unread (and may be NULL) when the block
- * carries the annealed drive; `last_fired` and `fired` are (B, N) bool
- * masks.  On IZH_NAN_CURRENT v, u, isyn and `fired` are untouched, and
- * every annealed row has drawn its step's normals. */
-int izh_step(const izh_batch *k, int64_t step, const double *external,
+/* One step of the first `rows` replicas at global step `step`.  `external`
+ * is the (rows, N) float64 drive current, unread (and may be NULL) when
+ * the block carries the annealed drive; `last_fired` and `fired` are
+ * (rows, N) bool masks.  On IZH_NAN_CURRENT v, u, isyn and `fired` are
+ * untouched, and every annealed row has drawn its step's normals. */
+int izh_step(const izh_batch *k, int64_t rows, int64_t step, const double *external,
              const unsigned char *last_fired, unsigned char *fired)
 {
-    const int64_t cells = k->cells, count = (int64_t)1 << k->h_shift;
+    const int64_t cells = rows * k->size, count = (int64_t)1 << k->h_shift;
     if (k->synapses != SYN_NONE)
-        scatter(k, last_fired);
-    if (current(k, step, external) != IZH_OK)
+        scatter(k, cells, last_fired);
+    if (current(k, rows, step, external) != IZH_OK)
         return IZH_NAN_CURRENT;
     /* Commit the new current feed; the scratch is zero between calls. */
     memcpy(k->isyn, k->syn, (size_t)cells * sizeof *k->syn);
@@ -528,14 +529,15 @@ static IZH_VECTOR int64_t books_row(int64_t size, int64_t local,
     return spikes;
 }
 
-/* SlotEngine.step's books after global step `step` (`fired` is the
- * step's (R, N) bool mask): each row's local step, its history ring
- * slot local % window, window counts, last spike and spike total, and
- * whether it is at a check or at its budget.  Returns how many rows are
- * at a check. */
-int64_t izh_books(const izh_books_block *k, int64_t step, const unsigned char *fired)
+/* SlotEngine.step's books of the first `rows` rows after global step
+ * `step` (`fired`: its (rows, N) bool mask): each row's local step, its
+ * history ring slot local % window, window counts, last spike and spike
+ * total, and whether it is at a check or at its budget.  Returns how
+ * many rows are at a check. */
+int64_t izh_books(const izh_books_block *k, int64_t rows, int64_t step,
+                  const unsigned char *fired)
 {
-    const int64_t rows = k->rows, size = k->size;
+    const int64_t size = k->size;
     int64_t checks = 0;
     for (int64_t row = 0; row < rows; ++row) {
         const int64_t local = step - k->offsets[row];
@@ -543,7 +545,7 @@ int64_t izh_books(const izh_books_block *k, int64_t step, const unsigned char *f
         if (slot < 0)
             slot += k->window;
         k->row_spikes[row] += books_row(size, local, fired + row * size,
-                                        k->history + (slot * rows + row) * size,
+                                        k->history + (slot * k->capacity + row) * size,
                                         k->window_counts + row * size,
                                         k->last_spike + row * size);
         const int at_budget = local >= k->budgets[row];

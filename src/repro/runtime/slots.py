@@ -1,52 +1,45 @@
 """Shared continuous-batching slot engine over :class:`BatchedNetwork`.
 
-Three subsystems grew the same bit-exactness-critical slot lifecycle
-independently: the batched constraint solver
-(:func:`repro.csp.solver.solve_instances`), the restart-portfolio engine
+The batched constraint solver (:func:`repro.csp.solver.solve_instances`),
+the restart-portfolio engine
 (:func:`repro.csp.portfolio.solve_instances_portfolio`) and the solve
-service (:class:`repro.serve.SolveService`).  Each hand-rolled the
-global step loop over one exact-mode fused batch, the per-row *local*
-step counters, the sliding-window decode bookkeeping and the
-retain-then-extend batch recomposition.  :class:`SlotEngine` owns that
-machinery once; what remains per subsystem is a :class:`SlotPolicy` —
-the *scheduling* decision of which rows retire and which admissions
-refill the freed slots at each decode checkpoint.
+service (:class:`repro.serve.SolveService`) share one slot lifecycle:
+the global step loop over one exact-mode fused batch, the per-row
+*local* step counters, the sliding-window decode books and the
+retain-then-extend recomposition.  :class:`SlotEngine` owns it; what
+remains per subsystem is a :class:`SlotPolicy` — which rows retire and
+which admissions refill the freed slots at each decode checkpoint.
 
 The engine's invariants (every consumer inherits them):
 
 * **Rows, not networks.**  An admission is a :class:`SlotRow` plus a
   row spec (:class:`~repro.runtime.batch.BatchRow`, e.g. from
-  ``SpikingCSPSolver.row``); a network is still accepted and read
-  through the one adapter, :func:`~repro.runtime.batch.batch_row`.
-* **Local step counters.**  Each :class:`SlotRow` records the global
-  step count at admission (``offset``); its *local* step —
-  ``global step - offset`` — drives its anneal phase (``step_offset``
-  stamped into the row spec's drive spec at admission), its sliding-window
-  slot and its spike-recency bookkeeping.  A row stacked into a
-  half-finished batch therefore replays exactly the trajectory of a
-  fresh standalone run.
-* **Retain before extend.**  Batch recomposition always drops retired
+  ``SpikingCSPSolver.row``); a network is read through
+  :func:`~repro.runtime.batch.batch_row`.
+* **Local step counters.**  A row's *local* step, ``global step -
+  offset`` (``offset``: the global step at admission, also stamped into
+  its drive spec's ``step_offset``), drives its anneal phase, its
+  sliding-window slot and its spike recency, so a row stacked into a
+  half-finished batch replays a fresh standalone run.
+* **Retain before extend.**  :meth:`SlotEngine.recompose` drops retired
   rows (:meth:`BatchedNetwork.retain`) *before* stacking admissions
-  (:meth:`BatchedNetwork.extend`), with the ``extend([])`` /
-  nothing-survives edge cases guarded in one place
-  (:meth:`SlotEngine.recompose`): surviving rows' network state and
-  noise streams are untouched by their neighbours' departures and
-  arrivals.  Direct ``retain``/``extend`` calls outside
+  (:meth:`BatchedNetwork.extend`), guards the ``extend([])`` and
+  nothing-survives edges, and checks every admission against the
+  survivors first, so a refusal changes nothing.  The books, offsets
+  and budgets are rows of one :class:`~repro.runtime.rows.RowStack`:
+  they move in place, and the native books (``izh_books``) are bound
+  once per capacity.  Direct ``retain``/``extend`` calls outside
   ``repro/runtime/`` are forbidden (reprolint rule RL001,
   ``docs/LINTING.md``).
-* **Checkpoint cadence.**  Rows are decoded when their local step hits
-  the check interval or their local budget — the union mask over rows
-  decides when a checkpoint fires, so mixed-offset batches check each
-  row on its own standalone schedule.  The first
-  :meth:`SlotEngine.decode_row` call of a checkpoint decodes every
-  at-check row in one batched pass (:meth:`SlotDecoder.decode_rows`).
+* **Checkpoint cadence.**  A row is decoded when its local step hits the
+  check interval or its budget; the union over rows decides when a
+  checkpoint fires, and its first :meth:`SlotEngine.decode_row` call
+  decodes every at-check row in one pass (:meth:`SlotDecoder.decode_rows`).
 * **One retirement rule.**  :attr:`SlotCheckpoint.finished` holds the
-  at-check rows whose decode solved or whose budget is spent; policies
-  read it instead of re-deriving it.
+  at-check rows whose decode solved or whose budget is spent.
 * **Zero-step runs.**  ``max_steps <= 0`` never allocates a batch; the
   canonical zero-step window (:meth:`SlotEngine.empty_window`) decodes
-  clamps only, identically across the solver, portfolio and serve
-  layers.
+  clamps only, identically in every layer.
 * **One durable step.**  :meth:`SlotEngine.advance` is the only place a
   step, a policy decision, a periodic snapshot
   (:class:`~repro.runtime.checkpoint.CheckpointStore`) and an injected
@@ -54,10 +47,9 @@ The engine's invariants (every consumer inherits them):
   :class:`DurablePolicy` names each live row with a picklable token, so
   :meth:`SlotEngine.run` resumes a killed solve bit-identically.
 
-The engine is deliberately ignorant of constraint graphs: rows carry
-``graph`` / ``clamps`` opaquely and decoding is delegated to an injected
-:class:`SlotDecoder` (the CSP layers pass
-``repro.csp.solver.CSP_SLOT_DECODER``), which keeps ``repro.runtime``
+The engine is ignorant of constraint graphs: rows carry ``graph`` /
+``clamps`` opaquely and an injected :class:`SlotDecoder` decodes them
+(``repro.csp.solver.CSP_SLOT_DECODER``), which keeps ``repro.runtime``
 below ``repro.csp`` in the layering.
 """
 
@@ -72,8 +64,9 @@ from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, cast
 import numpy as np
 
 from . import native
-from .batch import BatchedNetwork, BatchRow, Replica, batch_row
+from .batch import BatchedNetwork, BatchIncompatibleError, Replica, batch_row
 from .checkpoint import CheckpointError, CheckpointStore, FaultPlan
+from .rows import Field, RowStack
 
 __all__ = [
     "DurablePolicy",
@@ -253,81 +246,62 @@ class SlotCheckpoint:
         return finished
 
 
-#: The per-row books a snapshot carries, in snapshot order: ``(snapshot
-#: key, attribute, row axis)``.  ``history`` rings the last ``window``
-#: steps, so its rows lie on axis 1.  The keys stay literal strings (see
-#: ``repro.runtime.batch._STATE``).
-_BOOKS = (
-    ("history", "_history", 1),
-    ("window_counts", "_window_counts", 0),
-    ("last_spike", "_last_spike", 0),
-    ("row_spikes", "_row_spikes", 0),
-)
-#: What ``izh_books`` reads and updates in place, as ``(BooksBlock field,
-#: engine attribute, dtype, per neuron)``: the books, then the rows'
-#: offsets and budgets.  ``history`` is ``(window, R, N)``, the other
-#: per-neuron arrays ``(R, N)``, the rest ``(R,)``.
-_NATIVE_BOOKS = (
-    ("history", "_history", np.bool_, True),
-    ("window_counts", "_window_counts", np.int64, True),
-    ("last_spike", "_last_spike", np.int64, True),
-    ("row_spikes", "_row_spikes", np.int64, False),
-    ("offsets", "_offsets", np.int64, False),
-    ("budgets", "_budgets", np.int64, False),
-)
+def _book_fields(window: int, size: int) -> Dict[str, Field]:
+    """The engine's row stack for rows of ``size`` neurons, by attribute.
+
+    The books a snapshot carries, in snapshot order (``history`` rings
+    the last ``window`` steps: its rows lie on axis 1), then the offsets
+    and budgets; ``izh_books`` reads each through the ``BooksBlock``
+    field named like it without the underscore.
+    """
+    neurons = (None, size)
+    return {
+        "_history": Field(np.bool_, (window, None, size), "history"),
+        "_window_counts": Field(np.int64, neurons, "window_counts"),
+        "_last_spike": Field(np.int64, neurons, "last_spike"),
+        "_row_spikes": Field(np.int64, key="row_spikes"),
+        "_offsets": Field(np.int64),
+        "_budgets": Field(np.int64),
+    }
 
 
 class _NativeBooks:
-    """The native books (``izh_books`` of :mod:`repro.runtime.native`) bound to one row set.
+    """The native books (``izh_books`` of :mod:`repro.runtime.native`) bound to the engine's buffers.
 
-    Holds the C pointer block, the engine's books it points into and the
-    per-row outputs of the last call (:attr:`local`, :attr:`at_check`,
-    :attr:`at_budget`), which the next call overwrites.  Every
-    recomposition, restore and teardown installs new book arrays, so
-    :meth:`SlotEngine._install` binds a fresh one each time.
+    Bound when the engine's row stack was allocated; holds the outputs
+    of the last call (:attr:`local`, :attr:`at_check`, :attr:`at_budget`).
     """
 
     def __init__(self, books: Any, engine: "SlotEngine") -> None:
-        count, size = len(engine.rows), int(engine.num_neurons or 0)
-        self.local = np.zeros(count, dtype=np.int64)
-        self.at_check = np.zeros(count, dtype=bool)
-        self.at_budget = np.zeros(count, dtype=bool)
-        block = native.BooksBlock(
-            rows=count, size=size, window=engine._window, check_interval=engine._check_interval,
-            local=self.local.ctypes.data, at_check=self.at_check.ctypes.data,
-            at_budget=self.at_budget.ctypes.data,
+        stack, self._size = engine._stack, int(engine.num_neurons or 0)
+        assert stack is not None
+        self.local = np.zeros(stack.capacity, dtype=np.int64)
+        self.at_check, self.at_budget = np.zeros((2, stack.capacity), dtype=bool)
+        self._block = block = native.BooksBlock(
+            capacity=stack.capacity, size=self._size, window=engine._window,
+            check_interval=engine._check_interval, local=self.local.ctypes.data,
+            at_check=self.at_check.ctypes.data, at_budget=self.at_budget.ctypes.data,
         )
-        pointed: List[np.ndarray] = []
-        for field_name, attr, dtype, wide in _NATIVE_BOOKS:
-            array = getattr(engine, attr)
-            want = (count, size) if wide else (count,)
-            if field_name == "history":
-                want = (engine._window,) + want
-            # The C loop trusts these; a converted copy would detach it from the books.
-            if array.shape != want or array.dtype != dtype or not array.flags.c_contiguous:
-                raise RuntimeError(f"slot books must be C-contiguous {want} stacks of {dtype}")
-            setattr(block, field_name, array.ctypes.data)
-            pointed.append(array)
-        # Alive while the C loop may touch them.
-        self._keep = (block, pointed)
+        fields = _book_fields(engine._window, self._size)
+        stack.bind(block, [(attr[1:], attr, field.dtype) for attr, field in fields.items()])
+        self._at = ctypes.addressof(block)
         self._books = books
-        self._block = ctypes.addressof(block)
-        self._shape = (count, size)
         #: The fired masks seen so far (the batch swaps two), by id, with
         #: their addresses; holding the array keeps its id unique.
         self._masks: Dict[int, Tuple[np.ndarray, int]] = {}
 
-    def __call__(self, step: int, fired: np.ndarray) -> int:
-        """The books after global step ``step``; returns how many rows are at a check."""
+    def __call__(self, rows: int, step: int, fired: np.ndarray) -> int:
+        """The live rows' books after global step ``step``; returns how many are at a check."""
         seen = self._masks.get(id(fired))
         if seen is None:
-            if (fired.shape != self._shape or fired.dtype != np.bool_
-                    or not fired.flags.c_contiguous):
-                raise RuntimeError(f"the fired mask must be a C-contiguous {self._shape} bool array")
+            if fired.dtype != np.bool_ or not fired.flags.c_contiguous:
+                raise RuntimeError("the fired mask must be a C-contiguous bool array")
             if len(self._masks) >= 2:
                 self._masks.clear()
             seen = self._masks[id(fired)] = (fired, fired.ctypes.data)
-        return self._books(self._block, step, seen[1])
+        if fired.shape != (rows, self._size):
+            raise RuntimeError(f"the fired mask must be a {(rows, self._size)} array")
+        return self._books(self._at, rows, step, seen[1])
 
 
 class SlotEngine:
@@ -355,16 +329,18 @@ class SlotEngine:
 
     Every batch runs exact-mode synapses and owns its input: solver rows
     compile into one :class:`~repro.runtime.drives.PortfolioAnnealedDrive`,
-    which the batch restacks when it is refilled mid-run and carries in
+    which the batch recomposes with its rows and carries in
     its snapshot.
     """
 
-    # The per-row books (see _BOOKS); the per-neuron ones are ``None``
-    # until the first admission fixes the neuron count.
+    # The live rows of the row stack (_book_fields), made at the first
+    # admission; the per-neuron books are ``None`` before it.
     _history: Optional[np.ndarray]
     _window_counts: Optional[np.ndarray]
     _last_spike: Optional[np.ndarray]
     _row_spikes: np.ndarray
+    _offsets: np.ndarray
+    _budgets: np.ndarray
     #: ``izh_books`` bound to the books, or ``None``: the NumPy books.
     _native_books: Optional[_NativeBooks]
 
@@ -396,7 +372,11 @@ class SlotEngine:
         self._step = 0
         self._num_neurons: Optional[int] = None
         self._updates_per_step: Optional[int] = None
-        self._install([], self._fresh_books(0))
+        self._rows: List[SlotRow] = []
+        self._stack: Optional[RowStack] = None
+        self._history = self._window_counts = self._last_spike = None
+        self._row_spikes = self._offsets = self._budgets = np.zeros(0, dtype=np.int64)
+        self._native_books = None
         #: The last checkpoint's at-check mask (until the rows or their
         #: windows change) and the decodes made since, by row index.
         self._at_check: Optional[np.ndarray] = None
@@ -512,8 +492,10 @@ class SlotEngine:
         ``keep`` lists surviving row indices in strictly increasing
         order; anything else raises before the engine changes, with
         :meth:`BatchedNetwork.retain`'s errors (``IndexError`` out of
-        range, ``ValueError`` not strictly increasing).  The canonical
-        composition order — retain survivors, then extend with
+        range, ``ValueError`` not strictly increasing), and so does an
+        admission the survivors' batch refuses
+        (:class:`~repro.runtime.batch.BatchIncompatibleError`).  The
+        canonical composition order — retain survivors, then extend with
         admissions, rebuilding from scratch when nothing survives —
         together with the degenerate-shape guards (``extend([])`` no-op,
         empty recomposition) lives here and only here.  Admitted rows
@@ -530,39 +512,42 @@ class SlotEngine:
         admissions = list(admissions)
         if len(keep) == len(self._rows) and not admissions:
             return
+        specs = [batch_row(replica) for _, replica in admissions]
+        size = self._num_neurons if self._num_neurons is not None else specs[0].size
+        if any(spec.size != size for spec in specs):
+            raise BatchIncompatibleError(f"admissions must have the engine's {size} neurons")
+        batch = self._batch if keep else None
+        if batch is not None and specs:
+            batch.check_extend(specs, keep)
         self._forget_decodes()
-        new_rows = [self._rows[i] for i in keep]
-        new_specs: List[BatchRow] = []
-        for row, replica in admissions:
-            spec = batch_row(replica)
+        for (row, _), spec in zip(admissions, specs):
             row.offset = self._step
             if spec.drive_spec is not None:
                 spec.drive_spec.step_offset = self._step
-            new_rows.append(row)
-            new_specs.append(spec)
-        if not new_rows:
-            # Nothing survives and nothing arrives: tear the batch down.
-            self._batch = None
-            self._install([], self._fresh_books(0))
-            return
-        if self._num_neurons is None:
-            self._num_neurons = new_specs[0].size
-        if self._updates_per_step is None and new_specs:
-            self._updates_per_step = int(self._num_neurons) * new_specs[0].substeps
-        if keep and self._batch is not None:
-            if len(keep) < len(self._rows):
-                self._batch.retain(keep)
-            if new_specs:  # the extend([]) guard, centralised
-                self._batch.extend(new_specs)
+        if batch is None:
+            # Nothing survives: tear the batch down, or build it afresh.
+            batch = BatchedNetwork.from_networks(specs) if specs else None
         else:
-            self._batch = BatchedNetwork.from_networks(new_specs)
-        kept = np.asarray(keep, dtype=np.int64)
-        books = self._fresh_books(len(new_specs))
-        for _, attr, axis in _BOOKS:
-            old = getattr(self, attr)
-            if old is not None:
-                books[attr] = np.concatenate([old.take(kept, axis=axis), books[attr]], axis=axis)
-        self._install(new_rows, books)
+            if len(keep) < len(self._rows):
+                batch.retain(keep)
+            if specs:  # the extend([]) guard, centralised
+                batch.extend(specs)
+        self._batch = batch
+        self._rows = [self._rows[i] for i in keep] + [row for row, _ in admissions]
+        if self._stack is None:
+            self._num_neurons = size
+            self._updates_per_step = size * specs[0].substeps
+            self._stack = RowStack(self, _book_fields(self._window, size))
+        self._stack.retain(keep)
+        books = {"_last_spike": -1, "_offsets": self._step,
+                 "_budgets": [row.budget for row, _ in admissions]}
+        if self._stack.extend(len(admissions), books):
+            self._bind_books()
+
+    def _bind_books(self) -> None:
+        """Bind ``izh_books`` to the row stack as allocated; ``None`` keeps the NumPy books."""
+        tally = native.books()
+        self._native_books = None if tally is None else _NativeBooks(tally, self)
 
     # ------------------------------------------------------------------ #
     # Checkpointing (repro.runtime.checkpoint)
@@ -611,9 +596,10 @@ class SlotEngine:
             "updates_per_step": self._updates_per_step,
             "rows": rows,
         }
-        for key, attr, _ in _BOOKS:
-            book = getattr(self, attr)
-            state[key] = None if book is None else book.copy()
+        if self._stack is None:
+            state.update((f.key, None) for f in _book_fields(self._window, 0).values() if f.key)
+        else:
+            state.update(self._stack.export())
         state["batch"] = batch
         return state
 
@@ -629,8 +615,10 @@ class SlotEngine:
         wholesale with the snapshot's, which is what makes the restored
         engine's next step bit-identical to the uninterrupted run's.
 
-        Restoring onto an engine with live rows, or with a mismatched
-        window/check-interval configuration, raises before mutating.
+        Restoring onto an engine with live rows, with a mismatched
+        window/check-interval configuration, with books that disagree
+        with the rows or with a batch state the rebuilt batch refuses
+        raises before anything changes.
         """
         if self._rows:
             raise RuntimeError("cannot restore into an engine with live rows")
@@ -646,10 +634,6 @@ class SlotEngine:
             raise ValueError(
                 f"restore got {len(rebuilt)} rows for {len(row_states)} snapshot rows"
             )
-        self._forget_decodes()
-        self._step = int(state["step"])
-        self._num_neurons = state["num_neurons"]
-        self._updates_per_step = state["updates_per_step"]
         rows = [
             SlotRow(
                 graph=rs["graph"],
@@ -660,17 +644,32 @@ class SlotEngine:
             )
             for rs, (payload, _) in zip(row_states, rebuilt)
         ]
-        books = self._fresh_books(len(rows))
+        size, stack, batch, books = state["num_neurons"], self._stack, None, {}
+        if size != self._num_neurons:
+            stack = None  # the books of another neuron count
         if rows:
-            for key, attr, _ in _BOOKS:
-                book = np.array(state[key], dtype=books[attr].dtype, copy=True, order="C")
-                if book.shape != books[attr].shape:
-                    self._install([], self._fresh_books(0))
-                    raise ValueError("checkpoint bookkeeping arrays disagree with the row set")
-                books[attr] = book
-            self._batch = BatchedNetwork.from_networks([replica for _, replica in rebuilt])
-            self._batch.restore_state(state["batch"])
-        self._install(rows, books)
+            if stack is None:
+                stack = RowStack(self, _book_fields(self._window, size))  # allocated below
+            try:
+                books = stack.check(state, len(rows))
+            except ValueError as exc:
+                raise ValueError(
+                    f"checkpoint bookkeeping arrays disagree with the row set: {exc}"
+                ) from None
+            batch = BatchedNetwork.from_networks([replica for _, replica in rebuilt])
+            batch.restore_state(state["batch"])
+        # Every check passed: nothing below refuses.
+        self._forget_decodes()
+        self._step = int(state["step"])
+        self._num_neurons = size
+        self._updates_per_step = state["updates_per_step"]
+        self._batch = batch
+        self._rows = rows
+        if stack is not self._stack:
+            self._stack, self._native_books = stack, None
+        books.update(_offsets=[r.offset for r in rows], _budgets=[r.budget for r in rows])
+        if stack is not None and stack.extend(len(rows), books):
+            self._bind_books()
 
     def _save(self, policy: SlotPolicy) -> None:
         """Snapshot the engine and its (durable) policy at this step."""
@@ -697,29 +696,6 @@ class SlotEngine:
         self.restore_state(engine, [policy.rebuild(row["token"]) for row in engine["rows"]])
         return True
 
-    def _fresh_books(self, count: int) -> Dict[str, Any]:
-        """Books of ``count`` unstepped rows: empty windows, no recency, no spikes."""
-        books: Dict[str, Any] = {attr: None for _, attr, _ in _BOOKS}
-        books["_row_spikes"] = np.zeros(count, dtype=np.int64)
-        if self._num_neurons is not None:
-            shape = (count, int(self._num_neurons))
-            books["_history"] = np.zeros((self._window,) + shape, dtype=bool)
-            books["_window_counts"] = np.zeros(shape, dtype=np.int64)
-            books["_last_spike"] = np.full(shape, -1, dtype=np.int64)
-        return books
-
-    def _install(self, rows: List[SlotRow], books: Dict[str, Any]) -> None:
-        """Make ``rows`` the live rows, with their books (keyed by attribute)."""
-        self._rows = rows
-        for _, attr, _ in _BOOKS:
-            setattr(self, attr, books[attr])
-        self._offsets = np.asarray([r.offset for r in rows], dtype=np.int64)
-        self._budgets = np.asarray([r.budget for r in rows], dtype=np.int64)
-        self._row_index = np.arange(len(rows), dtype=np.int64)
-        # The native books point into these very arrays: bind afresh.
-        tally = native.books() if rows else None
-        self._native_books = None if tally is None else _NativeBooks(tally, self)
-
     # ------------------------------------------------------------------ #
     # Stepping
     # ------------------------------------------------------------------ #
@@ -740,20 +716,22 @@ class SlotEngine:
         self._forget_decodes()
         self._step += 1
         fired = self._batch.step(self._step)
+        rows = len(self._rows)
         books = self._native_books
         if books is not None:
-            if not books(self._step, fired):
+            if not books(rows, self._step, fired):
                 return None
             # Copies: the next call overwrites the outputs.
             local, at_check, at_budget = (
-                books.local.copy(), books.at_check.copy(), books.at_budget.copy()
+                books.local[:rows].copy(), books.at_check[:rows].copy(),
+                books.at_budget[:rows].copy(),
             )
         else:
             # The NumPy books: the reference of izh_books.
             local = self._step - self._offsets  # per-row local step (1-based)
-            slot = local % self._window
-            self._window_counts -= self._history[slot, self._row_index]
-            self._history[slot, self._row_index] = fired
+            slot, index = local % self._window, np.arange(rows)
+            self._window_counts -= self._history[slot, index]
+            self._history[slot, index] = fired
             self._window_counts += fired
             if fired.any():
                 rows, cols = np.nonzero(fired)

@@ -9,6 +9,8 @@ datapath is integer arithmetic) and equal-within-float64 trajectories
 the identical elementwise operations) for the double-precision reference.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -159,10 +161,13 @@ class TestFusedKernelPrimitives:
             expected_v, expected_u, expected_spike = izhikevich_update_raw(
                 v, u, isyn, a_raw=a, b_raw=b, c_raw=c, d_raw=d, h_shift=h_shift, pin_voltage=pin
             )
-            kernel = _FixedBatchKernel(a, b, c, d, h_shift=h_shift, pin_voltage=pin)
+            rows = SimpleNamespace(a_raw=a, b_raw=b, c_raw=c, d_raw=d, **{
+                name: np.empty(shape, dtype=dtype) for name, dtype in _FixedBatchKernel.SCRATCH
+            })
+            kernel = _FixedBatchKernel(h_shift=h_shift, pin_voltage=pin)
             got_v = v.astype(np.int64).copy()
             got_u = u.astype(np.int64).copy()
-            spike = kernel.substep(got_v, got_u, isyn.astype(np.int64))
+            spike = kernel.substep(rows, got_v, got_u, isyn.astype(np.int64))
             np.testing.assert_array_equal(got_v, expected_v)
             np.testing.assert_array_equal(got_u, expected_u)
             np.testing.assert_array_equal(spike, expected_spike.astype(bool))

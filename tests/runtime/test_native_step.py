@@ -38,7 +38,7 @@ from repro.csp.scenarios import make_instance
 from repro.csp.solver import CSP_SLOT_DECODER
 from repro.fixedpoint import Q7_8, Q15_16
 from repro.runtime import BatchedNetwork, drives, native
-from repro.runtime.slots import _BOOKS, SlotEngine, SlotRow
+from repro.runtime.slots import SlotEngine, SlotRow
 from repro.sim.npu import izhikevich_update_raw
 from repro.snn.fixed_izhikevich import FixedPointPopulation, decay_current_raw
 from repro.snn.izhikevich import IzhikevichPopulation
@@ -205,7 +205,7 @@ class TestAgainstTheReference:
             pytest.skip("no native step kernel on this host")
         rng = np.random.default_rng(5)
         batch, _, _ = _batch(rng, kind, mode="decay", tau_select=2, h_shift=1, pin=True)
-        block = batch._native_binding()._keep[0]
+        block = batch._native._block
         indptr, indices, _, weights, _ = batch._synapses._gather
         assert [a.dtype for a in (indptr, indices, weights)] == [np.int64] * 3
         assert (block.indptr, block.indices, block.weights) == (
@@ -608,7 +608,7 @@ def _books_run(path, window, check_interval):
 
     Rows join at different global steps, budgets fall between checks and
     inside the window, the engine retains and extends mid-run (once to
-    the same row count, so only the rebound pointers tell the books
+    the same row count, so only the rows moved in place tell the books
     apart), and the run is saved and restored onto a fresh engine.
     """
     graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
@@ -628,7 +628,7 @@ def _books_run(path, window, check_interval):
             checkpoint = live.step()
             masks = None if checkpoint is None else (
                 checkpoint.local, checkpoint.at_check, checkpoint.at_budget)
-            books = {key: getattr(live, attr).copy() for key, attr, _ in _BOOKS}
+            books = live._stack.export()
             records.append((books, masks))
 
     with _on_path(path):
@@ -650,7 +650,60 @@ def _books_run(path, window, check_interval):
     return records
 
 
+def _grown_run(path):
+    """Books, checkpoint masks and the batch's snapshot after every real step on ``path``.
+
+    The row stacks grow twice mid-run (2 -> 4 -> 8 rows), recompose within
+    capacity once, and the run is saved and restored onto a fresh engine.
+    """
+    graph, clamps = make_instance("coloring", seed=3, num_vertices=8, num_colors=3)
+    solver = SpikingCSPSolver(graph, seed=1)
+
+    def admission(seed):
+        row = SlotRow(graph=graph, clamps=clamps, budget=20 + 3 * seed, payload=seed)
+        return row, solver.row(clamps, seed=seed)
+
+    def engine():
+        return SlotEngine(decoder=CSP_SLOT_DECODER, window=3, check_interval=7)
+
+    records = []
+
+    def steps(live, count):
+        for _ in range(count):
+            checkpoint = live.step()
+            masks = None if checkpoint is None else (
+                checkpoint.local, checkpoint.at_check, checkpoint.at_budget)
+            records.append((live._stack.export(), masks, live._batch.export_state()))
+
+    with _on_path(path):
+        live = engine()
+        live.admit([admission(1), admission(2)])
+        steps(live, 4)
+        live.admit([admission(3), admission(4)])
+        steps(live, 5)
+        live.recompose([0, 2, 3], [admission(seed) for seed in range(5, 10)])
+        assert live._stack.capacity == live._batch._stack.capacity == 8
+        steps(live, 6)
+        live.recompose([1, 4, 6], [admission(10)])
+        steps(live, 6)
+        state = live.export_state([row.payload for row in live.rows])
+        rebuilt = [(row.payload, solver.row(clamps, seed=row.payload)) for row in live.rows]
+        live = engine()
+        live.restore_state(state, rebuilt)
+        steps(live, 10)
+    return records
+
+
 class TestNativeBooks:
+    def test_the_step_and_books_agree_across_capacity_growth(self, assert_same_snapshot):
+        if native.books() is None:
+            pytest.skip("no native step kernel on this host")
+        mine, reference = (_grown_run(path) for path in STEP_PATHS)
+        assert len(mine) == len(reference) == 31
+        assert any(masks is not None for _, masks, _ in reference)
+        for step, (got, expected) in enumerate(zip(mine, reference)):
+            assert_same_snapshot(got, expected, f"step {step}")
+
     @pytest.mark.parametrize("check_interval", [1, 7, 10])
     @pytest.mark.parametrize("window", [1, 3, 20])
     def test_equal_the_numpy_books_after_every_step(

@@ -408,5 +408,4 @@ def test_retain_and_extend_restack_like_a_fresh_build():
         assert stack._int_kind == fresh._int_kind and stack.integer
         for got, want in zip(stack._gather, fresh._gather):
             np.testing.assert_array_equal(got, want)
-        assert stack._raw_out.shape == (len(live), stack.size)
     assert kinds == {"shared", "flat"}

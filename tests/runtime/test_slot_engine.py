@@ -29,8 +29,8 @@ import pytest
 from repro.csp import SpikingCSPSolver, make_instance
 from repro.csp.config import CSPConfig
 from repro.csp.solver import CSP_SLOT_DECODER, decode_assignment, solve_instances
+from repro.runtime import BatchIncompatibleError, native
 from repro.runtime import checkpoint as checkpoint_module
-from repro.runtime import native
 from repro.runtime.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -195,6 +195,15 @@ class _RefillPolicy:
         self._next = state["next"]
         self.finished = dict(state["finished"])
         self.restored = True
+
+
+class _GrowingPolicy(_RefillPolicy):
+    """Refills to a slot count that grows with the global step (1, 2, ... 6 rows),
+    so the engine's row stacks reallocate mid-run; a resumed run grows alike."""
+
+    def on_checkpoint(self, checkpoint):
+        self._slots = min(6, 1 + checkpoint.step // 15)
+        return super().on_checkpoint(checkpoint)
 
 
 class TestChaosDifferential:
@@ -423,6 +432,55 @@ class TestDurableResume:
         assert restored.num_rows == 0
 
 
+    @pytest.mark.parametrize("corrupt", ["books", "descriptor", "array", "drive"])
+    def test_a_refused_restore_leaves_a_fresh_engine(self, corrupt, assert_same_snapshot):
+        """Books that disagree with the rows, and a batch state the rebuilt
+        batch or its drive refuses, raise before any engine field changes."""
+        config = CSPConfig()
+        jobs = [_Job(name=f"job{i}", seed=300 + i, budget=60) for i in range(3)]
+
+        def make_engine():
+            return SlotEngine(
+                decoder=CSP_SLOT_DECODER,
+                window=max(1, config.decode_window),
+                check_interval=CHECK_INTERVAL,
+            )
+
+        policy = _RefillPolicy(jobs, config=config, slots=3)
+        engine = make_engine()
+        engine.admit(policy.initial_admissions(engine))
+        for _ in range(7):
+            engine.advance(policy)
+        tokens = [policy.describe(row) for row in engine.rows]
+        state = engine.export_state(tokens)
+        batch, error = state["batch"], BatchIncompatibleError
+        if corrupt == "books":
+            state["window_counts"], error = state["window_counts"][1:], ValueError
+        elif corrupt == "descriptor":
+            batch["descriptor"]["batch_size"] = 2
+        elif corrupt == "array":
+            batch["v_raw"] = batch["v_raw"][:, 1:]
+        else:
+            batch["drive"]["rngs"], error = batch["drive"]["rngs"][:2], ValueError
+
+        restored = make_engine()
+        with pytest.raises(error):
+            restored.restore_state(state, [policy.rebuild(token) for token in tokens])
+        assert (restored.global_step, restored.num_rows, restored.num_neurons,
+                restored.updates_per_step, restored._batch) == (0, 0, None, None, None)
+        assert_same_snapshot(restored.export_state([]), make_engine().export_state([]))
+        mine, reference = (_RefillPolicy(jobs, config=config, slots=2) for _ in range(2))
+        restored.run(mine, max_steps=400)
+        make_engine().run(reference, max_steps=400)
+        assert set(mine.finished) == set(reference.finished) == set(jobs)
+        for job in jobs:
+            got, ref = mine.finished[job], reference.finished[job]
+            assert (got.solved, got.local_steps, got.spikes) == (
+                ref.solved, ref.local_steps, ref.spikes
+            )
+            np.testing.assert_array_equal(got.values, ref.values)
+
+
 @pytest.mark.usefixtures("step_path")
 @pytest.mark.parametrize("step_path", ["numpy"], indirect=True)
 class TestDurableResumeOnNumPyStep(TestDurableResume):
@@ -517,6 +575,59 @@ class TestSnapshotAcrossStepPaths:
         engine.run(resumed, max_steps=4000)
         assert resumed.restored
         assert bool(native_steps) == (resumed_on == "native")
+        assert set(resumed.finished) == set(uninterrupted.finished) == set(jobs)
+        for job in jobs:
+            got, ref = resumed.finished[job], uninterrupted.finished[job]
+            assert (got.solved, got.local_steps, got.spikes) == (
+                ref.solved, ref.local_steps, ref.spikes
+            ), job
+            np.testing.assert_array_equal(got.values, ref.values)
+
+
+    @pytest.mark.parametrize("saved_on", ["native", "numpy"])
+    def test_a_run_that_outgrows_its_capacity_resumes_on_the_other_path(
+        self, tmp_path, monkeypatch, saved_on
+    ):
+        """The saving run's row stacks reallocate mid-run (1 -> 2 -> 4 -> 8 rows)."""
+        kernel, books = native.load(), native.books()
+        if kernel is None:
+            pytest.skip("no native step kernel on this host")
+
+        def use(path):
+            monkeypatch.setattr(native, "load", lambda: kernel if path == "native" else None)
+            monkeypatch.setattr(native, "books", lambda: books if path == "native" else None)
+
+        config = CSPConfig()
+        jobs = [_Job(name=f"job{i}", seed=700 + i, budget=(60, 90, 140)[i % 3]) for i in range(9)]
+
+        def make_engine(store=None):
+            return SlotEngine(
+                decoder=CSP_SLOT_DECODER,
+                window=config.decode_window,
+                check_interval=CHECK_INTERVAL,
+                store=store,
+                checkpoint_every=30,
+            )
+
+        uninterrupted = _GrowingPolicy(jobs, config=config, slots=1)
+        make_engine().run(uninterrupted, max_steps=4000)
+
+        use(saved_on)
+        engine = make_engine(CheckpointStore(tmp_path, kind="slots"))
+        policy = _GrowingPolicy(jobs, config=config, slots=1)
+        engine.admit(policy.initial_admissions(engine))
+        capacities = set()
+        for _ in range(100):
+            engine.advance(policy)
+            capacities.add(engine._stack.capacity)
+        assert {1, 2, 4, 8} <= capacities
+        assert (engine._native_books is not None) == (saved_on == "native")
+        del engine, policy
+
+        use("numpy" if saved_on == "native" else "native")
+        resumed = _GrowingPolicy(jobs, config=config, slots=1)
+        make_engine(CheckpointStore(tmp_path, kind="slots")).run(resumed, max_steps=4000)
+        assert resumed.restored
         assert set(resumed.finished) == set(uninterrupted.finished) == set(jobs)
         for job in jobs:
             got, ref = resumed.finished[job], uninterrupted.finished[job]
@@ -646,3 +757,39 @@ class TestRecomposeEdges:
         np.testing.assert_array_equal(engine._window_counts, twin._window_counts)
         np.testing.assert_array_equal(engine._last_spike, twin._last_spike)
         np.testing.assert_array_equal(engine.row_spikes, twin.row_spikes)
+
+    @pytest.mark.parametrize("refusal", ["size", "drive"])
+    def test_a_refused_admission_changes_nothing(self, step_path, refusal, assert_same_snapshot):
+        """The admission is checked against the survivors before the batch
+        retains anything or a row is stamped."""
+        engine, twin = self._engine_with_rows(), self._engine_with_rows()
+        engine.step()
+        twin.step()
+        if refusal == "size":
+            # 60 neurons against the batch's 24.
+            graph, clamps = make_instance("coloring", seed=5, num_vertices=20, num_colors=3)
+            replica = SpikingCSPSolver(graph, CSPConfig(), seed=5).row(clamps)
+            spec = replica.drive_spec
+        else:
+            # An opaque closure cannot join a batch with a compiled drive.
+            graph, clamps = _Job(name="opaque", seed=5, budget=300).make()
+            replica = SpikingCSPSolver(graph, CSPConfig(), seed=5).build_network(clamps)
+            replica.external_input = lambda step: np.zeros(replica.size)
+            spec = None
+        row = SlotRow(graph=graph, clamps=clamps, budget=300)
+
+        def state(live):
+            snapshot = live.export_state([None] * 3)
+            del snapshot["rows"]  # graphs of their own instances
+            return snapshot
+
+        before = state(engine)
+        with pytest.raises(BatchIncompatibleError):
+            engine.recompose([0, 2], [(row, replica)])
+        assert engine.num_rows == engine._batch.batch_size == 3
+        assert row.offset == 0 and (spec is None or spec.step_offset == 0)
+        assert_same_snapshot(state(engine), before)
+        for _ in range(30):
+            engine.step()
+            twin.step()
+        assert_same_snapshot(state(engine), state(twin))
