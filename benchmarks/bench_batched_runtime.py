@@ -37,6 +37,7 @@ from repro.csp.scenarios.sudoku import clamps_from_cells, shared_sudoku_graph
 from repro.harness import format_table
 from repro.runtime import eighty_twenty_seed_sweep
 from repro.runtime.batch import BatchedNetwork
+from repro.snn.synapse import SparseSynapses, quantize_weights_q15_16
 from repro.sudoku.puzzles import generate_puzzle_set
 
 #: Sweep configuration: B=32 replicas of a scaled 80-20 network.
@@ -172,22 +173,31 @@ def _call(closure, step):
     return closure(step)
 
 
+class _FloatSynapses(SparseSynapses):
+    """Sparse weights that report a lossy quantisation, so a batch propagates them in float."""
+
+    def quantized_q15_16(self):
+        return quantize_weights_q15_16(self.matrix.data)[0], False
+
+
 def _legacy_run_batch(entries, config, *, max_steps, check_interval):
     """The pre-PR CSP batch loop, kept verbatim as the benchmark baseline.
 
-    Per-replica float synapse propagation (``integer_csr=False``),
-    per-replica external-input closures (no drive compilation: each is
-    wrapped so it declares no drive spec) and freeze-only bookkeeping:
-    solved replicas stay in the batch and keep being stepped, only their
-    statistics are masked.
+    Per-replica float synapse propagation (each distinct synapse set is
+    wrapped in :class:`_FloatSynapses`), per-replica external-input
+    closures (no drive compilation: each is wrapped so it declares no
+    drive spec) and freeze-only bookkeeping: solved replicas stay in the
+    batch and keep being stepped, only their statistics are masked.
     """
     num = len(entries)
     num_neurons = entries[0].graph.num_neurons
+    wrapped = {}
     for e in entries:
         e.row.external_input = functools.partial(_call, e.row.external_input)
-    batch = BatchedNetwork.from_networks(
-        [e.row for e in entries], synapse_mode="exact", integer_csr=False
-    )
+        synapses = e.row.synapses
+        e.row.synapses = wrapped.setdefault(id(synapses), _FloatSynapses(synapses.matrix))
+    batch = BatchedNetwork.from_networks([e.row for e in entries], synapse_mode="exact")
+    assert not batch.integer_propagation
     window = max(1, config.decode_window)
     history = np.zeros((window, num, num_neurons), dtype=bool)
     window_counts = np.zeros((num, num_neurons), dtype=np.int64)

@@ -13,11 +13,13 @@ Two operating points are supported, selected by ``synapse_mode``:
     **Bit-exact** with ``B`` sequential ``SNNNetwork.run`` calls on
     either backend.  Sparse connectivity whose weights are all exactly
     representable in Q15.16 (the WTA constraint networks) propagates
-    through the **integer CSR kernel**: raw ``int64`` weights and one
-    batched gather + segmented integer reduction for all ``B`` replicas,
-    bit-identical *by construction* because integer adds commute.
-    Everything else (e.g. the 80-20 network's dense random weights) runs
-    the per-replica propagation with the sequential expressions.
+    through the **integer grid**: raw ``int64`` CSC columns of the
+    distinct structures of the rows, each row addressing its structure
+    through a column base, and one batched gather + segmented integer
+    reduction for all ``B`` replicas, bit-identical *by construction*
+    because integer adds commute.  Everything else (e.g. the 80-20
+    network's dense random weights) runs the per-replica propagation
+    with the sequential expressions.
 ``"fused"``
     Dense connectivity (the 80-20 network) is propagated for the whole
     batch at once: a float gather + segmented reduction whose summation
@@ -47,12 +49,17 @@ the checkpointed state (``_STATE``), the parameters (``_PARAMS``) and the
 step's scratch (``_SCRATCH``) — is a row of one
 :class:`~repro.runtime.rows.RowStack`: buffers sized to a capacity whose
 live ``(B, N)`` prefix the batch sees as attributes.
-:meth:`BatchedNetwork.retain` drops replicas (solver instances that
-converged) by moving the survivors down in place, and
-:meth:`BatchedNetwork.extend` writes fresh ones after them, reallocating
-only when the buffers are full; the compiled drive keeps its rows the
-same way.  :meth:`BatchedNetwork.run` records spikes into a bit-packed
-buffer (one bit per neuron-step).
+:meth:`BatchedNetwork.retain` is the one recomposition: it checks every
+admission first, then drops replicas (solver instances that converged)
+by moving the survivors down in place and writes the admissions after
+them, reallocating only when the buffers are full; the compiled drive
+keeps its rows the same way, and :meth:`BatchedNetwork.extend` is a
+``retain`` that keeps every row.  The integer grid is built once at
+construction and rebuilt from the live rows only when an admission
+brings a structure it lacks: a retirement leaves it as it is, so it
+never holds more structures than the rows live at its last build.
+:meth:`BatchedNetwork.run` records spikes into a bit-packed buffer (one
+bit per neuron-step).
 
 The fixed-point update is fused through :class:`_FixedBatchKernel`, a
 scratch-buffer reimplementation of the integer datapath that is
@@ -75,15 +82,15 @@ when it is fixed-point, its synapses run on the integer kernel or are
 absent, and the library loaded; otherwise, and on hosts without a C
 compiler or NumPy's ``npyrandom`` archive, it takes the NumPy step.  Its
 pointer block is bound when the row stacks are allocated and again only
-when they grow; each call passes the live row count, and only the
-integer grid's pointers are rewritten at a recomposition.  Both paths
-carry the same state arrays and generators, so results, snapshots and
-restores are identical on either; :attr:`BatchedNetwork.native_step`
-tells which one a batch runs.  A step whose current is NaN raises
-:class:`FloatingPointError` on either path and leaves ``v``, ``u``, the
-last-fired mask and the current feed as it found them; every row's
-noise stream has still advanced by one step.  The float64 backend
-refuses a NaN current the same way.
+when they grow — the column bases among them — and each call passes the
+live row count; the integer grid's three pointers are rewritten when
+the grid is rebuilt.  Both paths carry the same state arrays and
+generators, so results, snapshots and restores are identical on either;
+:attr:`BatchedNetwork.native_step` tells which one a batch runs.  A step
+whose current is NaN raises :class:`FloatingPointError` on either path
+and leaves ``v``, ``u``, the last-fired mask and the current feed as it
+found them; every row's noise stream has still advanced by one step.
+The float64 backend refuses a NaN current the same way.
 """
 
 from __future__ import annotations
@@ -251,17 +258,20 @@ class _FixedBatchKernel:
 
 
 class _SynapseBatch:
-    """Batched synaptic propagation over stacked connectivity.
+    """Batched synaptic propagation over the live rows' connectivity.
 
     One engine per kind of workload, picked at stack time:
 
     * **integer sparse** (``self.integer``; the CSP/Sudoku WTA networks):
-      every weight is exactly representable in Q15.16, so the weights
-      live as raw integers and :meth:`propagate_raw` performs one batched
-      CSC gather + scatter-add for the whole batch, over either the one
-      shared matrix (``"shared"``) or the replicas' matrices flattened
-      onto one grid (``"flat"``).  Exact in any summation order, hence
-      bit-identical to the sequential propagation.
+      sparse weights that all quantise losslessly to Q15.16 live as raw
+      integers on one grid — int64 ``indptr``/``indices``/``weights``
+      over the distinct structures (matrices, by identity) of the rows
+      live at its last :meth:`build`, with targets local to a row.  A row
+      addresses its structure through its column base (the batch's
+      ``_base`` row, from :meth:`columns`), and :meth:`propagate_raw`
+      performs one batched CSC gather + scatter-add for the whole batch.
+      Exact in any summation order, hence bit-identical to the
+      sequential propagation.
     * **fused dense float** (``mode == "fused"`` over dense connectivity;
       the 80-20 seed sweep): one gather over the stacked weight matrices
       plus a segmented reduction; reassociates sums (ULP-level
@@ -270,83 +280,77 @@ class _SynapseBatch:
       ``Synapses.propagate`` expressions, one replica at a time.
     """
 
-    def __init__(
-        self,
-        synapses: Sequence[Synapses],
-        size: int,
-        mode: str,
-        *,
-        integer_mode: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, synapses: Sequence[Synapses], size: int, mode: str) -> None:
         if len({type(s) for s in synapses}) != 1:
             raise BatchIncompatibleError("all networks must use the same synapse kind")
         self.mode = mode
         self.size = size
-        self._synapses: List[Any] = list(synapses)
+        self.kind = type(synapses[0])
         self._none = synapses[0] is None
-        self._build(integer_mode)
-        if integer_mode is True and not self.integer and not self._none:
-            raise BatchIncompatibleError(
-                "integer propagation requires sparse weights exactly representable in Q15.16"
-            )
+        self.integer = issubclass(self.kind, SparseSynapses) and all(
+            s.quantized_q15_16()[1] for s in synapses
+        )
+        #: (indptr, indices, col_counts, weights, uniform fan-out or None).
+        self.grid: tuple = ()
+        #: Each structure of the grid, by ``id``: its matrix (which keeps
+        #: the id unique) and its first column.
+        self._columns: Dict[int, Tuple[Any, int]] = {}
+        self.restack(synapses)
 
-    def _build(self, integer_mode: Optional[bool]) -> None:
-        """(Re)build the stacked structures for the live replica set."""
-        self._weight_rows: Optional[np.ndarray] = None
-        self._gather: tuple = ()  # (indptr, indices, col_counts, data, uniform)
-        self._int_kind: Optional[str] = None
-        self.integer = integer_mode is not False and self._build_integer()
-        first = self._synapses[0]
-        if not self.integer and self.mode == "fused" and isinstance(first, DenseSynapses):
-            # Row (b * N + i) holds W_b[:, i]: the outgoing weights of
-            # presynaptic neuron i in replica b.  One gather over the
-            # firing (replica, neuron) pairs plus a segmented reduction
-            # then yields every replica's synaptic current at once.
-            stacked = np.stack([np.asarray(s.weights) for s in self._synapses])
-            self._weight_rows = np.ascontiguousarray(stacked.transpose(0, 2, 1)).reshape(
-                len(self._synapses) * self.size, self.size
-            )
-
-    def _build_integer(self) -> bool:
-        """Stack raw Q15.16 sparse weights; ``False`` when that would lose bits.
+    def build(self, synapses: Sequence[SparseSynapses]) -> List[int]:
+        """Rebuild the grid over the distinct structures of ``synapses``; their first columns.
 
         Rows rely on :meth:`SparseSynapses.quantized_q15_16` memoising
-        its lossless payloads: a row is quantised once, not once per
-        recomposition.  The native step reads the int64 grid in place.
+        its lossless payloads: a structure is quantised once, not once
+        per build.  The native step reads the int64 grid in place.
         """
-        first = self._synapses[0]
-        if not isinstance(first, SparseSynapses):
-            return False
-        shared = all(s.matrix is first.matrix for s in self._synapses[1:])
-        replicas = self._synapses[:1] if shared else self._synapses
-        raws = []
-        for synapse in replicas:
-            raw, lossless = synapse.quantized_q15_16()
-            if not lossless:
-                return False
-            raws.append(raw)
-        matrices = [synapse.matrix for synapse in replicas]
-        ptrs = np.stack([m.indptr for m in matrices], dtype=np.int64)  # (1 or B, N + 1)
-        indices = np.concatenate([m.indices for m in matrices], dtype=np.int64)
-        if not shared:
-            # Independent per-replica connectivity: flatten the B CSC
-            # structures over one (B * N)-column grid with globally offset
-            # row indices, so a single gather serves the whole batch.
-            indices += np.repeat(np.arange(len(matrices), dtype=np.int64) * self.size, ptrs[:, -1])
+        columns: Dict[int, Tuple[Any, int]] = {}
+        matrices, raws = [], []
+        for synapse in synapses:
+            if id(synapse.matrix) not in columns:
+                columns[id(synapse.matrix)] = (synapse.matrix, len(matrices) * self.size)
+                matrices.append(synapse.matrix)
+                raws.append(synapse.quantized_q15_16()[0])
+        ptrs = np.stack([m.indptr for m in matrices], dtype=np.int64)  # (structures, N + 1)
         counts = np.diff(ptrs, axis=1).ravel()
         indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         uniform = None
         if counts.size and int(counts[0]) > 0 and np.all(counts == counts[0]):
             uniform = int(counts[0])  # constant fan-out (the WTA graphs)
-        self._gather = (indptr, indices, counts, np.concatenate(raws, dtype=np.int64), uniform)
-        self._int_kind = "shared" if shared else "flat"
-        return True
+        indices = np.concatenate([m.indices for m in matrices], dtype=np.int64)
+        self.grid = (indptr, indices, counts, np.concatenate(raws, dtype=np.int64), uniform)
+        self._columns = columns
+        return [columns[id(synapse.matrix)][1] for synapse in synapses]
+
+    def columns(self, synapses: Sequence[SparseSynapses]) -> Optional[List[int]]:
+        """Each synapse set's first grid column, or ``None`` when the grid lacks a structure."""
+        try:
+            return [self._columns[id(synapse.matrix)][1] for synapse in synapses]
+        except KeyError:
+            return None
+
+    def restack(self, synapses: Sequence[Synapses]) -> None:
+        """Adopt the live rows' synapse sets for the float paths."""
+        self._synapses: List[Any] = list(synapses)
+        self._weight_rows: Optional[np.ndarray] = None
+        if not self.integer and self.mode == "fused" and issubclass(self.kind, DenseSynapses):
+            # Row (b * N + i) holds W_b[:, i]: the outgoing weights of
+            # presynaptic neuron i in replica b.  One gather over the
+            # firing (replica, neuron) pairs plus a segmented reduction
+            # then yields every replica's synaptic current at once.
+            stacked = np.stack([np.asarray(s.weights) for s in synapses])
+            self._weight_rows = np.ascontiguousarray(stacked.transpose(0, 2, 1)).reshape(
+                len(synapses) * self.size, self.size
+            )
 
     # ------------------------------------------------------------------ #
     # reprolint: exact-int -- integer scatter-add (bincount sums below 2^53 are exact)
-    def propagate_raw(self, fired: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Raw Q15.16 synaptic current ``(B, N)`` into ``out`` (integer path only)."""
+    def propagate_raw(self, fired: np.ndarray, base: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Raw Q15.16 synaptic current ``(B, N)`` into ``out`` (integer path only).
+
+        ``base`` holds each row's first grid column.
+        """
         out_flat = out.reshape(-1)
         out_flat[:] = 0
         if self._none:
@@ -354,20 +358,15 @@ class _SynapseBatch:
         flat = np.flatnonzero(fired.ravel())
         if flat.size == 0:
             return out
-        indptr, indices, col_counts, data, uniform = self._gather
-        if self._int_kind == "flat":
-            cols = flat
-            target_offset = None
-        else:
-            cols = flat % self.size
-            target_offset = (flat // self.size) * self.size
+        indptr, indices, col_counts, data, uniform = self.grid
+        row, cols = np.divmod(flat, self.size)
+        first = flat - cols  # the firing cell's row's first target
+        cols += base[row]
         if uniform is not None:
             # Constant fan-out (the WTA graphs): the expansion collapses
             # to one broadcast add, skipping the cumsum/repeat machinery.
             sel = (indptr[cols][:, None] + np.arange(uniform)).reshape(-1)
-            targets = indices[sel]
-            if target_offset is not None:
-                targets = (targets.reshape(-1, uniform) + target_offset[:, None]).reshape(-1)
+            targets = (indices[sel].reshape(-1, uniform) + first[:, None]).reshape(-1)
         else:
             cnt = col_counts[cols]
             total = int(cnt.sum())
@@ -376,22 +375,22 @@ class _SynapseBatch:
             csum = np.cumsum(cnt)
             offsets = np.repeat(indptr[cols] - (csum - cnt), cnt)
             sel = offsets + np.arange(total)
-            targets = indices[sel]
-            if target_offset is not None:
-                targets = targets + np.repeat(target_offset, cnt)
+            targets = indices[sel] + np.repeat(first, cnt)
         # bincount sums the int64 weights in float64: every partial sum is
         # an integer below 2^53, hence exact.
         sums = np.bincount(targets, weights=data[sel], minlength=out_flat.size)
         np.copyto(out_flat, sums, casting="unsafe")
         return out
 
-    def propagate(self, fired: np.ndarray, out: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    def propagate(
+        self, fired: np.ndarray, base: np.ndarray, out: np.ndarray, raw: np.ndarray
+    ) -> np.ndarray:
         """Synaptic current ``(B, N)`` of the firing mask into ``out``; ``raw``: int64 scratch."""
         if self._none:
             out[:] = 0.0
             return out
         if self.integer:
-            np.divide(self.propagate_raw(fired, raw), 65536.0, out=out)  # exact: |raw| < 2^53
+            np.divide(self.propagate_raw(fired, base, raw), 65536.0, out=out)  # exact: |raw| < 2^53
             return out
         if self._weight_rows is None:
             for i, syn in enumerate(self._synapses):
@@ -407,41 +406,12 @@ class _SynapseBatch:
             out[nonempty] = np.add.reduceat(rows, starts, axis=0)
         return out
 
-    def retain(self, keep: Sequence[int]) -> None:
-        """Drop all replica rows not listed in ``keep``; rebuilds from the survivors."""
-        self._synapses = [self._synapses[i] for i in keep]
-        self._build(self.integer)
 
-    def validate_extend(self, synapses: Sequence[Synapses]) -> None:
-        """Raise if :meth:`extend` would refuse — without mutating anything.
-
-        Checks the synapse kind and, when the integer kernel is live,
-        that every new weight set quantises losslessly (the kernel must
-        not silently fall back to float mid-run: a snapshot's descriptor
-        records which path is active).
-        """
-        kind = type(self._synapses[0])
-        for synapse in synapses:
-            if type(synapse) is not kind:
-                raise BatchIncompatibleError("stacked-in synapse kind differs from the batch")
-            if self.integer and not synapse.quantized_q15_16()[1]:
-                raise BatchIncompatibleError(
-                    "integer propagation requires weights exactly representable in Q15.16"
-                )
-
-    def extend(self, synapses: Sequence[Synapses]) -> None:
-        """Append replica synapse sets (checked by :meth:`validate_extend`); rebuilds."""
-        self._synapses.extend(synapses)
-        self._build(self.integer)
-
-
-#: ``izh_batch.synapses`` codes of the C source, by ``_SynapseBatch._int_kind``.
-_NATIVE_SYNAPSES = {None: 0, "shared": 1, "flat": 2}
 #: The batch rows the native step reads or updates in place, as
 #: ``(StepBlock field, batch attribute, dtype)``; ``_syn`` is its scratch.
 _NATIVE_ROWS = tuple((field, attr, np.int64) for field, attr in (
-    ("isyn", "_isyn_raw"), ("v", "v_raw"), ("u", "u_raw"), ("a", "a_raw"), ("b", "b_raw"),
-    ("c", "c_raw"), ("d", "d_raw"), ("syn", "_syn")))
+    ("base", "_base"), ("isyn", "_isyn_raw"), ("v", "v_raw"), ("u", "u_raw"), ("a", "a_raw"),
+    ("b", "b_raw"), ("c", "c_raw"), ("d", "d_raw"), ("syn", "_syn")))
 #: The annealed drive's rows the native step reads, as
 #: ``(StepBlock field, PortfolioAnnealedDrive attribute, dtype)``.
 _NATIVE_DRIVE = (("drive", "_drives", np.float64), ("mask", "_masks", np.bool_),
@@ -454,11 +424,11 @@ class _NativeStep:
     """The native fused step (:mod:`repro.runtime.native`) bound to one batch's buffers.
 
     Bound when the batch's row stack — and its drive's — were allocated;
-    retains, extends within capacity and restores write in place
+    recompositions within capacity and restores write in place
     (generators by bit-generator state), so the pointers stay valid until
-    an ``extend`` reallocates.  The integer grid is rebuilt at every
-    recomposition, so :meth:`grid` rewrites its kind and three pointers.
-    With a :class:`~repro.runtime.drives.PortfolioAnnealedDrive`
+    an admission reallocates.  The integer grid is rebuilt only when an
+    admission brings a structure it lacks; :meth:`grid` then rewrites its
+    three pointers.  With a :class:`~repro.runtime.drives.PortfolioAnnealedDrive`
     (``annealed``) the C step evaluates the drive itself; otherwise the
     batch passes the drive's output.
     """
@@ -490,11 +460,10 @@ class _NativeStep:
         self.grid(batch._synapses)
 
     def grid(self, synapses: _SynapseBatch) -> None:
-        """Point the block at the integer grid as last rebuilt."""
-        self._block.synapses = _NATIVE_SYNAPSES[synapses._int_kind]
-        if synapses._int_kind is not None:
-            indptr, indices, _, data, _ = synapses._gather
-            self._grid = (indptr, indices, data)  # alive while the C loop may read it
+        """Point the block at the integer grid as last built; without one (no synapses) at NULL."""
+        if synapses.grid:
+            indptr, indices, _, weights, _ = synapses.grid
+            self._grid = (indptr, indices, weights)  # alive while the C loop may read it
             if any(a.dtype != np.int64 or not a.flags.c_contiguous for a in self._grid):
                 raise RuntimeError("the integer synapse grid must be C-contiguous int64 arrays")
             self._block.indptr, self._block.indices, self._block.weights = (
@@ -704,18 +673,13 @@ class BatchedNetwork:
     synapse_mode:
         ``"exact"`` (bit-exact with the sequential engine) or ``"fused"``
         (vectorised dense propagation; see the module docstring).
-    integer_csr:
-        ``None`` (default) auto-enables the integer propagation kernel
-        whenever the connectivity is sparse and every weight is exactly
-        representable in Q15.16; ``False`` forces the float paths (the
-        legacy behaviour, kept for benchmarking); ``True`` requires the
-        integer kernel and raises :class:`BatchIncompatibleError` if the
-        weights do not qualify.
     """
 
     # Per-replica rows, the live (B, N) prefix of the row stack's buffers
     # (see _STATE, _PARAMS and _SCRATCH); _isyn_raw is state on the
-    # fixed-point backend, scratch on float64.
+    # fixed-point backend, scratch on float64.  _base (B,) holds each
+    # row's first column in the integer synapse grid.
+    _base: np.ndarray
     _last_fired: np.ndarray
     _current: np.ndarray
     _isyn_raw: np.ndarray
@@ -732,13 +696,7 @@ class BatchedNetwork:
     c: np.ndarray
     d: np.ndarray
 
-    def __init__(
-        self,
-        networks: Sequence[Replica],
-        *,
-        synapse_mode: str = "exact",
-        integer_csr: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, networks: Sequence[Replica], *, synapse_mode: str = "exact") -> None:
         if not networks:
             raise BatchIncompatibleError("cannot batch zero networks")
         if synapse_mode not in ("exact", "fused"):
@@ -756,19 +714,20 @@ class BatchedNetwork:
         if drive is None:
             _check_closures(rows)
         self._drive = None if drive is None else drive([row.drive_spec for row in rows])
-        self._synapses = _SynapseBatch(
-            [row.synapses for row in rows], self.size, synapse_mode, integer_mode=integer_csr
-        )
+        self._synapses = _SynapseBatch([row.synapses for row in rows], self.size, synapse_mode)
         fixed, width, kernel = self.is_fixed_point, (None, self.size), self._native_kernel()
         dtype = np.int64 if fixed else np.float64
         fields = {attr: Field(np.bool_ if attr == "_last_fired" else dtype, width, key)
                   for key, attr in _STATE[fixed]}
         fields.update((attr, Field(dtype, width)) for attr in _PARAMS[fixed])
+        fields["_base"] = Field(np.int64)
         scratch = _SCRATCH + (_NUMPY_SCRATCH[fixed] if kernel is None else _NATIVE_SCRATCH)
         fields.update((attr, Field(dt, width, scratch=True)) for attr, dt in scratch)
         self._stack = RowStack(self, fields)
         self._stack.extend(len(rows), self._rows_of(rows))
         self.rows = rows
+        if self._synapses.integer:
+            self._base[:] = self._synapses.build([row.synapses for row in rows])
         if fixed:
             self._kernel = _FixedBatchKernel(h_shift=self.h_shift, pin_voltage=self._pin_voltage)
         self._native = None if kernel is None else _NativeStep(kernel, self)
@@ -778,14 +737,10 @@ class BatchedNetwork:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_networks(
-        cls,
-        networks: Sequence[Replica],
-        *,
-        synapse_mode: str = "exact",
-        integer_csr: Optional[bool] = None,
+        cls, networks: Sequence[Replica], *, synapse_mode: str = "exact"
     ) -> "BatchedNetwork":
         """Stack compatible replicas: :class:`SNNNetwork` instances or row specs."""
-        return cls(networks, synapse_mode=synapse_mode, integer_csr=integer_csr)
+        return cls(networks, synapse_mode=synapse_mode)
 
     @property
     def batch_size(self) -> int:
@@ -800,7 +755,7 @@ class BatchedNetwork:
     def _rows_of(self, rows: Sequence[BatchRow]) -> Dict[str, np.ndarray]:
         """Stack the rows' per-replica arrays, keyed by attribute name.
 
-        The one reader of row specs: construction and :meth:`extend`
+        The one reader of row specs: construction and :meth:`retain`
         write its arrays into the row stack.  A fixed-point batch keeps
         no float current: its raw Q15.16 current feed is derived here
         from the rows' float current.
@@ -837,23 +792,29 @@ class BatchedNetwork:
             return native.load()
         return None
 
-    def check_extend(self, rows: Sequence[BatchRow], kept: Sequence[int]) -> None:
+    def _check_admissions(self, rows: Sequence[BatchRow], kept: Sequence[BatchRow]) -> None:
         """Raise if ``rows`` cannot join the live rows ``kept`` — without mutating anything.
 
         The compatibility contract of construction (layout, synapse kind,
-        and losslessly quantisable weights on the integer kernel), and
-        the batch's input path: a compiled drive takes only rows that
-        compile with the kept rows, a batch that calls closures only
-        rows it can call.
+        and losslessly quantisable weights on the integer kernel: the
+        kernel must not fall back to float mid-run, since a snapshot's
+        descriptor records which path is active), and the batch's input
+        path: a compiled drive takes only rows that compile with the kept
+        rows, a batch that calls closures only rows it can call.
         """
         _check_layout(rows, self._layout)
         if self._drive is None:
             _check_closures(rows)
-        elif _drive_class([self.rows[i] for i in kept] + list(rows), self.size) is not type(
-            self._drive
-        ):
+        elif _drive_class(list(kept) + list(rows), self.size) is not type(self._drive):
             raise BatchIncompatibleError("stacked-in rows do not compile into the batch's drive")
-        self._synapses.validate_extend([row.synapses for row in rows])
+        synapses = self._synapses
+        for row in rows:
+            if type(row.synapses) is not synapses.kind:
+                raise BatchIncompatibleError("stacked-in synapse kind differs from the batch")
+            if synapses.integer and not row.synapses.quantized_q15_16()[1]:
+                raise BatchIncompatibleError(
+                    "integer propagation requires weights exactly representable in Q15.16"
+                )
 
     # ------------------------------------------------------------------ #
     # Stepping
@@ -912,9 +873,9 @@ class BatchedNetwork:
             )
         synapses = self._synapses
         if synapses.integer or synapses._none:
-            z += synapses.propagate_raw(self._last_fired, self._raw_out)
+            z += synapses.propagate_raw(self._last_fired, self._base, self._raw_out)
         else:
-            synaptic = synapses.propagate(self._last_fired, self._out, self._raw_out)
+            synaptic = synapses.propagate(self._last_fired, self._base, self._out, self._raw_out)
             z += np.multiply(synaptic, 65536.0, out=self._fscratch2)
         fresh = _quantize_scaled_q15_16(z, self._iscratch, self._fscratch2)
         self._isyn_raw, self._iscratch = fresh, self._isyn_raw
@@ -947,7 +908,7 @@ class BatchedNetwork:
                 np.logical_or(fired, spike, out=fired)
             return fired
         external = self._external(step_index)
-        synaptic = self._synapses.propagate(self._last_fired, self._out, self._raw_out)
+        synaptic = self._synapses.propagate(self._last_fired, self._base, self._out, self._raw_out)
         current = self._update_current(external, synaptic)
         v, u, fired_f = euler_step(
             self.v, self.u, current, self.a, self.b, self.c, self.d,
@@ -1081,69 +1042,72 @@ class BatchedNetwork:
     # ------------------------------------------------------------------ #
     # Active-set shrinking and growth
     # ------------------------------------------------------------------ #
-    def retain(self, keep: Sequence[int]) -> None:
-        """Shrink the batch to the replica rows listed in ``keep``.
+    def retain(self, keep: Sequence[int], networks: Sequence[Replica] = ()) -> None:
+        """Recompose the batch: keep the rows ``keep``, then stack ``networks`` after them.
 
         ``keep`` must be strictly increasing current row indices.  The
-        survivors' rows move down in place, in order (the row stacks),
-        and the synapse stacks are rebuilt from them, so later steps
-        advance only the survivors; each survivor's trajectory is
-        unaffected (replicas are independent).
+        one recomposition, atomic: every check runs first — the indices,
+        then each admission's layout, input path (a compiled drive takes
+        only rows that compile with the kept ones, a batch that calls
+        closures only rows it can call) and synapses (the batch's kind,
+        and losslessly quantisable weights on the integer kernel) — so a
+        refusal changes nothing.  Then the row stack, the synapses, the
+        drive and the native block change once each: the survivors' rows
+        move down in place, in order, and the admissions — row specs, or
+        networks read through :func:`batch_row` — are written after them
+        by the same :meth:`_rows_of` construction uses, so every row's
+        trajectory is the one it would have standalone.  The row stacks
+        reallocate only when they are full.  The integer grid is rebuilt
+        from the live rows only when an admission brings a structure it
+        lacks; a retirement leaves it as it is.
 
         **Layering seam.**  Within ``src/repro`` the sanctioned caller
         is :meth:`repro.runtime.slots.SlotEngine.recompose`, which owns
-        the retain-before-extend composition order and its edge guards;
-        direct calls from outside ``repro/runtime/`` are rejected by
-        reprolint's RL001 layering rule (``docs/LINTING.md``).
+        the recomposition's edge guards and stamps each admission's
+        offsets; direct calls from outside ``repro/runtime/`` are
+        rejected by reprolint's RL001 layering rule
+        (``docs/LINTING.md``).
         """
         keep = np.asarray(keep, dtype=np.int64)
         if keep.size == 0:
             raise BatchIncompatibleError("cannot retain an empty batch")
         if np.any(keep < 0) or np.any(keep >= self.batch_size):
-            raise IndexError(f"retain indices out of range for batch of {self.batch_size}")
+            raise IndexError(f"retain indices out of range for {self.batch_size} rows")
         if np.any(np.diff(keep) <= 0):
             raise ValueError("retain indices must be strictly increasing")
-        if keep.size == self.batch_size:
+        rows = [batch_row(replica) for replica in networks]
+        kept = [self.rows[i] for i in keep]
+        if rows:
+            self._check_admissions(rows, kept)
+        elif keep.size == self.batch_size:
             return
-        self.rows = [self.rows[i] for i in keep]
+        values = self._rows_of(rows) if rows else {}
+        # Every check passed: nothing below refuses.
+        synapses = self._synapses
+        self.rows = live = kept + rows
+        bases = synapses.columns([row.synapses for row in rows]) if synapses.integer else []
+        rebuilt = bases is None
+        if bases is None:  # an admission brings a structure the grid lacks
+            bases = synapses.build([row.synapses for row in live])
         self._stack.retain(keep)
-        self._synapses.retain(keep)
+        grown = self._stack.extend(len(rows), values)
+        self._base[len(live) - len(bases):] = bases  # the admissions', or every row's
+        synapses.restack([row.synapses for row in live])
         if self._drive is not None:
             self._drive.retain(keep)
-        if self._native is not None:
-            self._native.grid(self._synapses)
-
-    def extend(self, networks: Sequence[Replica]) -> None:
-        """Stack additional replicas into the live batch.
-
-        The inverse of :meth:`retain`: the given replicas — row specs, or
-        networks read through :func:`batch_row` — are written after the
-        live rows by the same :meth:`_rows_of` construction uses, so each
-        new replica's trajectory is bit-identical to running it
-        standalone from its current state, and existing rows are
-        untouched.  The row stacks reallocate only when they are full.
-        The replicas must pass :meth:`check_extend`, which refuses before
-        anything changes.
-
-        **Layering seam.**  As with :meth:`retain`, the sanctioned
-        ``src/repro`` caller is
-        :meth:`repro.runtime.slots.SlotEngine.recompose` (reprolint rule
-        RL001), which refills freed batch slots with admissions mid-run.
-        """
-        if not networks:
-            return
-        rows = [batch_row(replica) for replica in networks]
-        self.check_extend(rows, range(self.batch_size))
-        grown = self._stack.extend(len(rows), self._rows_of(rows))
-        self.rows.extend(rows)
-        self._synapses.extend([row.synapses for row in rows])
-        if self._drive is not None:
             grown |= self._drive.extend([row.drive_spec for row in rows])
         bound = self._native
         if bound is not None and grown:
             self._native = _NativeStep(bound.kernel, self)  # the buffers moved
-        elif bound is not None:
-            bound.grid(self._synapses)
+        elif bound is not None and rebuilt:
+            bound.grid(synapses)
+
+    def extend(self, networks: Sequence[Replica]) -> None:
+        """Stack additional replicas after the live rows: :meth:`retain` keeping every row.
+
+        **Layering seam.**  As with :meth:`retain` (reprolint rule RL001).
+        """
+        self.retain(range(self.batch_size), networks)
 
     # ------------------------------------------------------------------ #
     @property

@@ -8,7 +8,11 @@ then runs its NumPy step, which stays the bit-exact reference.
 its books in NumPy, the reference.  Each call passes the live row count:
 a :class:`StepBlock` or :class:`BooksBlock` points at the buffers of a
 :class:`~repro.runtime.rows.RowStack`, sized to its capacity, and is
-bound again only when they are reallocated.
+bound again only when they are reallocated.  A :class:`StepBlock` also
+points at the batch's integer synapse grid — one format: int64 CSC
+columns over the distinct connectivity structures, which the block's
+per-row column bases (a row-stack field) address — and those three
+pointers are rewritten only when the grid is rebuilt.
 
 The C step draws the annealed drive's normals itself, from each row's
 NumPy bit generator, through an inline copy of the fast path of NumPy's
@@ -83,10 +87,10 @@ class StepBlock(ctypes.Structure):
         ("decay", ctypes.c_int64),
         ("shift_count", ctypes.c_int64),
         ("shifts", ctypes.c_int64 * 4),
-        ("synapses", ctypes.c_int64),
         ("indptr", ctypes.c_void_p),
         ("indices", ctypes.c_void_p),
         ("weights", ctypes.c_void_p),
+        ("base", ctypes.c_void_p),
         ("syn", ctypes.c_void_p),
         ("isyn", ctypes.c_void_p),
         ("v", ctypes.c_void_p),

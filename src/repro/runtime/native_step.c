@@ -3,9 +3,12 @@
  *
  * One call advances every replica of a BatchedNetwork by one 1 ms step:
  * the annealed drive with its Gaussian noise (when the batch's drive is a
- * PortfolioAnnealedDrive), the integer CSR synaptic scatter, the current
- * sum at scale 2^16, the DCU decay, the one Q15.16 quantiser and all 2^h
- * Izhikevich substeps.  It follows the NumPy step of
+ * PortfolioAnnealedDrive), the integer synaptic scatter, the current sum
+ * at scale 2^16, the DCU decay, the one Q15.16 quantiser and all 2^h
+ * Izhikevich substeps.  The scatter reads one integer grid: the CSC
+ * columns of the distinct connectivity structures the batch last built
+ * it from, with targets local to a row, and per row the column base of
+ * that row's structure, so rows of one structure share its columns.  It follows the NumPy step of
  * repro/runtime/batch.py term for term and in the same order
  * (PortfolioAnnealedDrive.__call__, BatchedNetwork._fixed_isyn_raw, then
  * _FixedBatchKernel.substep), so both paths are bit-identical; the NumPy
@@ -41,6 +44,10 @@
  *     current is never cast: it fails the clip's comparison.
  *   - The anneal period is at least 1 (AnnealedNoiseSpec checks it), so
  *     % never divides by zero.
+ *   - Every live row's base is the first column of its structure in the
+ *     grid the block points at: the batch rebuilds the grid, and writes
+ *     every row's base, whenever an admission brings a structure the grid
+ *     lacks, so the scatter never reads past the grid.
  *   - A step either commits every replica's new current feed or none: the
  *     quantiser writes into the syn scratch, which is copied into isyn
  *     before the substep passes.  A NaN current still finishes the pass,
@@ -82,10 +89,6 @@ double random_standard_normal(bitgen_t *bitgen_state);
 #define IZH_OK 0
 #define IZH_NAN_CURRENT 1
 
-#define SYN_NONE 0
-#define SYN_SHARED 1
-#define SYN_FLAT 2
-
 #define Q7_8_MIN (-32768)
 #define Q7_8_MAX 32767
 #define Q15_16_MIN (-2147483647LL - 1)
@@ -110,10 +113,11 @@ typedef struct {
     int64_t decay;          /* current_mode == "decay" */
     int64_t shift_count;    /* len(SHIFT_SELECTIONS[tau_select]) */
     int64_t shifts[4];
-    int64_t synapses;       /* SYN_NONE, SYN_SHARED or SYN_FLAT */
-    const int64_t *indptr;  /* CSC column pointers (N + 1, or rows * N + 1 when flat) */
-    const int64_t *indices; /* target rows: local (shared) or global (flat) */
+    /* The integer grid; indptr is NULL when the batch has no synapses. */
+    const int64_t *indptr;  /* CSC column pointers, N per structure, then one */
+    const int64_t *indices; /* each synapse's target within its row */
     const int64_t *weights; /* raw Q15.16 weights */
+    const int64_t *base;    /* (B,) each row's first column in indptr */
     int64_t *syn;           /* scratch, all zero between calls */
     int64_t *isyn;          /* raw Q15.16 current feed (state) */
     int64_t *v;             /* Q7.8 membrane (state) */
@@ -330,35 +334,36 @@ int izh_probe(void)
 /* The step                                                           */
 /* ------------------------------------------------------------------ */
 
-/* exact-int: the synaptic scatter (_SynapseBatch.propagate_raw).  The
- * NumPy step sums in float64 through bincount; every partial sum is an
- * integer below 2^53 there, so the int64 sums are equal. */
-static void scatter(const izh_batch *k, int64_t cells, const unsigned char *last_fired)
+/* exact-int: the synaptic scatter (_SynapseBatch.propagate_raw) of the
+ * first `rows` rows: row `row` reads its structure's columns from
+ * base[row] on.  The NumPy step sums in float64 through bincount; every
+ * partial sum is an integer below 2^53 there, so the int64 sums are
+ * equal. */
+static void scatter(const izh_batch *k, int64_t rows, const unsigned char *last_fired)
 {
     const int64_t size = k->size;
-    const int64_t *indptr = k->indptr, *indices = k->indices, *w = k->weights;
-    int64_t *syn = k->syn;
-    int64_t col = 0;
-    while (col < cells) {
-        uint64_t word;
-        if (col + 8 <= cells) {
-            memcpy(&word, last_fired + col, sizeof word);
-            if (word == 0) {    /* 3% of neurons fire: skip quiet runs */
-                col += 8;
-                continue;
+    const int64_t *indices = k->indices, *w = k->weights;
+    for (int64_t row = 0; row < rows; ++row) {
+        const unsigned char *fired = last_fired + row * size;
+        const int64_t *indptr = k->indptr + k->base[row];
+        int64_t *syn = k->syn + row * size;
+        int64_t col = 0;
+        while (col < size) {
+            uint64_t word;
+            if (col + 8 <= size) {
+                memcpy(&word, fired + col, sizeof word);
+                if (word == 0) {    /* 3% of neurons fire: skip quiet runs */
+                    col += 8;
+                    continue;
+                }
             }
-        }
-        const int64_t end = col + 8 <= cells ? col + 8 : cells;
-        for (; col < end; ++col) {
-            if (!last_fired[col])
-                continue;
-            int64_t column = col, base = 0;
-            if (k->synapses == SYN_SHARED) {
-                column = col % size;
-                base = col - column;
+            const int64_t end = col + 8 <= size ? col + 8 : size;
+            for (; col < end; ++col) {
+                if (!fired[col])
+                    continue;
+                for (int64_t j = indptr[col]; j < indptr[col + 1]; ++j)
+                    syn[indices[j]] += w[j];
             }
-            for (int64_t j = indptr[column]; j < indptr[column + 1]; ++j)
-                syn[base + indices[j]] += w[j];
         }
     }
 }
@@ -490,8 +495,8 @@ int izh_step(const izh_batch *k, int64_t rows, int64_t step, const double *exter
              const unsigned char *last_fired, unsigned char *fired)
 {
     const int64_t cells = rows * k->size, count = (int64_t)1 << k->h_shift;
-    if (k->synapses != SYN_NONE)
-        scatter(k, cells, last_fired);
+    if (k->indptr != NULL)
+        scatter(k, rows, last_fired);
     if (current(k, rows, step, external) != IZH_OK)
         return IZH_NAN_CURRENT;
     /* Commit the new current feed; the scratch is zero between calls. */

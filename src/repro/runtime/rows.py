@@ -1,7 +1,7 @@
 """Per-row arrays sized to a capacity: the one owner of a batch's row layout.
 
 :class:`~repro.runtime.batch.BatchedNetwork` (state, parameters, step
-scratch), the drives of :mod:`repro.runtime.drives` (rows, per-row
+scratch, synapse-grid column bases), the drives of :mod:`repro.runtime.drives` (rows, per-row
 bit-generator addresses) and :class:`~repro.runtime.slots.SlotEngine`
 (books, offsets, budgets) each keep their per-row arrays in a
 :class:`RowStack`: buffers sized to its capacity whose first

@@ -21,16 +21,17 @@ The engine's invariants (every consumer inherits them):
   its drive spec's ``step_offset``), drives its anneal phase, its
   sliding-window slot and its spike recency, so a row stacked into a
   half-finished batch replays a fresh standalone run.
-* **Retain before extend.**  :meth:`SlotEngine.recompose` drops retired
-  rows (:meth:`BatchedNetwork.retain`) *before* stacking admissions
-  (:meth:`BatchedNetwork.extend`), guards the ``extend([])`` and
-  nothing-survives edges, and checks every admission against the
-  survivors first, so a refusal changes nothing.  The books, offsets
-  and budgets are rows of one :class:`~repro.runtime.rows.RowStack`:
-  they move in place, and the native books (``izh_books``) are bound
-  once per capacity.  Direct ``retain``/``extend`` calls outside
-  ``repro/runtime/`` are forbidden (reprolint rule RL001,
-  ``docs/LINTING.md``).
+* **One recomposition call.**  :meth:`SlotEngine.recompose` hands the
+  survivors and the admissions to one :meth:`BatchedNetwork.retain`
+  call, which drops the retired rows *before* stacking the admissions
+  and checks every admission against the survivors first, so a refusal
+  changes nothing; the engine guards the nothing-to-do and
+  nothing-survives edges and stamps admissions on copies of their specs.
+  The books, offsets and budgets are rows of one
+  :class:`~repro.runtime.rows.RowStack`: they move in place, and the
+  native books (``izh_books``) are bound once per capacity.  Direct
+  ``retain``/``extend`` calls outside ``repro/runtime/`` are forbidden
+  (reprolint rule RL001, ``docs/LINTING.md``).
 * **Checkpoint cadence.**  A row is decoded when its local step hits the
   check interval or its budget; the union over rows decides when a
   checkpoint fires, and its first :meth:`SlotEngine.decode_row` call
@@ -58,14 +59,15 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, cast
 
 import numpy as np
 
 from . import native
-from .batch import BatchedNetwork, BatchIncompatibleError, Replica, batch_row
+from .batch import BatchedNetwork, BatchIncompatibleError, BatchRow, Replica, batch_row
 from .checkpoint import CheckpointError, CheckpointStore, FaultPlan
+from .drives import AnnealedNoiseSpec
 from .rows import Field, RowStack
 
 __all__ = [
@@ -244,6 +246,13 @@ class SlotCheckpoint:
                     decode=decode,
                 )
         return finished
+
+
+def _stamped(spec: BatchRow, step: int) -> BatchRow:
+    """A copy of ``spec`` whose annealed drive starts at global step ``step``."""
+    if not isinstance(spec.drive_spec, AnnealedNoiseSpec):
+        return spec
+    return replace(spec, drive_spec=replace(spec.drive_spec, step_offset=step))
 
 
 def _book_fields(window: int, size: int) -> Dict[str, Field]:
@@ -467,7 +476,7 @@ class SlotEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # Admission / retirement (the retain-before-extend owner)
+    # Admission / retirement
     # ------------------------------------------------------------------ #
     def fast_forward(self, step: int) -> None:
         """Advance the global step clock while no rows are live.
@@ -495,14 +504,16 @@ class SlotEngine:
         range, ``ValueError`` not strictly increasing), and so does an
         admission the survivors' batch refuses
         (:class:`~repro.runtime.batch.BatchIncompatibleError`).  The
-        canonical composition order — retain survivors, then extend with
-        admissions, rebuilding from scratch when nothing survives —
-        together with the degenerate-shape guards (``extend([])`` no-op,
-        empty recomposition) lives here and only here.  Admitted rows
-        are stamped with the current global step: ``row.offset`` and
-        their row spec's drive ``step_offset`` both become
-        ``global_step``, so each new row's local phase sequence replays
-        a standalone run's.
+        survivors and admissions go to the batch in one
+        :meth:`BatchedNetwork.retain` call, which checks every admission
+        before it changes anything; the batch is built afresh when
+        nothing survives, and the degenerate shapes (nothing retired or
+        admitted, an empty recomposition) are guarded here.  Admitted
+        rows start at the current global step: ``row.offset`` becomes
+        ``global_step`` once the batch accepted them, and the batch
+        stacks copies of their row specs whose drive ``step_offset`` is
+        ``global_step`` (the caller's specs stay as they were), so each
+        new row's local phase sequence replays a standalone run's.
         """
         keep = list(keep)
         if any(i < 0 or i >= len(self._rows) for i in keep):
@@ -512,27 +523,19 @@ class SlotEngine:
         admissions = list(admissions)
         if len(keep) == len(self._rows) and not admissions:
             return
-        specs = [batch_row(replica) for _, replica in admissions]
+        specs = [_stamped(batch_row(replica), self._step) for _, replica in admissions]
         size = self._num_neurons if self._num_neurons is not None else specs[0].size
         if any(spec.size != size for spec in specs):
             raise BatchIncompatibleError(f"admissions must have the engine's {size} neurons")
-        batch = self._batch if keep else None
-        if batch is not None and specs:
-            batch.check_extend(specs, keep)
-        self._forget_decodes()
-        for (row, _), spec in zip(admissions, specs):
-            row.offset = self._step
-            if spec.drive_spec is not None:
-                spec.drive_spec.step_offset = self._step
-        if batch is None:
-            # Nothing survives: tear the batch down, or build it afresh.
-            batch = BatchedNetwork.from_networks(specs) if specs else None
+        if keep:
+            assert self._batch is not None
+            self._batch.retain(keep, specs)  # checks every admission before it changes
         else:
-            if len(keep) < len(self._rows):
-                batch.retain(keep)
-            if specs:  # the extend([]) guard, centralised
-                batch.extend(specs)
-        self._batch = batch
+            # Nothing survives: tear the batch down, or build it afresh.
+            self._batch = BatchedNetwork.from_networks(specs) if specs else None
+        self._forget_decodes()
+        for row, _ in admissions:
+            row.offset = self._step
         self._rows = [self._rows[i] for i in keep] + [row for row, _ in admissions]
         if self._stack is None:
             self._num_neurons = size

@@ -586,12 +586,16 @@ class SolveService:
         """Submit a batch of instances concurrently; results in order.
 
         An empty instance list returns ``[]`` without touching the
-        service (mirroring ``solve_instances([]) == []``).
+        service (mirroring ``solve_instances([]) == []``).  Each seed
+        meets :meth:`submit`'s own check; ``seeds`` of another length
+        than ``instances`` raise :class:`InvalidRequestError`.
         """
         if not instances:
             return []
         if seeds is not None and len(seeds) != len(instances):
-            raise ValueError("seeds must match the number of instances")
+            raise InvalidRequestError(
+                f"seeds must match the number of instances: {len(seeds)} for {len(instances)}"
+            )
         return list(
             await asyncio.gather(
                 *(
@@ -599,7 +603,7 @@ class SolveService:
                         graph,
                         clamps,
                         client=client,
-                        seed=None if seeds is None else int(seeds[i]),
+                        seed=None if seeds is None else seeds[i],
                         max_steps=max_steps,
                         deadline=deadline,
                     )

@@ -17,13 +17,18 @@ fixture to ``numpy``::
         pass
 
 ``assert_same_snapshot`` compares two exported snapshots (a batch's or
-a slot engine's), nested drive state included.
+a slot engine's), nested drive state included.  ``assert_same_grid``
+holds a batch's integer synapse grid to its live rows: each row's
+effective CSC (the grid's columns from the row's base on) is its own
+connectivity's, and the grid propagates as one freshly built from the
+rows and as each row's own matrix.
 """
 
 import numpy as np
 import pytest
 
 from repro.runtime import native
+from repro.runtime.batch import _SynapseBatch
 
 STEP_PATHS = ("native", "numpy")
 
@@ -63,3 +68,42 @@ def _assert_same(a, b, where="snapshot"):
 def assert_same_snapshot():
     """``f(a, b)``: arrays equal elementwise, generators by bit-generator state."""
     return _assert_same
+
+
+def _row_csc(batch, row):
+    """``(indptr, indices, weights)`` of row ``row`` on the batch's grid, rebased to 0."""
+    indptr, indices, _, weights, _ = batch._synapses.grid
+    base = int(batch._base[row])
+    pointers = indptr[base: base + batch.size + 1]
+    first, last = int(pointers[0]), int(pointers[-1])
+    return pointers - first, indices[first:last], weights[first:last]
+
+
+def _assert_same_grid(batch):
+    assert batch._synapses.integer
+    synapses = [row.synapses for row in batch.rows]
+    for row, synapse in enumerate(synapses):
+        where = f"row {row}"
+        indptr, indices, weights = _row_csc(batch, row)
+        np.testing.assert_array_equal(indptr, synapse.matrix.indptr, err_msg=where)
+        np.testing.assert_array_equal(indices, synapse.matrix.indices, err_msg=where)
+        np.testing.assert_array_equal(weights, synapse.quantized_q15_16()[0], err_msg=where)
+    fresh = _SynapseBatch(synapses, batch.size, "exact")
+    base = np.asarray(fresh.build(synapses), dtype=np.int64)
+    rng = np.random.default_rng(len(synapses))
+    shape = (len(synapses), batch.size)
+    for density in (0.05, 0.3, 1.0):
+        fired = rng.random(shape) < density
+        got, want = np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64)
+        batch._synapses.propagate_raw(fired, batch._base, got)
+        fresh.propagate_raw(fired, base, want)
+        np.testing.assert_array_equal(got, want, err_msg=f"density {density}")
+        for row, synapse in enumerate(synapses):  # exact: Q15.16 weights, sums below 2^53
+            reference = synapse.matrix @ fired[row].astype(np.float64) * 65536.0
+            np.testing.assert_array_equal(got[row], reference, err_msg=f"row {row}")
+
+
+@pytest.fixture
+def assert_same_grid():
+    """``f(batch)``: each live row's effective CSC is its own; propagation as a fresh build."""
+    return _assert_same_grid

@@ -205,8 +205,8 @@ def _eighty_twenty(seeds, *, backend="fixed"):
 
 #: name -> (network factory, batch options, the synapse engine it must reach)
 ENGINES = {
-    "integer-shared": (_shared_csp, {}, "shared"),
-    "integer-flat": (_flat_csp, {}, "flat"),
+    "integer-shared": (_shared_csp, {}, "integer"),
+    "integer-flat": (_flat_csp, {}, "integer"),
     "per-replica-float": (_eighty_twenty, {}, "per-replica"),
     "float64": (lambda seeds: _eighty_twenty(seeds, backend="float64"), {}, "per-replica"),
     "fused-dense": (_eighty_twenty, {"synapse_mode": "fused"}, "fused"),
@@ -216,14 +216,16 @@ ENGINES = {
 def _engine(batch):
     synapses = batch._synapses
     if synapses.integer:
-        return synapses._int_kind
+        return "integer"
     return "per-replica" if synapses._weight_rows is None else "fused"
 
 
 class TestExtendEqualsJointConstruction:
     @pytest.mark.parametrize("warm_steps", [0, 5], ids=["cold", "warm"])
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_extend_matches_joint_construction(self, engine, warm_steps, assert_same_snapshot):
+    def test_extend_matches_joint_construction(
+        self, engine, warm_steps, assert_same_snapshot, assert_same_grid
+    ):
         factory, options, kind = ENGINES[engine]
         head, tail = [11, 12], [13, 14]
 
@@ -239,6 +241,10 @@ class TestExtendEqualsJointConstruction:
         grown.extend(networks(tail))
         assert _engine(joint) == _engine(grown) == kind
         assert grown.batch_size == joint.batch_size == 4
+        if kind == "integer":
+            # Each row's effective CSC, not the grid's layout, is the contract.
+            assert_same_grid(joint)
+            assert_same_grid(grown)
 
         assert_same_snapshot(joint.export_state(), grown.export_state())
         start = warm_steps + 1

@@ -8,7 +8,9 @@ representable in Q15.16, a batched run is **bit-identical** to ``B``
 sequential ``SNNNetwork.run`` calls — for shared and per-replica sparse
 connectivity, dense connectivity, recompute and decay current modes, and
 warm-started state.  Non-representable weights must silently fall back
-to the per-replica float path with the same bit-exactness guarantee.
+to the per-replica float path with the same bit-exactness guarantee,
+and that float path (forced here by weights that report a lossy
+quantisation) must agree with the integer one.
 """
 
 import numpy as np
@@ -35,6 +37,13 @@ def _representable_sparse(rng, *, num_neurons=NUM_NEURONS, density=0.15):
     vals = rng.integers(-20 * 65536, 20 * 65536, size=nnz) / 65536.0
     matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(num_neurons, num_neurons))
     return SparseSynapses(matrix)
+
+
+class _LossySparse(SparseSynapses):
+    """Sparse weights that report a lossy quantisation, so a batch takes the float path."""
+
+    def quantized_q15_16(self):
+        return quantize_weights_q15_16(self.matrix.data)[0], False
 
 
 def _representable_dense(rng, *, num_neurons=NUM_NEURONS):
@@ -101,7 +110,7 @@ class TestIntegerPathBitExact:
         assert batch.integer_propagation
 
     @pytest.mark.parametrize("current_mode", ["recompute", "decay"])
-    def test_shared_sparse(self, current_mode):
+    def test_shared_sparse(self, current_mode, assert_same_grid):
         seeds = [7, 8, 9, 10]
         shared = _representable_sparse(np.random.default_rng(99))
 
@@ -113,7 +122,8 @@ class TestIntegerPathBitExact:
             _make_networks(seeds, factory, current_mode=current_mode),
         )
         assert batch.integer_propagation
-        assert batch._synapses._int_kind == "shared"
+        assert_same_grid(batch)
+        assert batch._synapses.grid[0].size == NUM_NEURONS + 1  # the one structure
 
     def test_dense(self):
         seeds = [31, 32, 33]
@@ -167,10 +177,11 @@ class TestIntegerPathBitExact:
         def factory(rng, seed):
             return _representable_sparse(rng)
 
+        def lossy(rng, seed):
+            return _LossySparse(_representable_sparse(rng).matrix)
+
         integer = BatchedNetwork.from_networks(_make_networks(seeds, factory))
-        legacy = BatchedNetwork.from_networks(
-            _make_networks(seeds, factory), integer_csr=False
-        )
+        legacy = BatchedNetwork.from_networks(_make_networks(seeds, lossy))
         assert integer.integer_propagation and not legacy.integer_propagation
         int_rasters = integer.run(NUM_STEPS)
         leg_rasters = legacy.run(NUM_STEPS)
@@ -200,17 +211,6 @@ class TestFallbacks:
             _make_networks(seeds, factory),
         )
         assert not batch.integer_propagation
-
-    def test_integer_csr_required_raises_on_float_weights(self):
-        def factory(rng, seed):
-            return SparseSynapses(
-                sparse.random(NUM_NEURONS, NUM_NEURONS, density=0.1, random_state=3)
-            )
-
-        with pytest.raises(BatchIncompatibleError):
-            BatchedNetwork.from_networks(
-                _make_networks([1, 2], factory), integer_csr=True
-            )
 
     def test_quantize_weights_lossless_flag(self):
         raw, lossless = quantize_weights_q15_16(np.array([-30.0, 0.0, 1.5, 2.0**-16]))

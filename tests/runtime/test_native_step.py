@@ -200,17 +200,19 @@ class TestAgainstTheReference:
         np.testing.assert_array_equal(batch.u_raw, u)
 
     @pytest.mark.parametrize("kind", ["shared", "flat"])
-    def test_the_block_reads_the_synapse_grid_in_place(self, kind):
+    def test_the_block_reads_the_synapse_grid_in_place(self, kind, assert_same_grid):
         if native.load() is None:
             pytest.skip("no native step kernel on this host")
         rng = np.random.default_rng(5)
         batch, _, _ = _batch(rng, kind, mode="decay", tau_select=2, h_shift=1, pin=True)
         block = batch._native._block
-        indptr, indices, _, weights, _ = batch._synapses._gather
+        indptr, indices, _, weights, _ = batch._synapses.grid
         assert [a.dtype for a in (indptr, indices, weights)] == [np.int64] * 3
-        assert (block.indptr, block.indices, block.weights) == (
-            indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data
+        assert (block.indptr, block.indices, block.weights, block.base) == (
+            indptr.ctypes.data, indices.ctypes.data, weights.ctypes.data,
+            batch._base.base.ctypes.data,
         )
+        assert_same_grid(batch)
 
     def test_pointers_follow_retain_extend_and_restore(self, step_path):
         """Each recomposition rebinds the step; a restore copies under the bound pointers."""

@@ -383,29 +383,27 @@ class TestGeneratorOwnership:
 # ---------------------------------------------------------------------- #
 # Restacking the integer synapse grid
 # ---------------------------------------------------------------------- #
-def test_retain_and_extend_restack_like_a_fresh_build():
-    from repro.runtime.batch import _SynapseBatch
+def test_retain_and_extend_restack_like_a_fresh_build(assert_same_grid):
+    # Three of the pool's ten instances share one structure (one solver).
+    shared = _job(0, "fixed")
+    pool = [shared] * 3 + [_job(seed, "fixed") for seed in range(1, 8)]
+    seeds = iter(range(1000))
 
-    shared = _job(0, "fixed")[2].synapses
-    pool = [shared] * 3 + [_job(seed, "fixed")[2].synapses for seed in range(1, 8)]
+    def rows(picks):
+        return [pool[i][2].row(pool[i][1], seed=next(seeds)) for i in picks]
+
     rng = np.random.default_rng(3)
-    live = [pool[0], pool[4], pool[5]]
-    stack = _SynapseBatch(live, live[0].matrix.shape[0], "exact")
-    kinds = set()
+    batch = BatchedNetwork.from_networks(rows([0, 4, 5]))
+    structures = set()
     for _ in range(60):
-        if rng.random() < 0.5 and len(live) > 1:
-            keep = np.flatnonzero(rng.random(len(live)) < 0.6)
+        if rng.random() < 0.5 and batch.batch_size > 1:
+            keep = np.flatnonzero(rng.random(batch.batch_size) < 0.6)
             if keep.size == 0:
                 continue
-            stack.retain(keep)
-            live = [live[i] for i in keep]
+            batch.retain(keep)
         else:
-            new = [pool[i] for i in rng.choice(len(pool), size=int(rng.integers(1, 4)))]
-            stack.extend(new)
-            live += new
-        fresh = _SynapseBatch(live, stack.size, "exact")
-        kinds.add(fresh._int_kind)
-        assert stack._int_kind == fresh._int_kind and stack.integer
-        for got, want in zip(stack._gather, fresh._gather):
-            np.testing.assert_array_equal(got, want)
-    assert kinds == {"shared", "flat"}
+            batch.extend(rows(rng.choice(len(pool), size=int(rng.integers(1, 4)))))
+        structures.add(len({id(row.synapses.matrix) for row in batch.rows}))
+        assert batch.integer_propagation
+        assert_same_grid(batch)
+    assert 1 in structures and max(structures) > 1

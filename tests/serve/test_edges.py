@@ -83,6 +83,39 @@ def test_submit_many_empty_returns_empty():
     assert metrics.total_steps == 0  # nothing ever entered the batch
 
 
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        pytest.param([1.5], id="fractional-seed"),
+        pytest.param(["7"], id="string-seed"),
+        pytest.param([1, 2], id="wrong-length"),
+    ],
+)
+def test_submit_many_checks_every_seed_like_submit(seeds):
+    graph, clamps = _instance(7)
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps") as service:
+            with pytest.raises(InvalidRequestError):
+                await asyncio.wait_for(
+                    service.submit_many([(graph, clamps)], seeds=seeds, max_steps=600), 5.0
+                )
+            return service.metrics()
+
+    assert asyncio.run(main()).submitted == 0
+
+
+def test_submit_many_serves_an_integer_like_seed_under_its_value():
+    graph, clamps = _instance(7)
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps") as service:
+            return await service.submit_many([(graph, clamps)], seeds=[np.int64(5)], max_steps=600)
+
+    [served] = asyncio.run(main())
+    assert served.seed == 5 and served.result is not None
+
+
 def test_zero_step_budget_served_immediately():
     """``max_steps <= 0`` mirrors the batch engines' guard: the zero-step
     decode (clamps only), served without touching the batch."""
