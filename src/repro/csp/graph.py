@@ -195,13 +195,27 @@ class ConstraintGraph:
         self._cache_token = None
 
     def add_not_equal(self, var_a: VariableRef, var_b: VariableRef) -> None:
-        """Forbid ``var_a == var_b`` (conflict on every shared domain value)."""
+        """Forbid ``var_a == var_b`` (conflict on every shared domain value).
+
+        :meth:`add_conflict` on each shared value, with both variables
+        resolved once.
+        """
         ia, ib = self.variable_index(var_a), self.variable_index(var_b)
         if ia == ib:
             raise ValueError("add_not_equal needs two distinct variables")
-        shared = [v for v in self.variables[ia].domain if v in self._value_pos[ib]]
-        for value in shared:
-            self.add_conflict(ia, value, ib, value)
+        positions_a, positions_b = self._value_pos[ia], self._value_pos[ib]
+        first_a, first_b = int(self.offsets[ia]), int(self.offsets[ib])
+        added = False
+        for value in self.variables[ia].domain:
+            position_b = positions_b.get(value)
+            if position_b is not None:
+                na, nb = first_a + positions_a[int(value)], first_b + position_b
+                self._explicit[na].add(nb)
+                self._explicit[nb].add(na)
+                added = True
+        if added:
+            self._conflict_csr = None
+            self._cache_token = None
 
     def add_all_different(self, variables: Sequence[VariableRef]) -> None:
         """Pairwise ``not_equal`` over a set of variables (a CSP "unit")."""

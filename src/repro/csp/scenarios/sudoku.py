@@ -36,6 +36,10 @@ def _cell_name(row: int, col: int) -> str:
     return f"cell({row},{col})"
 
 
+#: Every cell's variable name, row-major.
+_CELL_NAMES = tuple(_cell_name(r, c) for r in range(GRID) for c in range(GRID))
+
+
 def sudoku_graph() -> ConstraintGraph:
     """The 729-neuron Sudoku constraint graph (Fig. 4 connectivity)."""
     variables = [Variable(_cell_name(r, c), _DOMAIN) for r in range(GRID) for c in range(GRID)]
@@ -68,8 +72,9 @@ def clamps_from_cells(cells: np.ndarray) -> Dict[str, int]:
     cells = np.asarray(cells, dtype=np.int64)
     if cells.shape != (GRID, GRID):
         raise ValueError(f"a Sudoku grid must be 9x9, got {cells.shape}")
-    rows, cols = np.nonzero(cells)
-    return {_cell_name(int(r), int(c)): int(cells[r, c]) for r, c in zip(rows, cols)}
+    flat = cells.ravel()
+    filled = np.flatnonzero(flat)
+    return dict(zip([_CELL_NAMES[i] for i in filled.tolist()], flat[filled].tolist()))
 
 
 def cells_from_values(values: np.ndarray) -> np.ndarray:

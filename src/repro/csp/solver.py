@@ -25,14 +25,19 @@ weights).  :func:`solve_instances` runs a one-shot batch: every
 instance once, until it solves or exhausts its budget, dropping solved
 replicas from the live batch — every result stays bit-identical to a
 sequential run.  :meth:`SpikingCSPSolver.build_network` stays the
-sequential reference.  Decoding is one vectorised pass per checkpoint
-(:data:`CSP_SLOT_DECODER`), with :func:`decode_assignment` and
-:meth:`ConstraintGraph.is_solution` as its reference.
+sequential reference.  :data:`CSP_SLOT_DECODER` declares each row of
+one shared domain a :class:`~repro.runtime.slots.DecodePlan` at
+admission, so the native slot books settle it at its checks; the rows
+they find solved, the rows at their budget and the rows of differing
+domains are decoded here in one vectorised pass per checkpoint, with
+:func:`decode_assignment` and :meth:`ConstraintGraph.is_solution` as its
+reference.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,7 +46,14 @@ import numpy as np
 
 from ..runtime.batch import BatchRow, batch_row
 from ..runtime.drives import AnnealedNoiseSpec
-from ..runtime.slots import OneShotPolicy, SlotDecode, SlotEngine, SlotOutcome, SlotRow
+from ..runtime.slots import (
+    DecodePlan,
+    OneShotPolicy,
+    SlotDecode,
+    SlotEngine,
+    SlotOutcome,
+    SlotRow,
+)
 from ..snn.fixed_izhikevich import FixedPointPopulation
 from ..snn.izhikevich import IzhikevichPopulation
 from ..snn.network import Population, SNNNetwork
@@ -459,131 +471,139 @@ def _row_template(config: CSPConfig, backend: str, num_neurons: int) -> BatchRow
     return template
 
 
-@dataclass(frozen=True)
-class _RowPlan:
-    """One row's decode constants, built at its first decode (``SlotRow.plan``)."""
-
-    #: The graph's shared domain, or ``None`` when domains differ.
-    domain: Optional[np.ndarray]
-    #: One column per clamp: variable, value and in-domain position.
-    clamps: np.ndarray
-
-
 class _CSPSlotDecoder:
     """Constraint-graph decode adapter for the runtime slot engine.
 
-    Rows carry their :class:`ConstraintGraph` and resolved clamps; the
-    engine hands over every at-check row of a checkpoint with its
+    Rows carry their :class:`ConstraintGraph` and resolved clamps.  At
+    admission, a row whose graph has one shared domain gets a
+    :class:`~repro.runtime.slots.DecodePlan` — the domain's width and
+    values, its clamps as (variable, position) columns and the graph's
+    conflict CSR — which lets the native books settle it at its checks.
+    The engine hands over the at-check rows left to decode with their
     sliding-window state, and this adapter decodes them in one pass,
     bit-identical to :func:`decode_assignment` + ``is_solution`` row by
-    row.  Rows whose graph has one shared domain are decoded together:
-    one window argmax over ``(R, V, W)``, clamps applied from the rows'
-    index arrays, and one conflict count over the picks' conflict CSR.
-    Rows with differing domains take the reference loop.  One instance
-    serves every CSP-layer engine (per-row constants live on the rows).
+    row.  Planned rows are decoded together: one window argmax over
+    ``(R, V, W)``, clamps applied from the plans' columns, and one
+    conflict count over the picks' conflict CSRs.  Rows with differing
+    domains take the reference loop.  One instance serves every CSP-layer
+    engine (per-row constants live on the rows' plans).
     """
+
+    def plan(self, row: SlotRow) -> Optional[DecodePlan]:
+        """The row's plan, or ``None`` when its graph's domains differ.
+
+        Reads the row's resolved clamps as they are and the graph's
+        cached conflict CSR, so it adds no work a row's admission does
+        not already do.
+        """
+        graph = row.graph
+        shared = graph.homogeneous_domain
+        if shared is None:
+            return None
+        width, resolved = len(shared), graph.resolve_clamps(row.clamps)
+        triples = np.fromiter(
+            itertools.chain.from_iterable(resolved), dtype=np.int64, count=3 * len(resolved)
+        ).reshape(-1, 3)
+        groups = triples[:, 0]
+        targets, indptr = graph._conflicts_csr()
+        return DecodePlan(
+            width=width,
+            values=np.asarray(shared, dtype=np.int64),
+            clamps=np.array((groups, triples[:, 2] - groups * width)),
+            targets=targets,
+            indptr=indptr,
+        )
 
     def decode_rows(
         self, rows: Sequence[SlotRow], window_counts: np.ndarray, last_spike: np.ndarray
     ) -> List[SlotDecode]:
-        plans = [row.plan if row.plan is not None else _plan(row) for row in rows]
         decodes: List[Optional[SlotDecode]] = [None] * len(rows)
         by_width: Dict[int, List[int]] = {}
-        for i, (row, plan) in enumerate(zip(rows, plans)):
-            if plan.domain is None:
+        plans: List[Optional[DecodePlan]] = []
+        for i, row in enumerate(rows):
+            plan = row.plan if row.plan is not None else self.plan(row)
+            plans.append(plan)
+            if plan is None:
                 values, decided = decode_assignment(
                     row.graph, window_counts[i], last_spike[i], row.clamps
                 )
                 solved = row.graph.is_solution(values, decided)
                 decodes[i] = SlotDecode(values=values, decided=decided, solved=solved)
             else:
-                by_width.setdefault(plan.domain.size, []).append(i)
+                by_width.setdefault(plan.width, []).append(i)
         for members in by_width.values():
+            whole = len(members) == len(rows)  # the common case: no copies
             decoded = _decode_shared_domain(
-                [rows[i].graph for i in members],
                 [plans[i] for i in members],
-                window_counts[members],
-                last_spike[members],
+                window_counts if whole else window_counts[members],
+                last_spike if whole else last_spike[members],
             )
             for i, decode in zip(members, decoded):
                 decodes[i] = decode
         return decodes  # every entry is filled above
 
 
-def _plan(row: SlotRow) -> _RowPlan:
-    """Build and keep a row's decode constants."""
-    graph = row.graph
-    shared = graph.homogeneous_domain
-    triples = np.asarray(graph.resolve_clamps(row.clamps), dtype=np.int64).reshape(-1, 3).T
-    triples[2] -= graph.offsets[triples[0]]  # neuron index -> in-domain position
-    row.plan = _RowPlan(
-        domain=None if shared is None else np.asarray(shared, dtype=np.int64),
-        clamps=triples,
-    )
-    return row.plan
-
-
 def _decode_shared_domain(
-    graphs: Sequence[ConstraintGraph],
-    plans: Sequence[_RowPlan],
-    window_counts: np.ndarray,
-    last_spike: np.ndarray,
+    plans: Sequence[DecodePlan], window_counts: np.ndarray, last_spike: np.ndarray
 ) -> List[SlotDecode]:
-    """:func:`decode_assignment` + ``is_solution`` of ``R`` rows at once.
+    """:func:`decode_assignment` + ``is_solution`` of ``R`` planned rows at once.
 
-    Every row's graph has one shared domain of the same width ``W``
-    (values may differ between rows).  The expressions are the
-    reference's, evaluated per row; the recency tie-break is scaled by
-    each row's own recency maximum.  A row that never spiked divides by
-    infinity instead of skipping the term: adding ``-0.0`` leaves its
-    counts exact, and no row divides by zero.
+    Every row's plan has the same width ``W`` (values may differ between
+    rows).  The expressions are the reference's, evaluated per row; the
+    recency tie-break is scaled by each row's own recency maximum.  A row
+    that never spiked divides by infinity instead of skipping the term:
+    adding ``-0.0`` leaves its counts exact, and no row divides by zero.
+    The native books' decode (``native_step.c``) evaluates the same
+    verdict.
     """
     num_rows, num_neurons = window_counts.shape
-    width = plans[0].domain.size
+    width = plans[0].width
     num_vars = num_neurons // width
     top = last_spike.max(axis=1)
     scale = np.where(top > 0, top + 1.0, np.inf)
     score = window_counts + last_spike / scale[:, None]  # int64 -> float64 is exact here
     positions = score.reshape(num_rows, num_vars, width).argmax(axis=2)
     decided = window_counts.reshape(num_rows, num_vars, width).any(axis=2)  # counts >= 0
-    domains = np.array([plan.domain for plan in plans])
     row_index = np.arange(num_rows)
-    values = np.where(decided, domains[row_index[:, None], positions], 0)
 
     owners = np.repeat(row_index, [plan.clamps.shape[1] for plan in plans])
-    clamped, clamp_values, clamp_positions = np.concatenate([p.clamps for p in plans], axis=1)
-    values[owners, clamped] = clamp_values
+    clamped, clamp_positions = np.concatenate([plan.clamps for plan in plans], axis=1)
     decided[owners, clamped] = True
     positions[owners, clamped] = clamp_positions
+    domains = np.array([plan.values for plan in plans])
+    values = np.where(decided, domains[row_index[:, None], positions], 0)
 
     solved = decided.all(axis=1)
     full = np.flatnonzero(solved)
     if full.size:
-        solved[full] = ~_conflicted([graphs[r] for r in full], positions[full], width)
+        solved[full] = ~_conflicted([plans[r] for r in full], positions[full])
     return [
         SlotDecode(values=v, decided=d, solved=s)
         for v, d, s in zip(values, decided, solved.tolist())
     ]
 
 
-def _conflicted(graphs: Sequence[ConstraintGraph], positions: np.ndarray, width: int) -> np.ndarray:
+def _conflicted(plans: Sequence[DecodePlan], positions: np.ndarray) -> np.ndarray:
     """Per row: does any picked neuron's conflict list hold another pick?
 
-    ``positions`` are the picked in-domain positions, ``(R, V)``.  Rows
-    of one graph share its conflict CSR; the distinct graphs' CSRs are
-    laid end to end so one gather serves every row.
+    ``positions`` are the picked in-group positions, ``(R, V)``.  Rows
+    whose plans hold the same conflict CSR arrays (the rows of one graph)
+    share them; the distinct CSRs are laid end to end so one gather
+    serves every row.
     """
     num_rows, num_vars = positions.shape
-    num_neurons = num_vars * width
-    slot_of: Dict[int, int] = {}
-    slots = [slot_of.setdefault(id(graph), len(slot_of)) for graph in graphs]
-    firsts = {slot: graph for graph, slot in zip(graphs, slots)}
-    csrs = [firsts[slot]._conflicts_csr() for slot in range(len(firsts))]
-    targets = np.concatenate([t for t, _ in csrs])
-    bases = np.cumsum([0] + [t.size for t, _ in csrs[:-1]])
-    indptr = np.concatenate([ptr for _, ptr in csrs]) + np.repeat(bases, num_neurons + 1)
+    num_neurons = num_vars * plans[0].width
+    distinct: Dict[Tuple[int, int], Tuple[int, DecodePlan]] = {}
+    slots = [
+        distinct.setdefault((id(plan.targets), id(plan.indptr)), (len(distinct), plan))[0]
+        for plan in plans
+    ]
+    csrs = [plan for _, plan in distinct.values()]
+    targets = np.concatenate([plan.targets for plan in csrs])
+    bases = np.cumsum([0] + [plan.targets.size for plan in csrs[:-1]])
+    indptr = np.concatenate([plan.indptr for plan in csrs]) + np.repeat(bases, num_neurons + 1)
     # Row r's pick p reads its conflicts from indptr[slot_r * (N + 1) + p].
-    picks = positions + np.arange(num_vars) * width  # neuron index of each pick
+    picks = positions + np.arange(num_vars) * plans[0].width  # neuron index of each pick
     first = (picks + (np.asarray(slots) * (num_neurons + 1))[:, None]).ravel()
     starts = indptr[first]
     counts = indptr[first + 1] - starts

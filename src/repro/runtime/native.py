@@ -5,7 +5,8 @@
 then runs its NumPy step, which stays the bit-exact reference.
 :func:`books` returns the same library's slot books (``izh_books``), or
 ``None`` likewise; :class:`~repro.runtime.slots.SlotEngine` then keeps
-its books in NumPy, the reference.  Each call passes the live row count:
+its books in NumPy, the reference, and decodes every row at a check in
+Python.  Each call passes the live row count:
 a :class:`StepBlock` or :class:`BooksBlock` points at the buffers of a
 :class:`~repro.runtime.rows.RowStack`, sized to its capacity, and is
 bound again only when they are reallocated.  A :class:`StepBlock` also
@@ -55,8 +56,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-__all__ = ["BooksBlock", "CHECK_DRAWS", "FLAGS", "StepBlock", "books", "library_name", "load",
-           "normals"]
+__all__ = ["BooksBlock", "CHECK_DRAWS", "FLAGS", "PlanBlock", "StepBlock", "books",
+           "library_name", "load", "normals"]
 
 _log = logging.getLogger(__name__)
 
@@ -125,9 +126,25 @@ class BooksBlock(ctypes.Structure):
         ("window_counts", ctypes.c_void_p),
         ("last_spike", ctypes.c_void_p),
         ("row_spikes", ctypes.c_void_p),
+        ("plans", ctypes.c_void_p),
         ("local", ctypes.c_void_p),
         ("at_check", ctypes.c_void_p),
         ("at_budget", ctypes.c_void_p),
+        ("verdict", ctypes.c_void_p),
+        ("picks", ctypes.c_void_p),
+        ("selected", ctypes.c_void_p),
+    ]
+
+
+class PlanBlock(ctypes.Structure):
+    """A row's decode plan (``slots.DecodePlan``), field for field ``izh_plan`` of the C source."""
+
+    _fields_ = [
+        ("width", ctypes.c_int64),
+        ("clamp_count", ctypes.c_int64),
+        ("clamps", ctypes.c_void_p),
+        ("indptr", ctypes.c_void_p),
+        ("targets", ctypes.c_void_p),
     ]
 
 
@@ -163,7 +180,8 @@ def books() -> Optional[Any]:
 
     Updates the first ``rows`` rows of the books a :class:`BooksBlock`
     points at after global step ``step`` from the ``(rows, N)`` bool
-    mask at ``fired``, and returns how many rows are at a check.
+    mask at ``fired``, writes the verdict of each row the block's decode
+    plans let it settle, and returns how many rows are at a check.
     """
     lib = _library()
     return None if lib is None else lib.izh_books

@@ -16,7 +16,11 @@
  *
  * izh_books then updates a SlotEngine's per-row books from the step's
  * fired mask (repro/runtime/slots.py, whose NumPy books stay the
- * reference).
+ * reference) and, at a check, decodes every row whose decoder declared a
+ * winner-take-all plan (slots.DecodePlan) and that is not at its budget:
+ * it writes the verdict of the Python decode
+ * (repro.csp.solver._decode_shared_domain), so only the rows that
+ * solved, spent their budget or have no plan are decoded in Python.
  *
  * Rules that keep it bit-exact and free of undefined behaviour:
  *   - Built with -O3 -std=c99 -fPIC -shared -fwrapv -ffp-contract=off
@@ -39,9 +43,17 @@
  *   - >> of a negative int64 is an arithmetic shift on GCC and Clang
  *     (implementation-defined in C99); the NumPy step relies on the same
  *     semantics.
- *   - Floating point appears only in the drive and the quantiser; a
- *     value is cast to int64 only after the float-side clip, and a NaN
- *     current is never cast: it fails the clip's comparison.
+ *   - Floating point appears only in the drive, the quantiser and the
+ *     decode's score; a value is cast to int64 only after the float-side
+ *     clip, and a NaN current is never cast: it fails the clip's
+ *     comparison.
+ *   - The decode's score is the reference's float64 expression term for
+ *     term: counts + last / scale, each int64 converted exactly as NumPy
+ *     converts it, scale = top + 1.0 for a row whose largest last spike
+ *     top is positive and +inf otherwise (never a division by zero).  The
+ *     scores are finite, so a strict > keeps argmax's first index on a
+ *     tie.  The decode reads only what the plan declared: clamp groups
+ *     and positions inside the row, and conflict targets below N.
  *   - The anneal period is at least 1 (AnnealedNoiseSpec checks it), so
  *     % never divides by zero.
  *   - Every live row's base is the first column of its structure in the
@@ -88,6 +100,12 @@ double random_standard_normal(bitgen_t *bitgen_state);
 
 #define IZH_OK 0
 #define IZH_NAN_CURRENT 1
+
+/* izh_books' per-row verdicts: the row was not decoded (not at a check,
+ * at its budget or without a plan), or the decode did not or did solve. */
+#define IZH_UNDECODED (-1)
+#define IZH_UNSOLVED 0
+#define IZH_SOLVED 1
 
 #define Q7_8_MIN (-32768)
 #define Q7_8_MAX 32767
@@ -139,6 +157,18 @@ typedef struct {
     double *noise;               /* (N,) float64 scratch */
 } izh_batch;
 
+/* A row's decode plan (slots.DecodePlan; PlanBlock in native.py): the
+ * group width and the arrays the plan owns, checked when it was made:
+ * clamp groups below N / width and positions below width, and a conflict
+ * CSR of N + 1 pointers into its targets, each target below N. */
+typedef struct {
+    int64_t width;              /* candidates per group, >= 1, dividing N */
+    int64_t clamp_count;        /* K */
+    const int64_t *clamps;      /* (2, K): groups, then positions */
+    const int64_t *indptr;      /* (N + 1,) */
+    const int64_t *targets;     /* the conflict targets */
+} izh_plan;
+
 /* A SlotEngine's books (slots._book_fields) for C rows of capacity, of
  * which a call touches the first `rows`, and the per-row outputs of the
  * last izh_books call; all 8-byte fields, as izh_batch.  Arrays are
@@ -154,9 +184,13 @@ typedef struct {
     int64_t *window_counts;     /* (C, N) */
     int64_t *last_spike;        /* (C, N) local step, or -1 */
     int64_t *row_spikes;        /* (C,) */
+    const izh_plan *const *plans;   /* (C,) each row's plan, or NULL */
     int64_t *local;             /* (C,) out: local steps */
     unsigned char *at_check;    /* (C,) bool out */
     unsigned char *at_budget;   /* (C,) bool out */
+    signed char *verdict;       /* (C,) out: IZH_SOLVED, IZH_UNSOLVED or IZH_UNDECODED */
+    int64_t *picks;             /* (N,) scratch */
+    unsigned char *selected;    /* (N,) scratch, all zero between calls */
 } izh_books_block;
 
 static int64_t clip(int64_t x, int64_t lo, int64_t hi)
@@ -534,11 +568,76 @@ static IZH_VECTOR int64_t books_row(int64_t size, int64_t local,
     return spikes;
 }
 
+/* The verdict of the reference decode (_decode_shared_domain of
+ * repro.csp.solver) on one row's window under its plan: per group of
+ * `width` candidates the first argmax of counts + last / scale, decided
+ * when any count is nonzero; the clamps force their groups' picks; the
+ * row is solved when every group is decided and no pick's conflict list
+ * holds a pick.  The clamps are read first, so a row with an undecided
+ * free group, most rows at most checks, is unsolved before any score is
+ * computed. */
+static int decode_row(const izh_books_block *k, int64_t row, const izh_plan *plan)
+{
+    const int64_t size = k->size, width = plan->width, groups = size / width;
+    const int64_t *counts = k->window_counts + row * size, *last = k->last_spike + row * size;
+    int64_t *picks = k->picks;   /* a group's pick, or -1 while it is free */
+    for (int64_t g = 0; g < groups; ++g)
+        picks[g] = -1;
+    const int64_t *clamp_groups = plan->clamps, *clamp_positions = clamp_groups + plan->clamp_count;
+    for (int64_t i = 0; i < plan->clamp_count; ++i)
+        picks[clamp_groups[i]] = clamp_positions[i];
+    for (int64_t g = 0; g < groups; ++g) {
+        if (picks[g] >= 0)
+            continue;
+        int64_t any = 0;
+        for (int64_t p = 0; p < width; ++p)
+            any |= counts[g * width + p];
+        if (!any)
+            return IZH_UNSOLVED;    /* undecided */
+    }
+    int64_t top = last[0];
+    for (int64_t j = 1; j < size; ++j)
+        top = last[j] > top ? last[j] : top;
+    /* The reference's scale: last / inf is a signed zero, which leaves a
+     * row that never spiked at its exact counts. */
+    const double scale = top > 0 ? (double)top + 1.0 : INFINITY;
+    for (int64_t g = 0; g < groups; ++g) {
+        if (picks[g] >= 0)
+            continue;
+        const int64_t *c = counts + g * width, *t = last + g * width;
+        int64_t best = 0;
+        double best_score = (double)c[0] + (double)t[0] / scale;
+        for (int64_t p = 1; p < width; ++p) {
+            const double score = (double)c[p] + (double)t[p] / scale;
+            if (score > best_score) {   /* strict: the first index wins a tie */
+                best = p;
+                best_score = score;
+            }
+        }
+        picks[g] = best;
+    }
+    /* Every group decided: the conflict test over the picks' CSR rows. */
+    const int64_t *indptr = plan->indptr, *targets = plan->targets;
+    unsigned char *selected = k->selected;
+    for (int64_t g = 0; g < groups; ++g)
+        selected[g * width + picks[g]] = 1;
+    int conflict = 0;
+    for (int64_t g = 0; g < groups && !conflict; ++g) {
+        const int64_t pick = g * width + picks[g];
+        for (int64_t j = indptr[pick]; j < indptr[pick + 1]; ++j)
+            conflict |= selected[targets[j]];
+    }
+    for (int64_t g = 0; g < groups; ++g)
+        selected[g * width + picks[g]] = 0;
+    return conflict ? IZH_UNSOLVED : IZH_SOLVED;
+}
+
 /* SlotEngine.step's books of the first `rows` rows after global step
  * `step` (`fired`: its (rows, N) bool mask): each row's local step, its
  * history ring slot local % window, window counts, last spike and spike
- * total, and whether it is at a check or at its budget.  Returns how
- * many rows are at a check. */
+ * total, and whether it is at a check or at its budget; then the verdict
+ * of every row at a check, not at its budget and with a plan.  Returns
+ * how many rows are at a check. */
 int64_t izh_books(const izh_books_block *k, int64_t rows, int64_t step,
                   const unsigned char *fired)
 {
@@ -558,6 +657,9 @@ int64_t izh_books(const izh_books_block *k, int64_t rows, int64_t step,
         k->local[row] = local;
         k->at_budget[row] = (unsigned char)at_budget;
         k->at_check[row] = (unsigned char)at_check;
+        const izh_plan *plan = k->plans[row];
+        k->verdict[row] = (signed char)(at_check && !at_budget && plan != NULL
+                                        ? decode_row(k, row, plan) : IZH_UNDECODED);
         checks += at_check;
     }
     return checks;

@@ -35,7 +35,15 @@ The engine's invariants (every consumer inherits them):
 * **Checkpoint cadence.**  A row is decoded when its local step hits the
   check interval or its budget; the union over rows decides when a
   checkpoint fires, and its first :meth:`SlotEngine.decode_row` call
-  decodes every at-check row in one pass (:meth:`SlotDecoder.decode_rows`).
+  decodes every row of :attr:`SlotCheckpoint.to_decode` in one pass
+  (:meth:`SlotDecoder.decode_rows`).
+* **Decode at the check.**  A decoder declares a :class:`DecodePlan`
+  for each row it can decode as winner-take-all groups (at admission,
+  :meth:`SlotDecoder.plan`).  The native books settle such a row at its
+  checks with the decoder's own verdict, so only the rows that solved,
+  spent their budget or have no plan reach the decoder; the NumPy books
+  hand it every at-check row.  A decoder that contradicts a native
+  verdict raises.
 * **One retirement rule.**  :attr:`SlotCheckpoint.finished` holds the
   at-check rows whose decode solved or whose budget is spent.
 * **Zero-step runs.**  ``max_steps <= 0`` never allocates a batch; the
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, cast
@@ -71,6 +80,7 @@ from .drives import AnnealedNoiseSpec
 from .rows import Field, RowStack
 
 __all__ = [
+    "DecodePlan",
     "DurablePolicy",
     "OneShotPolicy",
     "SlotCheckpoint",
@@ -113,9 +123,76 @@ class SlotRow:
     #: Global steps completed when the row was admitted (its local step
     #: 0).  Assigned by the engine at admission.
     offset: int = 0
-    #: Decoder-owned constants of this row (its clamp indices, say),
-    #: built by the :class:`SlotDecoder` at the row's first decode.
-    plan: Any = field(default=None, repr=False, compare=False)
+    #: The row's :class:`DecodePlan`, or ``None``: declared by the
+    #: engine's :class:`SlotDecoder` at admission, and kept alive here
+    #: while the native books point at its arrays.
+    plan: Optional["DecodePlan"] = field(default=None, repr=False, compare=False)
+
+
+#: ``izh_books``' verdicts (``IZH_UNDECODED``, ``IZH_UNSOLVED``, ``IZH_SOLVED``).
+_UNDECODED, _UNSOLVED, _SOLVED = -1, 0, 1
+
+
+@dataclass(frozen=True, eq=False)
+class DecodePlan:
+    """A row's winner-take-all decode, declared by its :class:`SlotDecoder` at admission.
+
+    The row's ``N`` neurons are ``N // width`` groups of ``width``
+    candidates laid end to end.  The native books decode a planned row
+    at each check short of its budget by the rule every such decoder
+    follows: per group the first argmax of ``counts + last_spike /
+    scale`` (``scale``: the row's largest last spike plus 1.0, or +inf
+    when that is not positive), decided when any count is nonzero; the
+    clamps force their groups' picks; and once every group is decided,
+    the row is solved unless a pick's conflict list holds a pick.  The
+    arrays are checked and made C-contiguous int64 here, once: the C
+    decode reads them as they are.
+    """
+
+    #: Candidates per group.
+    width: int
+    #: What each in-group position decodes to, ``(width,)``.
+    values: np.ndarray
+    #: One column per clamp: its group, then the in-group position it forces.
+    clamps: np.ndarray
+    #: Every neuron's conflicting neurons as one CSR pair: the targets ...
+    targets: np.ndarray
+    #: ... and ``N + 1`` pointers into them.
+    indptr: np.ndarray
+    #: The plan as ``izh_books`` reads it, pointing at the arrays above.
+    _block: native.PlanBlock = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        width = operator.index(self.width)
+        values, clamps, targets, indptr = (
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (self.values, self.clamps, self.targets, self.indptr))
+        size = indptr.size - 1
+        if width < 1 or values.shape != (width,):
+            raise ValueError(f"a plan needs a positive width and one value per position, "
+                             f"got width {width} and values of shape {values.shape}")
+        if indptr.ndim != 1 or targets.ndim != 1 or size < width or size % width:
+            raise ValueError(f"a plan's conflict CSR must cover groups of {width} neurons")
+        # Unsigned views bound a value on both sides with one comparison.
+        if (indptr[0] != 0 or indptr[-1] != targets.size
+                or indptr.view(np.uint64).max() > targets.size
+                or (targets.size and targets.view(np.uint64).max() >= size)):
+            raise ValueError(f"a plan's conflict CSR must point inside its {size} neurons")
+        if clamps.ndim != 2 or clamps.shape[0] != 2 or (clamps.size and (
+                clamps[0].view(np.uint64).max() >= size // width
+                or clamps[1].view(np.uint64).max() >= width)):
+            raise ValueError("a plan's clamps must be (group, position) columns inside its groups")
+        block = native.PlanBlock(width=width, clamp_count=clamps.shape[1],
+                                 clamps=clamps.ctypes.data, indptr=indptr.ctypes.data,
+                                 targets=targets.ctypes.data)
+        for name, value in (("width", width), ("values", values), ("clamps", clamps),
+                            ("targets", targets), ("indptr", indptr), ("_block", block)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def size(self) -> int:
+        """Neurons of a row the plan decodes."""
+        return self.indptr.size - 1
 
 
 #: An admission: the row descriptor plus its fresh row spec (or a
@@ -153,6 +230,14 @@ class SlotOutcome:
 
 class SlotDecoder(Protocol):
     """Decodes rows' assignments from their sliding-window state."""
+
+    def plan(self, row: SlotRow) -> Optional[DecodePlan]:  # pragma: no cover - interface
+        """The row's :class:`DecodePlan`, or ``None`` to decode it in Python only.
+
+        Called once per row, at admission (and again when a snapshot is
+        restored).  A plan's verdict must be :meth:`decode_rows`' own.
+        """
+        ...
 
     def decode_rows(
         self, rows: Sequence[SlotRow], window_counts: np.ndarray, last_spike: np.ndarray
@@ -223,6 +308,10 @@ class SlotCheckpoint:
     at_check: np.ndarray
     #: Rows whose local budget is exhausted.
     at_budget: np.ndarray
+    #: The at-check rows the decoder decodes: those the native books
+    #: found solved, and those at their budget or without a plan; on the
+    #: NumPy books, every at-check row.
+    to_decode: np.ndarray
 
     @property
     def rows(self) -> List[SlotRow]:
@@ -232,11 +321,13 @@ class SlotCheckpoint:
     def finished(self) -> Dict[int, SlotOutcome]:
         """Outcomes of the at-check rows whose decode solved or whose budget is spent.
 
-        By ascending row index; decoded through :meth:`SlotEngine.decode_row`.
+        By ascending row index; only :attr:`to_decode` rows are decoded
+        (through :meth:`SlotEngine.decode_row`): the native books found
+        every other at-check row unsolved and short of its budget.
         """
         engine = self.engine
         finished: Dict[int, SlotOutcome] = {}
-        for i in np.flatnonzero(self.at_check).tolist():
+        for i in np.flatnonzero(self.to_decode).tolist():
             decode = engine.decode_row(i)
             if decode.solved or self.at_budget[i]:
                 finished[i] = SlotOutcome(
@@ -259,9 +350,11 @@ def _book_fields(window: int, size: int) -> Dict[str, Field]:
     """The engine's row stack for rows of ``size`` neurons, by attribute.
 
     The books a snapshot carries, in snapshot order (``history`` rings
-    the last ``window`` steps: its rows lie on axis 1), then the offsets
-    and budgets; ``izh_books`` reads each through the ``BooksBlock``
-    field named like it without the underscore.
+    the last ``window`` steps: its rows lie on axis 1), then the offsets,
+    the budgets and each row's decode plan (the address of its
+    ``PlanBlock``, 0 for none), which a restore declares again;
+    ``izh_books`` reads each through the ``BooksBlock`` field named like
+    it without the underscore.
     """
     neurons = (None, size)
     return {
@@ -271,14 +364,21 @@ def _book_fields(window: int, size: int) -> Dict[str, Field]:
         "_row_spikes": Field(np.int64, key="row_spikes"),
         "_offsets": Field(np.int64),
         "_budgets": Field(np.int64),
+        "_plans": Field(np.uintp),
     }
+
+
+def _plan_addresses(plans: Sequence[Optional[DecodePlan]]) -> List[int]:
+    """The ``_plans`` row-stack values of rows with these plans."""
+    return [0 if plan is None else ctypes.addressof(plan._block) for plan in plans]
 
 
 class _NativeBooks:
     """The native books (``izh_books`` of :mod:`repro.runtime.native`) bound to the engine's buffers.
 
     Bound when the engine's row stack was allocated; holds the outputs
-    of the last call (:attr:`local`, :attr:`at_check`, :attr:`at_budget`).
+    of the last call (:attr:`local`, :attr:`at_check`, :attr:`at_budget`,
+    :attr:`verdict`) and the decode's scratch.
     """
 
     def __init__(self, books: Any, engine: "SlotEngine") -> None:
@@ -286,10 +386,15 @@ class _NativeBooks:
         assert stack is not None
         self.local = np.zeros(stack.capacity, dtype=np.int64)
         self.at_check, self.at_budget = np.zeros((2, stack.capacity), dtype=bool)
+        self.verdict = np.zeros(stack.capacity, dtype=np.int8)
+        self._picks = np.zeros(self._size, dtype=np.int64)
+        self._selected = np.zeros(self._size, dtype=bool)  # zero between calls
         self._block = block = native.BooksBlock(
             capacity=stack.capacity, size=self._size, window=engine._window,
             check_interval=engine._check_interval, local=self.local.ctypes.data,
             at_check=self.at_check.ctypes.data, at_budget=self.at_budget.ctypes.data,
+            verdict=self.verdict.ctypes.data, picks=self._picks.ctypes.data,
+            selected=self._selected.ctypes.data,
         )
         fields = _book_fields(engine._window, self._size)
         stack.bind(block, [(attr[1:], attr, field.dtype) for attr, field in fields.items()])
@@ -350,6 +455,7 @@ class SlotEngine:
     _row_spikes: np.ndarray
     _offsets: np.ndarray
     _budgets: np.ndarray
+    _plans: np.ndarray
     #: ``izh_books`` bound to the books, or ``None``: the NumPy books.
     _native_books: Optional[_NativeBooks]
 
@@ -386,9 +492,11 @@ class SlotEngine:
         self._history = self._window_counts = self._last_spike = None
         self._row_spikes = self._offsets = self._budgets = np.zeros(0, dtype=np.int64)
         self._native_books = None
-        #: The last checkpoint's at-check mask (until the rows or their
-        #: windows change) and the decodes made since, by row index.
-        self._at_check: Optional[np.ndarray] = None
+        #: The last checkpoint's rows to decode and the native books'
+        #: verdicts, ``None`` on the NumPy books (until the rows or their
+        #: windows change), and the decodes made since, by row index.
+        self._to_decode: Optional[np.ndarray] = None
+        self._verdict: Optional[np.ndarray] = None
         self._decoded: Dict[int, SlotDecode] = {}
 
     # ------------------------------------------------------------------ #
@@ -428,16 +536,18 @@ class SlotEngine:
     def decode_row(self, row: int) -> SlotDecode:
         """Decode one live row's current sliding window.
 
-        At a checkpoint, the first call for an at-check row decodes every
-        at-check row in one batched pass and later calls read that
-        result; any other row (a trailing decode after :meth:`run`, say)
-        is decoded as a batch of one.
+        At a checkpoint, the first call for a row of
+        :attr:`SlotCheckpoint.to_decode` decodes all of them in one
+        batched pass and later calls read that result; any other row (one
+        the native books settled, or a trailing decode after :meth:`run`)
+        is decoded as a batch of one.  A decode whose verdict differs
+        from the native books' raises ``RuntimeError``.
         """
         decode = self._decoded.get(row)
         if decode is None:
-            at_check = self._at_check
-            if at_check is not None and at_check[row]:
-                indices = np.flatnonzero(at_check)
+            to_decode = self._to_decode
+            if to_decode is not None and to_decode[row]:
+                indices = np.flatnonzero(to_decode)
             else:
                 indices = np.asarray([row])
             assert self._window_counts is not None and self._last_spike is not None
@@ -446,13 +556,20 @@ class SlotEngine:
                 self._window_counts[indices],
                 self._last_spike[indices],
             )
+            if self._verdict is not None:
+                for i, verdict, got in zip(indices.tolist(), self._verdict[indices].tolist(),
+                                           decodes):
+                    if verdict != _UNDECODED and got.solved != (verdict == _SOLVED):
+                        raise RuntimeError(
+                            f"row {i}: the decoder says solved={got.solved}, "
+                            f"the native books' decode says solved={verdict == _SOLVED}")
             self._decoded.update(zip(indices.tolist(), decodes))
             decode = self._decoded[row]
         return decode
 
     def _forget_decodes(self) -> None:
         """Drop cached decodes: the rows or their windows changed."""
-        self._at_check = None
+        self._to_decode = self._verdict = None
         if self._decoded:
             self._decoded = {}
 
@@ -527,6 +644,7 @@ class SlotEngine:
         size = self._num_neurons if self._num_neurons is not None else specs[0].size
         if any(spec.size != size for spec in specs):
             raise BatchIncompatibleError(f"admissions must have the engine's {size} neurons")
+        plans = self._declare_plans([row for row, _ in admissions], size)
         if keep:
             assert self._batch is not None
             self._batch.retain(keep, specs)  # checks every admission before it changes
@@ -534,8 +652,8 @@ class SlotEngine:
             # Nothing survives: tear the batch down, or build it afresh.
             self._batch = BatchedNetwork.from_networks(specs) if specs else None
         self._forget_decodes()
-        for row, _ in admissions:
-            row.offset = self._step
+        for (row, _), plan in zip(admissions, plans):
+            row.offset, row.plan = self._step, plan
         self._rows = [self._rows[i] for i in keep] + [row for row, _ in admissions]
         if self._stack is None:
             self._num_neurons = size
@@ -543,9 +661,17 @@ class SlotEngine:
             self._stack = RowStack(self, _book_fields(self._window, size))
         self._stack.retain(keep)
         books = {"_last_spike": -1, "_offsets": self._step,
-                 "_budgets": [row.budget for row, _ in admissions]}
+                 "_budgets": [row.budget for row, _ in admissions],
+                 "_plans": _plan_addresses(plans)}
         if self._stack.extend(len(admissions), books):
             self._bind_books()
+
+    def _declare_plans(self, rows: Sequence[SlotRow], size: int) -> List[Optional[DecodePlan]]:
+        """The decoder's plans of rows of ``size`` neurons; ``ValueError`` on another size."""
+        plans = [self._decoder.plan(row) for row in rows]
+        if any(plan is not None and plan.size != size for plan in plans):
+            raise ValueError(f"a decode plan must cover the engine's {size} neurons")
+        return plans
 
     def _bind_books(self) -> None:
         """Bind ``izh_books`` to the row stack as allocated; ``None`` keeps the NumPy books."""
@@ -661,6 +787,7 @@ class SlotEngine:
                 ) from None
             batch = BatchedNetwork.from_networks([replica for _, replica in rebuilt])
             batch.restore_state(state["batch"])
+        plans = self._declare_plans(rows, size)
         # Every check passed: nothing below refuses.
         self._forget_decodes()
         self._step = int(state["step"])
@@ -670,7 +797,10 @@ class SlotEngine:
         self._rows = rows
         if stack is not self._stack:
             self._stack, self._native_books = stack, None
-        books.update(_offsets=[r.offset for r in rows], _budgets=[r.budget for r in rows])
+        for row, plan in zip(rows, plans):
+            row.plan = plan
+        books.update(_offsets=[r.offset for r in rows], _budgets=[r.budget for r in rows],
+                     _plans=_plan_addresses(plans))
         if stack is not None and stack.extend(len(rows), books):
             self._bind_books()
 
@@ -712,7 +842,9 @@ class SlotEngine:
         books are one C call (``izh_books``) wherever the native library
         of :mod:`repro.runtime.native` loaded, and NumPy otherwise; both
         update the same arrays, so a snapshot saved on one path resumes
-        on the other.
+        on the other.  The native books also decode the planned rows at
+        a check (:class:`DecodePlan`), which leaves fewer rows
+        :attr:`~SlotCheckpoint.to_decode`.
         """
         if self._batch is None:
             raise RuntimeError("no live rows to step")
@@ -725,10 +857,11 @@ class SlotEngine:
             if not books(rows, self._step, fired):
                 return None
             # Copies: the next call overwrites the outputs.
-            local, at_check, at_budget = (
+            local, at_check, at_budget, verdict = (
                 books.local[:rows].copy(), books.at_check[:rows].copy(),
-                books.at_budget[:rows].copy(),
+                books.at_budget[:rows].copy(), books.verdict[:rows].copy(),
             )
+            to_decode = at_check & (verdict != _UNSOLVED)
         else:
             # The NumPy books: the reference of izh_books.
             local = self._step - self._offsets  # per-row local step (1-based)
@@ -744,9 +877,11 @@ class SlotEngine:
             at_check = (local % self._check_interval == 0) | at_budget
             if not at_check.any():
                 return None
-        self._at_check = at_check
+            to_decode, verdict = at_check, None
+        self._to_decode, self._verdict = to_decode, verdict
         return SlotCheckpoint(
-            engine=self, step=self._step, local=local, at_check=at_check, at_budget=at_budget
+            engine=self, step=self._step, local=local, at_check=at_check, at_budget=at_budget,
+            to_decode=to_decode,
         )
 
     def advance(self, policy: SlotPolicy) -> bool:

@@ -448,32 +448,75 @@ class SolveService:
         abandons the request: its batch slot is freed at the next
         scheduler round.
         """
+        request = self._checked([(graph, clamps)], client, [seed], max_steps, deadline)[0]
+        return await self._outcome(self._book(request, client, deadline))
+
+    def _checked(
+        self,
+        instances: Sequence[Tuple[ConstraintGraph, ClampsLike]],
+        client: str,
+        seeds: Sequence[Optional[int]],
+        max_steps: Optional[int],
+        deadline: Optional[float],
+    ) -> List[Tuple[ConstraintGraph, Any, Optional[int], int]]:
+        """Every check :meth:`submit` makes before it books, over a batch of requests.
+
+        Returns ``(graph, resolved clamps, seed, budget)`` per instance,
+        or raises before anything is booked.  Requests with a positive
+        budget must have the live batch's neuron count, or, before the
+        first sizes it, one count among them.
+        """
         if self._closed:
             raise ServiceClosedError("service is stopped")
         self._ensure_started()
-        if not isinstance(graph, ConstraintGraph):
-            raise InvalidRequestError(f"graph must be a ConstraintGraph, got {graph!r}")
         if not isinstance(client, str):
             raise InvalidRequestError(f"client must be a string, got {client!r}")
         try:
             budget = self._default_max_steps if max_steps is None else operator.index(max_steps)
         except TypeError:
             raise InvalidRequestError(f"max_steps must be an integer, got {max_steps!r}") from None
-        try:
-            seed = None if seed is None else operator.index(seed)
-        except TypeError:
-            raise InvalidRequestError(f"seed must be an integer, got {seed!r}") from None
-        if seed is not None and seed < 0:
-            raise InvalidRequestError(f"seed must be non-negative, got {seed}")
         if deadline is not None and (
             not isinstance(deadline, numbers.Real) or math.isnan(deadline)
         ):
             raise InvalidRequestError(f"deadline must be a real number, got {deadline!r}")
-        try:
-            resolved = resolve_instance(graph, clamps)
-        except (KeyError, IndexError, ValueError) as exc:
-            raise InvalidRequestError(f"invalid clamps: {exc}") from exc
+        requests = []
+        neurons = self._num_neurons
+        for (graph, clamps), seed in zip(instances, seeds):
+            if not isinstance(graph, ConstraintGraph):
+                raise InvalidRequestError(f"graph must be a ConstraintGraph, got {graph!r}")
+            try:
+                seed = None if seed is None else operator.index(seed)
+            except TypeError:
+                raise InvalidRequestError(f"seed must be an integer, got {seed!r}") from None
+            if seed is not None and seed < 0:
+                raise InvalidRequestError(f"seed must be non-negative, got {seed}")
+            try:
+                resolved = resolve_instance(graph, clamps)
+            except (KeyError, IndexError, ValueError) as exc:
+                raise InvalidRequestError(f"invalid clamps: {exc}") from exc
+            requests.append((graph, resolved, seed, budget))
+        if budget > 0:
+            for graph, _, _, _ in requests:
+                neurons = graph.num_neurons if neurons is None else neurons
+                if graph.num_neurons != neurons:
+                    raise IncompatibleInstanceError(
+                        f"instance has {graph.num_neurons} neurons; the live batch "
+                        f"is configured for {neurons}"
+                    )
+        return requests
 
+    def _book(
+        self,
+        request: Tuple[ConstraintGraph, Any, Optional[int], int],
+        client: str,
+        deadline: Optional[float],
+    ) -> Union[ServeResult, Tuple[_Waiter, _Ticket]]:
+        """Book one :meth:`_checked` request: its result now, or the waiter and ticket to await.
+
+        Synchronous, so the checks still hold when it books; raises only
+        :class:`LoadShedError`.
+        """
+        graph, resolved, seed, budget = request
         if budget <= 0:
             # Mirrors the batch engines' max_steps<=0 guard: the
             # zero-step decode (clamps only), served immediately.
@@ -497,11 +540,6 @@ class SolveService:
 
         if self._num_neurons is None:
             self._num_neurons = graph.num_neurons
-        elif graph.num_neurons != self._num_neurons:
-            raise IncompatibleInstanceError(
-                f"instance has {graph.num_neurons} neurons; the live batch "
-                f"is configured for {self._num_neurons}"
-            )
         self._metrics.record_submitted()
 
         key = self._request_identity(graph, resolved, seed, budget)
@@ -568,6 +606,13 @@ class SolveService:
                 )
             self._enqueue(client, ticket)
         self._wake.set()
+        return waiter, ticket
+
+    async def _outcome(self, booked: Union[ServeResult, Tuple[_Waiter, _Ticket]]) -> ServeResult:
+        """The result of a :meth:`_book`-ed request; cancelling abandons the request."""
+        if isinstance(booked, ServeResult):
+            return booked
+        waiter, ticket = booked
         try:
             return await waiter.future
         except asyncio.CancelledError:
@@ -586,9 +631,13 @@ class SolveService:
         """Submit a batch of instances concurrently; results in order.
 
         An empty instance list returns ``[]`` without touching the
-        service (mirroring ``solve_instances([]) == []``).  Each seed
-        meets :meth:`submit`'s own check; ``seeds`` of another length
-        than ``instances`` raise :class:`InvalidRequestError`.
+        service (mirroring ``solve_instances([]) == []``).  Every request
+        meets :meth:`submit`'s checks, and the graphs one neuron count,
+        before any is booked, so a malformed request refuses the whole
+        batch; ``seeds`` of another length than ``instances`` raise
+        :class:`InvalidRequestError`.  When the admission queue sheds a
+        request (:class:`LoadShedError`), the ones booked before it are
+        abandoned as cancelled submits are, and the error is raised.
         """
         if not instances:
             return []
@@ -596,21 +645,26 @@ class SolveService:
             raise InvalidRequestError(
                 f"seeds must match the number of instances: {len(seeds)} for {len(instances)}"
             )
-        return list(
-            await asyncio.gather(
-                *(
-                    self.submit(
-                        graph,
-                        clamps,
-                        client=client,
-                        seed=None if seeds is None else seeds[i],
-                        max_steps=max_steps,
-                        deadline=deadline,
-                    )
-                    for i, (graph, clamps) in enumerate(instances)
-                )
-            )
+        requests = self._checked(
+            instances,
+            client,
+            [None] * len(instances) if seeds is None else seeds,
+            max_steps,
+            deadline,
         )
+        booked: List[Union[ServeResult, Tuple[_Waiter, _Ticket]]] = []
+        try:
+            for request in requests:
+                booked.append(self._book(request, client, deadline))
+        except LoadShedError:
+            # The queue refused a later request: abandon the ones booked
+            # before it, as a cancelled submit would.
+            for entry in booked:
+                if not isinstance(entry, ServeResult):
+                    entry[0].future.cancel()
+                    self._abandon(*entry)
+            raise
+        return list(await asyncio.gather(*(self._outcome(entry) for entry in booked)))
 
     async def wait_for_step(self, step: int) -> int:
         """Resolve once the scheduler's global step counter reaches ``step``.

@@ -19,6 +19,12 @@ __all__ = ["SudokuBoard", "BacktrackingSolver"]
 GRID = 9
 BOX = 3
 
+#: :meth:`SudokuBoard.from_string`'s reading of ASCII: a digit is kept, a
+#: ``.`` becomes ``0`` and any other ASCII character is dropped.
+_ASCII_CELLS = str.maketrans(
+    {**{chr(c): None for c in range(128) if not chr(c).isdigit()}, ".": "0"}
+)
+
 
 @dataclass
 class SudokuBoard:
@@ -43,7 +49,19 @@ class SudokuBoard:
 
     @classmethod
     def from_string(cls, text: str) -> "SudokuBoard":
-        """Parse an 81-character puzzle string (``0`` or ``.`` for blanks)."""
+        """Parse an 81-character puzzle string (``0`` or ``.`` for blanks).
+
+        The cells are the string's digits and dots, in order; every other
+        character is skipped.  A string of ASCII characters is read in one
+        pass (:data:`_ASCII_CELLS`); any other input character by character.
+        """
+        if isinstance(text, str):
+            cells = text.translate(_ASCII_CELLS)
+            if cells.isascii():  # only ASCII digits are left
+                if len(cells) != GRID * GRID:
+                    raise ValueError(f"expected 81 cells, got {len(cells)}")
+                raw = np.frombuffer(cells.encode("ascii"), dtype=np.uint8)
+                return cls(raw.reshape(GRID, GRID) - ord("0"))
         digits = [ch for ch in text if ch.isdigit() or ch == "."]
         if len(digits) != GRID * GRID:
             raise ValueError(f"expected 81 cells, got {len(digits)}")

@@ -118,6 +118,40 @@ class TestConflicts:
         ]
         assert explicit_of_a1 == []
 
+    @given(_domain_sizes, st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_not_equal_is_a_conflict_per_shared_value(self, sizes, seed):
+        # The reference: add_conflict on every shared domain value.
+        rng = np.random.default_rng(seed)
+        variables = [Variable(f"x{i}", tuple(int(v) for v in rng.choice(6, n, replace=False)))
+                     for i, n in enumerate(sizes)]
+        graph, reference = ConstraintGraph(variables), ConstraintGraph(variables)
+        for _ in range(len(sizes)):
+            if len(sizes) < 2:
+                break
+            a, b = (int(i) for i in rng.choice(len(sizes), 2, replace=False))
+            graph.add_not_equal(f"x{a}", b)
+            for value in variables[a].domain:
+                if value in variables[b].domain:
+                    reference.add_conflict(a, value, b, value)
+        assert graph._explicit == reference._explicit
+        assert graph.cache_token() == reference.cache_token()
+
+    def test_not_equal_refuses_an_unknown_variable(self):
+        graph = ConstraintGraph([Variable("a", (1, 2)), Variable("b", (1, 2))])
+        token = graph.cache_token()
+        with pytest.raises(KeyError):
+            graph.add_not_equal("a", "c")
+        with pytest.raises(IndexError):
+            graph.add_not_equal(0, 2)
+        assert graph.cache_token() == token
+
+    def test_not_equal_refuses_one_variable_twice(self):
+        graph = ConstraintGraph([Variable("a", (1, 2)), Variable("b", (1, 2))])
+        with pytest.raises(ValueError):
+            graph.add_not_equal("a", 0)
+        assert all(not targets for targets in graph._explicit)
+
     def test_statistics(self):
         graph = ConstraintGraph([Variable("a", (1, 2)), Variable("b", (1, 2))])
         graph.add_not_equal("a", "b")

@@ -301,6 +301,8 @@ class TestLoader:
     def test_a_warm_cache_starts_no_process(self):
         if native.load() is None:
             pytest.skip("no native step kernel on this host")
+        # The child loads this process's library: the same flags (a
+        # sanitizer build extends them) name the same cached file.
         script = textwrap.dedent(
             f"""
             import subprocess, sys
@@ -311,6 +313,7 @@ class TestLoader:
 
             subprocess.run = subprocess.Popen = refuse
             from repro.runtime import native
+            native.FLAGS = {native.FLAGS!r}
             assert native.load() is not None
             """
         )

@@ -12,6 +12,7 @@ from repro.runtime.batch import BatchedNetwork, BatchIncompatibleError
 from repro.serve import (
     IncompatibleInstanceError,
     InvalidRequestError,
+    LoadShedError,
     ServeStatus,
     ServeSupervisor,
     SolveService,
@@ -103,6 +104,81 @@ def test_submit_many_checks_every_seed_like_submit(seeds):
             return service.metrics()
 
     assert asyncio.run(main()).submitted == 0
+
+
+def test_submit_many_books_nothing_when_a_later_request_is_malformed():
+    # The first request is valid: it must not be booked (and solved, with
+    # its result dropped) when the second one is refused.
+    graph, clamps = _instance(7)
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps") as service:
+            with pytest.raises(InvalidRequestError):
+                await asyncio.wait_for(
+                    service.submit_many([(graph, clamps)] * 2, seeds=[1, 1.5], max_steps=600),
+                    5.0,
+                )
+            await service.stop()  # drains whatever was booked
+            return service.metrics()
+
+    metrics = asyncio.run(main())
+    assert (metrics.submitted, metrics.served) == (0, 0)
+
+
+def test_submit_many_refuses_a_batch_of_two_neuron_counts_before_booking():
+    small, large = _instance(5, num_vertices=12), make_instance("sudoku", seed=1)
+    assert (small[0].num_neurons, large[0].num_neurons) == (36, 729)
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps") as service:
+            with pytest.raises(IncompatibleInstanceError):
+                await asyncio.wait_for(service.submit_many([small, large], max_steps=600), 5.0)
+            await service.stop()  # drains whatever was booked
+            return service.metrics()
+
+    metrics = asyncio.run(main())
+    assert (metrics.submitted, metrics.served) == (0, 0)
+
+
+def test_submit_many_abandons_the_booked_head_when_the_queue_sheds_its_tail():
+    # queue_limit=1: the first request fills the queue, the second is shed;
+    # the first must then be abandoned, not solved for nobody.
+    instances = [_instance(seed) for seed in (7, 8, 9)]
+
+    async def main():
+        async with SolveService(capacity=1, queue_limit=1, clock="steps") as service:
+            with pytest.raises(LoadShedError):
+                await asyncio.wait_for(service.submit_many(instances, max_steps=600), 5.0)
+            shed = service.metrics()
+            served = await asyncio.wait_for(service.submit(*instances[2], max_steps=600), 5.0)
+            await service.stop()
+            return shed, served, service.metrics()
+
+    shed, served, metrics = asyncio.run(main())
+    assert (shed.submitted, shed.shed, shed.cancelled) == (2, 1, 1)
+    assert (shed.in_flight, shed.queue_depth, shed.served) == (0, 0, 0)
+    assert served.status in (ServeStatus.SOLVED, ServeStatus.UNSOLVED)
+    assert (metrics.submitted, metrics.served, metrics.cancelled) == (3, 1, 1)
+
+
+def test_submit_many_serves_a_valid_batch_like_submit():
+    instances = [_instance(seed) for seed in (7, 8, 9)]
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps") as service:
+            batch = await service.submit_many(instances, seeds=[1, 2, 3], max_steps=600)
+        async with SolveService(capacity=2, clock="steps") as service:
+            one_by_one = [await service.submit(g, c, seed=seed, max_steps=600)
+                          for (g, c), seed in zip(instances, (1, 2, 3))]
+            metrics = service.metrics()
+        return batch, one_by_one, metrics
+
+    batch, one_by_one, metrics = asyncio.run(main())
+    assert metrics.submitted == metrics.served == 3
+    for got, want in zip(batch, one_by_one):
+        assert (got.status, got.seed) == (want.status, want.seed)
+        np.testing.assert_array_equal(got.result.values, want.result.values)
+        assert got.result.steps == want.result.steps
 
 
 def test_submit_many_serves_an_integer_like_seed_under_its_value():

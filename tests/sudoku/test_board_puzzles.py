@@ -22,6 +22,39 @@ class TestBoard:
         board = SudokuBoard.from_string("." * 81)
         assert board.num_clues == 0
 
+    def test_eighty_cells_are_refused(self):
+        with pytest.raises(ValueError):
+            SudokuBoard.from_string(EXAMPLE_PUZZLE.replace(".", "0")[:80])
+        with pytest.raises(ValueError):
+            SudokuBoard.from_string("1" * 80 + " \n|x")
+
+    def test_any_string_parses_as_one_character_at_a_time(self):
+        # The reference rule: digits (any isdigit() character) and dots are
+        # the cells, in order; everything else is skipped.
+        def reference(text):
+            digits = [ch for ch in text if ch.isdigit() or ch == "."]
+            if len(digits) != 81:
+                raise ValueError(f"expected 81 cells, got {len(digits)}")
+            values = [0 if ch == "." else int(ch) for ch in digits]
+            return SudokuBoard(np.asarray(values, dtype=np.int64).reshape(9, 9))
+
+        def outcome(parse, text):
+            try:
+                return parse(text).cells.tolist()
+            except Exception as exc:  # the type is what must agree
+                return type(exc)
+
+        rng = np.random.default_rng(5)
+        alphabet = list("0123456789.....| -+\n\tx") + ["\u0663", "\u00b2", "\uff17", "\u00e9"]
+        texts = [EXAMPLE_PUZZLE, " ".join(EXAMPLE_PUZZLE), "\u0663" * 81, "9" * 81]
+        texts += ["".join(rng.choice(alphabet, size=int(n))) for n in rng.integers(79, 130, 400)]
+        accepted = 0
+        for text in texts:
+            expected = outcome(reference, text)
+            assert outcome(SudokuBoard.from_string, text) == expected, repr(text)
+            accepted += isinstance(expected, list)
+        assert 0 < accepted < len(texts)
+
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             SudokuBoard.from_string("123")
