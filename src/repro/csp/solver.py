@@ -29,9 +29,9 @@ sequential reference.  :data:`CSP_SLOT_DECODER` declares each row of
 one shared domain a :class:`~repro.runtime.slots.DecodePlan` at
 admission, so the native slot books settle it at its checks; the rows
 they find solved, the rows at their budget and the rows of differing
-domains are decoded here in one vectorised pass per checkpoint, with
-:func:`decode_assignment` and :meth:`ConstraintGraph.is_solution` as its
-reference.
+domains are decoded here one at a time, by :func:`decode_assignment`
+and :meth:`ConstraintGraph.is_solution`: the one Python decode, whose
+verdict the native books' equals.
 """
 
 from __future__ import annotations
@@ -439,7 +439,7 @@ def _connectivity(graph: ConstraintGraph, config: CSPConfig) -> SparseSynapses:
 
 
 # ---------------------------------------------------------------------- #
-# Row template and batched decode
+# Row template and slot decode
 # ---------------------------------------------------------------------- #
 def _population(config: CSPConfig, backend: str, num_neurons: int) -> Population:
     """A fresh solver population at rest: one quantisation of the config."""
@@ -476,17 +476,13 @@ class _CSPSlotDecoder:
 
     Rows carry their :class:`ConstraintGraph` and resolved clamps.  At
     admission, a row whose graph has one shared domain gets a
-    :class:`~repro.runtime.slots.DecodePlan` — the domain's width and
-    values, its clamps as (variable, position) columns and the graph's
-    conflict CSR — which lets the native books settle it at its checks.
-    The engine hands over the at-check rows left to decode with their
-    sliding-window state, and this adapter decodes them in one pass,
-    bit-identical to :func:`decode_assignment` + ``is_solution`` row by
-    row.  Planned rows are decoded together: one window argmax over
-    ``(R, V, W)``, clamps applied from the plans' columns, and one
-    conflict count over the picks' conflict CSRs.  Rows with differing
-    domains take the reference loop.  One instance serves every CSP-layer
-    engine (per-row constants live on the rows' plans).
+    :class:`~repro.runtime.slots.DecodePlan` — the domain's width, its
+    clamps as (variable, position) columns and the graph's conflict CSR
+    — which lets the native books settle it at its checks.  The engine
+    hands over each at-check row left to decode with its sliding-window
+    state, and :meth:`decode` is :func:`decode_assignment` +
+    ``is_solution``.  One instance serves every CSP-layer engine
+    (per-row constants live on the rows' plans).
     """
 
     def plan(self, row: SlotRow) -> Optional[DecodePlan]:
@@ -508,112 +504,15 @@ class _CSPSlotDecoder:
         targets, indptr = graph._conflicts_csr()
         return DecodePlan(
             width=width,
-            values=np.asarray(shared, dtype=np.int64),
             clamps=np.array((groups, triples[:, 2] - groups * width)),
             targets=targets,
             indptr=indptr,
         )
 
-    def decode_rows(
-        self, rows: Sequence[SlotRow], window_counts: np.ndarray, last_spike: np.ndarray
-    ) -> List[SlotDecode]:
-        decodes: List[Optional[SlotDecode]] = [None] * len(rows)
-        by_width: Dict[int, List[int]] = {}
-        plans: List[Optional[DecodePlan]] = []
-        for i, row in enumerate(rows):
-            plan = row.plan if row.plan is not None else self.plan(row)
-            plans.append(plan)
-            if plan is None:
-                values, decided = decode_assignment(
-                    row.graph, window_counts[i], last_spike[i], row.clamps
-                )
-                solved = row.graph.is_solution(values, decided)
-                decodes[i] = SlotDecode(values=values, decided=decided, solved=solved)
-            else:
-                by_width.setdefault(plan.width, []).append(i)
-        for members in by_width.values():
-            whole = len(members) == len(rows)  # the common case: no copies
-            decoded = _decode_shared_domain(
-                [plans[i] for i in members],
-                window_counts if whole else window_counts[members],
-                last_spike if whole else last_spike[members],
-            )
-            for i, decode in zip(members, decoded):
-                decodes[i] = decode
-        return decodes  # every entry is filled above
-
-
-def _decode_shared_domain(
-    plans: Sequence[DecodePlan], window_counts: np.ndarray, last_spike: np.ndarray
-) -> List[SlotDecode]:
-    """:func:`decode_assignment` + ``is_solution`` of ``R`` planned rows at once.
-
-    Every row's plan has the same width ``W`` (values may differ between
-    rows).  The expressions are the reference's, evaluated per row; the
-    recency tie-break is scaled by each row's own recency maximum.  A row
-    that never spiked divides by infinity instead of skipping the term:
-    adding ``-0.0`` leaves its counts exact, and no row divides by zero.
-    The native books' decode (``native_step.c``) evaluates the same
-    verdict.
-    """
-    num_rows, num_neurons = window_counts.shape
-    width = plans[0].width
-    num_vars = num_neurons // width
-    top = last_spike.max(axis=1)
-    scale = np.where(top > 0, top + 1.0, np.inf)
-    score = window_counts + last_spike / scale[:, None]  # int64 -> float64 is exact here
-    positions = score.reshape(num_rows, num_vars, width).argmax(axis=2)
-    decided = window_counts.reshape(num_rows, num_vars, width).any(axis=2)  # counts >= 0
-    row_index = np.arange(num_rows)
-
-    owners = np.repeat(row_index, [plan.clamps.shape[1] for plan in plans])
-    clamped, clamp_positions = np.concatenate([plan.clamps for plan in plans], axis=1)
-    decided[owners, clamped] = True
-    positions[owners, clamped] = clamp_positions
-    domains = np.array([plan.values for plan in plans])
-    values = np.where(decided, domains[row_index[:, None], positions], 0)
-
-    solved = decided.all(axis=1)
-    full = np.flatnonzero(solved)
-    if full.size:
-        solved[full] = ~_conflicted([plans[r] for r in full], positions[full])
-    return [
-        SlotDecode(values=v, decided=d, solved=s)
-        for v, d, s in zip(values, decided, solved.tolist())
-    ]
-
-
-def _conflicted(plans: Sequence[DecodePlan], positions: np.ndarray) -> np.ndarray:
-    """Per row: does any picked neuron's conflict list hold another pick?
-
-    ``positions`` are the picked in-group positions, ``(R, V)``.  Rows
-    whose plans hold the same conflict CSR arrays (the rows of one graph)
-    share them; the distinct CSRs are laid end to end so one gather
-    serves every row.
-    """
-    num_rows, num_vars = positions.shape
-    num_neurons = num_vars * plans[0].width
-    distinct: Dict[Tuple[int, int], Tuple[int, DecodePlan]] = {}
-    slots = [
-        distinct.setdefault((id(plan.targets), id(plan.indptr)), (len(distinct), plan))[0]
-        for plan in plans
-    ]
-    csrs = [plan for _, plan in distinct.values()]
-    targets = np.concatenate([plan.targets for plan in csrs])
-    bases = np.cumsum([0] + [plan.targets.size for plan in csrs[:-1]])
-    indptr = np.concatenate([plan.indptr for plan in csrs]) + np.repeat(bases, num_neurons + 1)
-    # Row r's pick p reads its conflicts from indptr[slot_r * (N + 1) + p].
-    picks = positions + np.arange(num_vars) * plans[0].width  # neuron index of each pick
-    first = (picks + (np.asarray(slots) * (num_neurons + 1))[:, None]).ravel()
-    starts = indptr[first]
-    counts = indptr[first + 1] - starts
-    owner = np.repeat(np.arange(num_rows), counts.reshape(num_rows, num_vars).sum(axis=1))
-    hits = targets[np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(owner.size)]
-    selected = np.zeros((num_rows, num_neurons), dtype=bool)
-    selected[np.arange(num_rows)[:, None], picks] = True
-    conflicted = np.zeros(num_rows, dtype=bool)
-    conflicted[owner[selected[owner, hits]]] = True
-    return conflicted
+    def decode(self, row: SlotRow, window_counts: np.ndarray, last_spike: np.ndarray) -> SlotDecode:
+        """:func:`decode_assignment` of the row's window, solved by ``is_solution``."""
+        values, decided = decode_assignment(row.graph, window_counts, last_spike, row.clamps)
+        return SlotDecode(values, decided, row.graph.is_solution(values, decided))
 
 
 CSP_SLOT_DECODER = _CSPSlotDecoder()
@@ -671,7 +570,6 @@ def _empty_result(graph: ConstraintGraph, clamps: ClampsLike) -> CSPSolveResult:
     owner of the zero-step semantics shared with the portfolio and
     serve layers.
     """
-    window_counts, last_spike = SlotEngine.empty_window(graph.num_neurons)
-    values, decided = decode_assignment(graph, window_counts, last_spike, clamps)
-    decode = SlotDecode(values, decided, graph.is_solution(values, decided))
-    return _solve_result(SlotOutcome(SlotRow(graph, clamps, budget=0), 0, 0, decode), 0)
+    row = SlotRow(graph, clamps, budget=0)
+    decode = CSP_SLOT_DECODER.decode(row, *SlotEngine.empty_window(graph.num_neurons))
+    return _solve_result(SlotOutcome(row, 0, 0, decode), 0)

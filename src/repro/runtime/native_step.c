@@ -18,9 +18,10 @@
  * fired mask (repro/runtime/slots.py, whose NumPy books stay the
  * reference) and, at a check, decodes every row whose decoder declared a
  * winner-take-all plan (slots.DecodePlan) and that is not at its budget:
- * it writes the verdict of the Python decode
- * (repro.csp.solver._decode_shared_domain), so only the rows that
- * solved, spent their budget or have no plan are decoded in Python.
+ * it writes the verdict of the one Python decode
+ * (repro.csp.solver.decode_assignment + ConstraintGraph.is_solution),
+ * so only the rows that solved, spent their budget or have no plan are
+ * decoded in Python, one row at a time.
  *
  * Rules that keep it bit-exact and free of undefined behaviour:
  *   - Built with -O3 -std=c99 -fPIC -shared -fwrapv -ffp-contract=off
@@ -568,14 +569,14 @@ static IZH_VECTOR int64_t books_row(int64_t size, int64_t local,
     return spikes;
 }
 
-/* The verdict of the reference decode (_decode_shared_domain of
- * repro.csp.solver) on one row's window under its plan: per group of
- * `width` candidates the first argmax of counts + last / scale, decided
- * when any count is nonzero; the clamps force their groups' picks; the
- * row is solved when every group is decided and no pick's conflict list
- * holds a pick.  The clamps are read first, so a row with an undecided
- * free group, most rows at most checks, is unsolved before any score is
- * computed. */
+/* The verdict of the reference decode (repro.csp.solver.decode_assignment
+ * + ConstraintGraph.is_solution) on one row's window under its plan: per
+ * group of `width` candidates the first argmax of counts + last / scale,
+ * decided when any count is nonzero; the clamps force their groups'
+ * picks; the row is solved when every group is decided and no pick's
+ * conflict list holds a pick.  The clamps are read first, so a row with
+ * an undecided free group, most rows at most checks, is unsolved before
+ * any score is computed. */
 static int decode_row(const izh_books_block *k, int64_t row, const izh_plan *plan)
 {
     const int64_t size = k->size, width = plan->width, groups = size / width;

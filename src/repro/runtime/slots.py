@@ -34,9 +34,8 @@ The engine's invariants (every consumer inherits them):
   (reprolint rule RL001, ``docs/LINTING.md``).
 * **Checkpoint cadence.**  A row is decoded when its local step hits the
   check interval or its budget; the union over rows decides when a
-  checkpoint fires, and its first :meth:`SlotEngine.decode_row` call
-  decodes every row of :attr:`SlotCheckpoint.to_decode` in one pass
-  (:meth:`SlotDecoder.decode_rows`).
+  checkpoint fires, and :meth:`SlotEngine.decode_row` decodes one row
+  at a time (:meth:`SlotDecoder.decode`).
 * **Decode at the check.**  A decoder declares a :class:`DecodePlan`
   for each row it can decode as winner-take-all groups (at admission,
   :meth:`SlotDecoder.plan`).  The native books settle such a row at its
@@ -138,21 +137,20 @@ class DecodePlan:
     """A row's winner-take-all decode, declared by its :class:`SlotDecoder` at admission.
 
     The row's ``N`` neurons are ``N // width`` groups of ``width``
-    candidates laid end to end.  The native books decode a planned row
+    candidates laid end to end.  The native books decide a planned row
     at each check short of its budget by the rule every such decoder
     follows: per group the first argmax of ``counts + last_spike /
     scale`` (``scale``: the row's largest last spike plus 1.0, or +inf
     when that is not positive), decided when any count is nonzero; the
     clamps force their groups' picks; and once every group is decided,
     the row is solved unless a pick's conflict list holds a pick.  The
-    arrays are checked and made C-contiguous int64 here, once: the C
-    decode reads them as they are.
+    plan carries what that verdict reads, not the values the picks stand
+    for: those are the decoder's.  The arrays are checked and made
+    C-contiguous int64 here, once: the C decode reads them as they are.
     """
 
     #: Candidates per group.
     width: int
-    #: What each in-group position decodes to, ``(width,)``.
-    values: np.ndarray
     #: One column per clamp: its group, then the in-group position it forces.
     clamps: np.ndarray
     #: Every neuron's conflicting neurons as one CSR pair: the targets ...
@@ -164,13 +162,12 @@ class DecodePlan:
 
     def __post_init__(self) -> None:
         width = operator.index(self.width)
-        values, clamps, targets, indptr = (
+        clamps, targets, indptr = (
             np.ascontiguousarray(a, dtype=np.int64)
-            for a in (self.values, self.clamps, self.targets, self.indptr))
+            for a in (self.clamps, self.targets, self.indptr))
         size = indptr.size - 1
-        if width < 1 or values.shape != (width,):
-            raise ValueError(f"a plan needs a positive width and one value per position, "
-                             f"got width {width} and values of shape {values.shape}")
+        if width < 1:
+            raise ValueError(f"a plan needs a positive width, got {width}")
         if indptr.ndim != 1 or targets.ndim != 1 or size < width or size % width:
             raise ValueError(f"a plan's conflict CSR must cover groups of {width} neurons")
         # Unsigned views bound a value on both sides with one comparison.
@@ -185,8 +182,8 @@ class DecodePlan:
         block = native.PlanBlock(width=width, clamp_count=clamps.shape[1],
                                  clamps=clamps.ctypes.data, indptr=indptr.ctypes.data,
                                  targets=targets.ctypes.data)
-        for name, value in (("width", width), ("values", values), ("clamps", clamps),
-                            ("targets", targets), ("indptr", indptr), ("_block", block)):
+        for name, value in (("width", width), ("clamps", clamps), ("targets", targets),
+                            ("indptr", indptr), ("_block", block)):
             object.__setattr__(self, name, value)
 
     @property
@@ -229,20 +226,20 @@ class SlotOutcome:
 
 
 class SlotDecoder(Protocol):
-    """Decodes rows' assignments from their sliding-window state."""
+    """Decodes a row's assignment from its sliding-window state."""
 
     def plan(self, row: SlotRow) -> Optional[DecodePlan]:  # pragma: no cover - interface
         """The row's :class:`DecodePlan`, or ``None`` to decode it in Python only.
 
         Called once per row, at admission (and again when a snapshot is
-        restored).  A plan's verdict must be :meth:`decode_rows`' own.
+        restored).  A plan's verdict must be :meth:`decode`'s own.
         """
         ...
 
-    def decode_rows(
-        self, rows: Sequence[SlotRow], window_counts: np.ndarray, last_spike: np.ndarray
-    ) -> List[SlotDecode]:  # pragma: no cover - interface
-        """One decode per row; ``window_counts``/``last_spike`` are ``(R, N)``."""
+    def decode(
+        self, row: SlotRow, window_counts: np.ndarray, last_spike: np.ndarray
+    ) -> SlotDecode:  # pragma: no cover - interface
+        """The row's decode; ``window_counts``/``last_spike`` are its ``(N,)`` books."""
         ...
 
 
@@ -492,12 +489,9 @@ class SlotEngine:
         self._history = self._window_counts = self._last_spike = None
         self._row_spikes = self._offsets = self._budgets = np.zeros(0, dtype=np.int64)
         self._native_books = None
-        #: The last checkpoint's rows to decode and the native books'
-        #: verdicts, ``None`` on the NumPy books (until the rows or their
-        #: windows change), and the decodes made since, by row index.
-        self._to_decode: Optional[np.ndarray] = None
+        #: The native books' verdicts at the last checkpoint, ``None`` on
+        #: the NumPy books and once the rows or their windows change.
         self._verdict: Optional[np.ndarray] = None
-        self._decoded: Dict[int, SlotDecode] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection (read-only views for policies and trailing decodes)
@@ -536,42 +530,21 @@ class SlotEngine:
     def decode_row(self, row: int) -> SlotDecode:
         """Decode one live row's current sliding window.
 
-        At a checkpoint, the first call for a row of
-        :attr:`SlotCheckpoint.to_decode` decodes all of them in one
-        batched pass and later calls read that result; any other row (one
-        the native books settled, or a trailing decode after :meth:`run`)
-        is decoded as a batch of one.  A decode whose verdict differs
-        from the native books' raises ``RuntimeError``.
+        Row ``row`` alone, with one :meth:`SlotDecoder.decode` call, at a
+        checkpoint or between two (a trailing decode after :meth:`run`).
+        At a checkpoint, a decode whose verdict differs from the native
+        books' raises ``RuntimeError``.
         """
-        decode = self._decoded.get(row)
-        if decode is None:
-            to_decode = self._to_decode
-            if to_decode is not None and to_decode[row]:
-                indices = np.flatnonzero(to_decode)
-            else:
-                indices = np.asarray([row])
-            assert self._window_counts is not None and self._last_spike is not None
-            decodes = self._decoder.decode_rows(
-                [self._rows[i] for i in indices],
-                self._window_counts[indices],
-                self._last_spike[indices],
-            )
-            if self._verdict is not None:
-                for i, verdict, got in zip(indices.tolist(), self._verdict[indices].tolist(),
-                                           decodes):
-                    if verdict != _UNDECODED and got.solved != (verdict == _SOLVED):
-                        raise RuntimeError(
-                            f"row {i}: the decoder says solved={got.solved}, "
-                            f"the native books' decode says solved={verdict == _SOLVED}")
-            self._decoded.update(zip(indices.tolist(), decodes))
-            decode = self._decoded[row]
+        assert self._window_counts is not None and self._last_spike is not None
+        decode = self._decoder.decode(
+            self._rows[row], self._window_counts[row], self._last_spike[row]
+        )
+        verdict = _UNDECODED if self._verdict is None else int(self._verdict[row])
+        if verdict != _UNDECODED and decode.solved != (verdict == _SOLVED):
+            raise RuntimeError(
+                f"row {row}: the decoder says solved={decode.solved}, "
+                f"the native books' decode says solved={verdict == _SOLVED}")
         return decode
-
-    def _forget_decodes(self) -> None:
-        """Drop cached decodes: the rows or their windows changed."""
-        self._to_decode = self._verdict = None
-        if self._decoded:
-            self._decoded = {}
 
     # ------------------------------------------------------------------ #
     # Zero-step canonicalisation
@@ -651,7 +624,7 @@ class SlotEngine:
         else:
             # Nothing survives: tear the batch down, or build it afresh.
             self._batch = BatchedNetwork.from_networks(specs) if specs else None
-        self._forget_decodes()
+        self._verdict = None
         for (row, _), plan in zip(admissions, plans):
             row.offset, row.plan = self._step, plan
         self._rows = [self._rows[i] for i in keep] + [row for row, _ in admissions]
@@ -789,7 +762,7 @@ class SlotEngine:
             batch.restore_state(state["batch"])
         plans = self._declare_plans(rows, size)
         # Every check passed: nothing below refuses.
-        self._forget_decodes()
+        self._verdict = None
         self._step = int(state["step"])
         self._num_neurons = size
         self._updates_per_step = state["updates_per_step"]
@@ -848,7 +821,7 @@ class SlotEngine:
         """
         if self._batch is None:
             raise RuntimeError("no live rows to step")
-        self._forget_decodes()
+        self._verdict = None
         self._step += 1
         fired = self._batch.step(self._step)
         rows = len(self._rows)
@@ -878,7 +851,7 @@ class SlotEngine:
             if not at_check.any():
                 return None
             to_decode, verdict = at_check, None
-        self._to_decode, self._verdict = to_decode, verdict
+        self._verdict = verdict
         return SlotCheckpoint(
             engine=self, step=self._step, local=local, at_check=at_check, at_budget=at_budget,
             to_decode=to_decode,

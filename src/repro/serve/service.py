@@ -155,7 +155,9 @@ class ServeResult:
     #: Code-independent request identity (``None`` for zero-budget
     #: requests, which are answered before one is derived).
     key: Optional[str]
-    #: Noise seed the solve ran (or would run) under.
+    #: Noise seed the solve ran (or would run) under.  A zero-budget
+    #: request without an explicit seed reports the service's root seed:
+    #: no identity, so no derived seed, is made for it.
     seed: int
     #: Per-request step budget.
     max_steps: int
@@ -528,7 +530,7 @@ class SolveService:
                 status=status,
                 client=client,
                 key=None,
-                seed=self._seed,
+                seed=self._seed if seed is None else seed,
                 max_steps=budget,
                 result=result,
                 from_cache=False,
@@ -711,25 +713,21 @@ class SolveService:
 
         ``drain=True`` (default) finishes every queued and running
         request first; ``drain=False`` aborts outstanding requests,
-        resolving their waiters with ``ServeStatus.CANCELLED``.
+        resolving their waiters with ``ServeStatus.CANCELLED``.  A
+        scheduler that raised has handed its exception to the requests
+        it left (:meth:`_run`): stop retrieves it and returns.
         """
         self._closed = True
         task, self._task = self._task, None
-        if task is None or task.done():
-            self._abort_outstanding()
-            if self._journal is not None:
-                self._journal.close()
-            return
-        if drain:
-            self._draining = True
-            self._wake.set()
-            await task
-        else:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        if task is not None:
+            if not task.done():
+                if drain:
+                    self._draining = True
+                    self._wake.set()
+                else:
+                    task.cancel()
+            # Retrieves what the task raised, its cancellation included.
+            await asyncio.gather(task, return_exceptions=True)
         self._abort_outstanding()
         if self._journal is not None:
             self._journal.close()
@@ -1023,14 +1021,9 @@ class SolveService:
                 self._metrics.started_at = self._now()
             self._task = asyncio.get_running_loop().create_task(self._run())
 
-    def _release_step_waiters(self) -> None:
-        while self._step_heap and self._step_heap[0][0] <= self._step:
-            _, _, future = heapq.heappop(self._step_heap)
-            if not future.done():
-                future.set_result(self._step)
-
-    def _flush_step_waiters(self) -> None:
-        while self._step_heap:
+    def _release_step_waiters(self, step: float = math.inf) -> None:
+        """Resolve the :meth:`wait_for_step` waiters up to ``step``; every one by default."""
+        while self._step_heap and self._step_heap[0][0] <= step:
             _, _, future = heapq.heappop(self._step_heap)
             if not future.done():
                 future.set_result(self._step)
@@ -1055,8 +1048,29 @@ class SolveService:
             self._engine.admit(refills)
 
     async def _run(self) -> None:
-        while True:
+        """The scheduler task: :meth:`_schedule` until a drain ends it, or it raises.
+
+        On an exception the service closes, every queued and running
+        request raises it from its :meth:`submit`, and the task raises it
+        again for :meth:`stop` to retrieve.  Nothing is retired in the
+        journal, so a new service on it re-enqueues those requests.  The
+        step waiters are released either way.
+        """
+        try:
+            await self._schedule()
+        except Exception as exc:
+            self._closed = True
+            for ticket in self._inflight.values():
+                for waiter in ticket.waiters:
+                    if not waiter.future.done():
+                        waiter.future.set_exception(exc)
+            raise
+        finally:
             self._release_step_waiters()
+
+    async def _schedule(self) -> None:
+        while True:
+            self._release_step_waiters(self._step)
             self._prune_cancelled_rows()
             self._admit()
             if not self._engine.num_rows:
@@ -1085,7 +1099,6 @@ class SolveService:
                 if not self._engine.num_rows:
                     break
             await asyncio.sleep(0)
-        self._flush_step_waiters()
 
     def _checkpoint_decision(self, checkpoint: SlotCheckpoint) -> SlotDecision:
         """Decide which rows finish, expire or survive one checkpoint."""
@@ -1121,4 +1134,4 @@ class SolveService:
         self._rr.clear()
         self._queued = 0
         self._inflight.clear()
-        self._flush_step_waiters()
+        self._release_step_waiters()

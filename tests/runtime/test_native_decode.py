@@ -3,13 +3,13 @@
 At each check the native books (``izh_books``) decode every row whose
 decoder declared a :class:`~repro.runtime.slots.DecodePlan` and that is
 not at its budget, and only the rows that solved, spent their budget or
-have no plan reach :meth:`SlotDecoder.decode_rows`.  The C verdict must
-be the reference's (``repro.csp.solver._decode_shared_domain``, itself
-held to ``decode_assignment`` + ``is_solution`` by ``test_row_specs.py``)
-on every window: this suite plants windows with ties in counts and in
-recency, rows that never spiked, clamps on decided and undecided groups,
-picks with and without a conflict, and plan-less rows beside planned
-ones, at widths 1 to 9 with 1 to 81 groups.  Whole solves, portfolio
+have no plan reach :meth:`SlotDecoder.decode`, one row per call.  The C
+verdict must be the Python decode's (``decode_assignment`` +
+``ConstraintGraph.is_solution``, row by row) on every window: this
+suite plants windows with ties in counts and in recency, rows that
+never spiked, clamps on decided and undecided groups, picks with and
+without a conflict, and plan-less rows beside planned ones, at widths
+1 to 9 with 1 to 81 groups.  Whole solves, portfolio
 runs and a solve service must then give the same results on both books
 paths, with the same rows finished at every checkpoint.
 """
@@ -23,7 +23,7 @@ import pytest
 
 from repro.csp import ConstraintGraph, CSPConfig, SpikingCSPSolver, Variable, make_instance
 from repro.csp.portfolio import PortfolioConfig, solve_instances_portfolio
-from repro.csp.solver import CSP_SLOT_DECODER, solve_instances
+from repro.csp.solver import CSP_SLOT_DECODER, decode_assignment, solve_instances
 from repro.runtime import native
 from repro.runtime.batch import BatchedNetwork
 from repro.runtime.slots import DecodePlan, SlotCheckpoint, SlotEngine, SlotRow
@@ -154,9 +154,9 @@ def _silent_step(batch, step):
 
 
 def _reference_solved(row, counts, last):
-    """``_decode_shared_domain``'s verdict, through the decoder's planned-row path."""
-    planned = SlotRow(row.graph, row.clamps, budget=row.budget, plan=CSP_SLOT_DECODER.plan(row))
-    return CSP_SLOT_DECODER.decode_rows([planned], counts[None], last[None])[0].solved
+    """The verdict of ``decode_assignment`` + ``is_solution`` on one row's window."""
+    values, decided = decode_assignment(row.graph, counts, last, row.clamps)
+    return row.graph.is_solution(values, decided)
 
 
 # ---------------------------------------------------------------------- #
@@ -235,9 +235,9 @@ class TestDecoderContract:
         class Dissenting:
             plan = staticmethod(CSP_SLOT_DECODER.plan)
 
-            def decode_rows(self, rows, window_counts, last_spike):
-                decodes = CSP_SLOT_DECODER.decode_rows(rows, window_counts, last_spike)
-                return [type(d)(d.values, d.decided, not d.solved) for d in decodes]
+            def decode(self, row, window_counts, last_spike):
+                d = CSP_SLOT_DECODER.decode(row, window_counts, last_spike)
+                return type(d)(d.values, d.decided, not d.solved)
 
         engine = self._engine(monkeypatch, Dissenting())
         checkpoint = engine.step()
@@ -250,7 +250,7 @@ class TestDecoderContract:
             def plan(self, row):
                 return None
 
-            decode_rows = staticmethod(CSP_SLOT_DECODER.decode_rows)
+            decode = staticmethod(CSP_SLOT_DECODER.decode)
 
         engine = self._engine(monkeypatch, Planless())
         checkpoint = engine.step()
@@ -262,8 +262,7 @@ class TestPlanChecks:
     def _plan(self, **changes):
         targets = np.array([1, 0], dtype=np.int64)
         indptr = np.array([0, 1, 2, 2, 2], dtype=np.int64)
-        fields = dict(width=2, values=np.array([1, 2]), clamps=np.array([[1], [0]]),
-                      targets=targets, indptr=indptr)
+        fields = dict(width=2, clamps=np.array([[1], [0]]), targets=targets, indptr=indptr)
         fields.update(changes)
         return DecodePlan(**fields)
 
@@ -273,7 +272,7 @@ class TestPlanChecks:
         assert plan.clamps.flags.c_contiguous
 
     @pytest.mark.parametrize("changes", [
-        dict(width=0), dict(width=3), dict(values=np.array([1, 2, 3])),
+        dict(width=0), dict(width=3),
         dict(targets=np.array([1, 4])), dict(targets=np.array([1, -1])),
         dict(indptr=np.array([0, 1, 3, 2, 2])), dict(indptr=np.array([1, 1, 2, 2, 2])),
         dict(clamps=np.array([[2], [0]])), dict(clamps=np.array([[0], [2]])),
@@ -291,7 +290,7 @@ class TestPlanChecks:
             def plan(self, row):
                 return CSP_SLOT_DECODER.plan(SlotRow(other, [], budget=1))
 
-            decode_rows = staticmethod(CSP_SLOT_DECODER.decode_rows)
+            decode = staticmethod(CSP_SLOT_DECODER.decode)
 
         engine = SlotEngine(decoder=Misplanned(), window=5, check_interval=10)
         row = SlotRow(graph=graph, clamps=graph.resolve_clamps(clamps), budget=100)
@@ -406,13 +405,13 @@ class TestBothBooksPaths:
 @pytest.mark.usefixtures("native_books")
 def test_a_sudoku_batch_decodes_one_row_per_instance_in_python(monkeypatch):
     decoded = []
-    original = type(CSP_SLOT_DECODER).decode_rows
+    original = type(CSP_SLOT_DECODER).decode
 
-    def counting(self, rows, window_counts, last_spike):
-        decoded.extend(id(row) for row in rows)
-        return original(self, rows, window_counts, last_spike)
+    def counting(self, row, window_counts, last_spike):
+        decoded.append(id(row))
+        return original(self, row, window_counts, last_spike)
 
-    monkeypatch.setattr(type(CSP_SLOT_DECODER), "decode_rows", counting)
+    monkeypatch.setattr(type(CSP_SLOT_DECODER), "decode", counting)
     instances = [make_instance("sudoku", seed=s, target_clues=40) for s in range(32)]
     results = solve_instances(instances, seed=2, max_steps=200)
     assert len(decoded) == len(set(decoded)) == 32

@@ -1,8 +1,10 @@
-"""Row specs and the batched decode against their sequential references.
+"""Row specs and the slot engine's decode against their sequential references.
 
 The slot engine admits rows as :class:`~repro.runtime.batch.BatchRow`
-specs built from a per-config template, and decodes every at-check row
-of a checkpoint in one vectorised pass.  Both fast paths keep their
+specs built from a per-config template, and decodes the rows at a check
+in one batch: the native books (``izh_books``) give every planned row a
+verdict in one call, and each row they hand back is decoded alone by
+:meth:`~repro.runtime.slots.SlotEngine.decode_row`.  Both keep their
 references — ``SpikingCSPSolver.build_network`` read through
 ``batch_row``, and ``decode_assignment`` + ``ConstraintGraph.is_solution``
 row by row — and this suite holds them to those references.
@@ -93,17 +95,46 @@ def _window(graph, solution, rng, kind):
     return counts.astype(np.int64), last.astype(np.int64)
 
 
-def _assert_matches_reference(rows, counts, last):
-    decodes = CSP_SLOT_DECODER.decode_rows(rows, counts, last)
-    assert len(decodes) == len(rows)
+def _silent_step(batch, step):
+    """Stands in for ``BatchedNetwork.step``: nothing fires, so the books keep the windows."""
+    fired = batch._fired
+    fired[...] = False
+    return fired
+
+
+def _engine(monkeypatch, instances):
+    """A slot engine over ``instances``, at a check every step and firing nothing."""
+    monkeypatch.setattr(BatchedNetwork, "step", _silent_step)
+    engine = SlotEngine(decoder=CSP_SLOT_DECODER, window=5, check_interval=1)
+    engine.admit([
+        (SlotRow(graph=graph, clamps=clamps, budget=100),
+         SpikingCSPSolver(graph, CSPConfig(), seed=i).row(clamps))
+        for i, (graph, clamps, _) in enumerate(instances)
+    ])
+    return engine
+
+
+def _assert_matches_reference(engine, windows):
+    """Plant one window per row in the engine's books, step to the check,
+    and hold every row's verdict and decode to the reference; returns how
+    many rows solved."""
+    for i, (counts, last) in enumerate(windows):
+        engine._window_counts[i], engine._last_spike[i] = counts, last
+    checkpoint = engine.step()
+    assert checkpoint is not None and checkpoint.at_check.all()
     solved = 0
-    for i, (row, decode) in enumerate(zip(rows, decodes)):
-        values, decided = decode_assignment(row.graph, counts[i], last[i], row.clamps)
+    for i, (row, (counts, last)) in enumerate(zip(engine.rows, windows)):
+        values, decided = decode_assignment(row.graph, counts, last, row.clamps)
+        expected = row.graph.is_solution(values, decided)
+        # The native books keep back the planned rows that did not solve.
+        batched = engine._native_books is not None and row.plan is not None
+        assert checkpoint.to_decode[i] == (expected or not batched), f"row {i}"
+        decode = engine.decode_row(i)  # raises where it contradicts the books' verdict
         np.testing.assert_array_equal(decode.values, values, err_msg=f"row {i}")
         assert decode.values.dtype == values.dtype
         np.testing.assert_array_equal(decode.decided, decided, err_msg=f"row {i}")
-        assert decode.solved is row.graph.is_solution(values, decided), f"row {i}"
-        solved += decode.solved
+        assert decode.solved is expected, f"row {i}"
+        solved += expected
     return solved
 
 
@@ -111,57 +142,49 @@ KINDS = ("random", "solution", "near-solution", "ties", "silent", "no-recency", 
 
 
 class TestBatchedDecode:
-    def test_mixed_pass_matches_reference(self):
+    def test_mixed_pass_matches_reference(self, monkeypatch):
         rng = np.random.default_rng(11)
-        sudoku_graph, sudoku_clamps, sudoku_solution = _sudoku(3)
+        sudoku = _sudoku(3)
         instances = [_coloring(seed) for seed in range(4)]  # one graph each, width 3
-        instances += [(sudoku_graph, sudoku_clamps, sudoku_solution)] * 4  # one shared graph
+        instances += [sudoku] * 4  # one shared graph
         instances += [_hand_built([(1, 2, 3), (4, 5, 6)], seed=1)]  # heterogeneous domains
         instances += [_hand_built([(-2, -1, 0)], seed=2)]  # homogeneous, negative values
+        engine = _engine(monkeypatch, instances)
+        # Plans are declared at admission, but not for the differing domains:
+        # that row is decoded in Python at every check.
+        assert [row.plan is None for row in engine.rows] == [False] * 8 + [True, False]
         for trial in range(3):
-            rows, counts, last = [], [], []
-            for i, (graph, clamps, solution) in enumerate(instances):
-                kind = KINDS[(i + trial) % len(KINDS)]
-                rows.append(SlotRow(graph=graph, clamps=clamps, budget=100))
-                c, t = _window(graph, solution, rng, kind)
-                counts.append(c)
-                last.append(t)
-            _assert_matches_reference(rows, np.stack(counts), np.stack(last))
-        # Plans are declared at admission, not by a decode: these rows were
-        # decoded from plans made on the fly, but for the differing domains.
-        assert all(row.plan is None for row in rows)
-        plans = [CSP_SLOT_DECODER.plan(row) for row in rows]
-        assert [plan is None for plan in plans] == [False] * 8 + [True, False]
+            windows = [_window(graph, solution, rng, KINDS[(i + trial) % len(KINDS)])
+                       for i, (graph, _, solution) in enumerate(instances)]
+            _assert_matches_reference(engine, windows)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_single_row_is_a_batch_of_one(self, kind):
+    def test_single_row_is_a_batch_of_one(self, monkeypatch, kind):
         graph, clamps, solution = _coloring(5, num_vertices=12, edge_probability=0.3)
+        engine = _engine(monkeypatch, [(graph, clamps, solution)])
         rng = np.random.default_rng(5)
         for _ in range(5):
-            counts, last = _window(graph, solution, rng, kind)
-            row = SlotRow(graph=graph, clamps=clamps, budget=100)
-            _assert_matches_reference([row], counts[None], last[None])
+            _assert_matches_reference(engine, [_window(graph, solution, rng, kind)])
 
-    def test_solutions_are_found(self):
+    def test_solutions_are_found(self, monkeypatch):
         # The flavours above must reach the conflict check both ways.
         rng = np.random.default_rng(2)
         instances = [_coloring(seed, num_vertices=12, edge_probability=0.3) for seed in range(6)]
-        rows = [SlotRow(graph=g, clamps=c, budget=100) for g, c, _ in instances]
+        engine = _engine(monkeypatch, instances)
         windows = [_window(g, s, rng, "solution") for g, _, s in instances]
-        counts, last = (np.stack(part) for part in zip(*windows))
-        assert _assert_matches_reference(rows, counts, last) == len(rows)
+        assert _assert_matches_reference(engine, windows) == len(instances)
 
     def test_engine_decodes_at_and_outside_a_checkpoint(self, step_path):
         config = CSPConfig()
-        passes = []
+        calls = []
 
         class CountingDecoder:
             def plan(self, row):
                 return CSP_SLOT_DECODER.plan(row)
 
-            def decode_rows(self, rows, window_counts, last_spike):
-                passes.append(len(rows))
-                return CSP_SLOT_DECODER.decode_rows(rows, window_counts, last_spike)
+            def decode(self, row, window_counts, last_spike):
+                calls.append(row)
+                return CSP_SLOT_DECODER.decode(row, window_counts, last_spike)
 
         engine = SlotEngine(decoder=CountingDecoder(), window=20, check_interval=CHECK_INTERVAL)
         admissions = []
@@ -182,22 +205,26 @@ class TestBatchedDecode:
         for step in range(1, 36):
             checkpoint = engine.step()
             assert (checkpoint is not None) == (step % CHECK_INTERVAL == 0)
+            if checkpoint is not None:
+                # The retirement rule decodes each row to decode once, in order.
+                del calls[:]
+                checkpoint.finished
+                to_decode = np.flatnonzero(checkpoint.to_decode).tolist()
+                assert [id(row) for row in calls] == [id(engine.rows[i]) for i in to_decode]
+                if step_path == "numpy":
+                    assert len(to_decode) == 5
+                settled += 5 - len(to_decode)
             # Decodes outside a checkpoint (step 3, 17, ...) and at one.
             if checkpoint is not None or step % 7 == 3:
-                del passes[:]
                 for i in reversed(range(engine.num_rows)):
+                    del calls[:]
                     decode = engine.decode_row(i)
+                    assert len(calls) == 1 and calls[0] is engine.rows[i]
                     values, decided, solved = reference(i)
                     np.testing.assert_array_equal(decode.values, values)
+                    assert decode.values.dtype == values.dtype
                     np.testing.assert_array_equal(decode.decided, decided)
                     assert decode.solved is solved
-                # One pass over the rows to decode (every at-check row on
-                # the NumPy books); any other row is a pass of its own.
-                batch = 0 if checkpoint is None else int(checkpoint.to_decode.sum())
-                if checkpoint is not None and step_path == "numpy":
-                    assert batch == 5
-                settled += 5 - batch if checkpoint is not None else 0
-                assert sorted(passes) == sorted([batch] * (batch > 0) + [1] * (5 - batch))
         # The native books settled some rows; the NumPy books none.
         assert (settled > 0) == (step_path == "native")
 

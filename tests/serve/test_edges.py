@@ -216,6 +216,26 @@ def test_zero_step_budget_served_immediately():
     assert metrics.in_flight == 0
 
 
+def test_zero_step_budget_reports_the_request_seed():
+    """A zero-budget request reports its explicit seed, as a budgeted one
+    does; a seedless one reports the root seed, since no identity (so no
+    derived seed) is made for it."""
+    graph, clamps = _instance(4)
+
+    async def main():
+        async with SolveService(capacity=2, clock="steps", seed=11) as service:
+            zero = await service.submit(graph, clamps, seed=5, max_steps=0)
+            many = await service.submit_many([(graph, clamps)] * 2, seeds=[5, 6], max_steps=0)
+            seedless = await service.submit(graph, clamps, max_steps=0)
+            budgeted = await service.submit(graph, clamps, seed=5, max_steps=50)
+        return zero, many, seedless, budgeted
+
+    zero, many, seedless, budgeted = asyncio.run(main())
+    assert zero.seed == budgeted.seed == 5
+    assert [served.seed for served in many] == [5, 6]
+    assert seedless.seed == 11
+
+
 def test_mismatched_neuron_count_is_a_typed_rejection():
     async def main():
         async with SolveService(capacity=2, clock="steps") as service:

@@ -1,12 +1,15 @@
 """Fault injection against the solve service.
 
 Each test breaks one thing — a client, a deadline, the admission queue,
-a cache entry — and checks two properties: the failure is reported
-through its typed channel, and the rest of the service is untouched
-(surviving rows stay bit-exact, the metrics ledger stays conserved).
+a cache entry, the scheduler — and checks two properties: the failure is
+reported through its typed channel, and the rest of the service is
+untouched (surviving rows stay bit-exact, the metrics ledger stays
+conserved).
 """
 
 import asyncio
+import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from repro.csp.config import CSPConfig
 from repro.csp.scenarios import make_instance
 from repro.csp.solver import CSPSolveResult, SpikingCSPSolver
 from repro.runtime.cache import RunResultCache, derive_cache_key
+from repro.runtime.slots import SlotEngine
 from repro.serve import (
     LoadShedError,
     ServeStatus,
@@ -240,3 +244,101 @@ def test_abort_stop_resolves_outstanding_as_cancelled():
     assert result.result is None
     assert metrics.running == 0
     _assert_ledger(metrics)
+
+
+# ---------------------------------------------------------------------- #
+# A scheduler that raises
+# ---------------------------------------------------------------------- #
+class PlantedError(RuntimeError):
+    pass
+
+
+@pytest.fixture
+def failing_scheduler(monkeypatch):
+    """``SlotEngine.advance`` raises :class:`PlantedError` on its 5th call."""
+    calls = itertools.count(1)
+    advance = SlotEngine.advance
+
+    def failing(self, policy):
+        if next(calls) == 5:
+            raise PlantedError("planted in advance")
+        return advance(self, policy)
+
+    monkeypatch.setattr(SlotEngine, "advance", failing)
+
+
+def _bounded(awaitable):
+    return asyncio.wait_for(awaitable, 5.0)
+
+
+@pytest.mark.usefixtures("failing_scheduler")
+class TestSchedulerFailure:
+    def test_a_pending_submit_raises_it(self):
+        async def main():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(lambda _, ctx: errors.append(ctx))
+            service = SolveService(capacity=2, check_interval=CHECK_INTERVAL, clock="steps")
+            with pytest.raises(PlantedError):
+                await _bounded(service.submit(*_instance(1), max_steps=10_000))
+            await _bounded(service.stop())
+            gc.collect()  # an unretrieved task exception is reported here
+            return errors
+
+        assert asyncio.run(main()) == []
+
+    def test_a_pending_submit_many_raises_it(self):
+        async def main():
+            service = SolveService(capacity=2, check_interval=CHECK_INTERVAL, clock="steps")
+            instances = [_instance(seed) for seed in (1, 2, 3)]
+            with pytest.raises(PlantedError):
+                await _bounded(service.submit_many(instances, max_steps=10_000))
+            await _bounded(service.stop())
+
+        asyncio.run(main())
+
+    def test_a_pending_step_waiter_is_released(self):
+        async def main():
+            service = SolveService(capacity=2, check_interval=CHECK_INTERVAL, clock="steps")
+            submitted = asyncio.ensure_future(service.submit(*_instance(1), max_steps=10_000))
+            step = await _bounded(service.wait_for_step(1_000))
+            with pytest.raises(PlantedError):
+                await _bounded(submitted)
+            await _bounded(service.stop())
+            return step
+
+        assert asyncio.run(main()) == 4  # the 5th step raised
+
+    def test_a_later_submit_is_refused(self):
+        async def main():
+            service = SolveService(capacity=2, check_interval=CHECK_INTERVAL, clock="steps")
+            with pytest.raises(PlantedError):
+                await _bounded(service.submit(*_instance(1), max_steps=10_000))
+            with pytest.raises(ServiceClosedError):
+                await _bounded(service.submit(*_instance(2), max_steps=10_000))
+            assert service.step == 4  # no fresh scheduler stepped the engine on
+            await _bounded(service.stop())
+
+        asyncio.run(main())
+
+    def test_the_journal_replays_the_interrupted_admissions(self, tmp_path):
+        journal = tmp_path / "admissions.journal"
+        instances = [_instance(seed) for seed in (1, 2, 3)]
+
+        async def fail():
+            service = SolveService(
+                capacity=2, check_interval=CHECK_INTERVAL, clock="steps", journal_path=journal
+            )
+            with pytest.raises(PlantedError):
+                await _bounded(service.submit_many(instances, max_steps=10_000))
+            await _bounded(service.stop())
+
+        async def recover():
+            service = SolveService(
+                capacity=2, check_interval=CHECK_INTERVAL, clock="steps", journal_path=journal
+            )
+            replayed = service.metrics().replayed
+            await _bounded(service.stop(drain=False))
+            return replayed
+
+        asyncio.run(fail())
+        assert asyncio.run(recover()) == len(instances)
